@@ -23,6 +23,7 @@ from gepcirc.engine import (
     ConfigError,
     EvolutionConfig,
     EvolutionResult,
+    FitnessEvaluationError,
     Gene,
     run_evolution,
 )
@@ -547,11 +548,11 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         print(circuit_to_string(decode_gene_string(args.gene)))
         return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, FitnessEvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

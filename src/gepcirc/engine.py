@@ -387,6 +387,8 @@ def _evaluate(genes: Sequence[Gene], fitness: Callable[[Gene], float],
     def guarded(gene: Gene) -> float:
         try:
             return fitness(gene)
+        except MemoryError:     # the machine's limit, not the genome's fault
+            raise
         except Exception as exc:  # re-raise with the genome attached
             raise FitnessEvaluationError(
                 gene, f"fitness failed on genome {format_gene(gene)!r}: {exc}"

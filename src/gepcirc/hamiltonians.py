@@ -23,11 +23,16 @@ from gepcirc.engine import ConfigError
 from gepcirc.sim import MAX_QUBITS, StateVector
 
 __all__ = [
-    "Graph", "PauliTerm", "PauliSumHamiltonian",
+    "Graph", "PauliTerm", "PauliSumHamiltonian", "ImaginaryResidueError",
     "ising_from_graph", "xx_chain", "heisenberg_2d",
     "expectation", "cut_value", "CutCandidate", "maxcut_from_state",
     "load_graph", "save_graph", "load_pauli_sum", "save_pauli_sum",
 ]
+
+
+class ImaginaryResidueError(ArithmeticError):
+    """An expectation value came out complex: the state or the cached
+    Pauli tables are corrupt (a real-coefficient Pauli sum is Hermitian)."""
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,8 @@ class PauliSumHamiltonian:
             return float(np.real(np.vdot(amps, self._diag * amps)))
         per_term = (self._phases * amps[self._perms]) @ np.conj(amps)
         total = complex(self._coeffs @ per_term)
-        assert abs(total.imag) < 1e-10, f"imaginary residue {total.imag}"
+        if not abs(total.imag) < 1e-10:
+            raise ImaginaryResidueError(f"imaginary residue {total.imag}")
         return float(total.real)
 
     def expectation_array(self, amps: np.ndarray) -> float:

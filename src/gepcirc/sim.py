@@ -159,7 +159,8 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", amps)
         norm = float(np.linalg.norm(amps))
-        assert abs(norm - 1.0) < 1e-10, f"state norm {norm} drifted from 1"
+        if not abs(norm - 1.0) < 1e-10:
+            raise ConfigError(f"state norm {norm} drifted from 1")
 
     def fidelity(self, other: "StateVector") -> float:
         """|<self|other>|^2, the global-phase-blind overlap."""

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import gepcirc.fitness as fitness_mod
 from gepcirc.cli import (
     EXIT_EARLY_STOP,
     EXIT_ERROR,
@@ -351,6 +352,23 @@ class TestMain:
     def test_missing_file_exit(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.txt")]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, message", [
+        (RuntimeError("boom"), "error: fitness failed on genome "),
+        (MemoryError(), "error: out of memory"),
+    ])
+    def test_fitness_failure_exit(self, tmp_path, capsys, monkeypatch,
+                                  exc, message):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(fitness_mod, "optimize_params", broken)
+        edge_graph(tmp_path)
+        path = write(tmp_path / "in.txt", BASE + "Population = 20\n")
+        assert main(["run", path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:

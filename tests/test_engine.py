@@ -284,3 +284,12 @@ class TestEvolution:
         with pytest.raises(FitnessEvaluationError) as exc:
             run_evolution(cfg, ARITH, broken)
         assert exc.value.gene is not None
+
+    def test_memory_error_not_wrapped(self):
+        def exhausted(gene: Gene) -> float:
+            raise MemoryError()
+
+        cfg = EvolutionConfig(generations=1, head_len=3, population_size=4,
+                              seed=0)
+        with pytest.raises(MemoryError):
+            run_evolution(cfg, ARITH, exhausted)

@@ -9,6 +9,7 @@ import pytest
 from gepcirc.engine import ConfigError
 from gepcirc.hamiltonians import (
     Graph,
+    ImaginaryResidueError,
     PauliSumHamiltonian,
     PauliTerm,
     cut_value,
@@ -165,6 +166,14 @@ class TestExpectation:
             PauliTerm.from_map(1.0, {0: "W"})
         with pytest.raises(ConfigError):
             PauliSumHamiltonian(2, [PauliTerm.from_map(1.0, {5: "Z"})])
+
+    def test_imaginary_residue_raises(self):
+        h = PauliSumHamiltonian(1, [PauliTerm.from_map(1.0, {0: "X"})])
+        amps = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        assert abs(h.raw_expectation_array(amps) - 1.0) < 1e-12
+        h._phases = h._phases * 1j      # corrupt the cached tables
+        with pytest.raises(ImaginaryResidueError):
+            h.raw_expectation_array(amps)
 
 
 class TestMaxCutReadout:

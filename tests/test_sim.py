@@ -2,11 +2,17 @@
 and the circuit string grammar."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gepcirc
 from gepcirc.engine import ConfigError, decode, random_gene
 from gepcirc.sim import (
     GATE_KINDS,
@@ -70,8 +76,39 @@ class TestBasisState:
             basis_state(25, 0)
 
     def test_norm_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ConfigError):
             StateVector(1, np.array([1.0, 1.0]))
+
+    def test_checks_survive_optimize_flag(self):
+        # python -O strips asserts (the first one below shows it is in
+        # effect); the norm and imaginary-residue checks must still raise
+        script = textwrap.dedent("""
+            import numpy as np
+            from gepcirc.engine import ConfigError
+            from gepcirc.hamiltonians import (
+                ImaginaryResidueError, PauliSumHamiltonian, PauliTerm)
+            from gepcirc.sim import StateVector
+            assert False, "asserts are on"
+            try:
+                StateVector(1, np.array([1.0, 1.0]))
+            except ConfigError:
+                print("norm")
+            h = PauliSumHamiltonian(1, [PauliTerm.from_map(1.0, {0: "X"})])
+            amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
+            h.raw_expectation_array(amps)
+            h._phases = h._phases * 1j      # corrupt the cached tables
+            try:
+                h.raw_expectation_array(amps)
+            except ImaginaryResidueError:
+                print("residue")
+        """)
+        src = str(Path(gepcirc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["norm", "residue"]
 
 
 class TestGateMatrices:
