@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +23,7 @@ from gepcirc.engine import (
     EvolutionResult,
     FitnessEvaluationError,
     Gene,
+    make_gene,
     run_evolution,
 )
 from gepcirc.fitness import (
@@ -53,7 +52,7 @@ from gepcirc.oracle import (
 )
 from gepcirc.sim import (
     GATE_KINDS,
-    GateInstance,
+    GateTable,
     QuantumCircuit,
     StateVector,
     apply_circuit,
@@ -100,7 +99,6 @@ class RunSpec:
     gradient_refine: bool = False
     energy_shift: float = 0.0
     energy_scale: float = 1.0
-    threads: int = 1
     epsilon: float = 1e-4
     mutation_rate: float = 0.05
     one_point_rate: float = 0.4
@@ -113,6 +111,13 @@ class RunSpec:
 
     def resolve(self, path: str) -> Path:
         return self.base_dir / path
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -142,24 +147,23 @@ _KEYS = {
     "Population": ("population", int),
     "Generations": ("generations", int),
     "Seed": ("seed", int),
-    "EarlyStopFitness": ("early_stop", float),
+    "EarlyStopFitness": ("early_stop", _parse_float),
     "InitialState": ("initial_state", str),
     "GraphFile": ("graph_file", str),
     "Hamiltonian": ("hamiltonian", str),
     "TrainingPairs": ("training_pairs", str),
     "Canonicalize": ("canonicalize", _parse_bool),
     "GradientRefine": ("gradient_refine", _parse_bool),
-    "EnergyShift": ("energy_shift", float),
-    "EnergyScale": ("energy_scale", float),
-    "Threads": ("threads", int),
-    "Epsilon": ("epsilon", float),
-    "MutationRate": ("mutation_rate", float),
-    "OnePointRate": ("one_point_rate", float),
-    "TwoPointRate": ("two_point_rate", float),
-    "InversionRate": ("inversion_rate", float),
-    "SwapRate": ("swap_rate", float),
-    "ExactEnergy": ("exact_energy", float),
-    "PPhase": ("p_phase", float),
+    "EnergyShift": ("energy_shift", _parse_float),
+    "EnergyScale": ("energy_scale", _parse_float),
+    "Epsilon": ("epsilon", _parse_float),
+    "MutationRate": ("mutation_rate", _parse_float),
+    "OnePointRate": ("one_point_rate", _parse_float),
+    "TwoPointRate": ("two_point_rate", _parse_float),
+    "InversionRate": ("inversion_rate", _parse_float),
+    "SwapRate": ("swap_rate", _parse_float),
+    "ExactEnergy": ("exact_energy", _parse_float),
+    "PPhase": ("p_phase", _parse_float),
 }
 
 _REQUIRED = ("RunType", "NumBits", "Gates", "HeadSize", "Generations")
@@ -207,8 +211,6 @@ def _validate_spec(spec: RunSpec, path: Path) -> None:
             f"{path}: RunType must be FunctionFit or GroundState, "
             f"got {spec.run_type!r}"
         )
-    if spec.threads < 1:
-        raise ConfigError(f"{path}: Threads must be >= 1")
     if spec.epsilon < 0:
         raise ConfigError(f"{path}: Epsilon must be >= 0")
     if spec.run_type == "FunctionFit":
@@ -218,6 +220,9 @@ def _validate_spec(spec: RunSpec, path: Path) -> None:
             raise ConfigError(
                 f"{path}: FunctionFit takes no GraphFile or Hamiltonian"
             )
+        if spec.initial_state is not None:
+            raise ConfigError(f"{path}: FunctionFit takes inputs from "
+                              f"TrainingPairs, not InitialState")
     else:
         sources = [s for s in (spec.graph_file, spec.hamiltonian) if s]
         if len(sources) != 1:
@@ -318,9 +323,6 @@ def _prepare(spec: RunSpec) -> _Prepared:
     graph = None
     reference = None
     if spec.run_type == "FunctionFit":
-        if spec.initial_state is not None:
-            raise ConfigError("FunctionFit takes inputs from TrainingPairs, "
-                              "not InitialState")
         pairs = load_training_pairs(spec.resolve(spec.training_pairs), spec.n_bits)
         problem = function_fit_problem(table, pairs, settings)
     else:
@@ -364,17 +366,8 @@ def _prepare(spec: RunSpec) -> _Prepared:
 def _execute(spec: RunSpec) -> tuple[EvolutionResult, CachingFitness, _Prepared]:
     prep = _prepare(spec)
     cache = CachingFitness(prep.problem)
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            result = run_evolution(
-                prep.config, prep.problem.table.pset, cache,
-                canonicalize=prep.canonicalize_gene, evaluator=pool.map,
-            )
-    else:
-        result = run_evolution(
-            prep.config, prep.problem.table.pset, cache,
-            canonicalize=prep.canonicalize_gene,
-        )
+    result = run_evolution(prep.config, prep.problem.table.pset, cache,
+                           canonicalize=prep.canonicalize_gene)
     return result, cache, prep
 
 
@@ -401,8 +394,6 @@ def _write_best(path: Path, result: EvolutionResult, cache: CachingFitness,
     seen = set()
     for gene, fit in zip(result.population, result.fitnesses):
         circuit = gene_to_circuit(gene, prep.problem.table)
-        if prep.problem.canonicalize_circuits:
-            circuit = canonicalize(circuit)
         text = circuit_to_string(bind_params(circuit, cache.params_for(gene)))
         if text in seen:
             continue
@@ -418,8 +409,6 @@ def _final_state(result: EvolutionResult, cache: CachingFitness,
                  prep: _Prepared) -> StateVector:
     gene = result.best_gene
     circuit = gene_to_circuit(gene, prep.problem.table)
-    if prep.problem.canonicalize_circuits:
-        circuit = canonicalize(circuit)
     state = StateVector(prep.problem.n_bits, prep.problem.initial)
     return apply_circuit(state, circuit, cache.params_for(gene))
 
@@ -488,9 +477,6 @@ def verify(spec: RunSpec) -> VerifyReport:
                         result.early_stopped)
 
 
-_GENE_TOKEN_RE = re.compile(r"^(Ry|CNOT|H|X|Y|Z|P)(\d+)(?:,(\d+))?$")
-
-
 def decode_gene_string(text: str) -> QuantumCircuit:
     """Genome tokens -> the circuit they encode.
 
@@ -500,27 +486,22 @@ def decode_gene_string(text: str) -> QuantumCircuit:
     tokens = text.split()
     if "psi0" in tokens:
         tokens = tokens[: tokens.index("psi0")]
-    gates_rev = []
-    max_q = 0
+    placements = []
     for pos, token in enumerate(tokens):
-        m = _GENE_TOKEN_RE.match(token)
-        if not m:
+        name = token.rstrip("0123456789,")
+        kind = GATE_KINDS.get(name)
+        qubits = token[len(name):].split(",")
+        if (kind is None or len(qubits) != kind.n_qubits
+                or not all(q.isdecimal() for q in qubits)
+                or len(set(map(int, qubits))) != len(qubits)):
             raise ConfigError(f"token {pos} ({token!r}): not a genome symbol")
-        name, qa, qb = m.groups()
-        qubits = (int(qa),) if qb is None else (int(qa), int(qb))
-        max_q = max(max_q, *qubits)
-        gates_rev.append((GATE_KINDS[name], qubits))
-    gates = []
-    slot = 0
-    for kind, qubits in reversed(gates_rev):
-        if kind.n_slots:
-            gates.append(GateInstance(kind, qubits, slot=slot))
-            slot += 1
-        elif kind.name == "P":
-            gates.append(GateInstance(kind, qubits, angle=math.pi / 2.0))
-        else:
-            gates.append(GateInstance(kind, qubits))
-    return QuantumCircuit(max_q + 1, tuple(gates))
+        placements.append((kind, tuple(map(int, qubits))))
+    n_bits = 1 + max((q for _, qubits in placements for q in qubits),
+                     default=0)
+    table = GateTable(n_bits, tuple(GATE_KINDS.values()))
+    head = [table.symbol_for(*p) for p in placements] + [table.terminal]
+    gene = make_gene(head + [table.terminal], len(head), table.pset)
+    return gene_to_circuit(gene, table)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -375,27 +375,20 @@ class EvolutionResult:
         return self.fitnesses[0]
 
 
-def _evaluate(genes: Sequence[Gene], fitness: Callable[[Gene], float],
-              evaluator: Callable | None) -> list[float]:
-    """Evaluate fitness for each gene, in order.
-
-    ``evaluator`` is a map-like callable (e.g. ThreadPoolExecutor.map); the
-    fitness callable must be pure, and results are collected in input order
-    so the trajectory is independent of evaluation concurrency.
-    """
-
-    def guarded(gene: Gene) -> float:
+def _evaluate(genes: Sequence[Gene], fitness: Callable[[Gene], float]
+              ) -> list[float]:
+    """Fitness of each gene, in order; failures name the genome."""
+    scores = []
+    for gene in genes:
         try:
-            return fitness(gene)
+            scores.append(fitness(gene))
         except MemoryError:     # the machine's limit, not the genome's fault
             raise
         except Exception as exc:  # re-raise with the genome attached
             raise FitnessEvaluationError(
                 gene, f"fitness failed on genome {format_gene(gene)!r}: {exc}"
             ) from exc
-
-    mapper = evaluator if evaluator is not None else map
-    return list(mapper(guarded, genes))
+    return scores
 
 
 def _make_offspring(survivors: Sequence[Gene], cfg: EvolutionConfig,
@@ -435,7 +428,6 @@ def evolve_generation(
     generation: int = 0,
     scores: Sequence[float] | None = None,
     canonicalize: Callable[[Gene], Gene] | None = None,
-    evaluator: Callable | None = None,
 ) -> tuple[list[Gene], list[float], GenerationStats]:
     """One elitist generation step.
 
@@ -447,21 +439,21 @@ def evolve_generation(
 
     ``scores`` may carry the already-known fitness of ``pop`` to avoid
     re-evaluating survivors; fitness must be pure for this to be sound.
+    Survivors with scores already went through the hook, so only the
+    offspring are rewritten; the hook must be idempotent for this to be
+    sound.
     """
     m = cfg.population_size
     if len(pop) != m:
         raise ConfigError(f"population size {len(pop)} != configured {m}")
-    offspring = _make_offspring(pop, cfg, rng)
-    pool = list(pop) + offspring
+    pool = list(pop) + _make_offspring(pop, cfg, rng)
     if canonicalize is not None:
-        pool = [canonicalize(g) for g in pool]
-    if scores is not None and canonicalize is None:
-        pool_scores = list(scores) + _evaluate(offspring, fitness, evaluator)
-    elif scores is not None:
-        # survivors were already canonical; their scores carry over
-        pool_scores = list(scores) + _evaluate(pool[m:], fitness, evaluator)
+        start = 0 if scores is None else m
+        pool[start:] = [canonicalize(g) for g in pool[start:]]
+    if scores is None:
+        pool_scores = _evaluate(pool, fitness)
     else:
-        pool_scores = _evaluate(pool, fitness, evaluator)
+        pool_scores = list(scores) + _evaluate(pool[m:], fitness)
     coding = [decode(g).coding_length for g in pool]
     order = sorted(range(len(pool)),
                    key=lambda i: (-pool_scores[i], coding[i]))
@@ -478,7 +470,6 @@ def run_evolution(
     fitness: Callable[[Gene], float],
     *,
     canonicalize: Callable[[Gene], Gene] | None = None,
-    evaluator: Callable | None = None,
 ) -> EvolutionResult:
     """Run the full loop: random initial population, then ``cfg.generations``
     elitist steps, stopping early once best fitness reaches
@@ -492,8 +483,7 @@ def run_evolution(
     for gen in range(cfg.generations):
         pop, scores, stats = evolve_generation(
             pop, cfg, fitness, rng,
-            generation=gen, scores=scores,
-            canonicalize=canonicalize, evaluator=evaluator,
+            generation=gen, scores=scores, canonicalize=canonicalize,
         )
         stats_trace.append(stats)
         if cfg.early_stop_fitness is not None and stats.best_fitness >= cfg.early_stop_fitness:

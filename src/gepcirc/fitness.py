@@ -44,7 +44,6 @@ from gepcirc.sim import (
     StateVector,
     apply_circuit_array,
     basis_state,
-    canonicalize,
     gene_to_circuit,
 )
 
@@ -53,7 +52,7 @@ DEFAULT_GRID = tuple(k * (math.pi / 4.0) for k in range(8))
 __all__ = [
     "DEFAULT_GRID", "OptimizerSettings", "Problem",
     "ground_state_problem", "function_fit_problem",
-    "prefitness", "optimize_params", "fitness", "CachingFitness",
+    "prefitness", "optimize_params", "CachingFitness",
 ]
 
 
@@ -92,7 +91,6 @@ class Problem:
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     hamiltonian: PauliSumHamiltonian | None = None
     initial: np.ndarray | None = None
-    canonicalize_circuits: bool = False
 
     @property
     def n_bits(self) -> int:
@@ -103,7 +101,6 @@ def function_fit_problem(
     table: GateTable,
     pairs: Sequence[tuple[StateVector, StateVector]],
     settings: OptimizerSettings = OptimizerSettings(),
-    canonicalize_circuits: bool = False,
 ) -> Problem:
     """Reproduce D input -> output state mappings (D >= 1)."""
     if not pairs:
@@ -115,8 +112,7 @@ def function_fit_problem(
                 f"gate table on {table.n_bits}"
             )
     raw = tuple((p.amplitudes, q.amplitudes) for p, q in pairs)
-    return Problem("FunctionFit", table, settings, pairs=raw,
-                   canonicalize_circuits=canonicalize_circuits)
+    return Problem("FunctionFit", table, settings, pairs=raw)
 
 
 def ground_state_problem(
@@ -124,7 +120,6 @@ def ground_state_problem(
     hamiltonian: PauliSumHamiltonian,
     initial_state: StateVector | None = None,
     settings: OptimizerSettings = OptimizerSettings(),
-    canonicalize_circuits: bool = False,
 ) -> Problem:
     """Minimize <H> over circuit outputs from one initial state."""
     if hamiltonian.n_bits != table.n_bits:
@@ -140,8 +135,7 @@ def ground_state_problem(
             f"gate table on {table.n_bits}"
         )
     return Problem("GroundState", table, settings,
-                   hamiltonian=hamiltonian, initial=initial_state.amplitudes,
-                   canonicalize_circuits=canonicalize_circuits)
+                   hamiltonian=hamiltonian, initial=initial_state.amplitudes)
 
 
 def prefitness(circuit: QuantumCircuit, params: Sequence[float],
@@ -346,22 +340,12 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
     return tuple(phi), best
 
 
-def fitness(gene: Gene, problem: Problem) -> float:
-    """F = P(phi_max) for the circuit the gene decodes to."""
-    circuit = gene_to_circuit(gene, problem.table)
-    if problem.canonicalize_circuits:
-        circuit = canonicalize(circuit)
-    _, value = optimize_params(circuit, problem)
-    return value
-
-
 class CachingFitness:
-    """Memoized fitness callable for the engine.
+    """The fitness of a genome, F = P(phi_max) of the circuit it decodes to.
 
     Fitness is a pure function of the genome symbols, so results (and the
     optimizing angles, needed when reporting winners) are cached by symbol
-    tuple. Safe under concurrent calls: worst case a value is computed
-    twice.
+    tuple.
     """
 
     def __init__(self, problem: Problem):
@@ -373,8 +357,6 @@ class CachingFitness:
         hit = self._cache.get(key)
         if hit is None:
             circuit = gene_to_circuit(gene, self.problem.table)
-            if self.problem.canonicalize_circuits:
-                circuit = canonicalize(circuit)
             params, value = optimize_params(circuit, self.problem)
             hit = (value, params)
             self._cache[key] = hit

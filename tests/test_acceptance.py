@@ -315,7 +315,6 @@ HeadSize = 6
 Population = 40
 Generations = 10
 Seed = 7
-Threads = 1
 GraphFile = g.txt
 """
 

@@ -71,7 +71,6 @@ Canonicalize = 1
         spec = parse_input(write(tmp_path / "in.txt", BASE))
         assert spec.population == 100
         assert spec.seed == 0
-        assert spec.threads == 1
         assert spec.early_stop is None
         assert spec.canonicalize is False
         assert spec.epsilon == 1e-4
@@ -271,17 +270,6 @@ InitialState = 0
         with pytest.raises(ConfigError, match="not InitialState"):
             run(parse_input(path))
 
-    def test_threads_match_serial(self, tmp_path):
-        for sub, threads in (("a", 1), ("b", 4)):
-            d = tmp_path / sub
-            d.mkdir()
-            save_graph(Graph(2, ((0, 1),)), str(d / "g.txt"))
-            write(d / "in.txt", BASE + f"Population = 20\nThreads = {threads}\n")
-            run(parse_input(d / "in.txt"))
-        for name in ("trace.csv", "best.circ", "maxcut.txt"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                   (tmp_path / "b" / name).read_bytes()
-
 
 class TestVerify:
     def test_gap_zero_on_converged_run(self, tmp_path):
@@ -369,6 +357,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("PPhase = nan", "bad value for PPhase"),
+        ("PPhase = inf", "bad value for PPhase"),
+        ("Epsilon = nan", "bad value for Epsilon"),
+        ("Epsilon = inf", "bad value for Epsilon"),
+        ("EnergyScale = -inf", "bad value for EnergyScale"),
+        ("Threads = 2", "unknown key 'Threads'"),
+    ])
+    def test_bad_line_exit(self, tmp_path, capsys, line, message):
+        edge_graph(tmp_path)
+        path = write(tmp_path / "in.txt", BASE + line + "\n")
+        assert main(["run", path]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "in.txt:7: " + message in err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -11,6 +11,7 @@ from gepcirc.engine import (
     Gene,
     PrimitiveSet,
     decode,
+    evolve_generation,
     format_gene,
     invert_head,
     karva_decode,
@@ -273,6 +274,41 @@ class TestEvolution:
         run_evolution(cfg, ARITH, counting)
         # gen 0 evaluates 2M (pool), later gens only the M offspring
         assert len(calls) == 2 * 10 + 3 * 10
+
+    def test_survivors_canonicalized_once(self):
+        # idempotent hook: keep the coding region, reset the rest
+        def normalize(gene: Gene) -> Gene:
+            n = decode(gene).coding_length
+            pad = [ARITH.terminals[0]] * (len(gene.symbols) - n)
+            return gene.replaced(gene.symbols[:n] + tuple(pad))
+
+        calls = []
+
+        def counting(gene: Gene) -> Gene:
+            calls.append(gene.symbols)
+            return normalize(gene)
+
+        m, gens = 10, 5
+        cfg = EvolutionConfig(generations=gens, head_len=6, population_size=m,
+                              seed=4)
+        result = run_evolution(cfg, ARITH, self.fitness_coding,
+                               canonicalize=counting)
+        # gen 0 rewrites the 2M pool, later gens only the M offspring
+        assert len(calls) == 2 * m + (gens - 1) * m
+
+        # reference: every generation rewrites (and scores) the whole pool
+        rng = random.Random(cfg.seed)
+        pop = [random_gene(ARITH, cfg.head_len, rng) for _ in range(m)]
+        stats = []
+        for gen in range(gens):
+            pop, scores, st = evolve_generation(
+                pop, cfg, self.fitness_coding, rng, generation=gen,
+                canonicalize=normalize)
+            stats.append(st)
+        assert [g.symbols for g in result.population] \
+            == [g.symbols for g in pop]
+        assert result.fitnesses == scores
+        assert result.stats == stats
 
     def test_fitness_error_carries_gene(self):
         def broken(gene: Gene) -> float:

@@ -9,7 +9,6 @@ from gepcirc.engine import ConfigError, make_gene, random_gene
 from gepcirc.fitness import (
     CachingFitness,
     OptimizerSettings,
-    fitness,
     function_fit_problem,
     ground_state_problem,
     optimize_params,
@@ -26,6 +25,8 @@ from gepcirc.oracle import exact_ground_energy
 from gepcirc.sim import (
     basis_state,
     build_primitive_set,
+    canonicalize,
+    circuit_to_gene,
     gene_to_circuit,
     parse_circuit,
 )
@@ -68,7 +69,7 @@ class TestPrefitness:
             table, [(basis_state(2, 0), basis_state(2, 3))])
         for _ in range(50):
             gene = random_gene(table.pset, 6, rng)
-            value = fitness(gene, prob)
+            value = CachingFitness(prob)(gene)
             assert 0.0 <= value <= 1.0 + 1e-12
 
     def test_problem_validation(self):
@@ -147,7 +148,7 @@ class TestFitness:
         table = build_primitive_set(2, ["Ry"])
         prob = ground_state_problem(table, EDGE)
         gene = make_gene([table.terminal] * 9, 8, table.pset)
-        assert fitness(gene, prob) == -1.0
+        assert CachingFitness(prob)(gene) == -1.0
 
     def test_variational_bound(self):
         rng = random.Random(42)
@@ -162,23 +163,24 @@ class TestFitness:
             bound = -exact_ground_energy(h)
             for _ in range(15):
                 gene = random_gene(table.pset, 6, rng)
-                assert fitness(gene, prob) <= bound + 1e-9
+                assert CachingFitness(prob)(gene) <= bound + 1e-9
 
     def test_deterministic(self):
         table = build_primitive_set(3, ["Ry", "CNOT"])
         prob = ground_state_problem(table, xx_chain(3, 1.0, "open"))
         gene = random_gene(table.pset, 6, random.Random(7))
-        assert fitness(gene, prob) == fitness(gene, prob)
+        assert CachingFitness(prob)(gene) == CachingFitness(prob)(gene)
 
     def test_canonicalized_fitness_unchanged(self):
         rng = random.Random(43)
         table = build_primitive_set(3, ["H", "Ry", "CNOT"])
-        plain = ground_state_problem(table, xx_chain(3, 1.0, "open"))
-        canon = ground_state_problem(table, xx_chain(3, 1.0, "open"),
-                                     canonicalize_circuits=True)
+        prob = ground_state_problem(table, xx_chain(3, 1.0, "open"))
         for _ in range(25):
             gene = random_gene(table.pset, 6, rng)
-            assert abs(fitness(gene, plain) - fitness(gene, canon)) < 1e-9
+            rewritten = circuit_to_gene(
+                canonicalize(gene_to_circuit(gene, table)), table, 6)
+            assert abs(CachingFitness(prob)(gene)
+                       - CachingFitness(prob)(rewritten)) < 1e-9
 
     def test_caching_fitness(self):
         table = build_primitive_set(2, ["Ry"])

@@ -350,6 +350,19 @@ class TestCanonicalize:
             once = canonicalize(c)
             assert canonicalize(once) == once
 
+    def test_gene_rewrite_idempotent(self):
+        # the evolution hook skips survivors because rewriting is idempotent
+        rng = random.Random(18)
+        table = build_primitive_set(3, ["H", "X", "P", "Ry", "CNOT"])
+
+        def rewrite(gene):
+            circuit = canonicalize(gene_to_circuit(gene, table))
+            return circuit_to_gene(circuit, table, gene.head_len)
+
+        for _ in range(500):
+            once = rewrite(random_gene(table.pset, 10, rng))
+            assert rewrite(once) == once
+
     def test_fidelity_preserved(self):
         rng = random.Random(17)
         for _ in range(100):
