@@ -52,6 +52,7 @@ from gepcirc.oracle import (
 )
 from gepcirc.sim import (
     GATE_KINDS,
+    MAX_QUBITS,
     GateTable,
     QuantumCircuit,
     StateVector,
@@ -120,6 +121,22 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def _ranged(convert: Callable[[str], float], low: float,
+            high: float | None = None) -> Callable[[str], float]:
+    """`convert`, then require low <= value (<= high when given)."""
+    def parse(text: str) -> float:
+        value = convert(text)
+        if high is None and value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        if high is not None and not low <= value <= high:
+            raise ValueError(f"must be in [{low}, {high}], got {value}")
+        return value
+    return parse
+
+
+_parse_rate = _ranged(_parse_float, 0, 1)
+
+
 def _parse_bool(text: str) -> bool:
     if text in ("0", "1"):
         return text == "1"
@@ -138,30 +155,37 @@ def _parse_gates(text: str) -> tuple[str, ...]:
     return gates
 
 
+def _parse_hamiltonian(text: str) -> str:
+    """A built-in form is built once here so that its errors name the line."""
+    if not text.startswith("file:"):
+        _builtin_hamiltonian(text)
+    return text
+
+
 # key -> (RunSpec attribute, converter)
 _KEYS = {
     "RunType": ("run_type", str),
-    "NumBits": ("n_bits", int),
+    "NumBits": ("n_bits", _ranged(int, 1, MAX_QUBITS)),
     "Gates": ("gates", _parse_gates),
-    "HeadSize": ("head_size", int),
-    "Population": ("population", int),
-    "Generations": ("generations", int),
+    "HeadSize": ("head_size", _ranged(int, 1)),
+    "Population": ("population", _ranged(int, 2)),
+    "Generations": ("generations", _ranged(int, 1)),
     "Seed": ("seed", int),
     "EarlyStopFitness": ("early_stop", _parse_float),
     "InitialState": ("initial_state", str),
     "GraphFile": ("graph_file", str),
-    "Hamiltonian": ("hamiltonian", str),
+    "Hamiltonian": ("hamiltonian", _parse_hamiltonian),
     "TrainingPairs": ("training_pairs", str),
     "Canonicalize": ("canonicalize", _parse_bool),
     "GradientRefine": ("gradient_refine", _parse_bool),
     "EnergyShift": ("energy_shift", _parse_float),
     "EnergyScale": ("energy_scale", _parse_float),
-    "Epsilon": ("epsilon", _parse_float),
-    "MutationRate": ("mutation_rate", _parse_float),
-    "OnePointRate": ("one_point_rate", _parse_float),
-    "TwoPointRate": ("two_point_rate", _parse_float),
-    "InversionRate": ("inversion_rate", _parse_float),
-    "SwapRate": ("swap_rate", _parse_float),
+    "Epsilon": ("epsilon", _ranged(_parse_float, 0)),
+    "MutationRate": ("mutation_rate", _parse_rate),
+    "OnePointRate": ("one_point_rate", _parse_rate),
+    "TwoPointRate": ("two_point_rate", _parse_rate),
+    "InversionRate": ("inversion_rate", _parse_rate),
+    "SwapRate": ("swap_rate", _parse_rate),
     "ExactEnergy": ("exact_energy", _parse_float),
     "PPhase": ("p_phase", _parse_float),
 }
@@ -211,8 +235,6 @@ def _validate_spec(spec: RunSpec, path: Path) -> None:
             f"{path}: RunType must be FunctionFit or GroundState, "
             f"got {spec.run_type!r}"
         )
-    if spec.epsilon < 0:
-        raise ConfigError(f"{path}: Epsilon must be >= 0")
     if spec.run_type == "FunctionFit":
         if spec.training_pairs is None:
             raise ConfigError(f"{path}: FunctionFit requires TrainingPairs")
@@ -234,8 +256,8 @@ def _validate_spec(spec: RunSpec, path: Path) -> None:
             raise ConfigError(f"{path}: GroundState takes no TrainingPairs")
 
 
-def _hamiltonian_from_key(value: str, n_bits: int,
-                          spec: RunSpec) -> PauliSumHamiltonian:
+def _builtin_hamiltonian(value: str) -> PauliSumHamiltonian:
+    """`xx:n,Jx,open|periodic` or `heisenberg2d:rows,cols`."""
     kind, _, rest = value.partition(":")
     if kind == "xx":
         parts = rest.split(",")
@@ -247,24 +269,29 @@ def _hamiltonian_from_key(value: str, n_bits: int,
             n, jx = int(parts[0]), float(parts[1])
         except ValueError:
             raise ConfigError(f"bad xx parameters in {value!r}") from None
-        h = xx_chain(n, jx, parts[2])
-    elif kind == "heisenberg2d":
+        return xx_chain(n, jx, parts[2])
+    if kind == "heisenberg2d":
         parts = rest.split(",")
         if len(parts) != 2:
             raise ConfigError(
                 f"Hamiltonian=heisenberg2d takes rows,cols, got {value!r}"
             )
         try:
-            h = heisenberg_2d(int(parts[0]), int(parts[1]))
+            return heisenberg_2d(int(parts[0]), int(parts[1]))
         except ValueError:
             raise ConfigError(f"bad heisenberg2d parameters in {value!r}") from None
-    elif kind == "file":
-        h = load_pauli_sum(str(spec.resolve(rest)))
+    raise ConfigError(
+        f"Hamiltonian must be xx:..., heisenberg2d:... or file:..., "
+        f"got {value!r}"
+    )
+
+
+def _hamiltonian_from_key(value: str, n_bits: int,
+                          spec: RunSpec) -> PauliSumHamiltonian:
+    if value.startswith("file:"):
+        h = load_pauli_sum(str(spec.resolve(value[len("file:"):])))
     else:
-        raise ConfigError(
-            f"Hamiltonian must be xx:..., heisenberg2d:... or file:..., "
-            f"got {value!r}"
-        )
+        h = _builtin_hamiltonian(value)
     if h.n_bits != n_bits:
         raise ConfigError(
             f"Hamiltonian is on {h.n_bits} bits but NumBits = {n_bits}"

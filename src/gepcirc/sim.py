@@ -9,10 +9,25 @@ Gates carry either a fixed angle in radians or a slot index into a
 parameter vector; only Ry allocates slots. P is the phase gate diag(1,
 e^{i*lambda}) with lambda = pi/2 by default (the S gate), overridable per
 gate table.
+
+Gate application works on the flat amplitude array. A 1-qubit gate on
+qubit q views the state as (high, 2, low) with low = 2^q, brings the
+qubit axis to the front and multiplies by the 2x2 matrix in one product;
+near the top of the register (at most 8 blocks above q, q >= 4) a batched
+product per block replaces the two transposes. Both are the same
+2x2 @ 2xM products as the original kernel, which moved the qubit's axis
+of the (2,)*n tensor to the front, so every amplitude comes out with the
+same bits. CNOT, the only two-qubit kind, is a slice swap: copy the
+state, then exchange the two target halves where the control bit is 1.
+It does no arithmetic, so it gives the values of the original 4x4
+permutation product exactly (that product could only change the sign of
+an exact zero). Matrices are cached read-only; gate_matrix hands out
+copies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Sequence
@@ -197,32 +212,62 @@ def gate_matrix(kind: GateKind | str, angle: float | None = None) -> np.ndarray:
         raise ConfigError(f"unknown gate kind {name!r}") from None
 
 
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
+
+
+# read-only matrices of the angle-free 1-qubit gates (P at its default
+# phase); gate_matrix hands out fresh copies
+_KERNEL_MATRICES = {name: _frozen(gate_matrix(name))
+                    for name in ("H", "X", "Y", "Z", "P")}
+
+
+@functools.lru_cache(maxsize=1024)
+def _angle_matrix(name: str, angle: float, sign: float) -> np.ndarray:
+    # `sign` is part of the key because 0.0 == -0.0 while their matrices
+    # differ in the sign of a zero entry
+    return _frozen(gate_matrix(name, angle))
+
+
+def _kernel_matrix(name: str, angle: float | None) -> np.ndarray:
+    if angle is None:
+        return _KERNEL_MATRICES[name]
+    return _angle_matrix(name, angle, math.copysign(1.0, angle))
+
+
 def _apply_1q(amps: np.ndarray, n_bits: int, mat: np.ndarray, q: int) -> np.ndarray:
-    t = amps.reshape([2] * n_bits)
-    ax = n_bits - 1 - q      # axis 0 of the tensor is the highest qubit
-    t = np.moveaxis(t, ax, 0)
-    shape = t.shape
-    t = (mat @ t.reshape(2, -1)).reshape(shape)
-    return np.moveaxis(t, 0, ax).reshape(-1)
+    low = 1 << q
+    if q >= 4 and n_bits - q <= 4:
+        # at most 8 blocks above q, each >= 16 columns wide: one
+        # 2x2 @ 2xlow product per block beats the transposes and rounds
+        # the same (blocks 1-2 columns wide round differently)
+        return np.matmul(mat, amps.reshape(-1, 2, low)).reshape(-1)
+    t = amps.reshape(-1, 2, low).transpose(1, 0, 2).reshape(2, -1)
+    return (mat @ t).reshape(2, -1, low).transpose(1, 0, 2).reshape(-1)
 
 
-def _apply_2q(amps: np.ndarray, n_bits: int, mat: np.ndarray,
-              qa: int, qb: int) -> np.ndarray:
-    t = amps.reshape([2] * n_bits)
-    axa, axb = n_bits - 1 - qa, n_bits - 1 - qb
-    t = np.moveaxis(t, (axa, axb), (0, 1))
-    shape = t.shape
-    # row index of the 4x4 is 2*b_first + b_second
-    t = (mat @ t.reshape(4, -1)).reshape(shape)
-    return np.moveaxis(t, (0, 1), (axa, axb)).reshape(-1)
+def _apply_cnot(amps: np.ndarray, n_bits: int, control: int,
+                target: int) -> np.ndarray:
+    hi, lo = max(control, target), min(control, target)
+    shape = (1 << (n_bits - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    out = amps.astype(complex)
+    src, dst = amps.reshape(shape), out.reshape(shape)
+    if control > target:
+        dst[:, 1, :, 0] = src[:, 1, :, 1]
+        dst[:, 1, :, 1] = src[:, 1, :, 0]
+    else:
+        dst[:, 0, :, 1] = src[:, 1, :, 1]
+        dst[:, 1, :, 1] = src[:, 0, :, 1]
+    return out
 
 
 def _apply_instance(amps: np.ndarray, n_bits: int, gate: GateInstance,
                     params: Sequence[float]) -> np.ndarray:
-    mat = gate_matrix(gate.kind, gate.resolved_angle(params))
-    if gate.kind.n_qubits == 1:
-        return _apply_1q(amps, n_bits, mat, gate.qubits[0])
-    return _apply_2q(amps, n_bits, mat, gate.qubits[0], gate.qubits[1])
+    if gate.kind.n_qubits == 2:     # CNOT is the only two-qubit kind
+        return _apply_cnot(amps, n_bits, *gate.qubits)
+    mat = _kernel_matrix(gate.kind.name, gate.resolved_angle(params))
+    return _apply_1q(amps, n_bits, mat, gate.qubits[0])
 
 
 def apply_gate(state: StateVector, gate: GateInstance,

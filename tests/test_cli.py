@@ -365,10 +365,27 @@ class TestMain:
         ("Epsilon = inf", "bad value for Epsilon"),
         ("EnergyScale = -inf", "bad value for EnergyScale"),
         ("Threads = 2", "unknown key 'Threads'"),
+        ("Population = 0", "bad value for Population: must be >= 2, got 0"),
+        ("HeadSize = 0", "bad value for HeadSize: must be >= 1, got 0"),
+        ("Generations = 0", "bad value for Generations: must be >= 1, got 0"),
+        ("NumBits = 30", "bad value for NumBits: must be in [1, 24], got 30"),
+        ("MutationRate = 2",
+         "bad value for MutationRate: must be in [0, 1], got 2.0"),
+        ("SwapRate = -0.5", "bad value for SwapRate: must be in [0, 1]"),
+        ("Epsilon = -1", "bad value for Epsilon: must be >= 0, got -1.0"),
+        ("Hamiltonian = xx:3,nan,open",
+         "bad value for Hamiltonian: non-finite coefficient"),
+        ("Hamiltonian = heisenberg2d:2", "bad value for Hamiltonian: "),
+        ("Hamiltonian = ising:4", "bad value for Hamiltonian: "),
     ])
     def test_bad_line_exit(self, tmp_path, capsys, line, message):
         edge_graph(tmp_path)
-        path = write(tmp_path / "in.txt", BASE + line + "\n")
+        # a key that BASE sets is commented out there, so the bad line is
+        # still line 7
+        key = line.split(" = ")[0] + " = "
+        base = "".join("#\n" if row.startswith(key) else row + "\n"
+                       for row in BASE.splitlines())
+        path = write(tmp_path / "in.txt", base + line + "\n")
         assert main(["run", path]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err

@@ -11,9 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gepcirc
+import gepcirc.sim as sim
+from gepcirc.cli import parse_input, run
 from gepcirc.engine import ConfigError, decode, random_gene
+from gepcirc.hamiltonians import Graph, save_graph
 from gepcirc.sim import (
     GATE_KINDS,
     GateInstance,
@@ -206,6 +210,203 @@ class TestApplyCircuit:
             n = rng.randint(1, 5)
             out = apply_circuit(rand_state(n, rng), rand_circuit(n, rng))
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the simulator's gate application as first written.
+# Each gate is a 2x2 or 4x4 matrix product on the state tensor with the
+# gate's qubit axes moved to the front.
+# ---------------------------------------------------------------------------
+
+def moveaxis_1q(amps, n_bits, mat, q):
+    t = np.moveaxis(amps.reshape([2] * n_bits), n_bits - 1 - q, 0)
+    shape = t.shape
+    t = (mat @ t.reshape(2, -1)).reshape(shape)
+    return np.moveaxis(t, 0, n_bits - 1 - q).reshape(-1)
+
+
+def moveaxis_2q(amps, n_bits, mat, qa, qb):
+    axes = (n_bits - 1 - qa, n_bits - 1 - qb)
+    t = np.moveaxis(amps.reshape([2] * n_bits), axes, (0, 1))
+    shape = t.shape
+    t = (mat @ t.reshape(4, -1)).reshape(shape)
+    return np.moveaxis(t, (0, 1), axes).reshape(-1)
+
+
+def reference_instance(amps, n_bits, gate, params):
+    mat = gate_matrix(gate.kind, gate.resolved_angle(params))
+    if gate.kind.n_qubits == 1:
+        return moveaxis_1q(amps, n_bits, mat, gate.qubits[0])
+    return moveaxis_2q(amps, n_bits, mat, *gate.qubits)
+
+
+def kron_all(factors_high_first):
+    out = np.ones((1, 1))
+    for f in factors_high_first:
+        out = np.kron(out, f)
+    return out
+
+
+def dense_1q(n_bits, mat, q):
+    """I (x) .. (x) mat (x) .. (x) I with qubit n-1 as the leftmost factor."""
+    return kron_all([np.eye(1 << (n_bits - 1 - q)), mat, np.eye(1 << q)])
+
+
+def dense_cnot(n_bits, control, target):
+    """|0><0|_c (x) I + |1><1|_c (x) X_t as full Kronecker products."""
+    hi, lo = max(control, target), min(control, target)
+
+    def term(ops):
+        return kron_all([np.eye(1 << (n_bits - 1 - hi)), ops.get(hi, np.eye(2)),
+                         np.eye(1 << (hi - lo - 1)), ops.get(lo, np.eye(2)),
+                         np.eye(1 << lo)])
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return term({control: p0}) + term({control: p1, target: x})
+
+
+@st.composite
+def kernel_states(draw, max_bits=10):
+    """(n, rows): three unnormalized complex states, the 2nd and 3rd with
+    about half and 95% of their real and imaginary parts set to +-0."""
+    n = draw(st.integers(1, max_bits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+    for amps, zero_frac in zip(rows, (0.0, 0.5, 0.95)):
+        for part in (amps.real, amps.imag):
+            mask = rng.random(1 << n) < zero_frac
+            part[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+    return n, rows
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+class TestKernels:
+    """The fast kernels against the moveaxis reference and dense matrices."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(states=kernel_states(),
+           phase=st.floats(-10.0, 10.0, allow_nan=False),
+           theta=st.floats(-20.0, 20.0, allow_nan=False))
+    def test_one_qubit_bits(self, states, phase, theta):
+        n, rows = states
+        kinds = [("H", None), ("X", None), ("Y", None), ("Z", None),
+                 ("P", None), ("P", phase), ("Ry", theta)]
+        for name, angle in kinds:
+            kind = GATE_KINDS[name]
+            for q in range(n):
+                gate = (GateInstance(kind, (q,), slot=0) if name == "Ry"
+                        else GateInstance(kind, (q,), angle=angle))
+                outs = [sim._apply_instance(amps, n, gate, [theta])
+                        for amps in rows]
+                for amps, out in zip(rows, outs):
+                    ref = reference_instance(amps, n, gate, [theta])
+                    assert same_bits(out, ref), (name, q)
+                dense = dense_1q(n, gate_matrix(kind, gate.resolved_angle(
+                    [theta])), q)
+                assert np.allclose(outs, (dense @ rows.T).T,
+                                   rtol=0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=10)
+    @given(states=kernel_states())
+    def test_cnot_bits(self, states):
+        n, rows = states
+        for control in range(n):
+            for target in range(n):
+                if control == target:
+                    continue
+                gate = GateInstance(GATE_KINDS["CNOT"], (control, target))
+                outs = [sim._apply_instance(amps, n, gate, ()) for amps in rows]
+                for amps, out in zip(rows, outs):
+                    ref = reference_instance(amps, n, gate, ())
+                    # the reference's 4x4 product adds +-0 terms, so the sign
+                    # of an exactly zero part is BLAS's; every value is equal
+                    assert np.array_equal(out, ref)
+                    parts, ref_parts = out.view(np.float64), ref.view(np.float64)
+                    nonzero = ref_parts != 0
+                    assert same_bits(parts[nonzero], ref_parts[nonzero])
+                dense = dense_cnot(n, control, target)
+                assert np.allclose(outs, (dense @ rows.T).T,
+                                   rtol=0, atol=1e-12)
+
+    def test_kernels_leave_input_and_matrices_alone(self):
+        amps = rand_state(4, random.Random(3)).amplitudes
+        before = amps.copy()
+        for token in ("Ry2:0.7", "CNOT3,1", "H0", "P3"):
+            gate = parse_circuit(token, 4).gates[0]
+            sim._apply_instance(amps, 4, gate, ())
+        assert same_bits(amps, before)
+        gate_matrix("H")[0, 0] = 5.0     # callers get copies
+        assert same_bits(gate_matrix("H"), sim._FIXED_MATRICES["H"])
+        out = apply_gate(basis_state(1, 0), GateInstance(GATE_KINDS["H"], (0,)))
+        assert abs(out.amplitudes[0] - 1 / math.sqrt(2)) < 1e-15
+
+    def test_negative_zero_angle_keeps_its_matrix(self):
+        gate = GateInstance(GATE_KINDS["Ry"], (0,), slot=0)
+        amps = np.array([-0.0, 1.0, 1.0, -0.0], dtype=complex)
+        for angle in (0.0, -0.0, 0.0):
+            assert same_bits(sim._apply_instance(amps, 2, gate, [angle]),
+                             reference_instance(amps, 2, gate, [angle]))
+
+
+LOCK_INPUTS = {
+    "maxcut": """\
+RunType = GroundState
+NumBits = 6
+Gates = Ry
+HeadSize = 8
+Population = 16
+Generations = 4
+Seed = 5
+GraphFile = g.txt
+""",
+    "heisenberg": """\
+RunType = GroundState
+NumBits = 4
+Gates = Ry,P,CNOT
+HeadSize = 6
+Population = 12
+Generations = 4
+Seed = 6
+Hamiltonian = heisenberg2d:2,2
+Canonicalize = 1
+""",
+    "funcfit": """\
+RunType = FunctionFit
+NumBits = 4
+Gates = Ry,CNOT
+HeadSize = 6
+Population = 12
+Generations = 3
+Seed = 7
+TrainingPairs = pairs.txt
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCK_INPUTS))
+def test_trajectory_locked_to_reference_kernels(tmp_path, monkeypatch, name):
+    """Artifacts are byte-identical with the reference kernels swapped in."""
+    artifacts = []
+    for patched in (False, True):
+        d = tmp_path / str(patched)
+        d.mkdir()
+        save_graph(Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+                             (0, 3), (1, 4))), str(d / "g.txt"))
+        (d / "pairs.txt").write_text("0 1\n1 3\n2 6\n5 12\n9 7\n")
+        (d / "in.txt").write_text(LOCK_INPUTS[name])
+        with monkeypatch.context() as m:
+            if patched:
+                m.setattr(sim, "_apply_instance", reference_instance)
+            run(parse_input(d / "in.txt"))
+        artifacts.append({p.name: p.read_bytes() for p in sorted(d.iterdir())
+                          if p.name in ("trace.csv", "best.circ",
+                                        "maxcut.txt")})
+    assert len(artifacts[0]) == (3 if name == "maxcut" else 2)
+    assert artifacts[0] == artifacts[1]
 
 
 class TestGateTable:
