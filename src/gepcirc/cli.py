@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from gepcirc import __version__
@@ -109,9 +109,16 @@ class RunSpec:
     exact_energy: float | None = None
     p_phase: float = math.pi / 2.0
     base_dir: Path = Path(".")
+    # key -> "file:line" that set it, for errors found after parsing
+    origin: dict[str, str] = field(default_factory=dict)
 
     def resolve(self, path: str) -> Path:
         return self.base_dir / path
+
+    def error(self, key: str, message: str) -> ConfigError:
+        """``message`` as a ConfigError naming the line that set ``key``."""
+        where = self.origin.get(key)
+        return ConfigError(f"{where}: {message}" if where else message)
 
 
 def _parse_float(text: str) -> float:
@@ -224,7 +231,8 @@ def parse_input(path: str | Path) -> RunSpec:
     for key in _REQUIRED:
         if _KEYS[key][0] not in values:
             raise ConfigError(f"{path}: missing required key {key}")
-    spec = RunSpec(base_dir=path.parent, **values)
+    origin = {key: f"{path}:{lineno}" for key, lineno in seen.items()}
+    spec = RunSpec(base_dir=path.parent, origin=origin, **values)
     _validate_spec(spec, path)
     return spec
 
@@ -293,7 +301,8 @@ def _hamiltonian_from_key(value: str, n_bits: int,
     else:
         h = _builtin_hamiltonian(value)
     if h.n_bits != n_bits:
-        raise ConfigError(
+        raise spec.error(
+            "Hamiltonian",
             f"Hamiltonian is on {h.n_bits} bits but NumBits = {n_bits}"
         )
     return h
@@ -335,12 +344,18 @@ class _Prepared:
 
 def _reference_energy(spec: RunSpec, h: PauliSumHamiltonian,
                       graph: Graph | None) -> float | None:
-    """Exact ground energy for the delta columns, when obtainable."""
-    if h.n_bits <= DENSE_CAP:
-        return exact_ground_energy(h)
+    """Exact ground energy for the delta columns, when obtainable.
+
+    A graph's Ising model is diagonal, so enumerating its spin states gives
+    the minimum that dense diagonalization would, as the same float. With
+    a negative scale the minimum sits at the other end, so the dense
+    matrix decides.
+    """
     if graph is not None and graph.n <= ENUM_CAP and spec.energy_scale >= 0:
         raw = exhaustive_ising_ground(graph).ground_energy
         return spec.energy_scale * (raw - spec.energy_shift)
+    if h.n_bits <= DENSE_CAP:
+        return exact_ground_energy(h)
     return spec.exact_energy
 
 
@@ -356,7 +371,8 @@ def _prepare(spec: RunSpec) -> _Prepared:
         if spec.graph_file:
             graph = load_graph(str(spec.resolve(spec.graph_file)))
             if graph.n != spec.n_bits:
-                raise ConfigError(
+                raise spec.error(
+                    "GraphFile",
                     f"graph has {graph.n} vertices but NumBits = {spec.n_bits}"
                 )
             h = ising_from_graph(graph)
@@ -366,7 +382,10 @@ def _prepare(spec: RunSpec) -> _Prepared:
             h = h.rescaled(spec.energy_shift, spec.energy_scale)
         index = 0
         if spec.initial_state is not None:
-            index = parse_basis_label(spec.initial_state, spec.n_bits)
+            try:
+                index = parse_basis_label(spec.initial_state, spec.n_bits)
+            except ConfigError as exc:
+                raise spec.error("InitialState", str(exc)) from None
         problem = ground_state_problem(table, h, basis_state(spec.n_bits, index),
                                        settings)
         reference = _reference_energy(spec, h, graph)

@@ -489,5 +489,6 @@ def run_evolution(
         if cfg.early_stop_fitness is not None and stats.best_fitness >= cfg.early_stop_fitness:
             early = True
             break
-    assert scores is not None
+    if scores is None:
+        raise ConfigError("generations must be >= 1")
     return EvolutionResult(pop, scores, stats_trace, early)

@@ -14,10 +14,20 @@ Nakanishi et al., arXiv:1903.12166), so the known value plus two probe
 angles predict the whole grid. Only the angles predicted to be at the
 maximum are evaluated, usually one, and the decision uses those direct
 values with the full scan's rule, so a slot visit costs about three
-pre-fitness calls instead of one per grid angle and gives the same angles
-and value as the full scan, bit for bit. The sweep also stops as soon as
-every slot is known to be at its grid optimum, rather than re-scanning
-all slots once more.
+pre-fitness evaluations instead of one per grid angle and gives the same
+angles and value as the full scan, bit for bit. The sweep also stops as
+soon as every slot is known to be at its grid optimum, rather than
+re-scanning all slots once more.
+
+Nor does an evaluation simulate the whole circuit. The gates before the
+first gate of the visited slot do not change during the visit, so the
+sweep keeps the state(s) entering that gate, built once with the
+committed angles, and each evaluation applies only the gates from there
+on. Between visits the kept state moves forward to the next slot's first
+gate, or is rebuilt from the input states when that gate comes earlier
+(the cycle wrapping, or slots used out of gate order). The same gate
+kernels then run on the same arrays in the same order as a whole-circuit
+simulation, so the values are the same bits.
 
 The sweep starts from all angles at pi/4 rather than 0: for product-state
 problems the all-zero point is a stationary saddle where no single-angle
@@ -39,6 +49,7 @@ import numpy as np
 from gepcirc.engine import ConfigError, Gene
 from gepcirc.hamiltonians import PauliSumHamiltonian
 from gepcirc.sim import (
+    GateInstance,
     GateTable,
     QuantumCircuit,
     StateVector,
@@ -96,6 +107,14 @@ class Problem:
     def n_bits(self) -> int:
         return self.table.n_bits
 
+    @property
+    def inputs(self) -> tuple[np.ndarray, ...]:
+        """The states a circuit acts on: one per training pair, or the
+        initial state."""
+        if self.kind == "FunctionFit":
+            return tuple(amps_in for amps_in, _ in self.pairs)
+        return (self.initial,)
+
 
 def function_fit_problem(
     table: GateTable,
@@ -138,18 +157,25 @@ def ground_state_problem(
                    hamiltonian=hamiltonian, initial=initial_state.amplitudes)
 
 
-def prefitness(circuit: QuantumCircuit, params: Sequence[float],
-               problem: Problem) -> float:
-    """P(phi): mean squared overlap (FunctionFit) or -<H> (GroundState)."""
+def _score(circuit: QuantumCircuit, params: Sequence[float], problem: Problem,
+           states: Sequence[np.ndarray]) -> float:
+    """Pre-fitness of ``circuit`` run on ``states``, which stand in for
+    ``problem.inputs`` (one per training pair, scored one at a time)."""
     n = problem.n_bits
     if problem.kind == "FunctionFit":
         total = 0.0
-        for amps_in, amps_out in problem.pairs:
+        for amps_in, (_, amps_out) in zip(states, problem.pairs):
             evolved = apply_circuit_array(amps_in, n, circuit, params)
             total += float(abs(np.vdot(amps_out, evolved)) ** 2)
         return total / len(problem.pairs)
-    evolved = apply_circuit_array(problem.initial, n, circuit, params)
+    evolved = apply_circuit_array(states[0], n, circuit, params)
     return -problem.hamiltonian.expectation_array(evolved)
+
+
+def prefitness(circuit: QuantumCircuit, params: Sequence[float],
+               problem: Problem) -> float:
+    """P(phi): mean squared overlap (FunctionFit) or -<H> (GroundState)."""
+    return _score(circuit, params, problem, problem.inputs)
 
 
 def _fd_gradient(pf: Callable[[list[float]], float], phi: list[float],
@@ -277,6 +303,71 @@ def _sinusoid_candidates(plan: _SlotPlan, pf: Callable[[list[float]], float],
     return tuple(a for a, e in zip(plan.angles, estimates) if e >= threshold)
 
 
+class _KeptStates:
+    """The states entering gate ``at`` of a circuit, one per problem input.
+
+    They are built with the angles passed to ``move_to``, and ``value`` is
+    exact as long as the slots used before gate ``at`` keep those angles.
+    Moving forward applies the gates in between; moving back rebuilds
+    from the problem's inputs.
+    """
+
+    def __init__(self, circuit: QuantumCircuit, problem: Problem):
+        self.circuit = circuit
+        self.problem = problem
+        self.at = 0
+        self.states = list(problem.inputs)
+        self._segments: dict[tuple[int, int],
+                             tuple[QuantumCircuit, tuple[int, ...]]] = {}
+
+    def _segment(self, start: int,
+                 stop: int) -> tuple[QuantumCircuit, tuple[int, ...]]:
+        """Gates ``start:stop`` as a circuit of their own, plus its slot map,
+        built on first use.
+
+        Slots are renumbered in order of first appearance, and ``slots[j]``
+        is the circuit slot behind segment slot j: the segment run with
+        ``[phi[s] for s in slots]`` makes the gate calls that those gates
+        make in the whole circuit run with ``phi``.
+        """
+        key = (start, stop)
+        if key in self._segments:
+            return self._segments[key]
+        circuit = self.circuit
+        if start == 0 and stop == len(circuit.gates):
+            segment = circuit, tuple(range(circuit.n_params))
+        else:
+            renumbered: dict[int, int] = {}
+            gates = []
+            for gate in circuit.gates[start:stop]:
+                if gate.slot is not None:
+                    slot = renumbered.setdefault(gate.slot, len(renumbered))
+                    if slot != gate.slot:
+                        gate = GateInstance(gate.kind, gate.qubits, slot=slot)
+                gates.append(gate)
+            segment = (QuantumCircuit(circuit.n_bits, tuple(gates)),
+                       tuple(renumbered))
+        self._segments[key] = segment
+        return segment
+
+    def move_to(self, index: int, phi: Sequence[float]) -> None:
+        if index < self.at:
+            self.at, self.states = 0, list(self.problem.inputs)
+        if index > self.at:
+            segment, slots = self._segment(self.at, index)
+            params = [phi[s] for s in slots]
+            for i, amps in enumerate(self.states):
+                self.states[i] = apply_circuit_array(
+                    amps, self.problem.n_bits, segment, params)
+            self.at = index
+
+    def value(self, phi: Sequence[float]) -> float:
+        """Pre-fitness at ``phi``, simulating gates ``at`` onward only."""
+        segment, slots = self._segment(self.at, len(self.circuit.gates))
+        return _score(segment, [phi[s] for s in slots], self.problem,
+                      self.states)
+
+
 def optimize_params(circuit: QuantumCircuit, problem: Problem,
                     settings: OptimizerSettings | None = None
                     ) -> tuple[tuple[float, ...], float]:
@@ -295,6 +386,10 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
     Either way the result is that of the full scan. The sweep stops K - 1
     visits after the last change, when every slot is at its optimum, or
     after ``max_sweep_cycles * K`` visits.
+
+    A visit keeps the state(s) entering the first gate of its slot, built
+    with the committed angles, and its evaluations simulate only the gates
+    from that one on; the values are the same bits as whole-circuit ones.
     """
     if settings is None:
         settings = problem.settings
@@ -302,17 +397,23 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
     if k_slots == 0:
         return (), prefitness(circuit, (), problem)
 
-    def pf(values: Sequence[float]) -> float:
-        return prefitness(circuit, values, problem)
-
     grid = tuple(settings.grid)
-    uses = Counter(g.slot for g in circuit.gates if g.slot is not None)
+    uses: Counter[int] = Counter()
+    first: dict[int, int] = {}      # slot -> index of the first gate using it
+    for i, gate in enumerate(circuit.gates):
+        if gate.slot is not None:
+            uses[gate.slot] += 1
+            first.setdefault(gate.slot, i)
+    kept = _KeptStates(circuit, problem)
+    pf = kept.value
     phi = [settings.start_angle] * k_slots
+    kept.move_to(first[0], phi)
     best = pf(phi)
     settled = 0     # slots at their grid optimum: the last changed one and
                     # every slot visited since
     for visit in range(settings.max_sweep_cycles * k_slots):
         k = visit % k_slots
+        kept.move_to(first[k], phi)
         current = phi[k]
         plan = _slot_plan(grid, current)
         known: dict[float, float] = {}
@@ -336,7 +437,9 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
         if settled == k_slots:
             break
     if settings.refine:
-        phi, best = _gradient_refine(pf, phi, best, settings)
+        phi, best = _gradient_refine(
+            lambda values: prefitness(circuit, values, problem), phi, best,
+            settings)
     return tuple(phi), best
 
 

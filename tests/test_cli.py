@@ -1,6 +1,7 @@
 """Input-file parsing, artifact writing, and subcommand tests."""
 
 import math
+import random
 
 import pytest
 
@@ -9,6 +10,8 @@ from gepcirc.cli import (
     EXIT_EARLY_STOP,
     EXIT_ERROR,
     EXIT_OK,
+    RunSpec,
+    _reference_energy,
     decode_gene_string,
     load_training_pairs,
     main,
@@ -17,7 +20,8 @@ from gepcirc.cli import (
     verify,
 )
 from gepcirc.engine import ConfigError
-from gepcirc.hamiltonians import save_graph, Graph
+from gepcirc.hamiltonians import Graph, ising_from_graph, save_graph
+from gepcirc.oracle import exact_ground_energy
 from gepcirc.sim import circuit_to_string, parse_circuit
 
 
@@ -158,6 +162,25 @@ class TestHamiltonianKey:
             "GraphFile = g.txt", "Hamiltonian = heisenberg2d:2,2")
         spec = parse_input(write(tmp_path / "in.txt", text))
         assert spec.hamiltonian == "heisenberg2d:2,2"
+
+
+class TestReferenceEnergy:
+    def test_graph_enumeration_equals_dense_diagonalization(self):
+        # a graph's reference comes from enumeration; dense diagonalization
+        # of the same rescaled model must give the same float
+        rng = random.Random(5)
+        for n in [3, 4, 5, 6, 7, 8] * 6 + [9]:
+            graph = Graph(n, tuple((i, j) for i in range(n)
+                                   for j in range(i + 1, n)
+                                   if rng.random() < 0.4))
+            for shift, scale in [(0.0, 1.0),
+                                 (rng.uniform(-5, 5), rng.uniform(0.1, 3)),
+                                 (rng.uniform(-5, 5), 0.0)]:
+                spec = RunSpec("GroundState", n, ("Ry",), 4, 1,
+                               energy_shift=shift, energy_scale=scale)
+                h = ising_from_graph(graph).rescaled(shift, scale)
+                assert _reference_energy(spec, h, graph) \
+                    == exact_ground_energy(h)
 
 
 class TestTrainingPairs:
@@ -377,13 +400,19 @@ class TestMain:
          "bad value for Hamiltonian: non-finite coefficient"),
         ("Hamiltonian = heisenberg2d:2", "bad value for Hamiltonian: "),
         ("Hamiltonian = ising:4", "bad value for Hamiltonian: "),
+        # widths that disagree with NumBits, found once the run is set up
+        ("GraphFile = g3.txt", "graph has 3 vertices but NumBits = 2"),
+        ("Hamiltonian = xx:3,1,open", "Hamiltonian is on 3 bits but NumBits = 2"),
+        ("InitialState = 9", "initial state 9 out of range for 2 bits"),
     ])
     def test_bad_line_exit(self, tmp_path, capsys, line, message):
         edge_graph(tmp_path)
+        save_graph(Graph(3, ((0, 1), (1, 2))), str(tmp_path / "g3.txt"))
         # a key that BASE sets is commented out there, so the bad line is
-        # still line 7
+        # still line 7; a Hamiltonian replaces BASE's GraphFile
         key = line.split(" = ")[0] + " = "
-        base = "".join("#\n" if row.startswith(key) else row + "\n"
+        dropped = (key, "GraphFile = ") if key == "Hamiltonian = " else (key,)
+        base = "".join("#\n" if row.startswith(dropped) else row + "\n"
                        for row in BASE.splitlines())
         path = write(tmp_path / "in.txt", base + line + "\n")
         assert main(["run", path]) == EXIT_ERROR

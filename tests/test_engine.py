@@ -221,6 +221,14 @@ class TestEvolution:
         with pytest.raises(ConfigError):
             EvolutionConfig(generations=1, head_len=3, mutation_rate=1.5)
 
+    def test_run_without_generations_rejected(self):
+        # a config edited after validation; the check is no assert, so it
+        # also holds under python -O
+        cfg = EvolutionConfig(generations=1, head_len=3)
+        cfg.generations = 0
+        with pytest.raises(ConfigError, match="generations must be >= 1"):
+            run_evolution(cfg, ARITH, self.fitness_coding)
+
     def test_best_fitness_monotone(self):
         cfg = EvolutionConfig(generations=15, head_len=7, population_size=20,
                               seed=11)

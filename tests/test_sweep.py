@@ -86,15 +86,17 @@ def random_state(n, rng):
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
-def make_problem(kind, table, seed, opts):
+def make_problem(kind, table, seed, opts, n_pairs=None):
     rng = random.Random(seed)
     n = table.n_bits
     if kind == "pauli":
         return ground_state_problem(table, random_pauli_sum(n, rng),
                                     settings=opts)
     nprng = np.random.default_rng(seed)
+    if n_pairs is None:
+        n_pairs = rng.randint(1, 3)
     pairs = [(random_state(n, nprng), random_state(n, nprng))
-             for _ in range(rng.randint(1, 3))]
+             for _ in range(n_pairs)]
     return function_fit_problem(table, pairs, settings=opts)
 
 
@@ -160,47 +162,130 @@ def test_repeated_slots_match_exhaustive_scan(n, n_slots, extra, seed, kind,
     assert_matches_reference(circuit, make_problem(kind, table, seed, opts))
 
 
+def framed_circuit(rng, n, k_slots, repeats, shuffled):
+    """Ry gates on slots 0..K-1, in shuffled order when asked, then
+    `repeats` more uses of drawn slots, with fixed H/P/CNOT gates before the
+    first slot gate, between slot gates and after the last."""
+    def fixed():
+        a, b = rng.sample(range(n), 2)
+        return rng.choice([f"H{a}", f"P{a}", f"CNOT{a},{b}"])
+
+    slots = list(range(k_slots))
+    if shuffled:
+        rng.shuffle(slots)
+    if k_slots:
+        slots += [rng.randrange(k_slots) for _ in range(repeats)]
+    tokens = [fixed() for _ in range(rng.randint(1, 3))]
+    for slot in slots:
+        tokens += [fixed() for _ in range(rng.randint(0, 2))]
+        tokens.append(f"Ry{rng.randrange(n)}:phi{slot}")
+    tokens += [fixed() for _ in range(rng.randint(1, 3))]
+    return parse_circuit(" ".join(tokens), n)
+
+
+@SLOW
+@given(n=st.integers(2, 4), k_slots=st.integers(0, 4), repeats=st.integers(0, 2),
+       shuffled=st.booleans(), seed=st.integers(0, 2**32),
+       kind=st.sampled_from(["pauli", "pairs"]), grid=GRIDS)
+def test_framed_circuits_match_exhaustive_scan(n, k_slots, repeats, shuffled,
+                                               seed, kind, grid):
+    # the kept prefix state is rebuilt, advanced past fixed gates, and
+    # moved backwards when slots are out of gate order
+    circuit = framed_circuit(random.Random(seed), n, k_slots, repeats, shuffled)
+    table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
+    opts = OptimizerSettings(grid=make_grid(grid, seed))
+    assert_matches_reference(circuit, make_problem(kind, table, seed, opts))
+
+
+@SLOW
+@given(n=st.integers(2, 4), k_slots=st.integers(0, 3), shuffled=st.booleans(),
+       n_pairs=st.integers(2, 5), seed=st.integers(0, 2**32))
+def test_several_pairs_match_exhaustive_scan(n, k_slots, shuffled, n_pairs,
+                                             seed):
+    # one kept state per training pair
+    circuit = framed_circuit(random.Random(seed), n, k_slots, 1, shuffled)
+    table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
+    problem = make_problem("pairs", table, seed, OptimizerSettings(), n_pairs)
+    assert_matches_reference(circuit, problem)
+
+
 def visits_made(calls, history, k_slots):
-    """Slot visits the optimizer's calls span: each call after the first
-    varies one slot of the phi that the reference had before that visit."""
-    def in_visit(params, visit):
+    """Slot visits the optimizer's evaluations span. Each call is
+    (k, params): an evaluation in the visit to slot k runs the gates from
+    that slot's first gate on, with params for slots k..K-1 (the circuit
+    below uses its slots in gate order), and varies slot k of the phi that
+    the reference had before that visit."""
+    def in_visit(call, visit):
+        k, params = call
         before = history[visit][0]
-        return all(params[i] == before[i]
-                   for i in range(k_slots) if i != visit % k_slots)
+        return k == visit % k_slots and params[1:] == before[k + 1:]
 
     visit = 0
-    for params in calls:
-        while not in_visit(params, visit):
+    for call in calls:
+        while not in_visit(call, visit):
             visit += 1
     return visit + 1
+
+
+H4 = PauliSumHamiltonian(4, [
+    PauliTerm.from_map(0.7, {0: "X", 1: "X"}),
+    PauliTerm.from_map(-1.3, {1: "Z", 2: "Z"}),
+    PauliTerm.from_map(0.4, {2: "Y", 3: "Y"}),
+    PauliTerm.from_map(0.9, {3: "X"}),
+    PauliTerm.from_map(-0.5, {0: "Z"}),
+])
 
 
 def test_three_calls_per_visit_and_early_stop(monkeypatch):
     circuit = parse_circuit(
         "Ry0:phi0 Ry1:phi1 CNOT0,1 Ry2:phi2 CNOT1,2 Ry3:phi3 CNOT2,3 Ry0:phi4", 4)
-    h = PauliSumHamiltonian(4, [
-        PauliTerm.from_map(0.7, {0: "X", 1: "X"}),
-        PauliTerm.from_map(-1.3, {1: "Z", 2: "Z"}),
-        PauliTerm.from_map(0.4, {2: "Y", 3: "Y"}),
-        PauliTerm.from_map(0.9, {3: "X"}),
-        PauliTerm.from_map(-0.5, {0: "Z"}),
-    ])
-    problem = ground_state_problem(build_primitive_set(4, ["Ry", "CNOT"]), h)
+    problem = ground_state_problem(build_primitive_set(4, ["Ry", "CNOT"]), H4)
     ref_phi, ref_best, history = exhaustive_sweep(circuit, problem,
                                                   problem.settings)
+    k_slots = circuit.n_params
     calls = []
+    score = fitness_mod._score
 
-    def counted(c, params, prob):
-        calls.append(tuple(params))
-        return prefitness(c, params, prob)
+    def counted(c, params, prob, states):
+        calls.append((k_slots - c.n_params, tuple(params)))
+        return score(c, params, prob, states)
 
-    monkeypatch.setattr(fitness_mod, "prefitness", counted)
+    # every evaluation of the sweep, probes included, scores through _score
+    monkeypatch.setattr(fitness_mod, "_score", counted)
     assert optimize_params(circuit, problem) == (ref_phi, ref_best)
 
-    k_slots = circuit.n_params
     last_change = max(v for v, (_, changed) in enumerate(history) if changed)
     visits = visits_made(calls[1:], history, k_slots)
     assert visits == last_change + k_slots      # K - 1 visits after it
     assert visits < len(history)                # the scan ran a whole cycle more
     assert len(calls) <= 1 + 3 * visits
     assert len(calls) < (1 + 7 * len(history)) / 3
+
+
+def test_gate_applications_counted_exactly(monkeypatch):
+    # eight slots, one Ry each: an evaluation in the visit to slot k
+    # applies the 8 - k gates from k on, and moving the kept state to the
+    # next slot applies one gate
+    circuit = parse_circuit(" ".join(f"Ry{k % 4}:phi{k}" for k in range(8)), 4)
+    problem = ground_state_problem(build_primitive_set(4, ["Ry"]), H4)
+    ref_phi, ref_best, _ = exhaustive_sweep(circuit, problem, problem.settings)
+    gates, evaluations = [], []
+    apply, score = fitness_mod.apply_circuit_array, fitness_mod._score
+
+    def counted_apply(amps, n_bits, circuit, params, /):
+        # four positional arguments, as the benchmark's counter takes them
+        gates.append(len(circuit.gates))
+        return apply(amps, n_bits, circuit, params)
+
+    def counted_score(c, params, prob, states):
+        evaluations.append(len(c.gates))
+        return score(c, params, prob, states)
+
+    monkeypatch.setattr(fitness_mod, "apply_circuit_array", counted_apply)
+    monkeypatch.setattr(fitness_mod, "_score", counted_score)
+    assert optimize_params(circuit, problem) == (ref_phi, ref_best)
+    moves = len(gates) - len(evaluations)
+    assert sum(gates) == sum(evaluations) + moves
+    # two cycles of eight visits: 42 evaluations, 7 moves per cycle
+    assert (len(evaluations), moves, sum(gates)) == (42, 14, 220)
+    assert sum(gates) < 8 * len(evaluations)     # whole-circuit re-simulation
