@@ -7,27 +7,27 @@ The optimizer is a deterministic coordinate sweep over a discrete angle
 grid, optionally followed by gradient ascent with central finite
 differences.
 
-The sweep does not evaluate every grid angle. In a slot that only one Ry
-gate uses, the pre-fitness is exactly a + b*cos(t) + c*sin(t) in that
-slot's angle t (Rotosolve/NFT: Ostaszewski et al., arXiv:1905.09692;
-Nakanishi et al., arXiv:1903.12166), so the known value plus two probe
-angles predict the whole grid. Only the angles predicted to be at the
-maximum are evaluated, usually one, and the decision uses those direct
-values with the full scan's rule, so a slot visit costs about three
-pre-fitness evaluations instead of one per grid angle and gives the same
-angles and value as the full scan, bit for bit. The sweep also stops as
-soon as every slot is known to be at its grid optimum, rather than
-re-scanning all slots once more.
+The sweep does not evaluate grid angles one by one. Ry(t) = cos(t/2) I +
+sin(t/2) (-iY), so if psi is the state entering a slot's only gate and U
+the gates after it, the output at angle t is cos(t/2) A + sin(t/2) B with
+A = U psi and B = U (-iY psi). The pre-fitness is then exactly
+a + b*cos(t) + c*sin(t), with (a, b, c) from <A|H|A>, <B|H|B> and
+Re <A|H|B> (GroundState) or from the overlaps <o|A> and <o|B> of each
+training pair (FunctionFit); this is the Rotosolve/NFT observation
+(Ostaszewski et al., arXiv:1905.09692; Nakanishi et al., arXiv:1903.12166)
+applied to the statevector. psi and -iY psi stored end to end form one
+array on N+1 bits, on which no gate acts on bit N, so a slot visit pushes
+both through U in one simulation of the gates after the slot and reads
+the whole grid off (a, b, c). A visit holds one stacked 2*2^N array at a
+time, twice the per-state working set of evaluating one angle, which
+matters only at large N.
 
-Nor does an evaluation simulate the whole circuit. The gates before the
-first gate of the visited slot do not change during the visit, so the
-sweep keeps the state(s) entering that gate, built once with the
-committed angles, and each evaluation applies only the gates from there
-on. Between visits the kept state moves forward to the next slot's first
-gate, or is rebuilt from the input states when that gate comes earlier
-(the cycle wrapping, or slots used out of gate order). The same gate
-kernels then run on the same arrays in the same order as a whole-circuit
-simulation, so the values are the same bits.
+Nor does a visit simulate the gates before its slot. They do not change
+during the visit, so the sweep keeps the state(s) entering that gate,
+built once with the committed angles. Between visits the kept state moves
+forward to the next slot's first gate, or is rebuilt from the input
+states when that gate comes earlier (the cycle wrapping, or slots used out
+of gate order).
 
 The sweep starts from all angles at pi/4 rather than 0: for product-state
 problems the all-zero point is a stationary saddle where no single-angle
@@ -36,23 +36,23 @@ change moves the pre-fitness, so a sweep seeded there cannot leave it.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from gepcirc.engine import ConfigError, Gene
 from gepcirc.hamiltonians import PauliSumHamiltonian
 from gepcirc.sim import (
+    MAX_QUBITS,
     GateInstance,
     GateTable,
     QuantumCircuit,
     StateVector,
+    _apply_1q,
+    _frozen,
     apply_circuit_array,
     basis_state,
     gene_to_circuit,
@@ -86,6 +86,8 @@ class OptimizerSettings:
     def __post_init__(self) -> None:
         if not self.grid:
             raise ConfigError("angle grid must be non-empty")
+        if not all(map(math.isfinite, (*self.grid, self.start_angle))):
+            raise ConfigError("grid and start angles must be finite")
         if self.fd_step <= 0.0:
             raise ConfigError("finite-difference step must be positive")
         if self.max_refine_iters < 0 or self.max_sweep_cycles < 1:
@@ -216,100 +218,21 @@ def _gradient_refine(pf: Callable[[list[float]], float], phi: list[float],
     return phi, best
 
 
-# Sinusoid predictions carry ~1e-15 relative error; angles predicted within
-# this relative margin of the maximum are evaluated directly.
-_MARGIN = 1e-9
-# Largest Frobenius condition number a probe system may have (3.3 on the
-# pi/4 grid); it bounds how much rounding grows in the predictions.
-_MAX_CONDITION = 1e4
-
-
-class _SlotPlan(NamedTuple):
-    """How one slot visit scans the grid from a given current angle.
-
-    ``angles`` are the distinct grid angles other than the current one, in
-    grid order. With ``probes`` None every angle is evaluated; otherwise
-    ``weights`` (one row per angle) and ``inverse`` map the values at
-    (current, *probes) to the predicted values and to (a, b, c).
-    """
-
-    angles: tuple[float, ...]
-    probes: tuple[float, float] | None
-    weights: tuple[tuple[float, float, float], ...]
-    inverse: tuple[tuple[float, float, float], ...]
-
-
-@functools.lru_cache(maxsize=64)
-def _slot_plan(grid: tuple[float, ...], current: float) -> _SlotPlan:
-    """Probe pair and prediction weights for the values at (current, probes).
-
-    The probes are the grid pair whose 3x3 system [1, cos t, sin t] is best
-    conditioned. There are none with fewer than three other angles or when
-    every pair is ill-conditioned, e.g. near-coincident angles.
-    """
-    angles = tuple(dict.fromkeys(a for a in grid if a != current))
-    if len(angles) < 3:
-        return _SlotPlan(angles, None, (), ())
-
-    def rows(t: Sequence) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.ones_like(t), np.cos(t), np.sin(t)], axis=-1)
-
-    pairs = list(itertools.combinations(angles, 2))
-    systems = rows([(current, p, q) for p, q in pairs])
-    # 3x3 inverses by the adjugate (columns r1 x r2, r2 x r0, r0 x r1 over
-    # r0 . (r1 x r2)): np.linalg.inv/cond would page in LAPACK, ~1.4 MB RSS
-    r0, r1, r2 = systems[:, 0], systems[:, 1], systems[:, 2]
-    adjugate = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)],
-                        axis=-1)
-    det = (r0 * adjugate[:, :, 0]).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inverses = adjugate / det[:, None, None]
-        condition = (np.sqrt((systems ** 2).sum(axis=(1, 2)))
-                     * np.sqrt((inverses ** 2).sum(axis=(1, 2))))
-    pick = int(np.argmin(condition))
-    if not condition[pick] <= _MAX_CONDITION:
-        return _SlotPlan(angles, None, (), ())
-    inverse = inverses[pick]
-    weights = rows(angles) @ inverse
-    return _SlotPlan(angles, pairs[pick], tuple(map(tuple, weights.tolist())),
-                     tuple(map(tuple, inverse.tolist())))
-
-
-def _dot(row: Sequence[float], values: Sequence[float]) -> float:
-    return row[0] * values[0] + row[1] * values[1] + row[2] * values[2]
-
-
-def _sinusoid_candidates(plan: _SlotPlan, pf: Callable[[list[float]], float],
-                         phi: list[float], k: int, best: float,
-                         known: dict[float, float]) -> tuple[float, ...]:
-    """Evaluate the probes; return the angles that may hold the maximum.
-
-    An angle is dropped only when its prediction is below both the
-    predicted maximum and ``best`` by more than the margin, which no
-    rounding error can bridge, so the dropped angles cannot win the scan.
-    """
-    values = [best]
-    for angle in plan.probes:
-        phi[k] = angle
-        known[angle] = value = pf(phi)
-        values.append(value)
-    if not all(map(math.isfinite, values)):
-        return plan.angles
-    estimates = [known.get(a, _dot(w, values))
-                 for a, w in zip(plan.angles, plan.weights)]
-    scale = 1.0 + sum(abs(_dot(row, values)) for row in plan.inverse)
-    threshold = max(best, *estimates) - _MARGIN * scale
-    return tuple(a for a, e in zip(plan.angles, estimates) if e >= threshold)
+# -iY: Ry(t) = cos(t/2) * I + sin(t/2) * _MINUS_IY
+_MINUS_IY = _frozen(np.array([[0, -1], [1, 0]], dtype=complex))
+# a grid angle replaces the current one only if its computed value is higher
+# by more than this times 1 + |a| + |b| + |c|, well above the ~1e-15
+# relative rounding of the sinusoid, so rounding noise cannot cycle the sweep
+_TIE_MARGIN = 1e-12
 
 
 class _KeptStates:
     """The states entering gate ``at`` of a circuit, one per problem input.
 
-    They are built with the angles passed to ``move_to``, and ``value`` is
-    exact as long as the slots used before gate ``at`` keep those angles.
-    Moving forward applies the gates in between; moving back rebuilds
-    from the problem's inputs.
+    They are built with the angles passed to ``move_to``, and ``value`` and
+    ``sinusoid`` are exact as long as the slots used before gate ``at``
+    keep those angles. Moving forward applies the gates in between; moving
+    back rebuilds from the problem's inputs.
     """
 
     def __init__(self, circuit: QuantumCircuit, problem: Problem):
@@ -317,24 +240,25 @@ class _KeptStates:
         self.problem = problem
         self.at = 0
         self.states = list(problem.inputs)
-        self._segments: dict[tuple[int, int],
+        self._segments: dict[tuple[int, int, int],
                              tuple[QuantumCircuit, tuple[int, ...]]] = {}
 
-    def _segment(self, start: int,
-                 stop: int) -> tuple[QuantumCircuit, tuple[int, ...]]:
-        """Gates ``start:stop`` as a circuit of their own, plus its slot map,
-        built on first use.
+    def _segment(self, start: int, stop: int,
+                 n_bits: int) -> tuple[QuantumCircuit, tuple[int, ...]]:
+        """Gates ``start:stop`` as a circuit of their own on ``n_bits``
+        bits, plus its slot map, built on first use.
 
         Slots are renumbered in order of first appearance, and ``slots[j]``
         is the circuit slot behind segment slot j: the segment run with
         ``[phi[s] for s in slots]`` makes the gate calls that those gates
         make in the whole circuit run with ``phi``.
         """
-        key = (start, stop)
+        key = (start, stop, n_bits)
         if key in self._segments:
             return self._segments[key]
         circuit = self.circuit
-        if start == 0 and stop == len(circuit.gates):
+        if start == 0 and stop == len(circuit.gates) \
+                and n_bits == circuit.n_bits:
             segment = circuit, tuple(range(circuit.n_params))
         else:
             renumbered: dict[int, int] = {}
@@ -345,7 +269,7 @@ class _KeptStates:
                     if slot != gate.slot:
                         gate = GateInstance(gate.kind, gate.qubits, slot=slot)
                 gates.append(gate)
-            segment = (QuantumCircuit(circuit.n_bits, tuple(gates)),
+            segment = (QuantumCircuit(n_bits, tuple(gates)),
                        tuple(renumbered))
         self._segments[key] = segment
         return segment
@@ -354,18 +278,51 @@ class _KeptStates:
         if index < self.at:
             self.at, self.states = 0, list(self.problem.inputs)
         if index > self.at:
-            segment, slots = self._segment(self.at, index)
+            n = self.problem.n_bits
+            segment, slots = self._segment(self.at, index, n)
             params = [phi[s] for s in slots]
             for i, amps in enumerate(self.states):
-                self.states[i] = apply_circuit_array(
-                    amps, self.problem.n_bits, segment, params)
+                self.states[i] = apply_circuit_array(amps, n, segment, params)
             self.at = index
 
     def value(self, phi: Sequence[float]) -> float:
         """Pre-fitness at ``phi``, simulating gates ``at`` onward only."""
-        segment, slots = self._segment(self.at, len(self.circuit.gates))
+        segment, slots = self._segment(self.at, len(self.circuit.gates),
+                                       self.problem.n_bits)
         return _score(segment, [phi[s] for s in slots], self.problem,
                       self.states)
+
+    def sinusoid(self, phi: Sequence[float]) -> tuple[float, float, float]:
+        """(a, b, c) with pre-fitness a + b*cos(t) + c*sin(t) when the Ry
+        gate ``at``, the only one using its slot, has angle t and every
+        other slot its angle in ``phi``.
+
+        Each kept state psi and -iY psi, stacked as one array on N+1 bits,
+        go through the gates after gate ``at`` in one simulation.
+        """
+        problem, n = self.problem, self.problem.n_bits
+        segment, slots = self._segment(self.at + 1, len(self.circuit.gates),
+                                       n + 1)
+        params = [phi[s] for s in slots]
+        qubit = self.circuit.gates[self.at].qubits[0]
+        # (A, B) as the rows of one array, one input state at a time
+        outs = (apply_circuit_array(
+                    np.concatenate([amps, _apply_1q(amps, n, _MINUS_IY, qubit)]),
+                    n + 1, segment, params).reshape(2, -1)
+                for amps in self.states)
+        if problem.kind == "GroundState":
+            # -<x|H'|x> at x = cos(t/2) A + sin(t/2) B
+            aa, bb, ab = problem.hamiltonian.pair_elements(next(outs))
+            return -0.5 * (aa + bb), -0.5 * (aa - bb), -ab
+        # |cos(t/2) alpha + sin(t/2) beta|^2 per pair, alpha = <o|A>
+        aa = bb = ab = 0.0
+        for out, (_, amps_out) in zip(outs, problem.pairs):
+            alpha, beta = out @ np.conj(amps_out)
+            aa += abs(alpha) ** 2
+            bb += abs(beta) ** 2
+            ab += (alpha.conjugate() * beta).real
+        d = len(problem.pairs)
+        return 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
 
 
 def optimize_params(circuit: QuantumCircuit, problem: Problem,
@@ -373,23 +330,21 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
                     ) -> tuple[tuple[float, ...], float]:
     """Best angle vector and its pre-fitness, deterministically.
 
-    Coordinate-wise sweep over the grid, visiting slots 0..K-1 cyclically
-    until no single-slot change strictly improves, then optional gradient
-    refinement. Always returns the best point seen.
+    Coordinate-wise sweep over the grid, visiting slots 0..K-1 cyclically,
+    then optional gradient refinement. The value returned is one direct
+    pre-fitness evaluation at the final angles.
 
-    Each visit moves its slot to the first grid angle, in grid order, with
-    the largest value, if that value strictly beats the current one. A slot
-    that one gate uses costs two probe evaluations plus a confirming one
-    for the predicted winner (see the module docstring); a slot shared by
-    several gates, a grid with fewer than three other angles, or an
-    ill-conditioned probe system gets the full scan, one call per angle.
-    Either way the result is that of the full scan. The sweep stops K - 1
-    visits after the last change, when every slot is at its optimum, or
-    after ``max_sweep_cycles * K`` visits.
-
-    A visit keeps the state(s) entering the first gate of its slot, built
-    with the committed angles, and its evaluations simulate only the gates
-    from that one on; the values are the same bits as whole-circuit ones.
+    A slot that one Ry gate uses costs one simulation of the gates after
+    that gate, on the stacked pair (see the module docstring). It gives
+    (a, b, c), from which every grid angle's value is computed; the slot
+    moves to the first grid angle, in grid order, with the largest value
+    if that value beats the current angle's value by more than
+    ``_TIE_MARGIN * (1 + |a| + |b| + |c|)``. A slot shared by several
+    gates (only hand-written circuits have them) gets the direct full
+    scan, one evaluation per angle, and moves on a strict improvement, as
+    does every slot on a register of ``MAX_QUBITS`` bits, where the
+    stacked pair would not fit. The sweep stops K - 1 visits after the
+    last change or after ``max_sweep_cycles * K`` visits.
     """
     if settings is None:
         settings = problem.settings
@@ -398,44 +353,42 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
         return (), prefitness(circuit, (), problem)
 
     grid = tuple(settings.grid)
+    trig = [(math.cos(t), math.sin(t)) for t in grid]
     uses: Counter[int] = Counter()
     first: dict[int, int] = {}      # slot -> index of the first gate using it
     for i, gate in enumerate(circuit.gates):
         if gate.slot is not None:
             uses[gate.slot] += 1
             first.setdefault(gate.slot, i)
+    stackable = circuit.n_bits < MAX_QUBITS
     kept = _KeptStates(circuit, problem)
-    pf = kept.value
     phi = [settings.start_angle] * k_slots
-    kept.move_to(first[0], phi)
-    best = pf(phi)
     settled = 0     # slots at their grid optimum: the last changed one and
                     # every slot visited since
     for visit in range(settings.max_sweep_cycles * k_slots):
         k = visit % k_slots
         kept.move_to(first[k], phi)
         current = phi[k]
-        plan = _slot_plan(grid, current)
-        known: dict[float, float] = {}
-        if plan.probes is None or uses[k] > 1:
-            candidates = plan.angles
+        if uses[k] == 1 and stackable:
+            a, b, c = kept.sinusoid(phi)
+            values = [a + b * cos_t + c * sin_t for cos_t, sin_t in trig]
+            top = max(values)
+            margin = _TIE_MARGIN * (1.0 + abs(a) + abs(b) + abs(c))
+            if top > a + b * math.cos(current) + c * math.sin(current) + margin:
+                phi[k] = grid[values.index(top)]
         else:
-            candidates = _sinusoid_candidates(plan, pf, phi, k, best, known)
-        slot_best, slot_angle = best, current
-        for angle in candidates:
-            value = known.get(angle)
-            if value is None:
-                phi[k] = angle
-                value = pf(phi)
-            if value > slot_best:
-                slot_best, slot_angle = value, angle
-        phi[k] = slot_angle
-        if slot_best > best:
-            best, settled = slot_best, 1
-        else:
-            settled += 1
+            slot_best, slot_angle = kept.value(phi), current
+            for angle in grid:
+                if angle != current:
+                    phi[k] = angle
+                    value = kept.value(phi)
+                    if value > slot_best:
+                        slot_best, slot_angle = value, angle
+            phi[k] = slot_angle
+        settled = 1 if phi[k] != current else settled + 1
         if settled == k_slots:
             break
+    best = prefitness(circuit, phi, problem)
     if settings.refine:
         phi, best = _gradient_refine(
             lambda values: prefitness(circuit, values, problem), phi, best,

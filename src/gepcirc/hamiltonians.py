@@ -196,6 +196,41 @@ class PauliSumHamiltonian:
     def expectation_array(self, amps: np.ndarray) -> float:
         return self.scale * (self.raw_expectation_array(amps) - self.shift)
 
+    def pair_elements(self, pair: np.ndarray) -> tuple[float, float, float]:
+        """(<a|H'|a>, <b|H'|b>, Re <a|H'|b>) for the rows a, b of a
+        (2, 2^N) array, with H' = s*(H - e0) as in ``expectation_array``.
+
+        The shift enters the off-diagonal element as -s*e0*Re<a|b>, which
+        is taken as 0: that holds for a = U psi and b = U(-iY_q psi), where
+        <a|b> = -i<psi|Y_q|psi> is imaginary. Then <x|H'|x> at
+        x = cos(t/2) a + sin(t/2) b follows from the three numbers.
+        """
+        dim = 1 << self.n_bits
+        if pair.shape != (2, dim):
+            raise ConfigError(f"expected a (2, {dim}) pair, got {pair.shape}")
+        if not self.terms:
+            return -self.scale * self.shift, -self.scale * self.shift, 0.0
+        if self._diag is None and self._coeffs is None:
+            self._build_cache()
+        a, b = pair
+        if self._diag is not None:
+            diag_b = self._diag * b
+            aa = np.vdot(a, self._diag * a)
+            bb, ab = np.vdot(b, diag_b), np.vdot(a, diag_b)
+        else:
+            # one gather per state, as in raw_expectation_array
+            terms_b = self._phases * b[self._perms]
+            aa = self._coeffs @ ((self._phases * a[self._perms]) @ np.conj(a))
+            bb = self._coeffs @ (terms_b @ np.conj(b))
+            ab = self._coeffs @ (terms_b @ np.conj(a))
+        aa, bb = complex(aa), complex(bb)
+        for value in (aa, bb):
+            if not abs(value.imag) < 1e-10:
+                raise ImaginaryResidueError(f"imaginary residue {value.imag}")
+        return (self.scale * (aa.real - self.shift),
+                self.scale * (bb.real - self.shift),
+                self.scale * float(ab.real))
+
 
 def expectation(h: PauliSumHamiltonian, state: StateVector) -> float:
     """s * (<state|H|state> - e0); real within a 1e-10 imaginary residue."""

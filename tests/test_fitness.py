@@ -142,6 +142,14 @@ class TestOptimizeParams:
         with pytest.raises(ConfigError):
             OptimizerSettings(fd_step=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angles_rejected(self, bad):
+        # the sweep takes cos and sin of every grid angle and of the start
+        with pytest.raises(ConfigError, match="finite"):
+            OptimizerSettings(grid=(0.0, bad))
+        with pytest.raises(ConfigError, match="finite"):
+            OptimizerSettings(start_angle=bad)
+
 
 class TestFitness:
     def test_terminal_gene_matches_empty_circuit(self):

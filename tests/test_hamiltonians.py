@@ -174,6 +174,51 @@ class TestExpectation:
         h._phases = h._phases * 1j      # corrupt the cached tables
         with pytest.raises(ImaginaryResidueError):
             h.raw_expectation_array(amps)
+        with pytest.raises(ImaginaryResidueError):
+            h.pair_elements(np.stack([amps, amps]))
+
+
+class TestPairElements:
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_matches_dense_matrix(self, diagonal):
+        rng = random.Random(24)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            if diagonal:
+                h = ising_from_graph(rand_graph(max(n, 2), rng))
+                n = h.n_bits
+            else:
+                h = rand_hamiltonian(n, rng)
+            shift, scale = rng.uniform(-3, 3), rng.uniform(-2, 2)
+            h = h.rescaled(shift, scale)
+            a, b = (rand_state(n, rng).amplitudes for _ in range(2))
+            m = dense_matrix(h)
+            aa, bb, ab = h.pair_elements(np.stack([a, b]))
+            assert abs(aa - scale * (np.vdot(a, m @ a).real - shift)) < 1e-10
+            assert abs(bb - scale * (np.vdot(b, m @ b).real - shift)) < 1e-10
+            assert abs(ab - scale * np.vdot(a, m @ b).real) < 1e-10
+            assert abs(aa - h.expectation_array(a)) < 1e-10
+
+    def test_gives_the_rotated_expectation(self):
+        # b = -iY_q a: <x|H'|x> at x = cos(t/2) a + sin(t/2) b, shift and all
+        rng = random.Random(25)
+        h = rand_hamiltonian(3, rng).rescaled(1.5, -2.0)
+        psi = rand_state(3, rng)
+        rotated = apply_circuit(psi, parse_circuit("Ry1:pi", 3)).amplitudes
+        aa, bb, ab = h.pair_elements(np.stack([psi.amplitudes, rotated]))
+        for t in (0.0, 0.3, 2.0, -4.0):
+            x = math.cos(t / 2) * psi.amplitudes + math.sin(t / 2) * rotated
+            direct = h.expectation_array(x)
+            algebra = (0.5 * (aa + bb) + 0.5 * (aa - bb) * math.cos(t)
+                       + ab * math.sin(t))
+            assert abs(algebra - direct) < 1e-12
+
+    def test_zero_terms_and_shape(self):
+        h = PauliSumHamiltonian(2, [], shift=1.0, scale=3.0)
+        pair = np.stack([basis_state(2, 0).amplitudes] * 2)
+        assert h.pair_elements(pair) == (-3.0, -3.0, 0.0)
+        with pytest.raises(ConfigError):
+            h.pair_elements(pair[0])
 
 
 class TestMaxCutReadout:

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gepcirc.engine import ConfigError
 from gepcirc.hamiltonians import (
@@ -20,6 +21,41 @@ from gepcirc.oracle import (
     exact_ground_energy,
     exhaustive_ising_ground,
 )
+
+PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_matrix(h):
+    """Reference: each term as a Kronecker product of 2x2 factors."""
+    dim = 1 << h.n_bits
+    total = np.zeros((dim, dim), dtype=complex)
+    for term in h.terms:
+        paulis = term.paulis
+        mat = np.eye(1, dtype=complex)
+        # qubit 0 is the least significant bit, so it is the last factor
+        for q in range(h.n_bits - 1, -1, -1):
+            mat = np.kron(mat, PAULI_1Q[paulis.get(q, "I")])
+        total += term.coefficient * mat
+    return total
+
+
+@st.composite
+def pauli_sums(draw, max_bits=6):
+    n = draw(st.integers(1, max_bits))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        qubits = draw(st.lists(st.integers(0, n - 1), unique=True,
+                               max_size=n))
+        ops = {q: draw(st.sampled_from("XYZ")) for q in qubits}
+        coefficient = draw(st.floats(-5.0, 5.0, allow_nan=False))
+        terms.append(PauliTerm.from_map(coefficient, ops))
+    return PauliSumHamiltonian(n, terms)
+
 
 K3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -118,3 +154,15 @@ class TestDenseDiagonalization:
     def test_cap(self):
         with pytest.raises(ConfigError):
             exact_ground_energy(PauliSumHamiltonian(11, []))
+
+    @settings(deadline=None, max_examples=150)
+    @given(h=pauli_sums())
+    def test_equals_kronecker_products(self, h):
+        assert np.array_equal(dense_matrix(h), kron_matrix(h))
+
+    def test_heisenberg_equals_kronecker_products(self):
+        h = heisenberg_2d(3, 3)
+        dense, reference = dense_matrix(h), kron_matrix(h)
+        assert np.array_equal(dense, reference)
+        assert np.linalg.eigvalsh(dense).min() == \
+            np.linalg.eigvalsh(reference).min()

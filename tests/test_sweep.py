@@ -1,13 +1,21 @@
-"""The sinusoid-pruned angle sweep against the exhaustive grid scan.
+"""The stacked-pair angle sweep against a reference sweep and direct values.
 
-``exhaustive_sweep`` below is the plain coordinate sweep: every slot,
-every grid angle, whole cycles until one changes nothing. The optimizer
-must return exactly its angles and value (``==``, not approximately),
-while making far fewer pre-fitness calls.
+In a slot that one Ry gate uses, the optimizer reads every grid angle's
+value off the sinusoid a + b*cos(t) + c*sin(t), with (a, b, c) from one
+simulation of the stacked pair. Two checks pin it down:
+
+* ``reference_sweep`` below is the plain coordinate sweep with the same
+  rule: for a single-use slot it scans every grid angle of the sinusoid
+  built from the optimizer's own (a, b, c), for a shared slot every grid
+  angle by direct pre-fitness evaluation. The optimizer must return
+  exactly its angles and value (``==``, not approximately).
+* (a, b, c) must reproduce direct pre-fitness evaluations at every grid
+  angle and at random angles, within 1e-12 relative.
 """
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -31,46 +39,74 @@ from gepcirc.sim import (
 )
 
 
-def exhaustive_sweep(circuit, problem, opts):
+def record_sinusoids(monkeypatch):
+    """Log (phi, (a, b, c)) for every sinusoid the optimizer computes."""
+    log = []
+    sinusoid = fitness_mod._KeptStates.sinusoid
+
+    def recorded(self, phi):
+        abc = sinusoid(self, phi)
+        log.append((tuple(phi), abc))
+        return abc
+
+    monkeypatch.setattr(fitness_mod._KeptStates, "sinusoid", recorded)
+    return log
+
+
+def reference_sweep(circuit, problem, opts, sinusoids, stackable=True):
     """Reference sweep: (phi, best, history), one (phi_before, changed)
-    entry per slot visit."""
+    entry per slot visit, taking the (phi, (a, b, c)) entries of
+    ``sinusoids`` in order for the single-use slots."""
     k_slots = circuit.n_params
     if k_slots == 0:
         return (), prefitness(circuit, (), problem), []
 
+    uses = Counter(g.slot for g in circuit.gates if g.slot is not None)
+    feed = iter(sinusoids)
+    phi = [opts.start_angle] * k_slots
+    history = []
+    settled = 0
+    for visit in range(opts.max_sweep_cycles * k_slots):
+        k = visit % k_slots
+        before, current = tuple(phi), phi[k]
+        if uses[k] == 1 and stackable:
+            at, (a, b, c) = next(feed)
+            assert at == before
+            margin = fitness_mod._TIE_MARGIN * (1 + abs(a) + abs(b) + abs(c))
+
+            def value_at(t, a=a, b=b, c=c):
+                return a + b * math.cos(t) + c * math.sin(t)
+        else:
+            margin = 0.0
+
+            def value_at(t):
+                return prefitness(circuit, before[:k] + (t,) + before[k + 1:],
+                                  problem)
+        slot_best, slot_angle = value_at(current) + margin, current
+        for angle in opts.grid:
+            value = value_at(angle)
+            if value > slot_best:
+                slot_best, slot_angle = value, angle
+        phi[k] = slot_angle
+        changed = slot_angle != current
+        history.append((before, changed))
+        settled = 1 if changed else settled + 1
+        if settled == k_slots:
+            break
+    assert next(feed, None) is None
+
     def pf(values):
         return prefitness(circuit, values, problem)
 
-    phi = [opts.start_angle] * k_slots
     best = pf(phi)
-    history = []
-    for _ in range(opts.max_sweep_cycles):
-        improved = False
-        for k in range(k_slots):
-            before = tuple(phi)
-            current = phi[k]
-            slot_best, slot_angle = best, current
-            for angle in opts.grid:
-                if angle == current:
-                    continue
-                phi[k] = angle
-                value = pf(phi)
-                if value > slot_best:
-                    slot_best, slot_angle = value, angle
-            phi[k] = slot_angle
-            history.append((before, slot_best > best))
-            if slot_best > best:
-                best = slot_best
-                improved = True
-        if not improved:
-            break
     if opts.refine:
         phi, best = fitness_mod._gradient_refine(pf, phi, best, opts)
     return tuple(phi), best, history
 
 
 def random_pauli_sum(n, rng):
-    """A few random terms, at least one with an X or Y factor."""
+    """A few random terms, at least one with an X or Y factor, sometimes
+    shifted and scaled."""
     terms = []
     for i in range(rng.randint(2, 6)):
         qubits = rng.sample(range(n), rng.randint(1, min(3, n)))
@@ -78,6 +114,18 @@ def random_pauli_sum(n, rng):
         if i == 0:
             ops[qubits[0]] = rng.choice("XY")
         terms.append(PauliTerm.from_map(rng.uniform(-2.0, 2.0), ops))
+    h = PauliSumHamiltonian(n, terms)
+    if rng.random() < 0.5:
+        h = h.rescaled(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0))
+    return h
+
+
+def random_ising(n, rng):
+    """ZZ and Z terms only: the diagonal expectation path."""
+    terms = [PauliTerm.from_map(rng.uniform(-2.0, 2.0),
+                                {q: "Z" for q in rng.sample(range(n),
+                                                            rng.randint(1, 2))})
+             for _ in range(rng.randint(1, 5))]
     return PauliSumHamiltonian(n, terms)
 
 
@@ -89,9 +137,9 @@ def random_state(n, rng):
 def make_problem(kind, table, seed, opts, n_pairs=None):
     rng = random.Random(seed)
     n = table.n_bits
-    if kind == "pauli":
-        return ground_state_problem(table, random_pauli_sum(n, rng),
-                                    settings=opts)
+    if kind in ("pauli", "ising"):
+        h = (random_pauli_sum if kind == "pauli" else random_ising)(n, rng)
+        return ground_state_problem(table, h, settings=opts)
     nprng = np.random.default_rng(seed)
     if n_pairs is None:
         n_pairs = rng.randint(1, 3)
@@ -119,36 +167,43 @@ def make_grid(kind, seed):
 
 
 GRIDS = st.sampled_from(["default", "no_start", "few", "near"])
+KINDS = st.sampled_from(["pauli", "ising", "pairs"])
+# each example patches through its own monkeypatch.context()
 SLOW = settings(max_examples=60, deadline=None,
-                suppress_health_check=[HealthCheck.too_slow])
+                suppress_health_check=[HealthCheck.too_slow,
+                                       HealthCheck.function_scoped_fixture])
 
 
-def assert_matches_reference(circuit, problem):
-    phi, best, _ = exhaustive_sweep(circuit, problem, problem.settings)
-    assert optimize_params(circuit, problem) == (phi, best)
+def assert_matches_reference(circuit, problem, monkeypatch, stackable=True):
+    with monkeypatch.context() as m:
+        sinusoids = record_sinusoids(m)
+        result = optimize_params(circuit, problem)
+    phi, best, _ = reference_sweep(circuit, problem, problem.settings,
+                                   sinusoids, stackable)
+    assert result == (phi, best)
 
 
 @SLOW
 @given(n=st.integers(2, 5), head=st.integers(1, 8), seed=st.integers(0, 2**32),
-       kind=st.sampled_from(["pauli", "pairs"]), grid=GRIDS,
-       refine=st.booleans())
-def test_gene_circuits_match_exhaustive_scan(n, head, seed, kind, grid, refine):
+       kind=KINDS, grid=GRIDS, refine=st.booleans())
+def test_gene_circuits_match_exhaustive_scan(monkeypatch, n, head, seed, kind,
+                                             grid, refine):
     table = build_primitive_set(n, ["Ry", "P", "CNOT"])
     circuit = gene_to_circuit(random_gene(table.pset, head, random.Random(seed)),
                               table)
     opts = OptimizerSettings(grid=make_grid(grid, seed), refine=refine,
                              max_refine_iters=3)
-    assert_matches_reference(circuit, make_problem(kind, table, seed, opts))
+    assert_matches_reference(circuit, make_problem(kind, table, seed, opts),
+                             monkeypatch)
 
 
 @SLOW
 @given(n=st.integers(2, 4), n_slots=st.integers(1, 3), extra=st.integers(1, 5),
-       seed=st.integers(0, 2**32), kind=st.sampled_from(["pauli", "pairs"]),
-       grid=GRIDS)
-def test_repeated_slots_match_exhaustive_scan(n, n_slots, extra, seed, kind,
-                                              grid):
+       seed=st.integers(0, 2**32), kind=KINDS, grid=GRIDS)
+def test_repeated_slots_match_exhaustive_scan(monkeypatch, n, n_slots, extra,
+                                              seed, kind, grid):
     # every slot used once, at least one used again: the pre-fitness is then
-    # not a single sinusoid in that slot
+    # not a single sinusoid in that slot, which gets the direct scan
     rng = random.Random(seed)
     slots = list(range(n_slots)) + [rng.randrange(n_slots) for _ in range(extra)]
     tokens = [f"Ry{rng.randrange(n)}:phi{s}" for s in slots]
@@ -159,7 +214,8 @@ def test_repeated_slots_match_exhaustive_scan(n, n_slots, extra, seed, kind,
     circuit = parse_circuit(" ".join(tokens), n)
     table = build_primitive_set(n, ["Ry", "P", "CNOT"])
     opts = OptimizerSettings(grid=make_grid(grid, seed))
-    assert_matches_reference(circuit, make_problem(kind, table, seed, opts))
+    assert_matches_reference(circuit, make_problem(kind, table, seed, opts),
+                             monkeypatch)
 
 
 def framed_circuit(rng, n, k_slots, repeats, shuffled):
@@ -185,46 +241,64 @@ def framed_circuit(rng, n, k_slots, repeats, shuffled):
 
 @SLOW
 @given(n=st.integers(2, 4), k_slots=st.integers(0, 4), repeats=st.integers(0, 2),
-       shuffled=st.booleans(), seed=st.integers(0, 2**32),
-       kind=st.sampled_from(["pauli", "pairs"]), grid=GRIDS)
-def test_framed_circuits_match_exhaustive_scan(n, k_slots, repeats, shuffled,
-                                               seed, kind, grid):
+       shuffled=st.booleans(), seed=st.integers(0, 2**32), kind=KINDS,
+       grid=GRIDS, stackable=st.booleans())
+def test_framed_circuits_match_exhaustive_scan(monkeypatch, n, k_slots, repeats,
+                                               shuffled, seed, kind, grid,
+                                               stackable):
     # the kept prefix state is rebuilt, advanced past fixed gates, and
-    # moved backwards when slots are out of gate order
+    # moved backwards when slots are out of gate order; a register at the
+    # simulator's width limit, where no stacked pair fits, scans directly
     circuit = framed_circuit(random.Random(seed), n, k_slots, repeats, shuffled)
     table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
     opts = OptimizerSettings(grid=make_grid(grid, seed))
-    assert_matches_reference(circuit, make_problem(kind, table, seed, opts))
+    with monkeypatch.context() as m:
+        if not stackable:
+            m.setattr(fitness_mod, "MAX_QUBITS", n)
+        assert_matches_reference(circuit, make_problem(kind, table, seed, opts),
+                                 monkeypatch, stackable)
 
 
 @SLOW
 @given(n=st.integers(2, 4), k_slots=st.integers(0, 3), shuffled=st.booleans(),
        n_pairs=st.integers(2, 5), seed=st.integers(0, 2**32))
-def test_several_pairs_match_exhaustive_scan(n, k_slots, shuffled, n_pairs,
-                                             seed):
-    # one kept state per training pair
+def test_several_pairs_match_exhaustive_scan(monkeypatch, n, k_slots, shuffled,
+                                             n_pairs, seed):
+    # one kept state, and one stacked run, per training pair
     circuit = framed_circuit(random.Random(seed), n, k_slots, 1, shuffled)
     table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
     problem = make_problem("pairs", table, seed, OptimizerSettings(), n_pairs)
-    assert_matches_reference(circuit, problem)
+    assert_matches_reference(circuit, problem, monkeypatch)
 
 
-def visits_made(calls, history, k_slots):
-    """Slot visits the optimizer's evaluations span. Each call is
-    (k, params): an evaluation in the visit to slot k runs the gates from
-    that slot's first gate on, with params for slots k..K-1 (the circuit
-    below uses its slots in gate order), and varies slot k of the phi that
-    the reference had before that visit."""
-    def in_visit(call, visit):
-        k, params = call
-        before = history[visit][0]
-        return k == visit % k_slots and params[1:] == before[k + 1:]
-
-    visit = 0
-    for call in calls:
-        while not in_visit(call, visit):
-            visit += 1
-    return visit + 1
+@SLOW
+@given(n=st.integers(2, 4), k_slots=st.integers(1, 4), repeats=st.integers(0, 2),
+       shuffled=st.booleans(), n_pairs=st.integers(2, 5),
+       seed=st.integers(0, 2**32), kind=KINDS)
+def test_sinusoid_reproduces_direct_prefitness(n, k_slots, repeats, shuffled,
+                                               n_pairs, seed, kind):
+    # H/P/CNOT frames, shared phiK slots held at random angles, several
+    # training pairs, random non-diagonal Pauli sums with shift and scale,
+    # and diagonal ones
+    rng = random.Random(seed)
+    circuit = framed_circuit(rng, n, k_slots, repeats, shuffled)
+    table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
+    problem = make_problem(kind, table, seed, OptimizerSettings(), n_pairs)
+    uses = Counter(g.slot for g in circuit.gates if g.slot is not None)
+    phi = [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(k_slots)]
+    kept = fitness_mod._KeptStates(circuit, problem)
+    for k in range(k_slots):
+        if uses[k] > 1:
+            continue
+        gate = next(i for i, g in enumerate(circuit.gates) if g.slot == k)
+        kept.move_to(gate, phi)
+        a, b, c = kept.sinusoid(phi)
+        angles = list(DEFAULT_GRID) + [rng.uniform(-10.0, 10.0)
+                                       for _ in range(4)]
+        for t in angles:
+            direct = prefitness(circuit, phi[:k] + [t] + phi[k + 1:], problem)
+            algebra = a + b * math.cos(t) + c * math.sin(t)
+            assert abs(algebra - direct) <= 1e-12 * (1.0 + abs(direct))
 
 
 H4 = PauliSumHamiltonian(4, [
@@ -236,56 +310,65 @@ H4 = PauliSumHamiltonian(4, [
 ])
 
 
-def test_three_calls_per_visit_and_early_stop(monkeypatch):
+def count_applies(monkeypatch):
+    """Log (n_bits, gates) for every apply_circuit_array call the sweep
+    makes."""
+    log = []
+    apply = fitness_mod.apply_circuit_array
+
+    def counted(amps, n_bits, circuit, params, /):
+        # four positional arguments, as the benchmark's counter takes them
+        log.append((n_bits, len(circuit.gates)))
+        return apply(amps, n_bits, circuit, params)
+
+    monkeypatch.setattr(fitness_mod, "apply_circuit_array", counted)
+    return log
+
+
+def test_one_stacked_run_per_visit_and_early_stop(monkeypatch):
     circuit = parse_circuit(
         "Ry0:phi0 Ry1:phi1 CNOT0,1 Ry2:phi2 CNOT1,2 Ry3:phi3 CNOT2,3 Ry0:phi4", 4)
     problem = ground_state_problem(build_primitive_set(4, ["Ry", "CNOT"]), H4)
-    ref_phi, ref_best, history = exhaustive_sweep(circuit, problem,
-                                                  problem.settings)
+    sinusoids = record_sinusoids(monkeypatch)
+    applies = count_applies(monkeypatch)
+    result = optimize_params(circuit, problem)
+    applies = applies[:]        # the reference below evaluates too
+    ref_phi, ref_best, history = reference_sweep(circuit, problem,
+                                                 problem.settings, sinusoids)
+    assert result == (ref_phi, ref_best)
+
     k_slots = circuit.n_params
-    calls = []
-    score = fitness_mod._score
-
-    def counted(c, params, prob, states):
-        calls.append((k_slots - c.n_params, tuple(params)))
-        return score(c, params, prob, states)
-
-    # every evaluation of the sweep, probes included, scores through _score
-    monkeypatch.setattr(fitness_mod, "_score", counted)
-    assert optimize_params(circuit, problem) == (ref_phi, ref_best)
-
     last_change = max(v for v, (_, changed) in enumerate(history) if changed)
-    visits = visits_made(calls[1:], history, k_slots)
-    assert visits == last_change + k_slots      # K - 1 visits after it
-    assert visits < len(history)                # the scan ran a whole cycle more
-    assert len(calls) <= 1 + 3 * visits
-    assert len(calls) < (1 + 7 * len(history)) / 3
+    assert len(history) == last_change + k_slots     # K - 1 visits after it
+    assert len(history) > k_slots                    # something did change
+    # every visit: one stacked run on 5 bits; plus one direct evaluation
+    stacked = [gates for n_bits, gates in applies if n_bits == 5]
+    assert len(stacked) == len(sinusoids) == len(history)
+    assert applies[-1] == (4, len(circuit.gates))
 
 
 def test_gate_applications_counted_exactly(monkeypatch):
-    # eight slots, one Ry each: an evaluation in the visit to slot k
-    # applies the 8 - k gates from k on, and moving the kept state to the
-    # next slot applies one gate
+    # eight slots, one Ry each: the visit to slot k runs the 7 - k gates
+    # after slot k's gate once, stacked; moving the kept state to the next
+    # slot applies one gate, and wrapping to slot 0 rebuilds it for free
     circuit = parse_circuit(" ".join(f"Ry{k % 4}:phi{k}" for k in range(8)), 4)
     problem = ground_state_problem(build_primitive_set(4, ["Ry"]), H4)
-    ref_phi, ref_best, _ = exhaustive_sweep(circuit, problem, problem.settings)
-    gates, evaluations = [], []
-    apply, score = fitness_mod.apply_circuit_array, fitness_mod._score
-
-    def counted_apply(amps, n_bits, circuit, params, /):
-        # four positional arguments, as the benchmark's counter takes them
-        gates.append(len(circuit.gates))
-        return apply(amps, n_bits, circuit, params)
-
-    def counted_score(c, params, prob, states):
-        evaluations.append(len(c.gates))
-        return score(c, params, prob, states)
-
-    monkeypatch.setattr(fitness_mod, "apply_circuit_array", counted_apply)
-    monkeypatch.setattr(fitness_mod, "_score", counted_score)
-    assert optimize_params(circuit, problem) == (ref_phi, ref_best)
-    moves = len(gates) - len(evaluations)
-    assert sum(gates) == sum(evaluations) + moves
-    # two cycles of eight visits: 42 evaluations, 7 moves per cycle
-    assert (len(evaluations), moves, sum(gates)) == (42, 14, 220)
-    assert sum(gates) < 8 * len(evaluations)     # whole-circuit re-simulation
+    sinusoids = record_sinusoids(monkeypatch)
+    applies = count_applies(monkeypatch)
+    result = optimize_params(circuit, problem)
+    applies = applies[:]        # the reference below evaluates too
+    ref_phi, ref_best, history = reference_sweep(circuit, problem,
+                                                 problem.settings, sinusoids)
+    assert result == (ref_phi, ref_best)
+    stacked = [gates for n_bits, gates in applies if n_bits == 5]
+    moves = [gates for n_bits, gates in applies[:-1] if n_bits == 4]
+    # the last change is at visit 3, so the sweep stops after visit 10:
+    # stacked runs of 7, 6, ..., 0 gates in visits 0-7 and 7, 6, 5 in
+    # visits 8-10; one-gate moves before visits 1-7, 9 and 10; then one
+    # 8-gate direct evaluation
+    assert max(v for v, (_, changed) in enumerate(history) if changed) == 3
+    assert len(history) == 11
+    assert (len(stacked), sum(stacked)) == (11, 28 + 18)
+    assert (len(moves), sum(moves)) == (9, 9)
+    assert applies[-1] == (4, 8)
+    assert sum(gates for _, gates in applies) == 63
