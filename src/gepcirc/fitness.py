@@ -220,9 +220,9 @@ def _gradient_refine(pf: Callable[[list[float]], float], phi: list[float],
 
 # -iY: Ry(t) = cos(t/2) * I + sin(t/2) * _MINUS_IY
 _MINUS_IY = _frozen(np.array([[0, -1], [1, 0]], dtype=complex))
-# a grid angle replaces the current one only if its computed value is higher
-# by more than this times 1 + |a| + |b| + |c|, well above the ~1e-15
-# relative rounding of the sinusoid, so rounding noise cannot cycle the sweep
+# grid values within this times 1 + |a| + |b| + |c| of each other tie: well
+# above the ~1e-15 relative rounding of the sinusoid, so rounding noise
+# decides no move
 _TIE_MARGIN = 1e-12
 
 
@@ -298,26 +298,35 @@ class _KeptStates:
         other slot its angle in ``phi``.
 
         Each kept state psi and -iY psi, stacked as one array on N+1 bits,
-        go through the gates after gate ``at`` in one simulation.
+        go through the gates after gate ``at`` in one simulation; on a
+        register of ``MAX_QUBITS`` bits, where the stacked array would not
+        fit, they go through in two simulations on N bits.
         """
         problem, n = self.problem, self.problem.n_bits
+        stacked = n < MAX_QUBITS
         segment, slots = self._segment(self.at + 1, len(self.circuit.gates),
-                                       n + 1)
+                                       n + 1 if stacked else n)
         params = [phi[s] for s in slots]
         qubit = self.circuit.gates[self.at].qubits[0]
-        # (A, B) as the rows of one array, one input state at a time
-        outs = (apply_circuit_array(
-                    np.concatenate([amps, _apply_1q(amps, n, _MINUS_IY, qubit)]),
-                    n + 1, segment, params).reshape(2, -1)
-                for amps in self.states)
+
+        def outputs(amps: np.ndarray) -> Sequence[np.ndarray]:
+            """(A, B) for one kept state psi."""
+            turned = _apply_1q(amps, n, _MINUS_IY, qubit)
+            if stacked:
+                return apply_circuit_array(np.concatenate([amps, turned]),
+                                           n + 1, segment, params).reshape(2, -1)
+            return [apply_circuit_array(x, n, segment, params)
+                    for x in (amps, turned)]
+
+        outs = map(outputs, self.states)
         if problem.kind == "GroundState":
             # -<x|H'|x> at x = cos(t/2) A + sin(t/2) B
-            aa, bb, ab = problem.hamiltonian.pair_elements(next(outs))
+            aa, bb, ab = problem.hamiltonian.pair_elements(*next(outs))
             return -0.5 * (aa + bb), -0.5 * (aa - bb), -ab
         # |cos(t/2) alpha + sin(t/2) beta|^2 per pair, alpha = <o|A>
         aa = bb = ab = 0.0
-        for out, (_, amps_out) in zip(outs, problem.pairs):
-            alpha, beta = out @ np.conj(amps_out)
+        for (out_a, out_b), (_, amps_out) in zip(outs, problem.pairs):
+            alpha, beta = np.vdot(amps_out, out_a), np.vdot(amps_out, out_b)
             aa += abs(alpha) ** 2
             bb += abs(beta) ** 2
             ab += (alpha.conjugate() * beta).real
@@ -335,16 +344,21 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
     pre-fitness evaluation at the final angles.
 
     A slot that one Ry gate uses costs one simulation of the gates after
-    that gate, on the stacked pair (see the module docstring). It gives
-    (a, b, c), from which every grid angle's value is computed; the slot
-    moves to the first grid angle, in grid order, with the largest value
-    if that value beats the current angle's value by more than
-    ``_TIE_MARGIN * (1 + |a| + |b| + |c|)``. A slot shared by several
-    gates (only hand-written circuits have them) gets the direct full
-    scan, one evaluation per angle, and moves on a strict improvement, as
-    does every slot on a register of ``MAX_QUBITS`` bits, where the
-    stacked pair would not fit. The sweep stops K - 1 visits after the
-    last change or after ``max_sweep_cycles * K`` visits.
+    that gate, on the stacked pair (see the module docstring), which gives
+    (a, b, c) and from them every grid angle's value. A slot shared by
+    several gates (only hand-written circuits have them) evaluates every
+    grid angle directly instead. Values within ``_TIE_MARGIN`` times
+    1 + |a| + |b| + |c| (1 + the largest |value| for a direct scan) tie.
+    If the best grid value beats the current angle's by more than that,
+    the slot moves to the first grid angle that ties with the best.
+    Otherwise, on its first such visit, it moves sideways, to the next
+    grid angle after the current one, cyclically, that ties with the best:
+    a flat slot, one the other gates make irrelevant for now, thus leaves
+    a stationary angle such as 0 or pi, so the slots visited after it can
+    find improvements, and as each slot moves sideways at most once, the
+    sweep cannot cycle. Any move counts as a change; the sweep stops
+    K - 1 visits after the last change or after ``max_sweep_cycles * K``
+    visits.
     """
     if settings is None:
         settings = problem.settings
@@ -360,31 +374,34 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
         if gate.slot is not None:
             uses[gate.slot] += 1
             first.setdefault(gate.slot, i)
-    stackable = circuit.n_bits < MAX_QUBITS
     kept = _KeptStates(circuit, problem)
     phi = [settings.start_angle] * k_slots
+    walked: set[int] = set()    # slots that have had their sideways move
     settled = 0     # slots at their grid optimum: the last changed one and
                     # every slot visited since
     for visit in range(settings.max_sweep_cycles * k_slots):
         k = visit % k_slots
         kept.move_to(first[k], phi)
         current = phi[k]
-        if uses[k] == 1 and stackable:
+        if uses[k] == 1:
             a, b, c = kept.sinusoid(phi)
             values = [a + b * cos_t + c * sin_t for cos_t, sin_t in trig]
-            top = max(values)
-            margin = _TIE_MARGIN * (1.0 + abs(a) + abs(b) + abs(c))
-            if top > a + b * math.cos(current) + c * math.sin(current) + margin:
-                phi[k] = grid[values.index(top)]
+            now = a + b * math.cos(current) + c * math.sin(current)
+            scale = 1.0 + abs(a) + abs(b) + abs(c)
         else:
-            slot_best, slot_angle = kept.value(phi), current
-            for angle in grid:
-                if angle != current:
-                    phi[k] = angle
-                    value = kept.value(phi)
-                    if value > slot_best:
-                        slot_best, slot_angle = value, angle
-            phi[k] = slot_angle
+            values = [kept.value(phi[:k] + [angle] + phi[k + 1:])
+                      for angle in grid]
+            now = (values[grid.index(current)] if current in grid
+                   else kept.value(phi))
+            scale = 1.0 + max(map(abs, values))
+        top, margin = max(values), _TIE_MARGIN * scale
+        tied = [j for j, value in enumerate(values) if value >= top - margin]
+        if top > now + margin:
+            phi[k] = grid[tied[0]]
+        elif k not in walked:
+            after = grid.index(current) + 1 if current in grid else 0
+            phi[k] = grid[min(tied, key=lambda j: (j - after) % len(grid))]
+            walked.add(k)
         settled = 1 if phi[k] != current else settled + 1
         if settled == k_slots:
             break

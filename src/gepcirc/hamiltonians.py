@@ -196,40 +196,41 @@ class PauliSumHamiltonian:
     def expectation_array(self, amps: np.ndarray) -> float:
         return self.scale * (self.raw_expectation_array(amps) - self.shift)
 
-    def pair_elements(self, pair: np.ndarray) -> tuple[float, float, float]:
-        """(<a|H'|a>, <b|H'|b>, Re <a|H'|b>) for the rows a, b of a
-        (2, 2^N) array, with H' = s*(H - e0) as in ``expectation_array``.
+    def pair_elements(self, a: np.ndarray,
+                      b: np.ndarray) -> tuple[float, float, float]:
+        """(<a|H'|a>, <b|H'|b>, Re <a|H'|b>) for two flat amplitude arrays,
+        with H' = s*(H - e0) as in ``expectation_array``.
 
-        The shift enters the off-diagonal element as -s*e0*Re<a|b>, which
-        is taken as 0: that holds for a = U psi and b = U(-iY_q psi), where
-        <a|b> = -i<psi|Y_q|psi> is imaginary. Then <x|H'|x> at
-        x = cos(t/2) a + sin(t/2) b follows from the three numbers.
+        <x|H'|x> at x = cos(t/2) a + sin(t/2) b follows from the three
+        numbers; the fitness sweep takes a = U psi and b = U(-iY_q psi).
         """
         dim = 1 << self.n_bits
-        if pair.shape != (2, dim):
-            raise ConfigError(f"expected a (2, {dim}) pair, got {pair.shape}")
+        if a.shape != (dim,) or b.shape != (dim,):
+            raise ConfigError(
+                f"expected two arrays of {dim} amplitudes, "
+                f"got {a.shape} and {b.shape}"
+            )
+        # the shift's share of Re <a|H'|b>
+        cross_shift = self.shift * np.vdot(a, b).real
         if not self.terms:
-            return -self.scale * self.shift, -self.scale * self.shift, 0.0
+            return (-self.scale * self.shift, -self.scale * self.shift,
+                    -self.scale * cross_shift)
         if self._diag is None and self._coeffs is None:
             self._build_cache()
-        a, b = pair
         if self._diag is not None:
-            diag_b = self._diag * b
-            aa = np.vdot(a, self._diag * a)
-            bb, ab = np.vdot(b, diag_b), np.vdot(a, diag_b)
+            h_a, h_b = self._diag * a, self._diag * b
         else:
-            # one gather per state, as in raw_expectation_array
-            terms_b = self._phases * b[self._perms]
-            aa = self._coeffs @ ((self._phases * a[self._perms]) @ np.conj(a))
-            bb = self._coeffs @ (terms_b @ np.conj(b))
-            ab = self._coeffs @ (terms_b @ np.conj(a))
-        aa, bb = complex(aa), complex(bb)
+            # H a and H b, one gather each
+            h_a = self._coeffs @ (self._phases * a[self._perms])
+            h_b = self._coeffs @ (self._phases * b[self._perms])
+        aa, bb = complex(np.vdot(a, h_a)), complex(np.vdot(b, h_b))
+        ab = np.vdot(a, h_b)
         for value in (aa, bb):
             if not abs(value.imag) < 1e-10:
                 raise ImaginaryResidueError(f"imaginary residue {value.imag}")
         return (self.scale * (aa.real - self.shift),
                 self.scale * (bb.real - self.shift),
-                self.scale * float(ab.real))
+                self.scale * (float(ab.real) - cross_shift))
 
 
 def expectation(h: PauliSumHamiltonian, state: StateVector) -> float:

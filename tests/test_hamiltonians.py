@@ -175,7 +175,7 @@ class TestExpectation:
         with pytest.raises(ImaginaryResidueError):
             h.raw_expectation_array(amps)
         with pytest.raises(ImaginaryResidueError):
-            h.pair_elements(np.stack([amps, amps]))
+            h.pair_elements(amps, amps)
 
 
 class TestPairElements:
@@ -193,10 +193,11 @@ class TestPairElements:
             h = h.rescaled(shift, scale)
             a, b = (rand_state(n, rng).amplitudes for _ in range(2))
             m = dense_matrix(h)
-            aa, bb, ab = h.pair_elements(np.stack([a, b]))
-            assert abs(aa - scale * (np.vdot(a, m @ a).real - shift)) < 1e-10
-            assert abs(bb - scale * (np.vdot(b, m @ b).real - shift)) < 1e-10
-            assert abs(ab - scale * np.vdot(a, m @ b).real) < 1e-10
+            aa, bb, ab = h.pair_elements(a, b)
+            shifted = scale * (m - shift * np.eye(1 << n))
+            assert abs(aa - np.vdot(a, shifted @ a).real) < 1e-10
+            assert abs(bb - np.vdot(b, shifted @ b).real) < 1e-10
+            assert abs(ab - np.vdot(a, shifted @ b).real) < 1e-10
             assert abs(aa - h.expectation_array(a)) < 1e-10
 
     def test_gives_the_rotated_expectation(self):
@@ -205,7 +206,7 @@ class TestPairElements:
         h = rand_hamiltonian(3, rng).rescaled(1.5, -2.0)
         psi = rand_state(3, rng)
         rotated = apply_circuit(psi, parse_circuit("Ry1:pi", 3)).amplitudes
-        aa, bb, ab = h.pair_elements(np.stack([psi.amplitudes, rotated]))
+        aa, bb, ab = h.pair_elements(psi.amplitudes, rotated)
         for t in (0.0, 0.3, 2.0, -4.0):
             x = math.cos(t / 2) * psi.amplitudes + math.sin(t / 2) * rotated
             direct = h.expectation_array(x)
@@ -215,10 +216,11 @@ class TestPairElements:
 
     def test_zero_terms_and_shape(self):
         h = PauliSumHamiltonian(2, [], shift=1.0, scale=3.0)
-        pair = np.stack([basis_state(2, 0).amplitudes] * 2)
-        assert h.pair_elements(pair) == (-3.0, -3.0, 0.0)
+        zero, one = basis_state(2, 0).amplitudes, basis_state(2, 1).amplitudes
+        assert h.pair_elements(zero, zero) == (-3.0, -3.0, -3.0)
+        assert h.pair_elements(zero, one) == (-3.0, -3.0, 0.0)
         with pytest.raises(ConfigError):
-            h.pair_elements(pair[0])
+            h.pair_elements(zero, np.stack([zero, zero]))
 
 
 class TestMaxCutReadout:

@@ -53,7 +53,7 @@ def record_sinusoids(monkeypatch):
     return log
 
 
-def reference_sweep(circuit, problem, opts, sinusoids, stackable=True):
+def reference_sweep(circuit, problem, opts, sinusoids):
     """Reference sweep: (phi, best, history), one (phi_before, changed)
     entry per slot visit, taking the (phi, (a, b, c)) entries of
     ``sinusoids`` in order for the single-use slots."""
@@ -63,32 +63,41 @@ def reference_sweep(circuit, problem, opts, sinusoids, stackable=True):
 
     uses = Counter(g.slot for g in circuit.gates if g.slot is not None)
     feed = iter(sinusoids)
+    grid = list(opts.grid)
     phi = [opts.start_angle] * k_slots
     history = []
+    walked = set()
     settled = 0
     for visit in range(opts.max_sweep_cycles * k_slots):
         k = visit % k_slots
         before, current = tuple(phi), phi[k]
-        if uses[k] == 1 and stackable:
+        if uses[k] == 1:
             at, (a, b, c) = next(feed)
             assert at == before
-            margin = fitness_mod._TIE_MARGIN * (1 + abs(a) + abs(b) + abs(c))
+            scale = 1 + abs(a) + abs(b) + abs(c)
 
             def value_at(t, a=a, b=b, c=c):
                 return a + b * math.cos(t) + c * math.sin(t)
         else:
-            margin = 0.0
-
             def value_at(t):
                 return prefitness(circuit, before[:k] + (t,) + before[k + 1:],
                                   problem)
-        slot_best, slot_angle = value_at(current) + margin, current
-        for angle in opts.grid:
-            value = value_at(angle)
-            if value > slot_best:
-                slot_best, slot_angle = value, angle
-        phi[k] = slot_angle
-        changed = slot_angle != current
+            scale = 1 + max(abs(value_at(t)) for t in grid)
+        margin = fitness_mod._TIE_MARGIN * scale
+        values = [value_at(t) for t in grid]
+        top = max(values)
+        if top > value_at(current) + margin:
+            # the first grid angle within the margin of the best
+            phi[k] = next(t for t, v in zip(grid, values) if v >= top - margin)
+        elif k not in walked:
+            # the next tied angle after the current one, cyclically
+            start = grid.index(current) + 1 if current in grid else 0
+            for j in range(start, start + len(grid)):
+                if values[j % len(grid)] >= top - margin:
+                    phi[k] = grid[j % len(grid)]
+                    break
+            walked.add(k)
+        changed = phi[k] != current
         history.append((before, changed))
         settled = 1 if changed else settled + 1
         if settled == k_slots:
@@ -174,12 +183,12 @@ SLOW = settings(max_examples=60, deadline=None,
                                        HealthCheck.function_scoped_fixture])
 
 
-def assert_matches_reference(circuit, problem, monkeypatch, stackable=True):
+def assert_matches_reference(circuit, problem, monkeypatch):
     with monkeypatch.context() as m:
         sinusoids = record_sinusoids(m)
         result = optimize_params(circuit, problem)
     phi, best, _ = reference_sweep(circuit, problem, problem.settings,
-                                   sinusoids, stackable)
+                                   sinusoids)
     assert result == (phi, best)
 
 
@@ -247,8 +256,9 @@ def test_framed_circuits_match_exhaustive_scan(monkeypatch, n, k_slots, repeats,
                                                shuffled, seed, kind, grid,
                                                stackable):
     # the kept prefix state is rebuilt, advanced past fixed gates, and
-    # moved backwards when slots are out of gate order; a register at the
-    # simulator's width limit, where no stacked pair fits, scans directly
+    # moved backwards when slots are out of gate order; on a register at
+    # the simulator's width limit, where no stacked pair fits, psi and
+    # -iY psi go through the suffix one at a time
     circuit = framed_circuit(random.Random(seed), n, k_slots, repeats, shuffled)
     table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
     opts = OptimizerSettings(grid=make_grid(grid, seed))
@@ -256,7 +266,7 @@ def test_framed_circuits_match_exhaustive_scan(monkeypatch, n, k_slots, repeats,
         if not stackable:
             m.setattr(fitness_mod, "MAX_QUBITS", n)
         assert_matches_reference(circuit, make_problem(kind, table, seed, opts),
-                                 monkeypatch, stackable)
+                                 monkeypatch)
 
 
 @SLOW
@@ -274,12 +284,21 @@ def test_several_pairs_match_exhaustive_scan(monkeypatch, n, k_slots, shuffled,
 @SLOW
 @given(n=st.integers(2, 4), k_slots=st.integers(1, 4), repeats=st.integers(0, 2),
        shuffled=st.booleans(), n_pairs=st.integers(2, 5),
-       seed=st.integers(0, 2**32), kind=KINDS)
-def test_sinusoid_reproduces_direct_prefitness(n, k_slots, repeats, shuffled,
-                                               n_pairs, seed, kind):
+       seed=st.integers(0, 2**32), kind=KINDS, stacked=st.booleans())
+def test_sinusoid_reproduces_direct_prefitness(monkeypatch, n, k_slots, repeats,
+                                               shuffled, n_pairs, seed, kind,
+                                               stacked):
     # H/P/CNOT frames, shared phiK slots held at random angles, several
     # training pairs, random non-diagonal Pauli sums with shift and scale,
-    # and diagonal ones
+    # and diagonal ones; psi and -iY psi stacked, or run one at a time as
+    # at the simulator's width limit
+    with monkeypatch.context() as m:
+        if not stacked:
+            m.setattr(fitness_mod, "MAX_QUBITS", n)
+        check_sinusoids(n, k_slots, repeats, shuffled, n_pairs, seed, kind)
+
+
+def check_sinusoids(n, k_slots, repeats, shuffled, n_pairs, seed, kind):
     rng = random.Random(seed)
     circuit = framed_circuit(rng, n, k_slots, repeats, shuffled)
     table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
@@ -362,13 +381,33 @@ def test_gate_applications_counted_exactly(monkeypatch):
     assert result == (ref_phi, ref_best)
     stacked = [gates for n_bits, gates in applies if n_bits == 5]
     moves = [gates for n_bits, gates in applies[:-1] if n_bits == 4]
-    # the last change is at visit 3, so the sweep stops after visit 10:
-    # stacked runs of 7, 6, ..., 0 gates in visits 0-7 and 7, 6, 5 in
-    # visits 8-10; one-gate moves before visits 1-7, 9 and 10; then one
-    # 8-gate direct evaluation
-    assert max(v for v, (_, changed) in enumerate(history) if changed) == 3
-    assert len(history) == 11
-    assert (len(stacked), sum(stacked)) == (11, 28 + 18)
-    assert (len(moves), sum(moves)) == (9, 9)
+    # the last change is at visit 12 (a sideways move), so the sweep stops
+    # after visit 19: stacked runs of 7, 6, ..., 0 gates in visits 0-7 and
+    # 8-15 and 7, 6, 5, 4 in visits 16-19; one-gate moves before visits
+    # 1-7, 9-15 and 17-19; then one 8-gate direct evaluation
+    assert max(v for v, (_, changed) in enumerate(history) if changed) == 12
+    assert len(history) == 20
+    assert (len(stacked), sum(stacked)) == (20, 28 + 28 + 22)
+    assert (len(moves), sum(moves)) == (17, 17)
     assert applies[-1] == (4, 8)
-    assert sum(gates for _, gates in applies) == 63
+    assert sum(gates for _, gates in applies) == 103
+
+
+def test_flat_slot_moves_sideways_once(monkeypatch):
+    # -<Z1> = -cos(phi1) does not depend on phi0: slot 0 is flat, and slot
+    # 1 peaks at pi
+    circuit = parse_circuit("Ry0:phi0 Ry1:phi1", 2)
+    h = PauliSumHamiltonian(2, [PauliTerm.from_map(1.0, {1: "Z"})])
+    problem = ground_state_problem(build_primitive_set(2, ["Ry"]), h)
+    sinusoids = record_sinusoids(monkeypatch)
+    phi, best = optimize_params(circuit, problem)
+    # visit 0: slot 0 ties everywhere and steps sideways, pi/4 -> pi/2;
+    # visit 1: slot 1 improves, pi/4 -> pi; visit 2: slot 0 still ties
+    # everywhere but has had its sideways move, so both slots are settled
+    assert phi == (DEFAULT_GRID[2], DEFAULT_GRID[4])
+    assert best == 1.0
+    assert len(sinusoids) == 3
+    ref_phi, _, history = reference_sweep(circuit, problem, problem.settings,
+                                          sinusoids)
+    assert ref_phi == phi
+    assert [changed for _, changed in history] == [True, True, False]
