@@ -27,6 +27,7 @@ __all__ = [
     "make_gene",
     "random_gene",
     "decode",
+    "coding_length",
     "karva_decode",
     "mutate",
     "one_point_recombine",
@@ -221,6 +222,20 @@ def decode(gene: Gene | Sequence[int], pset: PrimitiveSet | None = None) -> Expr
     if pset is None:
         raise ConfigError("decoding a raw sequence requires a primitive set")
     return karva_decode(gene, pset)
+
+
+def coding_length(gene: Gene) -> int:
+    """Symbols the decode consumes, without building the tree.
+
+    Each symbol fills one open argument slot and opens ``arity`` more, so
+    the coding region ends where no slot is left open.
+    """
+    need = 1
+    for pos, sym in enumerate(gene.symbols):
+        need += gene.pset.arity(sym) - 1
+        if need == 0:
+            return pos + 1
+    raise ConfigError("symbol sequence exhausted during decode")
 
 
 def format_gene(gene: Gene) -> str:
@@ -454,7 +469,7 @@ def evolve_generation(
         pool_scores = _evaluate(pool, fitness)
     else:
         pool_scores = list(scores) + _evaluate(pool[m:], fitness)
-    coding = [decode(g).coding_length for g in pool]
+    coding = [coding_length(g) for g in pool]
     order = sorted(range(len(pool)),
                    key=lambda i: (-pool_scores[i], coding[i]))
     keep = order[:m]

@@ -36,7 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from gepcirc.engine import ConfigError, Gene, PrimitiveSet, decode, make_gene
+from gepcirc.engine import (
+    ConfigError, Gene, PrimitiveSet, coding_length, make_gene,
+)
 
 MAX_QUBITS = 24        # dense statevectors above this exhaust memory
 TWO_TURNS = 4.0 * math.pi   # Ry period on the SU(2) double cover
@@ -377,8 +379,9 @@ def gene_to_circuit(gene: Gene, table: GateTable) -> QuantumCircuit:
     The string is outermost-first, so gates apply in reverse symbol order;
     parameter slots are numbered in application order.
     """
-    tree = decode(gene)
-    symbols = tree.bfs_symbols()   # a unary chain ending in the terminal
+    # every gate is unary, so the coding region is a chain ending in the
+    # terminal, in the gene's own order
+    symbols = gene.symbols[:coding_length(gene)]
     gates: list[GateInstance] = []
     slot = 0
     for sym in reversed(symbols[:-1]):

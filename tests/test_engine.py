@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gepcirc.arith import make_arith_pset
 from gepcirc.engine import (
@@ -10,6 +11,7 @@ from gepcirc.engine import (
     EvolutionConfig,
     Gene,
     PrimitiveSet,
+    coding_length,
     decode,
     evolve_generation,
     format_gene,
@@ -75,6 +77,28 @@ class TestKarvaDecode:
         assert decode(gene.symbols, ARITH).coding_length == 8
         with pytest.raises(ConfigError):
             decode(seq("ab"))
+
+
+@st.composite
+def genes(draw):
+    """A random gene over 0-4 functions of arity 1-3 and 1-3 terminals."""
+    arities = draw(st.lists(st.integers(1, 3), max_size=4))
+    n_terms = draw(st.integers(1, 3))
+    pset = PrimitiveSet(list(enumerate(arities)),
+                        range(len(arities), len(arities) + n_terms))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_gene(pset, draw(st.integers(1, 12)), rng)
+
+
+class TestCodingLength:
+    @settings(deadline=None, max_examples=300)
+    @given(gene=genes())
+    def test_matches_decode(self, gene):
+        assert coding_length(gene) == decode(gene).coding_length
+
+    def test_golden(self):
+        gene = make_gene(seq("+b*aQa-abababab"), 7, ARITH)
+        assert coding_length(gene) == 6
 
 
 class TestGeneStructure:

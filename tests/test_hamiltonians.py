@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gepcirc.engine import ConfigError
 from gepcirc.hamiltonians import (
@@ -171,11 +172,75 @@ class TestExpectation:
         h = PauliSumHamiltonian(1, [PauliTerm.from_map(1.0, {0: "X"})])
         amps = np.array([1.0, 1.0]) / math.sqrt(2.0)
         assert abs(h.raw_expectation_array(amps) - 1.0) < 1e-12
-        h._phases = h._phases * 1j      # corrupt the cached tables
+        h._weights = h._weights * 1j    # corrupt the cached weight rows
         with pytest.raises(ImaginaryResidueError):
             h.raw_expectation_array(amps)
         with pytest.raises(ImaginaryResidueError):
             h.pair_elements(amps, amps)
+
+
+@st.composite
+def pauli_sums(draw):
+    """(h, a, b): a rescaled random Pauli sum on 1-6 qubits and two random
+    states. Terms are identities (""), Z-only strings, X/Y mixes or any
+    string; some repeat an earlier string or cancel it."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = rng.choice(["", "Z", "XY", "XYZ", "repeat", "cancel"])
+        if kind in ("repeat", "cancel"):
+            if terms:
+                old = rng.choice(terms)
+                coeff = -old.coefficient if kind == "cancel" \
+                    else rng.uniform(-2, 2)
+                terms.append(PauliTerm(coeff, old.ops))
+            continue
+        qubits = rng.sample(range(n), rng.randint(1, n)) if kind else []
+        paulis = {q: rng.choice(kind) for q in qubits}
+        terms.append(PauliTerm.from_map(rng.uniform(-2, 2), paulis))
+    h = PauliSumHamiltonian(n, terms, shift=rng.uniform(-3, 3),
+                            scale=rng.uniform(-2, 2))
+    a, b = (rand_state(n, rng).amplitudes for _ in range(2))
+    return h, a, b
+
+
+class TestGroupedExpectation:
+    @settings(deadline=None, max_examples=150)
+    @given(case=pauli_sums())
+    def test_matches_dense_matrix(self, case):
+        h, a, b = case
+        tol = 1e-12 * (1.0 + sum(abs(t.coefficient) for t in h.terms))
+        m = dense_matrix(h)
+        assert abs(h.raw_expectation_array(a) - np.vdot(a, m @ a).real) < tol
+        shifted = h.scale * (m - h.shift * np.eye(len(a)))
+        want = (np.vdot(a, shifted @ a).real, np.vdot(b, shifted @ b).real,
+                np.vdot(a, shifted @ b).real)
+        assert abs(h.expectation_array(a) - want[0]) < tol
+        for got, ref in zip(h.pair_elements(a, b), want):
+            assert abs(got - ref) < tol
+
+    def test_heisenberg_3x3_gathers_one_row_per_flip_mask(self):
+        # XX and YY on a bond share its flip mask; ZZ goes to the diagonal
+        h = heisenberg_2d(3, 3)
+        h.raw_expectation_array(basis_state(9, 0).amplitudes)
+        assert len(h.terms) == 36
+        assert h._perms.shape == h._weights.shape == (12, 512)
+
+    def test_diagonal_hamiltonian_is_one_product(self):
+        # an Ising Hamiltonian gathers nothing: exactly vdot(a, diag * a)
+        rng = random.Random(31)
+        for _ in range(30):
+            h = ising_from_graph(rand_graph(rng.randint(2, 6), rng))
+            if not h.terms:
+                continue
+            a, b = (rand_state(h.n_bits, rng).amplitudes for _ in range(2))
+            diag = dense_matrix(h).diagonal().real
+            assert h.raw_expectation_array(a) == np.vdot(a, diag * a).real
+            assert h.pair_elements(a, b) == (
+                np.vdot(a, diag * a).real, np.vdot(b, diag * b).real,
+                np.vdot(a, diag * b).real)
+            assert h._perms.shape == (0, 1 << h.n_bits)
 
 
 class TestPairElements:
@@ -291,6 +356,29 @@ class TestFileFormats:
         path.write_text("nbits 2\n1.0 Z0 Z0\n")
         with pytest.raises(ConfigError, match="bad.ham:2"):
             load_pauli_sum(str(path))
+
+    @pytest.mark.parametrize("text, line", [
+        ("nbits 2\n# a field\n\n1.0 X0 Z5\n", 4),
+        ("# empty register\nnbits 0\n1.0 Z0\n", 2),
+        ("nbits 30\n1.0 Z0\n", 1),
+    ], ids=["qubit-outside-nbits", "nbits-0", "nbits-30"])
+    def test_pauli_range_errors_carry_line_numbers(self, tmp_path, text, line):
+        path = tmp_path / "bad.ham"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"bad.ham:{line}: "):
+            load_pauli_sum(str(path))
+
+    @pytest.mark.parametrize("text, line", [
+        ("n 3\n0 1\n0 5\n", 3),
+        ("n 3\n0 1\n1 1\n", 3),
+        ("n 3\n0 1\n# again\n1 0\n", 4),
+        ("# no vertices\nn 0\n", 2),
+    ], ids=["edge-outside", "self-loop", "duplicate-edge", "n-0"])
+    def test_graph_errors_carry_line_numbers(self, tmp_path, text, line):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"bad.graph:{line}: "):
+            load_graph(str(path))
 
     def test_graph_round_trip(self, tmp_path):
         g = Graph(5, ((0, 1), (2, 4), (1, 3)))

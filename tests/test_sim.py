@@ -11,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gepcirc
 import gepcirc.sim as sim
 from gepcirc.cli import parse_input, run
-from gepcirc.engine import ConfigError, decode, random_gene
+from gepcirc.engine import ConfigError, coding_length, decode, random_gene
 from gepcirc.hamiltonians import Graph, save_graph
 from gepcirc.sim import (
     GATE_KINDS,
@@ -101,7 +101,7 @@ class TestBasisState:
             h = PauliSumHamiltonian(1, [PauliTerm.from_map(1.0, {0: "X"})])
             amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
             h.raw_expectation_array(amps)
-            h._phases = h._phases * 1j      # corrupt the cached tables
+            h._weights = h._weights * 1j    # corrupt the cached weight rows
             try:
                 h.raw_expectation_array(amps)
             except ImaginaryResidueError:
@@ -594,6 +594,85 @@ class TestCanonicalize:
             out_a = apply_circuit(s, circuit)
             out_b = apply_circuit(s, canonicalize(circuit))
             assert out_a.fidelity(out_b) >= 1.0 - 1e-10
+
+
+@st.composite
+def gene_circuits(draw, max_bits=4):
+    """(gene, table, circuit) over every gate kind on 1-4 qubits; the
+    circuit keeps its slots or binds them on or off the pi/4 grid."""
+    n = draw(st.integers(1, max_bits))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    usable = [k for k, kind in GATE_KINDS.items() if n > 1 or kind.n_qubits == 1]
+    table = build_primitive_set(n, usable)
+    gene = random_gene(table.pset, draw(st.integers(1, 14)), rng)
+    circuit = gene_to_circuit(gene, table)
+    angles = draw(st.sampled_from(["slots", "grid", "off-grid"]))
+    if angles == "grid":
+        circuit = bind_params(circuit, [rng.randrange(-16, 16) * math.pi / 4
+                                        for _ in range(circuit.n_params)])
+    elif angles == "off-grid":
+        circuit = bind_params(circuit, [rng.uniform(-20.0, 20.0)
+                                        for _ in range(circuit.n_params)])
+    return gene, table, circuit
+
+
+def dense_unitary(circuit):
+    """Product of the gates' Kronecker matrices, the first gate rightmost."""
+    n = circuit.n_bits
+    u = np.eye(1 << n, dtype=complex)
+    for g in circuit.gates:
+        if g.kind.n_qubits == 2:
+            u = dense_cnot(n, *g.qubits) @ u
+        else:
+            u = dense_1q(n, gate_matrix(g.kind, g.angle), g.qubits[0]) @ u
+    return u
+
+
+def tree_path_circuit(gene, table):
+    """The circuit read from the decoded expression tree, gate by gate."""
+    symbols = decode(gene).bfs_symbols()
+    gates, slot = [], 0
+    for sym in reversed(symbols[:-1]):
+        kind = table.placements[sym][0]
+        gates.append(table.instance(sym, slot if kind.n_slots else None))
+        slot += kind.n_slots
+    return QuantumCircuit(table.n_bits, tuple(gates))
+
+
+class TestCircuitProperties:
+    @settings(deadline=None, max_examples=200)
+    @given(case=gene_circuits())
+    def test_gene_to_circuit_matches_tree_path(self, case):
+        gene, table, _ = case
+        assert gene_to_circuit(gene, table) == tree_path_circuit(gene, table)
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=gene_circuits())
+    def test_circuit_to_gene_keeps_coding_region(self, case):
+        gene, table, _ = case
+        back = circuit_to_gene(gene_to_circuit(gene, table), table,
+                               gene.head_len)
+        assert back.symbols[:coding_length(back)] \
+            == gene.symbols[:coding_length(gene)]
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=gene_circuits())
+    def test_string_round_trip(self, case):
+        _, table, circuit = case
+        text = circuit_to_string(circuit)
+        assert circuit_to_string(parse_circuit(text, table.n_bits)) == text
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=gene_circuits())
+    def test_canonicalize_keeps_unitary_up_to_phase(self, case):
+        _, _, circuit = case
+        assume(not circuit.n_params)    # slots carry no angle
+        u = dense_unitary(circuit)
+        v = dense_unitary(canonicalize(circuit))
+        k = np.unravel_index(np.argmax(np.abs(u)), u.shape)
+        phase = v[k] / u[k]
+        assert abs(abs(phase) - 1.0) < 1e-10
+        assert np.abs(v - phase * u).max() < 1e-10
 
 
 class TestStringGrammar:
