@@ -28,7 +28,6 @@ from gepcirc.engine import (
 )
 from gepcirc.fitness import (
     CachingFitness,
-    OptimizerSettings,
     Problem,
     function_fit_problem,
     ground_state_problem,
@@ -361,12 +360,11 @@ def _reference_energy(spec: RunSpec, h: PauliSumHamiltonian,
 
 def _prepare(spec: RunSpec) -> _Prepared:
     table = build_primitive_set(spec.n_bits, spec.gates, p_phase=spec.p_phase)
-    settings = OptimizerSettings(refine=spec.gradient_refine)
     graph = None
     reference = None
     if spec.run_type == "FunctionFit":
         pairs = load_training_pairs(spec.resolve(spec.training_pairs), spec.n_bits)
-        problem = function_fit_problem(table, pairs, settings)
+        problem = function_fit_problem(table, pairs, spec.gradient_refine)
     else:
         if spec.graph_file:
             graph = load_graph(str(spec.resolve(spec.graph_file)))
@@ -387,7 +385,7 @@ def _prepare(spec: RunSpec) -> _Prepared:
             except ConfigError as exc:
                 raise spec.error("InitialState", str(exc)) from None
         problem = ground_state_problem(table, h, basis_state(spec.n_bits, index),
-                                       settings)
+                                       spec.gradient_refine)
         reference = _reference_energy(spec, h, graph)
     config = EvolutionConfig(
         generations=spec.generations,

@@ -369,10 +369,6 @@ class GenerationStats:
     best_fitness: float
     worst_fitness: float
 
-    @property
-    def spread(self) -> float:
-        return self.best_fitness - self.worst_fitness
-
 
 @dataclass
 class EvolutionResult:

@@ -151,12 +151,6 @@ class PauliSumHamiltonian:
     def rescaled(self, shift: float, scale: float) -> "PauliSumHamiltonian":
         return PauliSumHamiltonian(self.n_bits, self.terms, shift, scale)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return all(
-            p == "Z" for t in self.terms for _, p in t.ops
-        )
-
     def _build_cache(self) -> None:
         dim = 1 << self.n_bits
         indices = np.arange(dim, dtype=np.uint64)

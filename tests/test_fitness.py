@@ -8,7 +8,6 @@ import pytest
 from gepcirc.engine import ConfigError, make_gene, random_gene
 from gepcirc.fitness import (
     CachingFitness,
-    OptimizerSettings,
     function_fit_problem,
     ground_state_problem,
     optimize_params,
@@ -116,7 +115,7 @@ class TestOptimizeParams:
             gene = random_gene(table.pset, 6, rng)
             circuit = gene_to_circuit(gene, table)
             phi, value = optimize_params(circuit, prob)
-            start = [prob.settings.start_angle] * circuit.n_params
+            start = [math.pi / 4] * circuit.n_params
             assert value >= prefitness(circuit, start, prob) - 1e-12
             assert abs(value - prefitness(circuit, phi, prob)) < 1e-12
 
@@ -126,8 +125,7 @@ class TestOptimizeParams:
                                     PauliTerm.from_map(0.8, {0: "X"})])
         table = build_primitive_set(1, ["Ry"])
         coarse = ground_state_problem(table, h)
-        refined = ground_state_problem(
-            table, h, settings=OptimizerSettings(refine=True))
+        refined = ground_state_problem(table, h, refine=True)
         circuit = parse_circuit("Ry0:phi0", 1)
         _, v_coarse = optimize_params(circuit, coarse)
         phi, v_fine = optimize_params(circuit, refined)
@@ -136,19 +134,17 @@ class TestOptimizeParams:
         assert v_fine > 1.0 - 1e-5
         assert abs(v_fine - exact_ground_energy(h) * -1.0) < 1e-5
 
-    def test_settings_validation(self):
-        with pytest.raises(ConfigError):
-            OptimizerSettings(grid=())
-        with pytest.raises(ConfigError):
-            OptimizerSettings(fd_step=0.0)
-
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_non_finite_angles_rejected(self, bad):
-        # the sweep takes cos and sin of every grid angle and of the start
-        with pytest.raises(ConfigError, match="finite"):
-            OptimizerSettings(grid=(0.0, bad))
-        with pytest.raises(ConfigError, match="finite"):
-            OptimizerSettings(start_angle=bad)
+    @pytest.mark.parametrize("text", [
+        "Ry0:phi0 Ry1:phi0",                    # one slot, two gates
+        "Ry0:phi1 CNOT0,1 Ry1:phi0",            # out of gate order
+        "Ry0:phi0 Ry1:phi1 H0 Ry0:phi0",        # reused after others
+    ])
+    def test_shared_or_unordered_slots_rejected(self, text):
+        # the sweep reads each slot off one Ry gate's sinusoid
+        table = build_primitive_set(2, ["Ry", "CNOT", "H"])
+        prob = ground_state_problem(table, EDGE)
+        with pytest.raises(ConfigError, match="one Ry gate"):
+            optimize_params(parse_circuit(text, 2), prob)
 
 
 class TestFitness:

@@ -1,21 +1,23 @@
 """The stacked-pair angle sweep against a reference sweep and direct values.
 
-In a slot that one Ry gate uses, the optimizer reads every grid angle's
-value off the sinusoid a + b*cos(t) + c*sin(t), with (a, b, c) from one
-simulation of the stacked pair. Two checks pin it down:
+In every slot, which one Ry gate uses, the optimizer reads every grid
+angle's value, and the exact maximum, off the sinusoid
+a + b*cos(t) + c*sin(t), with (a, b, c) from one simulation of the stacked
+pair. Three checks pin it down:
 
 * ``reference_sweep`` below is the plain coordinate sweep with the same
-  rule: for a single-use slot it scans every grid angle of the sinusoid
-  built from the optimizer's own (a, b, c), for a shared slot every grid
-  angle by direct pre-fitness evaluation. The optimizer must return
-  exactly its angles and value (``==``, not approximately).
+  rule: it scans every grid angle of the sinusoid built from the
+  optimizer's own (a, b, c), and with ``refine`` it then continues with the
+  sinusoid's maximum at atan2(c, b). The optimizer must return exactly its
+  angles and value (``==``, not approximately).
 * (a, b, c) must reproduce direct pre-fitness evaluations at every grid
   angle and at random angles, within 1e-12 relative.
+* After the refinement, central differences of direct pre-fitness
+  evaluations must vanish along every slot, whatever (a, b, c) said.
 """
 
 import math
 import random
-from collections import Counter
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,7 +26,6 @@ import gepcirc.fitness as fitness_mod
 from gepcirc.engine import random_gene
 from gepcirc.fitness import (
     DEFAULT_GRID,
-    OptimizerSettings,
     function_fit_problem,
     ground_state_problem,
     optimize_params,
@@ -53,64 +54,59 @@ def record_sinusoids(monkeypatch):
     return log
 
 
-def reference_sweep(circuit, problem, opts, sinusoids):
+def reference_sweep(circuit, problem, sinusoids):
     """Reference sweep: (phi, best, history), one (phi_before, changed)
     entry per slot visit, taking the (phi, (a, b, c)) entries of
-    ``sinusoids`` in order for the single-use slots."""
+    ``sinusoids`` in order."""
     k_slots = circuit.n_params
     if k_slots == 0:
         return (), prefitness(circuit, (), problem), []
 
-    uses = Counter(g.slot for g in circuit.gates if g.slot is not None)
     feed = iter(sinusoids)
-    grid = list(opts.grid)
-    phi = [opts.start_angle] * k_slots
+    grid = list(DEFAULT_GRID)
+    phi = [math.pi / 4] * k_slots
     history = []
     walked = set()
+    exact = False
     settled = 0
-    for visit in range(opts.max_sweep_cycles * k_slots):
+    for visit in range(100 * k_slots):
         k = visit % k_slots
         before, current = tuple(phi), phi[k]
-        if uses[k] == 1:
-            at, (a, b, c) = next(feed)
-            assert at == before
-            scale = 1 + abs(a) + abs(b) + abs(c)
+        at, (a, b, c) = next(feed)
+        assert at == before
 
-            def value_at(t, a=a, b=b, c=c):
-                return a + b * math.cos(t) + c * math.sin(t)
+        def value_at(t, a=a, b=b, c=c):
+            return a + b * math.cos(t) + c * math.sin(t)
+
+        margin = fitness_mod._TIE_MARGIN * (1 + abs(a) + abs(b) + abs(c))
+        if exact:
+            # the sinusoid's maximum, a + hypot(b, c), at atan2(c, b)
+            if a + math.hypot(b, c) > value_at(current) + margin:
+                phi[k] = math.atan2(c, b)
         else:
-            def value_at(t):
-                return prefitness(circuit, before[:k] + (t,) + before[k + 1:],
-                                  problem)
-            scale = 1 + max(abs(value_at(t)) for t in grid)
-        margin = fitness_mod._TIE_MARGIN * scale
-        values = [value_at(t) for t in grid]
-        top = max(values)
-        if top > value_at(current) + margin:
-            # the first grid angle within the margin of the best
-            phi[k] = next(t for t, v in zip(grid, values) if v >= top - margin)
-        elif k not in walked:
-            # the next tied angle after the current one, cyclically
-            start = grid.index(current) + 1 if current in grid else 0
-            for j in range(start, start + len(grid)):
-                if values[j % len(grid)] >= top - margin:
-                    phi[k] = grid[j % len(grid)]
-                    break
-            walked.add(k)
+            values = [value_at(t) for t in grid]
+            top = max(values)
+            if top > value_at(current) + margin:
+                # the first grid angle within the margin of the best
+                phi[k] = next(t for t, v in zip(grid, values)
+                              if v >= top - margin)
+            elif k not in walked:
+                # the next tied angle after the current one, cyclically
+                start = grid.index(current) + 1
+                for j in range(start, start + len(grid)):
+                    if values[j % len(grid)] >= top - margin:
+                        phi[k] = grid[j % len(grid)]
+                        break
+                walked.add(k)
         changed = phi[k] != current
         history.append((before, changed))
         settled = 1 if changed else settled + 1
         if settled == k_slots:
-            break
+            if exact or not problem.refine:
+                break
+            exact, settled = True, 0
     assert next(feed, None) is None
-
-    def pf(values):
-        return prefitness(circuit, values, problem)
-
-    best = pf(phi)
-    if opts.refine:
-        phi, best = fitness_mod._gradient_refine(pf, phi, best, opts)
-    return tuple(phi), best, history
+    return tuple(phi), prefitness(circuit, phi, problem), history
 
 
 def random_pauli_sum(n, rng):
@@ -143,39 +139,20 @@ def random_state(n, rng):
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
-def make_problem(kind, table, seed, opts, n_pairs=None):
+def make_problem(kind, table, seed, refine=False, n_pairs=None):
     rng = random.Random(seed)
     n = table.n_bits
     if kind in ("pauli", "ising"):
         h = (random_pauli_sum if kind == "pauli" else random_ising)(n, rng)
-        return ground_state_problem(table, h, settings=opts)
+        return ground_state_problem(table, h, refine=refine)
     nprng = np.random.default_rng(seed)
     if n_pairs is None:
         n_pairs = rng.randint(1, 3)
     pairs = [(random_state(n, nprng), random_state(n, nprng))
              for _ in range(n_pairs)]
-    return function_fit_problem(table, pairs, settings=opts)
+    return function_fit_problem(table, pairs, refine=refine)
 
 
-def make_grid(kind, seed):
-    rng = random.Random(seed)
-    if kind == "default":
-        return DEFAULT_GRID
-    if kind == "no_start":      # the start angle pi/4 is not a grid angle
-        return tuple(rng.uniform(-2 * math.pi, 2 * math.pi)
-                     for _ in range(rng.randint(3, 9)))
-    if kind == "few":           # one or two angles, maybe the start angle
-        return tuple(rng.choice([rng.uniform(0, 2 * math.pi), math.pi / 4])
-                     for _ in range(rng.randint(1, 2)))
-    # clusters of near-coincident or repeated angles, sometimes nothing else
-    grid = []
-    for _ in range(rng.randint(1, 3)):
-        base, step = rng.uniform(0, 2 * math.pi), rng.choice([0.0, 1e-10])
-        grid += [base + i * step for i in range(rng.randint(1, 4))]
-    return tuple(grid)
-
-
-GRIDS = st.sampled_from(["default", "no_start", "few", "near"])
 KINDS = st.sampled_from(["pauli", "ising", "pairs"])
 # each example patches through its own monkeypatch.context()
 SLOW = settings(max_examples=60, deadline=None,
@@ -187,61 +164,67 @@ def assert_matches_reference(circuit, problem, monkeypatch):
     with monkeypatch.context() as m:
         sinusoids = record_sinusoids(m)
         result = optimize_params(circuit, problem)
-    phi, best, _ = reference_sweep(circuit, problem, problem.settings,
-                                   sinusoids)
+    phi, best, _ = reference_sweep(circuit, problem, sinusoids)
     assert result == (phi, best)
+
+
+def gene_circuit(n, head, seed):
+    table = build_primitive_set(n, ["Ry", "P", "CNOT"])
+    gene = random_gene(table.pset, head, random.Random(seed))
+    return gene_to_circuit(gene, table), table
 
 
 @SLOW
 @given(n=st.integers(2, 5), head=st.integers(1, 8), seed=st.integers(0, 2**32),
-       kind=KINDS, grid=GRIDS, refine=st.booleans())
+       kind=KINDS, refine=st.booleans())
 def test_gene_circuits_match_exhaustive_scan(monkeypatch, n, head, seed, kind,
-                                             grid, refine):
-    table = build_primitive_set(n, ["Ry", "P", "CNOT"])
-    circuit = gene_to_circuit(random_gene(table.pset, head, random.Random(seed)),
-                              table)
-    opts = OptimizerSettings(grid=make_grid(grid, seed), refine=refine,
-                             max_refine_iters=3)
-    assert_matches_reference(circuit, make_problem(kind, table, seed, opts),
+                                             refine):
+    circuit, table = gene_circuit(n, head, seed)
+    assert_matches_reference(circuit, make_problem(kind, table, seed, refine),
                              monkeypatch)
 
 
 @SLOW
-@given(n=st.integers(2, 4), n_slots=st.integers(1, 3), extra=st.integers(1, 5),
-       seed=st.integers(0, 2**32), kind=KINDS, grid=GRIDS)
-def test_repeated_slots_match_exhaustive_scan(monkeypatch, n, n_slots, extra,
-                                              seed, kind, grid):
-    # every slot used once, at least one used again: the pre-fitness is then
-    # not a single sinusoid in that slot, which gets the direct scan
-    rng = random.Random(seed)
-    slots = list(range(n_slots)) + [rng.randrange(n_slots) for _ in range(extra)]
-    tokens = [f"Ry{rng.randrange(n)}:phi{s}" for s in slots]
-    for _ in range(rng.randint(0, 4)):
-        a, b = rng.sample(range(n), 2)
-        tokens.append(rng.choice([f"CNOT{a},{b}", f"P{a}"]))
-    rng.shuffle(tokens)
-    circuit = parse_circuit(" ".join(tokens), n)
-    table = build_primitive_set(n, ["Ry", "P", "CNOT"])
-    opts = OptimizerSettings(grid=make_grid(grid, seed))
-    assert_matches_reference(circuit, make_problem(kind, table, seed, opts),
-                             monkeypatch)
+@given(n=st.integers(2, 5), head=st.integers(1, 8), seed=st.integers(0, 2**32),
+       kind=KINDS)
+def test_refined_angles_are_per_slot_maxima(monkeypatch, n, head, seed, kind):
+    # the refinement starts from the grid sweep's angles and only climbs.
+    # Where it settles, no slot can gain more than the tie margin m, so a
+    # slot whose value is a + R*cos(t - t0) sits within 1 - cos(d) <= m/R
+    # of its peak and has slope R*sin(d) <= sqrt(2*m*R); a, b, c and R
+    # come from direct evaluations at 0, pi/2 and pi, not from the sweep
+    circuit, table = gene_circuit(n, head, seed)
+    _, grid_value = optimize_params(circuit, make_problem(kind, table, seed))
+    problem = make_problem(kind, table, seed, refine=True)
+    with monkeypatch.context() as m:
+        visits = record_sinusoids(m)
+        phi, value = optimize_params(circuit, problem)
+    assert value >= grid_value
+    if len(visits) == 100 * len(phi):
+        return      # stopped by the visit cap, not settled
+    h = 1e-5
+    for k in range(len(phi)):
+        def f(t, k=k):
+            return prefitness(circuit, phi[:k] + (t,) + phi[k + 1:], problem)
+
+        slope = (f(phi[k] + h) - f(phi[k] - h)) / (2 * h)
+        a, b = (f(0.0) + f(math.pi)) / 2, (f(0.0) - f(math.pi)) / 2
+        c = f(math.pi / 2) - a
+        scale = 1 + abs(a) + abs(b) + abs(c)
+        margin = fitness_mod._TIE_MARGIN * scale
+        assert abs(slope) <= math.sqrt(2 * margin * math.hypot(b, c)) \
+            + 1e-9 * scale
 
 
-def framed_circuit(rng, n, k_slots, repeats, shuffled):
-    """Ry gates on slots 0..K-1, in shuffled order when asked, then
-    `repeats` more uses of drawn slots, with fixed H/P/CNOT gates before the
-    first slot gate, between slot gates and after the last."""
+def framed_circuit(rng, n, k_slots):
+    """Ry gates on slots 0..K-1 in gate order, with fixed H/P/CNOT gates
+    before the first slot gate, between slot gates and after the last."""
     def fixed():
         a, b = rng.sample(range(n), 2)
         return rng.choice([f"H{a}", f"P{a}", f"CNOT{a},{b}"])
 
-    slots = list(range(k_slots))
-    if shuffled:
-        rng.shuffle(slots)
-    if k_slots:
-        slots += [rng.randrange(k_slots) for _ in range(repeats)]
     tokens = [fixed() for _ in range(rng.randint(1, 3))]
-    for slot in slots:
+    for slot in range(k_slots):
         tokens += [fixed() for _ in range(rng.randint(0, 2))]
         tokens.append(f"Ry{rng.randrange(n)}:phi{slot}")
     tokens += [fixed() for _ in range(rng.randint(1, 3))]
@@ -249,66 +232,61 @@ def framed_circuit(rng, n, k_slots, repeats, shuffled):
 
 
 @SLOW
-@given(n=st.integers(2, 4), k_slots=st.integers(0, 4), repeats=st.integers(0, 2),
-       shuffled=st.booleans(), seed=st.integers(0, 2**32), kind=KINDS,
-       grid=GRIDS, stackable=st.booleans())
-def test_framed_circuits_match_exhaustive_scan(monkeypatch, n, k_slots, repeats,
-                                               shuffled, seed, kind, grid,
-                                               stackable):
+@given(n=st.integers(2, 4), k_slots=st.integers(0, 4),
+       seed=st.integers(0, 2**32), kind=KINDS, refine=st.booleans(),
+       stackable=st.booleans())
+def test_framed_circuits_match_exhaustive_scan(monkeypatch, n, k_slots, seed,
+                                               kind, refine, stackable):
     # the kept prefix state is rebuilt, advanced past fixed gates, and
-    # moved backwards when slots are out of gate order; on a register at
-    # the simulator's width limit, where no stacked pair fits, psi and
-    # -iY psi go through the suffix one at a time
-    circuit = framed_circuit(random.Random(seed), n, k_slots, repeats, shuffled)
+    # moved back when the cycle wraps; on a register at the simulator's
+    # width limit, where no stacked pair fits, psi and -iY psi go through
+    # the suffix one at a time
+    circuit = framed_circuit(random.Random(seed), n, k_slots)
     table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
-    opts = OptimizerSettings(grid=make_grid(grid, seed))
     with monkeypatch.context() as m:
         if not stackable:
             m.setattr(fitness_mod, "MAX_QUBITS", n)
-        assert_matches_reference(circuit, make_problem(kind, table, seed, opts),
+        assert_matches_reference(circuit,
+                                 make_problem(kind, table, seed, refine),
                                  monkeypatch)
 
 
 @SLOW
-@given(n=st.integers(2, 4), k_slots=st.integers(0, 3), shuffled=st.booleans(),
+@given(n=st.integers(2, 4), k_slots=st.integers(0, 3),
        n_pairs=st.integers(2, 5), seed=st.integers(0, 2**32))
-def test_several_pairs_match_exhaustive_scan(monkeypatch, n, k_slots, shuffled,
-                                             n_pairs, seed):
+def test_several_pairs_match_exhaustive_scan(monkeypatch, n, k_slots, n_pairs,
+                                             seed):
     # one kept state, and one stacked run, per training pair
-    circuit = framed_circuit(random.Random(seed), n, k_slots, 1, shuffled)
+    circuit = framed_circuit(random.Random(seed), n, k_slots)
     table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
-    problem = make_problem("pairs", table, seed, OptimizerSettings(), n_pairs)
+    problem = make_problem("pairs", table, seed, n_pairs=n_pairs)
     assert_matches_reference(circuit, problem, monkeypatch)
 
 
 @SLOW
-@given(n=st.integers(2, 4), k_slots=st.integers(1, 4), repeats=st.integers(0, 2),
-       shuffled=st.booleans(), n_pairs=st.integers(2, 5),
-       seed=st.integers(0, 2**32), kind=KINDS, stacked=st.booleans())
-def test_sinusoid_reproduces_direct_prefitness(monkeypatch, n, k_slots, repeats,
-                                               shuffled, n_pairs, seed, kind,
-                                               stacked):
-    # H/P/CNOT frames, shared phiK slots held at random angles, several
-    # training pairs, random non-diagonal Pauli sums with shift and scale,
-    # and diagonal ones; psi and -iY psi stacked, or run one at a time as
-    # at the simulator's width limit
+@given(n=st.integers(2, 4), k_slots=st.integers(1, 4),
+       n_pairs=st.integers(2, 5), seed=st.integers(0, 2**32), kind=KINDS,
+       stacked=st.booleans())
+def test_sinusoid_reproduces_direct_prefitness(monkeypatch, n, k_slots,
+                                               n_pairs, seed, kind, stacked):
+    # H/P/CNOT frames, other slots held at random angles, several training
+    # pairs, random non-diagonal Pauli sums with shift and scale, and
+    # diagonal ones; psi and -iY psi stacked, or run one at a time as at
+    # the simulator's width limit
     with monkeypatch.context() as m:
         if not stacked:
             m.setattr(fitness_mod, "MAX_QUBITS", n)
-        check_sinusoids(n, k_slots, repeats, shuffled, n_pairs, seed, kind)
+        check_sinusoids(n, k_slots, n_pairs, seed, kind)
 
 
-def check_sinusoids(n, k_slots, repeats, shuffled, n_pairs, seed, kind):
+def check_sinusoids(n, k_slots, n_pairs, seed, kind):
     rng = random.Random(seed)
-    circuit = framed_circuit(rng, n, k_slots, repeats, shuffled)
+    circuit = framed_circuit(rng, n, k_slots)
     table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
-    problem = make_problem(kind, table, seed, OptimizerSettings(), n_pairs)
-    uses = Counter(g.slot for g in circuit.gates if g.slot is not None)
+    problem = make_problem(kind, table, seed, n_pairs=n_pairs)
     phi = [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(k_slots)]
     kept = fitness_mod._KeptStates(circuit, problem)
     for k in range(k_slots):
-        if uses[k] > 1:
-            continue
         gate = next(i for i, g in enumerate(circuit.gates) if g.slot == k)
         kept.move_to(gate, phi)
         a, b, c = kept.sinusoid(phi)
@@ -353,7 +331,7 @@ def test_one_stacked_run_per_visit_and_early_stop(monkeypatch):
     result = optimize_params(circuit, problem)
     applies = applies[:]        # the reference below evaluates too
     ref_phi, ref_best, history = reference_sweep(circuit, problem,
-                                                 problem.settings, sinusoids)
+                                                 sinusoids)
     assert result == (ref_phi, ref_best)
 
     k_slots = circuit.n_params
@@ -377,7 +355,7 @@ def test_gate_applications_counted_exactly(monkeypatch):
     result = optimize_params(circuit, problem)
     applies = applies[:]        # the reference below evaluates too
     ref_phi, ref_best, history = reference_sweep(circuit, problem,
-                                                 problem.settings, sinusoids)
+                                                 sinusoids)
     assert result == (ref_phi, ref_best)
     stacked = [gates for n_bits, gates in applies if n_bits == 5]
     moves = [gates for n_bits, gates in applies[:-1] if n_bits == 4]
@@ -407,7 +385,6 @@ def test_flat_slot_moves_sideways_once(monkeypatch):
     assert phi == (DEFAULT_GRID[2], DEFAULT_GRID[4])
     assert best == 1.0
     assert len(sinusoids) == 3
-    ref_phi, _, history = reference_sweep(circuit, problem, problem.settings,
-                                          sinusoids)
+    ref_phi, _, history = reference_sweep(circuit, problem, sinusoids)
     assert ref_phi == phi
     assert [changed for _, changed in history] == [True, True, False]
