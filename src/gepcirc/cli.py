@@ -58,7 +58,6 @@ from gepcirc.sim import (
     apply_circuit,
     basis_state,
     bind_params,
-    build_primitive_set,
     canonicalize,
     circuit_to_gene,
     circuit_to_string,
@@ -359,7 +358,7 @@ def _reference_energy(spec: RunSpec, h: PauliSumHamiltonian,
 
 
 def _prepare(spec: RunSpec) -> _Prepared:
-    table = build_primitive_set(spec.n_bits, spec.gates, p_phase=spec.p_phase)
+    table = GateTable(spec.n_bits, spec.gates, p_phase=spec.p_phase)
     graph = None
     reference = None
     if spec.run_type == "FunctionFit":

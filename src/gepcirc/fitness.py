@@ -7,6 +7,9 @@ The optimizer is a deterministic coordinate sweep over a discrete angle
 grid, optionally continued with each slot set to its exact continuous
 maximum.
 
+Slot k is the angle of the k-th free Ry gate in gate order (see ``sim``),
+so every slot belongs to exactly one gate.
+
 The sweep does not evaluate grid angles one by one. Ry(t) = cos(t/2) I +
 sin(t/2) (-iY), so if psi is the state entering a slot's only gate and U
 the gates after it, the output at angle t is cos(t/2) A + sin(t/2) B with
@@ -22,9 +25,6 @@ the whole grid off (a, b, c), and also the exact maximum over all angles,
 a + hypot(b, c) at t = atan2(c, b). A visit holds one stacked 2*2^N array
 at a time, twice the per-state working set of evaluating one angle, which
 matters only at large N.
-
-This needs every slot used by exactly one Ry gate, and the slots numbered
-in gate order, as ``gene_to_circuit`` and ``canonicalize`` number them.
 
 Nor does a visit simulate the gates before its slot. They do not change
 during the visit, so the sweep keeps the state(s) entering that gate,
@@ -49,7 +49,6 @@ from gepcirc.engine import ConfigError, Gene
 from gepcirc.hamiltonians import PauliSumHamiltonian
 from gepcirc.sim import (
     MAX_QUBITS,
-    GateInstance,
     GateTable,
     QuantumCircuit,
     StateVector,
@@ -186,20 +185,15 @@ class _KeptStates:
         """Gates ``start:stop`` as a circuit of their own on ``n_bits``
         bits, plus its slot offset, built on first use.
 
-        The offset is the number of slots used before gate ``start``. Slots
-        run in gate order, so the segment's slot j is circuit slot
-        offset + j, and the segment run with ``phi[offset:]`` makes the gate
-        calls that those gates make in the whole circuit run with ``phi``.
+        The offset is the number of free gates before gate ``start``, so
+        the segment run with ``phi[offset:]`` makes the gate calls that
+        those gates make in the whole circuit run with ``phi``.
         """
         key = (start, stop, n_bits)
         if key not in self._segments:
             gates = self.circuit.gates
-            offset = sum(gate.slot is not None for gate in gates[:start])
-            self._segments[key] = QuantumCircuit(n_bits, tuple(
-                gate if gate.slot is None or not offset
-                else GateInstance(gate.kind, gate.qubits,
-                                  slot=gate.slot - offset)
-                for gate in gates[start:stop])), offset
+            self._segments[key] = (QuantumCircuit(n_bits, gates[start:stop]),
+                                   sum(gate.free for gate in gates[:start]))
         return self._segments[key]
 
     def move_to(self, index: int, phi: Sequence[float]) -> None:
@@ -258,15 +252,11 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
                     ) -> tuple[tuple[float, ...], float]:
     """Best angle vector and its pre-fitness, deterministically.
 
-    Every slot must be used by exactly one Ry gate, and the slots must be
-    numbered in gate order (``gene_to_circuit`` and ``canonicalize`` number
-    them so); any other circuit raises ``ConfigError``.
-
-    Coordinate-wise sweep over ``DEFAULT_GRID``, visiting slots 0..K-1
-    cyclically from all angles at pi/4. A visit costs one simulation of
-    the gates after the slot's gate, on the stacked pair (see the module
-    docstring), which gives (a, b, c) and from them every grid angle's
-    value. Values within ``_TIE_MARGIN`` times 1 + |a| + |b| + |c| tie.
+    Coordinate-wise sweep over ``DEFAULT_GRID``, visiting slots 0..K-1,
+    the free Ry gates in gate order, cyclically from all angles at pi/4.
+    A visit costs one simulation of the gates after the slot's gate, on
+    the stacked pair (see the module docstring), which gives (a, b, c)
+    and from them every grid angle's value. Values within ``_TIE_MARGIN`` times 1 + |a| + |b| + |c| tie.
     If the best grid value beats the current angle's by more than that,
     the slot moves to the first grid angle that ties with the best.
     Otherwise, on its first such visit, it moves sideways, to the next
@@ -285,13 +275,8 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
     one direct pre-fitness evaluation at the final angles.
     """
     k_slots = circuit.n_params
-    gate_of = [i for i, gate in enumerate(circuit.gates)
-               if gate.slot is not None]     # slot -> index of its gate
-    slots = [circuit.gates[i].slot for i in gate_of]
-    if slots != list(range(k_slots)):
-        raise ConfigError(
-            "optimize_params needs each slot used by one Ry gate, numbered "
-            f"in gate order; the gates use slots {slots}")
+    # slot -> index of its gate
+    gate_of = [i for i, gate in enumerate(circuit.gates) if gate.free]
     if k_slots == 0:
         return (), prefitness(circuit, (), problem)
 

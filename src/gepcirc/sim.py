@@ -5,10 +5,10 @@ is the least significant bit and index 3 on 8 qubits is 00000011. Circuit
 strings follow operator-composition order: the first token is the outermost
 (last-applied) gate, matching how the gene coding region reads.
 
-Gates carry either a fixed angle in radians or a slot index into a
-parameter vector; only Ry allocates slots. P is the phase gate diag(1,
-e^{i*lambda}) with lambda = pi/2 by default (the S gate), overridable per
-gate table.
+A Ry gate carries a fixed angle in radians or none; a Ry without one is
+free, and the k-th free Ry in gate order takes entry k of the parameter
+vector. P is the phase gate diag(1, e^{i*lambda}) with lambda = pi/2 by
+default (the S gate), overridable per gate table.
 
 Gate application works on the flat amplitude array. A 1-qubit gate on
 qubit q views the state as (high, 2, low) with low = 2^q, brings the
@@ -48,7 +48,7 @@ __all__ = [
     "GateKind", "GATE_KINDS", "GateInstance", "QuantumCircuit",
     "StateVector", "basis_state", "gate_matrix",
     "apply_gate", "apply_circuit", "apply_circuit_array",
-    "GateTable", "build_primitive_set", "gene_to_circuit", "circuit_to_gene",
+    "GateTable", "gene_to_circuit", "circuit_to_gene",
     "bind_params", "canonicalize",
     "format_angle", "parse_angle", "circuit_to_string", "parse_circuit",
     "parse_basis_label",
@@ -92,12 +92,15 @@ _FIXED_MATRICES = {
 
 @dataclass(frozen=True)
 class GateInstance:
-    """A gate bound to qubits, with either a fixed angle or a slot index."""
+    """A gate bound to qubits, with a fixed angle or none.
+
+    ``free`` is true for a Ry without an angle, which takes its angle from
+    the parameter vector.
+    """
 
     kind: GateKind
     qubits: tuple[int, ...]
     angle: float | None = None
-    slot: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.qubits) != self.kind.n_qubits:
@@ -107,33 +110,19 @@ class GateInstance:
             )
         if len(set(self.qubits)) != len(self.qubits):
             raise ConfigError(f"{self.kind.name} qubits must be distinct")
-        if self.angle is not None and self.slot is not None:
-            raise ConfigError("gate cannot have both a fixed angle and a slot")
-        if self.kind.n_slots:
-            if self.angle is None and self.slot is None:
-                raise ConfigError(f"{self.kind.name} needs an angle or a slot")
-        elif self.slot is not None:
-            raise ConfigError(f"{self.kind.name} takes no parameter slot")
-        elif self.angle is not None and self.kind.name != "P":
+        if (self.angle is not None and not self.kind.n_slots
+                and self.kind.name != "P"):
             raise ConfigError(f"{self.kind.name} takes no angle")
-
-    def resolved_angle(self, params: Sequence[float]) -> float | None:
-        if self.slot is not None:
-            if self.slot >= len(params):
-                raise ConfigError(
-                    f"slot {self.slot} outside parameter vector of "
-                    f"length {len(params)}"
-                )
-            return float(params[self.slot])
-        return self.angle
+        object.__setattr__(self, "free",
+                           bool(self.kind.n_slots) and self.angle is None)
 
 
 @dataclass(frozen=True)
 class QuantumCircuit:
     """Ordered gate list applied left-to-right to a state.
 
-    ``n_params`` is K, the number of free parameter slots; slot indices must
-    cover 0..K-1 without gaps.
+    ``n_params`` is K, the number of free gates; the k-th free gate in gate
+    order takes parameter k.
     """
 
     n_bits: int
@@ -142,18 +131,13 @@ class QuantumCircuit:
     def __post_init__(self) -> None:
         if not 1 <= self.n_bits <= MAX_QUBITS:
             raise ConfigError(f"n_bits must be in 1..{MAX_QUBITS}")
-        slots = []
         for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < self.n_bits:
                     raise ConfigError(
                         f"qubit {q} out of range for {self.n_bits} bits"
                     )
-            if g.slot is not None:
-                slots.append(g.slot)
-        if sorted(set(slots)) != list(range(len(set(slots)))):
-            raise ConfigError(f"parameter slots {sorted(set(slots))} have gaps")
-        object.__setattr__(self, "n_params", len(set(slots)))
+        object.__setattr__(self, "n_params", sum(g.free for g in self.gates))
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -265,22 +249,18 @@ def _apply_cnot(amps: np.ndarray, n_bits: int, control: int,
 
 
 def _apply_instance(amps: np.ndarray, n_bits: int, gate: GateInstance,
-                    params: Sequence[float]) -> np.ndarray:
+                    angle: float | None) -> np.ndarray:
     if gate.kind.n_qubits == 2:     # CNOT is the only two-qubit kind
         return _apply_cnot(amps, n_bits, *gate.qubits)
-    mat = _kernel_matrix(gate.kind.name, gate.resolved_angle(params))
+    mat = _kernel_matrix(gate.kind.name, angle)
     return _apply_1q(amps, n_bits, mat, gate.qubits[0])
 
 
-def apply_gate(state: StateVector, gate: GateInstance,
-               params: Sequence[float] = ()) -> StateVector:
-    """Apply one gate; unitarity keeps the norm within tolerance."""
-    for q in gate.qubits:
-        if not 0 <= q < state.n_bits:
-            raise ConfigError(f"qubit {q} out of range for {state.n_bits} bits")
-    return StateVector(
-        state.n_bits, _apply_instance(state.amplitudes, state.n_bits, gate, params)
-    )
+def _check_params(circuit: QuantumCircuit, params: Sequence[float]) -> None:
+    if len(params) < circuit.n_params:
+        raise ConfigError(
+            f"circuit needs {circuit.n_params} parameters, got {len(params)}"
+        )
 
 
 def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
@@ -290,12 +270,11 @@ def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
         raise ConfigError(
             f"circuit is for {circuit.n_bits} bits, state has {n_bits}"
         )
-    if len(params) < circuit.n_params:
-        raise ConfigError(
-            f"circuit needs {circuit.n_params} parameters, got {len(params)}"
-        )
+    _check_params(circuit, params)
+    free_angles = iter(params)
     for gate in circuit.gates:
-        amps = _apply_instance(amps, n_bits, gate, params)
+        angle = float(next(free_angles)) if gate.free else gate.angle
+        amps = _apply_instance(amps, n_bits, gate, angle)
     return amps
 
 
@@ -304,6 +283,12 @@ def apply_circuit(state: StateVector, circuit: QuantumCircuit,
     """Apply all gates in order: gates[0] acts first."""
     amps = apply_circuit_array(state.amplitudes, state.n_bits, circuit, params)
     return StateVector(state.n_bits, amps)
+
+
+def apply_gate(state: StateVector, gate: GateInstance,
+               params: Sequence[float] = ()) -> StateVector:
+    """Apply one gate; unitarity keeps the norm within tolerance."""
+    return apply_circuit(state, QuantumCircuit(state.n_bits, (gate,)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +333,7 @@ class GateTable:
             [(s, 1) for s in range(len(placements))], [self.terminal], names
         )
         self._index = {pl: s for s, pl in enumerate(placements)}
+        self._instances: dict[int, GateInstance] = {}
 
     def symbol_for(self, kind: GateKind | str, qubits: Sequence[int]) -> int:
         kind = GATE_KINDS[kind] if isinstance(kind, str) else kind
@@ -358,47 +344,35 @@ class GateTable:
                 f"no symbol for {kind.name} on {tuple(qubits)}"
             ) from None
 
-    def instance(self, symbol: int, slot: int | None) -> GateInstance:
-        kind, qubits = self.placements[symbol]
-        if kind.n_slots:
-            return GateInstance(kind, qubits, slot=slot)
-        if kind.name == "P":
-            return GateInstance(kind, qubits, angle=self.p_phase)
-        return GateInstance(kind, qubits)
-
-
-def build_primitive_set(n_bits: int, kinds: Sequence[GateKind | str],
-                        p_phase: float = math.pi / 2.0) -> GateTable:
-    """Gate table (primitive set plus placement index) for an N-bit register."""
-    return GateTable(n_bits, kinds, p_phase)
+    def instance(self, symbol: int) -> GateInstance:
+        """The symbol's gate: Ry free, P at ``p_phase``; built on first use
+        and shared, as gates are immutable."""
+        gate = self._instances.get(symbol)
+        if gate is None:
+            kind, qubits = self.placements[symbol]
+            angle = self.p_phase if kind.name == "P" else None
+            gate = self._instances[symbol] = GateInstance(kind, qubits, angle)
+        return gate
 
 
 def gene_to_circuit(gene: Gene, table: GateTable) -> QuantumCircuit:
     """Decode the coding region into a circuit.
 
-    The string is outermost-first, so gates apply in reverse symbol order;
-    parameter slots are numbered in application order.
+    The string is outermost-first, so gates apply in reverse symbol order.
     """
     # every gate is unary, so the coding region is a chain ending in the
     # terminal, in the gene's own order
     symbols = gene.symbols[:coding_length(gene)]
-    gates: list[GateInstance] = []
-    slot = 0
-    for sym in reversed(symbols[:-1]):
-        inst_slot = None
-        if table.placements[sym][0].n_slots:
-            inst_slot = slot
-            slot += 1
-        gates.append(table.instance(sym, inst_slot))
-    return QuantumCircuit(table.n_bits, tuple(gates))
+    return QuantumCircuit(table.n_bits,
+                          tuple(map(table.instance, reversed(symbols[:-1]))))
 
 
 def circuit_to_gene(circuit: QuantumCircuit, table: GateTable,
                     head_len: int) -> Gene:
-    """Re-encode a slot-parametrized circuit as a gene (inverse of decode).
+    """Re-encode a circuit as a gene (inverse of decode).
 
     Fixed Ry angles are not representable as symbols; only circuits whose Ry
-    gates all carry slots (as produced by gene_to_circuit) can round-trip.
+    gates are all free (as produced by gene_to_circuit) can round-trip.
     """
     if len(circuit.gates) > head_len:
         raise ConfigError(
@@ -406,7 +380,7 @@ def circuit_to_gene(circuit: QuantumCircuit, table: GateTable,
         )
     symbols: list[int] = []
     for gate in reversed(circuit.gates):
-        if gate.kind.n_slots and gate.slot is None:
+        if gate.kind.n_slots and not gate.free:
             raise ConfigError("cannot encode a fixed-angle Ry as a gene symbol")
         if gate.kind.name == "P" and gate.angle != table.p_phase:
             raise ConfigError("cannot encode a P gate with a non-default phase")
@@ -417,18 +391,12 @@ def circuit_to_gene(circuit: QuantumCircuit, table: GateTable,
 
 
 def bind_params(circuit: QuantumCircuit, params: Sequence[float]) -> QuantumCircuit:
-    """Substitute slot values, producing a fully fixed-angle circuit."""
-    if len(params) < circuit.n_params:
-        raise ConfigError(
-            f"circuit needs {circuit.n_params} parameters, got {len(params)}"
-        )
-    gates = []
-    for g in circuit.gates:
-        if g.slot is not None:
-            gates.append(GateInstance(g.kind, g.qubits, angle=float(params[g.slot])))
-        else:
-            gates.append(g)
-    return QuantumCircuit(circuit.n_bits, tuple(gates))
+    """Fix the k-th free gate at ``params[k]``, giving a fixed-angle circuit."""
+    _check_params(circuit, params)
+    free_angles = iter(params)
+    return QuantumCircuit(circuit.n_bits, tuple(
+        GateInstance(g.kind, g.qubits, float(next(free_angles))) if g.free
+        else g for g in circuit.gates))
 
 
 # ---------------------------------------------------------------------------
@@ -443,20 +411,14 @@ def _disjoint(a: GateInstance, b: GateInstance) -> bool:
     return not set(a.qubits) & set(b.qubits)
 
 
-def _same_gate(a: GateInstance, b: GateInstance) -> bool:
-    return (a.kind.name == b.kind.name and a.qubits == b.qubits
-            and a.angle == b.angle and a.slot == b.slot)
-
-
 def _fuse_ry(a: GateInstance, b: GateInstance) -> GateInstance | None:
     """Combine two adjacent Ry on one qubit; None when they cancel exactly.
 
-    A slot anywhere in the pair absorbs the other angle: the sum of a free
-    parameter with anything is still a single free parameter.
+    A free gate anywhere in the pair absorbs the other angle: the sum of a
+    free parameter with anything is still a single free parameter.
     """
-    if a.slot is not None or b.slot is not None:
-        slot = a.slot if a.slot is not None else b.slot
-        return GateInstance(a.kind, a.qubits, slot=slot)
+    if a.free or b.free:
+        return a if a.free else b
     total = math.fmod(a.angle + b.angle, TWO_TURNS)
     if total < 0.0:
         total += TWO_TURNS
@@ -465,26 +427,13 @@ def _fuse_ry(a: GateInstance, b: GateInstance) -> GateInstance | None:
     return GateInstance(a.kind, a.qubits, angle=total)
 
 
-def _renumber_slots(gates: list[GateInstance]) -> list[GateInstance]:
-    out: list[GateInstance] = []
-    slot = 0
-    for g in gates:
-        if g.slot is not None:
-            out.append(GateInstance(g.kind, g.qubits, slot=slot))
-            slot += 1
-        else:
-            out.append(g)
-    return out
-
-
 def canonicalize(circuit: QuantumCircuit) -> QuantumCircuit:
     """Normal form preserving the output state up to global phase.
 
     Three rewrites run to a fixed point: adjacent gates with disjoint qubit
     support are bubble-sorted by (min qubit, max qubit); adjacent identical
     self-inverse gates on identical qubits cancel; adjacent Ry on the same
-    qubit fuse by angle addition mod 4*pi. Surviving slots are renumbered in
-    application order.
+    qubit fuse by angle addition mod 4*pi.
     """
     gates = list(circuit.gates)
     changed = True
@@ -499,7 +448,7 @@ def canonicalize(circuit: QuantumCircuit) -> QuantumCircuit:
         i = 0
         while i < len(gates) - 1:
             a, b = gates[i], gates[i + 1]
-            if a.kind.name in _SELF_INVERSE and _same_gate(a, b):
+            if a.kind.name in _SELF_INVERSE and a == b:
                 del gates[i:i + 2]
                 changed = True
                 i = max(i - 1, 0)
@@ -510,7 +459,7 @@ def canonicalize(circuit: QuantumCircuit) -> QuantumCircuit:
                 i = max(i - 1, 0)
             else:
                 i += 1
-    return QuantumCircuit(circuit.n_bits, tuple(_renumber_slots(gates)))
+    return QuantumCircuit(circuit.n_bits, tuple(gates))
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +487,12 @@ def format_angle(angle: float) -> str:
 
 
 def parse_angle(text: str) -> float | int | None:
-    """Angle text -> radians, or a slot index for `phi<k>` tokens."""
+    """Angle text -> radians, or the index k of a free angle `phi<k>`."""
     if text.startswith("phi"):
         try:
             return int(text[3:])
         except ValueError:
-            raise ConfigError(f"bad slot reference {text!r}") from None
+            raise ConfigError(f"bad free-angle reference {text!r}") from None
     m = _PI_FRACTION_RE.match(text)
     if m:
         sign = -1.0 if m.group(1) else 1.0
@@ -558,10 +507,10 @@ def parse_angle(text: str) -> float | int | None:
         raise ConfigError(f"cannot parse angle {text!r}") from None
 
 
-def _format_gate(gate: GateInstance) -> str:
+def _format_gate(gate: GateInstance, n_free_before: int) -> str:
     token = gate.kind.name + ",".join(str(q) for q in gate.qubits)
-    if gate.slot is not None:
-        return f"{token}:phi{gate.slot}"
+    if gate.free:
+        return f"{token}:phi{n_free_before}"
     if gate.kind.name == "Ry":
         return f"{token}:{format_angle(gate.angle)}"
     if gate.kind.name == "P" and gate.angle != math.pi / 2.0:
@@ -570,13 +519,23 @@ def _format_gate(gate: GateInstance) -> str:
 
 
 def circuit_to_string(circuit: QuantumCircuit) -> str:
-    """Whitespace-joined gate tokens, e.g. "Ry0:3pi/2 CNOT0,1 H2"."""
-    return " ".join(_format_gate(g) for g in circuit.gates)
+    """Whitespace-joined gate tokens, e.g. "Ry0:3pi/2 CNOT0,1 H2"; free
+    gates print as phi0, phi1, ... in gate order."""
+    tokens, n_free = [], 0
+    for gate in circuit.gates:
+        tokens.append(_format_gate(gate, n_free))
+        n_free += gate.free
+    return " ".join(tokens)
 
 
 def parse_circuit(text: str, n_bits: int) -> QuantumCircuit:
-    """Inverse of circuit_to_string; errors name the offending token."""
+    """Inverse of circuit_to_string; errors name the offending token.
+
+    Free angles must be numbered in gate order: the k-th ``phi`` token reads
+    ``phi<k>``, counting from 0.
+    """
     gates: list[GateInstance] = []
+    n_free = 0
     for pos, token in enumerate(text.split()):
         m = _TOKEN_RE.match(token)
         if not m:
@@ -589,7 +548,6 @@ def parse_circuit(text: str, n_bits: int) -> QuantumCircuit:
                 f"token {pos} ({token!r}): {name} takes {kind.n_qubits} qubits"
             )
         angle: float | None = None
-        slot: int | None = None
         if angle_text is not None:
             if not kind.n_slots and name != "P":
                 raise ConfigError(
@@ -599,9 +557,14 @@ def parse_circuit(text: str, n_bits: int) -> QuantumCircuit:
             if isinstance(parsed, int):
                 if not kind.n_slots:
                     raise ConfigError(
-                        f"token {pos} ({token!r}): {name} takes no slot"
+                        f"token {pos} ({token!r}): {name} takes no free angle"
                     )
-                slot = parsed
+                if parsed != n_free:
+                    raise ConfigError(
+                        f"token {pos} ({token!r}): expected phi{n_free}, "
+                        "free angles are numbered in gate order"
+                    )
+                n_free += 1
             else:
                 angle = parsed
         elif name == "P":
@@ -609,7 +572,7 @@ def parse_circuit(text: str, n_bits: int) -> QuantumCircuit:
         elif kind.n_slots:
             raise ConfigError(f"token {pos} ({token!r}): Ry needs an angle")
         try:
-            gates.append(GateInstance(kind, qubits, angle=angle, slot=slot))
+            gates.append(GateInstance(kind, qubits, angle=angle))
         except ConfigError as exc:
             raise ConfigError(f"token {pos} ({token!r}): {exc}") from None
     try:

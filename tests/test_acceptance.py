@@ -33,10 +33,10 @@ from gepcirc.oracle import (
     exhaustive_ising_ground,
 )
 from gepcirc.sim import (
+    GateTable,
     StateVector,
     apply_circuit_array,
     bind_params,
-    build_primitive_set,
     canonicalize,
     gene_to_circuit,
     parse_circuit,
@@ -169,7 +169,7 @@ def random_bound_circuit(rng, n):
     kinds = ["H", "X", "Y", "Z", "P", "Ry"]
     if n >= 2:
         kinds.append("CNOT")
-    table = build_primitive_set(n, kinds)
+    table = GateTable(n, kinds)
     circuit = gene_to_circuit(random_gene(table.pset, 8, rng), table)
     return bind_params(
         circuit, [rng.uniform(0.0, 4.0 * math.pi)
@@ -256,7 +256,7 @@ def test_criterion_07_operator_closure(capsys):
     rng = random.Random(77)
     families = []
     for pset, head in ((make_arith_pset("abcd"), 7),
-                       (build_primitive_set(4, ["Ry", "P", "CNOT"]).pset, 6)):
+                       (GateTable(4, ["Ry", "P", "CNOT"]).pset, 6)):
         pool = [random_gene(pset, head, rng) for _ in range(40)]
         families.append((pset, head, pool))
     checked = valid = 0

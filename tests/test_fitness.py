@@ -22,8 +22,8 @@ from gepcirc.hamiltonians import (
 )
 from gepcirc.oracle import exact_ground_energy
 from gepcirc.sim import (
+    GateTable,
     basis_state,
-    build_primitive_set,
     canonicalize,
     circuit_to_gene,
     gene_to_circuit,
@@ -37,24 +37,24 @@ XX4 = xx_chain(4, 1.0, "periodic")
 
 class TestPrefitness:
     def test_empty_circuit_identity_pair(self):
-        table = build_primitive_set(1, ["Ry"])
+        table = GateTable(1, ["Ry"])
         prob = function_fit_problem(
             table, [(basis_state(1, 0), basis_state(1, 0))])
         assert prefitness(parse_circuit("", 1), (), prob) == 1.0
 
     def test_empty_circuit_ground_state(self):
-        table = build_primitive_set(2, ["Ry"])
+        table = GateTable(2, ["Ry"])
         prob = ground_state_problem(table, EDGE, basis_state(2, 0))
         assert prefitness(parse_circuit("", 2), (), prob) == -1.0
 
     def test_known_xx_circuit(self):
-        table = build_primitive_set(4, ["Ry"])
+        table = GateTable(4, ["Ry"])
         prob = ground_state_problem(table, XX4)
         circuit = parse_circuit("Ry0:3pi/2 Ry1:pi/2 Ry2:3pi/2 Ry3:pi/2", 4)
         assert abs(prefitness(circuit, (), prob) - 4.0) < 1e-9
 
     def test_function_fit_mean_over_pairs(self):
-        table = build_primitive_set(1, ["X"])
+        table = GateTable(1, ["X"])
         prob = function_fit_problem(
             table,
             [(basis_state(1, 0), basis_state(1, 1)),    # X fixes this one
@@ -63,7 +63,7 @@ class TestPrefitness:
 
     def test_function_fit_bounded(self):
         rng = random.Random(40)
-        table = build_primitive_set(2, ["H", "Ry", "CNOT"])
+        table = GateTable(2, ["H", "Ry", "CNOT"])
         prob = function_fit_problem(
             table, [(basis_state(2, 0), basis_state(2, 3))])
         for _ in range(50):
@@ -72,7 +72,7 @@ class TestPrefitness:
             assert 0.0 <= value <= 1.0 + 1e-12
 
     def test_problem_validation(self):
-        table = build_primitive_set(2, ["Ry"])
+        table = GateTable(2, ["Ry"])
         with pytest.raises(ConfigError):
             function_fit_problem(table, [])
         with pytest.raises(ConfigError):
@@ -84,21 +84,21 @@ class TestPrefitness:
 
 class TestOptimizeParams:
     def test_single_ry_on_z(self):
-        table = build_primitive_set(1, ["Ry"])
+        table = GateTable(1, ["Ry"])
         prob = ground_state_problem(table, Z0)
         phi, value = optimize_params(parse_circuit("Ry0:phi0", 1), prob)
         assert value == 1.0
         assert phi == (math.pi,)
 
     def test_no_slots_returns_prefitness(self):
-        table = build_primitive_set(2, ["X"])
+        table = GateTable(2, ["X"])
         prob = ground_state_problem(table, EDGE)
         phi, value = optimize_params(parse_circuit("X0", 2), prob)
         assert phi == ()
         assert value == 1.0     # |01> has energy -1
 
     def test_xx_ring_alternating_pattern(self):
-        table = build_primitive_set(4, ["Ry"])
+        table = GateTable(4, ["Ry"])
         prob = ground_state_problem(table, XX4)
         circuit = parse_circuit("Ry0:phi0 Ry1:phi1 Ry2:phi2 Ry3:phi3", 4)
         phi, value = optimize_params(circuit, prob)
@@ -109,7 +109,7 @@ class TestOptimizeParams:
 
     def test_value_at_least_start_point(self):
         rng = random.Random(41)
-        table = build_primitive_set(3, ["Ry", "CNOT"])
+        table = GateTable(3, ["Ry", "CNOT"])
         prob = ground_state_problem(table, xx_chain(3, 1.0, "open"))
         for _ in range(20):
             gene = random_gene(table.pset, 6, rng)
@@ -123,7 +123,7 @@ class TestOptimizeParams:
         # 0.6*Z + 0.8*X has ground energy exactly -1 at an off-grid angle
         h = PauliSumHamiltonian(1, [PauliTerm.from_map(0.6, {0: "Z"}),
                                     PauliTerm.from_map(0.8, {0: "X"})])
-        table = build_primitive_set(1, ["Ry"])
+        table = GateTable(1, ["Ry"])
         coarse = ground_state_problem(table, h)
         refined = ground_state_problem(table, h, refine=True)
         circuit = parse_circuit("Ry0:phi0", 1)
@@ -134,29 +134,17 @@ class TestOptimizeParams:
         assert v_fine > 1.0 - 1e-5
         assert abs(v_fine - exact_ground_energy(h) * -1.0) < 1e-5
 
-    @pytest.mark.parametrize("text", [
-        "Ry0:phi0 Ry1:phi0",                    # one slot, two gates
-        "Ry0:phi1 CNOT0,1 Ry1:phi0",            # out of gate order
-        "Ry0:phi0 Ry1:phi1 H0 Ry0:phi0",        # reused after others
-    ])
-    def test_shared_or_unordered_slots_rejected(self, text):
-        # the sweep reads each slot off one Ry gate's sinusoid
-        table = build_primitive_set(2, ["Ry", "CNOT", "H"])
-        prob = ground_state_problem(table, EDGE)
-        with pytest.raises(ConfigError, match="one Ry gate"):
-            optimize_params(parse_circuit(text, 2), prob)
-
 
 class TestFitness:
     def test_terminal_gene_matches_empty_circuit(self):
-        table = build_primitive_set(2, ["Ry"])
+        table = GateTable(2, ["Ry"])
         prob = ground_state_problem(table, EDGE)
         gene = make_gene([table.terminal] * 9, 8, table.pset)
         assert CachingFitness(prob)(gene) == -1.0
 
     def test_variational_bound(self):
         rng = random.Random(42)
-        table = build_primitive_set(3, ["Ry", "P", "CNOT"])
+        table = GateTable(3, ["Ry", "P", "CNOT"])
         for trial in range(5):
             terms = [PauliTerm.from_map(rng.uniform(-2, 2),
                      {q: rng.choice("XYZ")
@@ -170,14 +158,14 @@ class TestFitness:
                 assert CachingFitness(prob)(gene) <= bound + 1e-9
 
     def test_deterministic(self):
-        table = build_primitive_set(3, ["Ry", "CNOT"])
+        table = GateTable(3, ["Ry", "CNOT"])
         prob = ground_state_problem(table, xx_chain(3, 1.0, "open"))
         gene = random_gene(table.pset, 6, random.Random(7))
         assert CachingFitness(prob)(gene) == CachingFitness(prob)(gene)
 
     def test_canonicalized_fitness_unchanged(self):
         rng = random.Random(43)
-        table = build_primitive_set(3, ["H", "Ry", "CNOT"])
+        table = GateTable(3, ["H", "Ry", "CNOT"])
         prob = ground_state_problem(table, xx_chain(3, 1.0, "open"))
         for _ in range(25):
             gene = random_gene(table.pset, 6, rng)
@@ -187,7 +175,7 @@ class TestFitness:
                        - CachingFitness(prob)(rewritten)) < 1e-9
 
     def test_caching_fitness(self):
-        table = build_primitive_set(2, ["Ry"])
+        table = GateTable(2, ["Ry"])
         prob = ground_state_problem(table, EDGE)
         cache = CachingFitness(prob)
         gene = random_gene(table.pset, 4, random.Random(1))

@@ -21,6 +21,7 @@ from gepcirc.hamiltonians import Graph, save_graph
 from gepcirc.sim import (
     GATE_KINDS,
     GateInstance,
+    GateTable,
     QuantumCircuit,
     StateVector,
     apply_circuit,
@@ -28,7 +29,6 @@ from gepcirc.sim import (
     apply_gate,
     basis_state,
     bind_params,
-    build_primitive_set,
     canonicalize,
     circuit_to_gene,
     circuit_to_string,
@@ -51,7 +51,7 @@ def rand_circuit(n, rng, kinds=("H", "X", "Y", "Z", "P", "Ry", "CNOT"),
                  head=10):
     """Random valid circuit via a random gene, angles bound off-grid."""
     usable = [k for k in kinds if n > 1 or GATE_KINDS[k].n_qubits == 1]
-    table = build_primitive_set(n, usable)
+    table = GateTable(n, usable)
     circuit = gene_to_circuit(random_gene(table.pset, head, rng), table)
     params = [rng.uniform(0.0, 4.0 * math.pi) for _ in range(circuit.n_params)]
     return bind_params(circuit, params)
@@ -164,7 +164,8 @@ class TestApplyGate:
         assert out.amplitudes[2] == 1.0
 
     def test_slot_resolution(self):
-        gate = GateInstance(GATE_KINDS["Ry"], (0,), slot=0)
+        gate = GateInstance(GATE_KINDS["Ry"], (0,))
+        assert gate.free
         out = apply_gate(basis_state(1, 0), gate, [math.pi])
         assert abs(out.amplitudes[1] - 1.0) < 1e-12
         with pytest.raises(ConfigError):
@@ -234,8 +235,8 @@ def moveaxis_2q(amps, n_bits, mat, qa, qb):
     return np.moveaxis(t, (0, 1), axes).reshape(-1)
 
 
-def reference_instance(amps, n_bits, gate, params):
-    mat = gate_matrix(gate.kind, gate.resolved_angle(params))
+def reference_instance(amps, n_bits, gate, angle):
+    mat = gate_matrix(gate.kind, angle)
     if gate.kind.n_qubits == 1:
         return moveaxis_1q(amps, n_bits, mat, gate.qubits[0])
     return moveaxis_2q(amps, n_bits, mat, *gate.qubits)
@@ -299,15 +300,13 @@ class TestKernels:
         for name, angle in kinds:
             kind = GATE_KINDS[name]
             for q in range(n):
-                gate = (GateInstance(kind, (q,), slot=0) if name == "Ry"
-                        else GateInstance(kind, (q,), angle=angle))
-                outs = [sim._apply_instance(amps, n, gate, [theta])
+                gate = GateInstance(kind, (q,), angle=angle)
+                outs = [sim._apply_instance(amps, n, gate, angle)
                         for amps in rows]
                 for amps, out in zip(rows, outs):
-                    ref = reference_instance(amps, n, gate, [theta])
+                    ref = reference_instance(amps, n, gate, angle)
                     assert same_bits(out, ref), (name, q)
-                dense = dense_1q(n, gate_matrix(kind, gate.resolved_angle(
-                    [theta])), q)
+                dense = dense_1q(n, gate_matrix(kind, angle), q)
                 assert np.allclose(outs, (dense @ rows.T).T,
                                    rtol=0, atol=1e-12)
 
@@ -320,9 +319,10 @@ class TestKernels:
                 if control == target:
                     continue
                 gate = GateInstance(GATE_KINDS["CNOT"], (control, target))
-                outs = [sim._apply_instance(amps, n, gate, ()) for amps in rows]
+                outs = [sim._apply_instance(amps, n, gate, None)
+                        for amps in rows]
                 for amps, out in zip(rows, outs):
-                    ref = reference_instance(amps, n, gate, ())
+                    ref = reference_instance(amps, n, gate, None)
                     # the reference's 4x4 product adds +-0 terms, so the sign
                     # of an exactly zero part is BLAS's; every value is equal
                     assert np.array_equal(out, ref)
@@ -358,7 +358,7 @@ class TestKernels:
         before = amps.copy()
         for token in ("Ry2:0.7", "CNOT3,1", "H0", "P3"):
             gate = parse_circuit(token, 4).gates[0]
-            sim._apply_instance(amps, 4, gate, ())
+            sim._apply_instance(amps, 4, gate, gate.angle)
         assert same_bits(amps, before)
         gate_matrix("H")[0, 0] = 5.0     # callers get copies
         assert same_bits(gate_matrix("H"), sim._FIXED_MATRICES["H"])
@@ -366,11 +366,11 @@ class TestKernels:
         assert abs(out.amplitudes[0] - 1 / math.sqrt(2)) < 1e-15
 
     def test_negative_zero_angle_keeps_its_matrix(self):
-        gate = GateInstance(GATE_KINDS["Ry"], (0,), slot=0)
+        gate = GateInstance(GATE_KINDS["Ry"], (0,))
         amps = np.array([-0.0, 1.0, 1.0, -0.0], dtype=complex)
         for angle in (0.0, -0.0, 0.0):
-            assert same_bits(sim._apply_instance(amps, 2, gate, [angle]),
-                             reference_instance(amps, 2, gate, [angle]))
+            assert same_bits(sim._apply_instance(amps, 2, gate, angle),
+                             reference_instance(amps, 2, gate, angle))
 
 
 LOCK_INPUTS = {
@@ -432,26 +432,26 @@ def test_trajectory_locked_to_reference_kernels(tmp_path, monkeypatch, name):
 
 class TestGateTable:
     def test_one_qubit_multiplicity(self):
-        table = build_primitive_set(4, ["Ry"])
+        table = GateTable(4, ["Ry"])
         assert len(table.pset.functions) == 4
         assert table.pset.terminals == (4,)
 
     def test_two_qubit_multiplicity(self):
-        table = build_primitive_set(4, ["CNOT"])
+        table = GateTable(4, ["CNOT"])
         assert len(table.pset.functions) == 4 * 3
 
     def test_terminal_only(self):
-        table = build_primitive_set(1, [])
+        table = GateTable(1, [])
         assert table.pset.functions == ()
         assert len(table.pset.terminals) == 1
 
     def test_symbol_names_match_tokens(self):
-        table = build_primitive_set(3, ["H", "CNOT"])
+        table = GateTable(3, ["H", "CNOT"])
         names = set(table.pset.names.values())
         assert {"H0", "H1", "H2", "CNOT0,1", "CNOT1,0", "psi0"} <= names
 
     def test_symbol_lookup(self):
-        table = build_primitive_set(3, ["H", "CNOT"])
+        table = GateTable(3, ["H", "CNOT"])
         sym = table.symbol_for("CNOT", (2, 0))
         assert table.placements[sym] == (GATE_KINDS["CNOT"], (2, 0))
         with pytest.raises(ConfigError):
@@ -460,7 +460,7 @@ class TestGateTable:
 
 class TestGeneBridge:
     def table(self):
-        return build_primitive_set(4, ["H", "Ry", "CNOT"])
+        return GateTable(4, ["H", "Ry", "CNOT"])
 
     def gene_of(self, table, tokens, head=8):
         symbols = [table.symbol_for(*tok) for tok in tokens]
@@ -495,9 +495,10 @@ class TestGeneBridge:
         table = self.table()
         gene = self.gene_of(table, [("Ry", (2,)), ("H", (0,)), ("Ry", (1,))])
         circuit = gene_to_circuit(gene, table)
-        assert [(g.kind.name, g.slot) for g in circuit.gates] \
-            == [("Ry", 0), ("H", None), ("Ry", 1)]
+        assert [(g.kind.name, g.qubits, g.free) for g in circuit.gates] \
+            == [("Ry", (1,), True), ("H", (0,), False), ("Ry", (2,), True)]
         assert circuit.n_params == 2
+        assert circuit_to_string(circuit) == "Ry1:phi0 H0 Ry2:phi1"
 
     def test_circuit_length_is_coding_minus_one(self):
         rng = random.Random(14)
@@ -556,8 +557,11 @@ class TestCanonicalize:
 
     def test_fusion_with_slot_keeps_one_slot(self):
         c = canonicalize(parse_circuit("Ry0:phi0 Ry0:phi1 Ry1:phi2", 2))
-        assert [(g.qubits, g.slot) for g in c.gates] == [((0,), 0), ((1,), 1)]
+        assert [(g.qubits, g.free) for g in c.gates] \
+            == [((0,), True), ((1,), True)]
         assert c.n_params == 2
+        c = canonicalize(parse_circuit("Ry0:pi Ry0:phi0", 1))
+        assert [(g.qubits, g.free) for g in c.gates] == [((0,), True)]
 
     def test_reorder_enables_cancellation(self):
         # X0 X1 X0 sorts to X0 X0 X1 and collapses to X1
@@ -575,7 +579,7 @@ class TestCanonicalize:
     def test_gene_rewrite_idempotent(self):
         # the evolution hook skips survivors because rewriting is idempotent
         rng = random.Random(18)
-        table = build_primitive_set(3, ["H", "X", "P", "Ry", "CNOT"])
+        table = GateTable(3, ["H", "X", "P", "Ry", "CNOT"])
 
         def rewrite(gene):
             circuit = canonicalize(gene_to_circuit(gene, table))
@@ -603,7 +607,7 @@ def gene_circuits(draw, max_bits=4):
     n = draw(st.integers(1, max_bits))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     usable = [k for k, kind in GATE_KINDS.items() if n > 1 or kind.n_qubits == 1]
-    table = build_primitive_set(n, usable)
+    table = GateTable(n, usable)
     gene = random_gene(table.pset, draw(st.integers(1, 14)), rng)
     circuit = gene_to_circuit(gene, table)
     angles = draw(st.sampled_from(["slots", "grid", "off-grid"]))
@@ -631,11 +635,7 @@ def dense_unitary(circuit):
 def tree_path_circuit(gene, table):
     """The circuit read from the decoded expression tree, gate by gate."""
     symbols = decode(gene).bfs_symbols()
-    gates, slot = [], 0
-    for sym in reversed(symbols[:-1]):
-        kind = table.placements[sym][0]
-        gates.append(table.instance(sym, slot if kind.n_slots else None))
-        slot += kind.n_slots
+    gates = [table.instance(sym) for sym in reversed(symbols[:-1])]
     return QuantumCircuit(table.n_bits, tuple(gates))
 
 
@@ -661,6 +661,19 @@ class TestCircuitProperties:
         _, table, circuit = case
         text = circuit_to_string(circuit)
         assert circuit_to_string(parse_circuit(text, table.n_bits)) == text
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=gene_circuits(), seed=st.integers(0, 2**32 - 1))
+    def test_apply_and_bind_consume_params_alike(self, case, seed):
+        # both give the k-th free gate in gate order the angle params[k]
+        _, table, circuit = case
+        rng = random.Random(seed)
+        n = table.n_bits
+        params = [rng.uniform(-20.0, 20.0) for _ in range(circuit.n_params)]
+        amps = rand_state(n, rng).amplitudes
+        assert same_bits(
+            apply_circuit_array(amps, n, circuit, params),
+            apply_circuit_array(amps, n, bind_params(circuit, params)))
 
     @settings(deadline=None, max_examples=200)
     @given(case=gene_circuits())
@@ -725,8 +738,14 @@ class TestStringGrammar:
             parse_circuit("CNOT1,1", 2)
         with pytest.raises(ConfigError):
             parse_circuit("H5", 2)             # qubit out of range
-        with pytest.raises(ConfigError):
-            parse_circuit("Ry0:phi1", 1)       # slot gap
+        for text, token in [
+            ("Ry0:phi1", "token 0"),                    # phi0 comes first
+            ("Ry0:phi0 Ry1:phi0", "token 1"),           # one angle, two gates
+            ("Ry0:phi1 CNOT0,1 Ry1:phi0", "token 0"),   # out of gate order
+            ("Ry0:phi0 Ry1:phi1 H0 Ry0:phi0", "token 3"),   # reused later
+        ]:
+            with pytest.raises(ConfigError, match=token):
+                parse_circuit(text, 2)
 
     def test_round_trip_random(self):
         rng = random.Random(18)

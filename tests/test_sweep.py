@@ -33,8 +33,8 @@ from gepcirc.fitness import (
 )
 from gepcirc.hamiltonians import PauliSumHamiltonian, PauliTerm
 from gepcirc.sim import (
+    GateTable,
     StateVector,
-    build_primitive_set,
     gene_to_circuit,
     parse_circuit,
 )
@@ -169,7 +169,7 @@ def assert_matches_reference(circuit, problem, monkeypatch):
 
 
 def gene_circuit(n, head, seed):
-    table = build_primitive_set(n, ["Ry", "P", "CNOT"])
+    table = GateTable(n, ["Ry", "P", "CNOT"])
     gene = random_gene(table.pset, head, random.Random(seed))
     return gene_to_circuit(gene, table), table
 
@@ -242,7 +242,7 @@ def test_framed_circuits_match_exhaustive_scan(monkeypatch, n, k_slots, seed,
     # width limit, where no stacked pair fits, psi and -iY psi go through
     # the suffix one at a time
     circuit = framed_circuit(random.Random(seed), n, k_slots)
-    table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
+    table = GateTable(n, ["Ry", "P", "CNOT", "H"])
     with monkeypatch.context() as m:
         if not stackable:
             m.setattr(fitness_mod, "MAX_QUBITS", n)
@@ -258,7 +258,7 @@ def test_several_pairs_match_exhaustive_scan(monkeypatch, n, k_slots, n_pairs,
                                              seed):
     # one kept state, and one stacked run, per training pair
     circuit = framed_circuit(random.Random(seed), n, k_slots)
-    table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
+    table = GateTable(n, ["Ry", "P", "CNOT", "H"])
     problem = make_problem("pairs", table, seed, n_pairs=n_pairs)
     assert_matches_reference(circuit, problem, monkeypatch)
 
@@ -282,12 +282,12 @@ def test_sinusoid_reproduces_direct_prefitness(monkeypatch, n, k_slots,
 def check_sinusoids(n, k_slots, n_pairs, seed, kind):
     rng = random.Random(seed)
     circuit = framed_circuit(rng, n, k_slots)
-    table = build_primitive_set(n, ["Ry", "P", "CNOT", "H"])
+    table = GateTable(n, ["Ry", "P", "CNOT", "H"])
     problem = make_problem(kind, table, seed, n_pairs=n_pairs)
     phi = [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(k_slots)]
     kept = fitness_mod._KeptStates(circuit, problem)
     for k in range(k_slots):
-        gate = next(i for i, g in enumerate(circuit.gates) if g.slot == k)
+        gate = [i for i, g in enumerate(circuit.gates) if g.free][k]
         kept.move_to(gate, phi)
         a, b, c = kept.sinusoid(phi)
         angles = list(DEFAULT_GRID) + [rng.uniform(-10.0, 10.0)
@@ -325,7 +325,7 @@ def count_applies(monkeypatch):
 def test_one_stacked_run_per_visit_and_early_stop(monkeypatch):
     circuit = parse_circuit(
         "Ry0:phi0 Ry1:phi1 CNOT0,1 Ry2:phi2 CNOT1,2 Ry3:phi3 CNOT2,3 Ry0:phi4", 4)
-    problem = ground_state_problem(build_primitive_set(4, ["Ry", "CNOT"]), H4)
+    problem = ground_state_problem(GateTable(4, ["Ry", "CNOT"]), H4)
     sinusoids = record_sinusoids(monkeypatch)
     applies = count_applies(monkeypatch)
     result = optimize_params(circuit, problem)
@@ -349,7 +349,7 @@ def test_gate_applications_counted_exactly(monkeypatch):
     # after slot k's gate once, stacked; moving the kept state to the next
     # slot applies one gate, and wrapping to slot 0 rebuilds it for free
     circuit = parse_circuit(" ".join(f"Ry{k % 4}:phi{k}" for k in range(8)), 4)
-    problem = ground_state_problem(build_primitive_set(4, ["Ry"]), H4)
+    problem = ground_state_problem(GateTable(4, ["Ry"]), H4)
     sinusoids = record_sinusoids(monkeypatch)
     applies = count_applies(monkeypatch)
     result = optimize_params(circuit, problem)
@@ -376,7 +376,7 @@ def test_flat_slot_moves_sideways_once(monkeypatch):
     # 1 peaks at pi
     circuit = parse_circuit("Ry0:phi0 Ry1:phi1", 2)
     h = PauliSumHamiltonian(2, [PauliTerm.from_map(1.0, {1: "Z"})])
-    problem = ground_state_problem(build_primitive_set(2, ["Ry"]), h)
+    problem = ground_state_problem(GateTable(2, ["Ry"]), h)
     sinusoids = record_sinusoids(monkeypatch)
     phi, best = optimize_params(circuit, problem)
     # visit 0: slot 0 ties everywhere and steps sideways, pi/4 -> pi/2;
