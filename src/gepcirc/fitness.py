@@ -18,13 +18,13 @@ a + b*cos(t) + c*sin(t), with (a, b, c) from <A|H|A>, <B|H|B> and
 Re <A|H|B> (GroundState) or from the overlaps <o|A> and <o|B> of each
 training pair (FunctionFit); this is the Rotosolve/NFT observation
 (Ostaszewski et al., arXiv:1905.09692; Nakanishi et al., arXiv:1903.12166)
-applied to the statevector. psi and -iY psi stored end to end form one
-array on N+1 bits, on which no gate acts on bit N, so a slot visit pushes
-both through U in one simulation of the gates after the slot and reads
-the whole grid off (a, b, c), and also the exact maximum over all angles,
-a + hypot(b, c) at t = atan2(c, b). A visit holds one stacked 2*2^N array
-at a time, twice the per-state working set of evaluating one angle, which
-matters only at large N.
+applied to the statevector. The gate kernels act on the last axis, so a
+slot visit pushes psi and -iY psi, stacked as one (2, 2^N) array, through
+U in one simulation of the gates after the slot and reads the whole grid
+off (a, b, c), and also the exact maximum over all angles,
+a + hypot(b, c) at t = atan2(c, b). A visit holds one stacked pair at a
+time, twice the per-state working set of evaluating one angle, at every
+N.
 
 Nor does a visit simulate the gates before its slot. They do not change
 during the visit, so the sweep keeps the state(s) entering that gate,
@@ -48,7 +48,6 @@ import numpy as np
 from gepcirc.engine import ConfigError, Gene
 from gepcirc.hamiltonians import PauliSumHamiltonian
 from gepcirc.sim import (
-    MAX_QUBITS,
     GateTable,
     QuantumCircuit,
     StateVector,
@@ -164,73 +163,59 @@ _TIE_MARGIN = 1e-12
 
 
 class _KeptStates:
-    """The states entering gate ``at`` of a circuit, one per problem input.
+    """The states entering slot ``k``'s gate, one per problem input.
 
     They are built with the angles passed to ``move_to``, and ``sinusoid``
-    is exact as long as the slots used before gate ``at`` keep those
-    angles. Moving forward applies the gates in between; moving back
+    is exact as long as slots 0..k-1 keep those angles. Visits walk the
+    slots in gate order, so the gates are cut once per circuit into
+    ``steps``, step k running from slot k-1's gate (or the start) up to
+    slot k's gate, and ``suffixes``, suffix k being the gates after slot
+    k's gate. Moving forward applies the steps in between; moving back
     rebuilds from the problem's inputs.
     """
 
     def __init__(self, circuit: QuantumCircuit, problem: Problem):
-        self.circuit = circuit
         self.problem = problem
-        self.at = 0
+        gates, n = circuit.gates, problem.n_bits
+        # slot -> index of its gate
+        gate_of = [i for i, gate in enumerate(gates) if gate.free]
+        self.qubits = [gates[i].qubits[0] for i in gate_of]
+        self.steps = [QuantumCircuit(n, gates[start:stop]) for start, stop
+                      in zip([0] + gate_of, gate_of)]
+        self.suffixes = [QuantumCircuit(n, gates[i + 1:]) for i in gate_of]
+        self.k = -1
         self.states = list(problem.inputs)
-        self._segments: dict[tuple[int, int, int],
-                             tuple[QuantumCircuit, int]] = {}
 
-    def _segment(self, start: int, stop: int,
-                 n_bits: int) -> tuple[QuantumCircuit, int]:
-        """Gates ``start:stop`` as a circuit of their own on ``n_bits``
-        bits, plus its slot offset, built on first use.
-
-        The offset is the number of free gates before gate ``start``, so
-        the segment run with ``phi[offset:]`` makes the gate calls that
-        those gates make in the whole circuit run with ``phi``.
-        """
-        key = (start, stop, n_bits)
-        if key not in self._segments:
-            gates = self.circuit.gates
-            self._segments[key] = (QuantumCircuit(n_bits, gates[start:stop]),
-                                   sum(gate.free for gate in gates[:start]))
-        return self._segments[key]
-
-    def move_to(self, index: int, phi: Sequence[float]) -> None:
-        if index < self.at:
-            self.at, self.states = 0, list(self.problem.inputs)
-        if index > self.at:
-            n = self.problem.n_bits
-            segment, offset = self._segment(self.at, index, n)
-            params = phi[offset:]
-            for i, amps in enumerate(self.states):
-                self.states[i] = apply_circuit_array(amps, n, segment, params)
-            self.at = index
+    def move_to(self, k: int, phi: Sequence[float]) -> None:
+        """Keep the states entering slot ``k``'s gate."""
+        if k < self.k:
+            self.k, self.states = -1, list(self.problem.inputs)
+        n = self.problem.n_bits
+        for j in range(self.k + 1, k + 1):
+            step = self.steps[j]
+            if step.gates:
+                # step j starts at slot j-1's gate
+                params = phi[max(j - 1, 0):]
+                self.states = [apply_circuit_array(amps, n, step, params)
+                               for amps in self.states]
+        self.k = k
 
     def sinusoid(self, phi: Sequence[float]) -> tuple[float, float, float]:
-        """(a, b, c) with pre-fitness a + b*cos(t) + c*sin(t) when the Ry
-        gate ``at`` has angle t and every other slot its angle in ``phi``.
+        """(a, b, c) with pre-fitness a + b*cos(t) + c*sin(t) when slot
+        ``k`` has angle t and every other slot its angle in ``phi``.
 
-        Each kept state psi and -iY psi, stacked as one array on N+1 bits,
-        go through the gates after gate ``at`` in one simulation; on a
-        register of ``MAX_QUBITS`` bits, where the stacked array would not
-        fit, they go through in two simulations on N bits.
+        Each kept state psi and -iY psi, stacked as one (2, 2^N) array,
+        go through the gates after slot ``k``'s gate in one simulation.
         """
-        problem, n = self.problem, self.problem.n_bits
-        stacked = n < MAX_QUBITS
-        segment, offset = self._segment(self.at + 1, len(self.circuit.gates),
-                                        n + 1 if stacked else n)
-        params = phi[offset:]
-        qubit = self.circuit.gates[self.at].qubits[0]
+        problem, k = self.problem, self.k
 
-        def outputs(amps: np.ndarray) -> Sequence[np.ndarray]:
+        def outputs(amps: np.ndarray) -> np.ndarray:
             """(A, B) for one kept state psi."""
-            turned = _apply_1q(amps, n, _MINUS_IY, qubit)
-            if stacked:
-                return apply_circuit_array(np.concatenate([amps, turned]),
-                                           n + 1, segment, params).reshape(2, -1)
-            return [apply_circuit_array(x, n, segment, params)
-                    for x in (amps, turned)]
+            # unnamed, -iY psi is freed once copied and the pair once its
+            # first gate has run: at NumBits = 24 one state is 256 MB
+            return apply_circuit_array(
+                np.array((amps, _apply_1q(amps, _MINUS_IY, self.qubits[k]))),
+                problem.n_bits, self.suffixes[k], phi[k + 1:])
 
         outs = map(outputs, self.states)
         if problem.kind == "GroundState":
@@ -275,8 +260,6 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
     one direct pre-fitness evaluation at the final angles.
     """
     k_slots = circuit.n_params
-    # slot -> index of its gate
-    gate_of = [i for i, gate in enumerate(circuit.gates) if gate.free]
     if k_slots == 0:
         return (), prefitness(circuit, (), problem)
 
@@ -289,7 +272,7 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
                     # slot visited since
     for visit in range(_MAX_SWEEP_CYCLES * k_slots):
         k = visit % k_slots
-        kept.move_to(gate_of[k], phi)
+        kept.move_to(k, phi)
         current = phi[k]
         a, b, c = kept.sinusoid(phi)
         now = a + b * math.cos(current) + c * math.sin(current)

@@ -8,12 +8,14 @@ strings follow operator-composition order: the first token is the outermost
 A Ry gate carries a fixed angle in radians or none; a Ry without one is
 free, and the k-th free Ry in gate order takes entry k of the parameter
 vector. P is the phase gate diag(1, e^{i*lambda}) with lambda = pi/2 by
-default (the S gate), overridable per gate table.
+default (the S gate), overridable per gate table; a P gate built without
+an angle stores pi/2.
 
-Gate application works on the flat amplitude array. A 1-qubit gate on
-qubit q views the state as (high, 2, low) with low = 2^q, brings the
-qubit axis to the front and multiplies by the 2x2 matrix in one product;
-near the top of the register (at most 8 blocks above q, q >= 4) a batched
+Gate application works on the last axis of an amplitude array shaped
+(..., 2^N), so a stack of states goes through a circuit in one run. A
+1-qubit gate on qubit q views the array as (high, 2, low) with low = 2^q,
+brings the qubit axis to the front and multiplies by the 2x2 matrix in
+one product; when at most 8 blocks sit above q (q >= 4) a batched
 product per block replaces the two transposes. Both are the same
 2x2 @ 2xM products as the original kernel, which moved the qubit's axis
 of the (2,)*n tensor to the front, so every amplitude comes out with the
@@ -113,6 +115,8 @@ class GateInstance:
         if (self.angle is not None and not self.kind.n_slots
                 and self.kind.name != "P"):
             raise ConfigError(f"{self.kind.name} takes no angle")
+        if self.kind.name == "P" and self.angle is None:
+            object.__setattr__(self, "angle", math.pi / 2.0)
         object.__setattr__(self, "free",
                            bool(self.kind.n_slots) and self.angle is None)
 
@@ -203,10 +207,10 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-# read-only matrices of the angle-free 1-qubit gates (P at its default
-# phase); gate_matrix hands out fresh copies
+# read-only matrices of the angle-free 1-qubit gates; gate_matrix hands
+# out fresh copies
 _KERNEL_MATRICES = {name: _frozen(gate_matrix(name))
-                    for name in ("H", "X", "Y", "Z", "P")}
+                    for name in ("H", "X", "Y", "Z")}
 
 
 @functools.lru_cache(maxsize=1024)
@@ -222,21 +226,20 @@ def _kernel_matrix(name: str, angle: float | None) -> np.ndarray:
     return _angle_matrix(name, angle, math.copysign(1.0, angle))
 
 
-def _apply_1q(amps: np.ndarray, n_bits: int, mat: np.ndarray, q: int) -> np.ndarray:
+def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
     low = 1 << q
-    if q >= 4 and n_bits - q <= 4:
+    if q >= 4 and amps.size >> (q + 1) <= 8:
         # at most 8 blocks above q, each >= 16 columns wide: one
         # 2x2 @ 2xlow product per block beats the transposes and rounds
         # the same (blocks 1-2 columns wide round differently)
-        return np.matmul(mat, amps.reshape(-1, 2, low)).reshape(-1)
+        return np.matmul(mat, amps.reshape(-1, 2, low)).reshape(amps.shape)
     t = amps.reshape(-1, 2, low).transpose(1, 0, 2).reshape(2, -1)
-    return (mat @ t).reshape(2, -1, low).transpose(1, 0, 2).reshape(-1)
+    return (mat @ t).reshape(2, -1, low).transpose(1, 0, 2).reshape(amps.shape)
 
 
-def _apply_cnot(amps: np.ndarray, n_bits: int, control: int,
-                target: int) -> np.ndarray:
+def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     hi, lo = max(control, target), min(control, target)
-    shape = (1 << (n_bits - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
     out = amps.astype(complex)
     src, dst = amps.reshape(shape), out.reshape(shape)
     if control > target:
@@ -248,12 +251,12 @@ def _apply_cnot(amps: np.ndarray, n_bits: int, control: int,
     return out
 
 
-def _apply_instance(amps: np.ndarray, n_bits: int, gate: GateInstance,
+def _apply_instance(amps: np.ndarray, gate: GateInstance,
                     angle: float | None) -> np.ndarray:
     if gate.kind.n_qubits == 2:     # CNOT is the only two-qubit kind
-        return _apply_cnot(amps, n_bits, *gate.qubits)
+        return _apply_cnot(amps, *gate.qubits)
     mat = _kernel_matrix(gate.kind.name, angle)
-    return _apply_1q(amps, n_bits, mat, gate.qubits[0])
+    return _apply_1q(amps, mat, gate.qubits[0])
 
 
 def _check_params(circuit: QuantumCircuit, params: Sequence[float]) -> None:
@@ -265,16 +268,21 @@ def _check_params(circuit: QuantumCircuit, params: Sequence[float]) -> None:
 
 def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
                         params: Sequence[float] = ()) -> np.ndarray:
-    """Hot-path variant working on raw amplitude arrays."""
+    """Hot-path variant working on raw amplitude arrays shaped
+    (..., 2^n_bits): every state along the leading axes goes through."""
     if circuit.n_bits != n_bits:
         raise ConfigError(
             f"circuit is for {circuit.n_bits} bits, state has {n_bits}"
+        )
+    if amps.shape[-1] != 1 << n_bits:
+        raise ConfigError(
+            f"expected {1 << n_bits} amplitudes per state, got {amps.shape[-1]}"
         )
     _check_params(circuit, params)
     free_angles = iter(params)
     for gate in circuit.gates:
         angle = float(next(free_angles)) if gate.free else gate.angle
-        amps = _apply_instance(amps, n_bits, gate, angle)
+        amps = _apply_instance(amps, gate, angle)
     return amps
 
 
@@ -567,8 +575,6 @@ def parse_circuit(text: str, n_bits: int) -> QuantumCircuit:
                 n_free += 1
             else:
                 angle = parsed
-        elif name == "P":
-            angle = math.pi / 2.0
         elif kind.n_slots:
             raise ConfigError(f"token {pos} ({token!r}): Ry needs an angle")
         try:

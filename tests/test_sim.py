@@ -206,6 +206,12 @@ class TestApplyCircuit:
         with pytest.raises(ConfigError):
             apply_circuit(basis_state(2, 0), c, [1.0])
 
+    def test_wrong_length_rejected(self):
+        amps = np.ones(6, dtype=complex)
+        for text in ("Ry0:0.3", "CNOT0,1"):
+            with pytest.raises(ConfigError, match="expected 4 amplitudes"):
+                apply_circuit_array(amps, 2, parse_circuit(text, 2))
+
     def test_norm_preserved_random(self):
         rng = random.Random(13)
         for _ in range(60):
@@ -235,11 +241,15 @@ def moveaxis_2q(amps, n_bits, mat, qa, qb):
     return np.moveaxis(t, (0, 1), axes).reshape(-1)
 
 
-def reference_instance(amps, n_bits, gate, angle):
+def reference_instance(amps, gate, angle):
+    """The moveaxis kernel run on each state along the leading axes."""
+    n_bits = amps.shape[-1].bit_length() - 1
     mat = gate_matrix(gate.kind, angle)
-    if gate.kind.n_qubits == 1:
-        return moveaxis_1q(amps, n_bits, mat, gate.qubits[0])
-    return moveaxis_2q(amps, n_bits, mat, *gate.qubits)
+    outs = [moveaxis_1q(row, n_bits, mat, gate.qubits[0])
+            if gate.kind.n_qubits == 1
+            else moveaxis_2q(row, n_bits, mat, *gate.qubits)
+            for row in amps.reshape(-1, amps.shape[-1])]
+    return np.stack(outs).reshape(amps.shape)
 
 
 def kron_all(factors_high_first):
@@ -301,10 +311,10 @@ class TestKernels:
             kind = GATE_KINDS[name]
             for q in range(n):
                 gate = GateInstance(kind, (q,), angle=angle)
-                outs = [sim._apply_instance(amps, n, gate, angle)
+                outs = [sim._apply_instance(amps, gate, gate.angle)
                         for amps in rows]
                 for amps, out in zip(rows, outs):
-                    ref = reference_instance(amps, n, gate, angle)
+                    ref = reference_instance(amps, gate, gate.angle)
                     assert same_bits(out, ref), (name, q)
                 dense = dense_1q(n, gate_matrix(kind, angle), q)
                 assert np.allclose(outs, (dense @ rows.T).T,
@@ -319,10 +329,10 @@ class TestKernels:
                 if control == target:
                     continue
                 gate = GateInstance(GATE_KINDS["CNOT"], (control, target))
-                outs = [sim._apply_instance(amps, n, gate, None)
+                outs = [sim._apply_instance(amps, gate, None)
                         for amps in rows]
                 for amps, out in zip(rows, outs):
-                    ref = reference_instance(amps, n, gate, None)
+                    ref = reference_instance(amps, gate, None)
                     # the reference's 4x4 product adds +-0 terms, so the sign
                     # of an exactly zero part is BLAS's; every value is equal
                     assert np.array_equal(out, ref)
@@ -334,31 +344,31 @@ class TestKernels:
                                    rtol=0, atol=1e-12)
 
     @settings(deadline=None, max_examples=100)
-    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
-    def test_stacked_pair_runs_as_two_states(self, n, seed):
-        """Two n-bit states stored end to end are one (n+1)-bit state on
-        which no gate touches bit n, so one run of a circuit on it gives
-        both separate runs. Within 1e-13 always; bit for bit from n = 2
-        on. At n = 1 a 1-qubit gate is a 2x2 @ 2x1 product alone but
-        2x2 @ 2x2 stacked, and the two may differ in the last bit."""
+    @given(n=st.integers(1, 10), batch=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_runs_as_separate_states(self, n, batch, seed):
+        """A (B, 2^n) array goes through a circuit as B separate runs.
+        Within 1e-13 always; bit for bit from n = 2 on. At n = 1 a 1-qubit
+        gate is a 2x2 @ 2x1 product alone but 2x2 @ 2xB batched, and the
+        two may differ in the last bit."""
         rng = random.Random(seed)
         circuit = rand_circuit(n, rng, kinds=("Ry", "P", "H", "X", "CNOT"),
                                head=rng.randint(1, 15))
-        psi, phi = (rand_state(n, rng).amplitudes for _ in range(2))
-        stacked = apply_circuit_array(np.concatenate([psi, phi]), n + 1,
-                                      QuantumCircuit(n + 1, circuit.gates))
-        separate = np.concatenate([apply_circuit_array(psi, n, circuit),
-                                   apply_circuit_array(phi, n, circuit)])
-        assert np.abs(stacked - separate).max() <= 1e-13
+        states = np.stack([rand_state(n, rng).amplitudes
+                           for _ in range(batch)])
+        batched = apply_circuit_array(states, n, circuit)
+        separate = np.stack([apply_circuit_array(amps, n, circuit)
+                             for amps in states])
+        assert np.abs(batched - separate).max() <= 1e-13
         if n >= 2:
-            assert same_bits(stacked, separate)
+            assert same_bits(batched, separate)
 
     def test_kernels_leave_input_and_matrices_alone(self):
         amps = rand_state(4, random.Random(3)).amplitudes
         before = amps.copy()
         for token in ("Ry2:0.7", "CNOT3,1", "H0", "P3"):
             gate = parse_circuit(token, 4).gates[0]
-            sim._apply_instance(amps, 4, gate, gate.angle)
+            sim._apply_instance(amps, gate, gate.angle)
         assert same_bits(amps, before)
         gate_matrix("H")[0, 0] = 5.0     # callers get copies
         assert same_bits(gate_matrix("H"), sim._FIXED_MATRICES["H"])
@@ -369,8 +379,8 @@ class TestKernels:
         gate = GateInstance(GATE_KINDS["Ry"], (0,))
         amps = np.array([-0.0, 1.0, 1.0, -0.0], dtype=complex)
         for angle in (0.0, -0.0, 0.0):
-            assert same_bits(sim._apply_instance(amps, 2, gate, angle),
-                             reference_instance(amps, 2, gate, angle))
+            assert same_bits(sim._apply_instance(amps, gate, angle),
+                             reference_instance(amps, gate, angle))
 
 
 LOCK_INPUTS = {
@@ -726,6 +736,16 @@ class TestStringGrammar:
     def test_p_phase_printing(self):
         assert circuit_to_string(parse_circuit("P0", 1)) == "P0"
         assert circuit_to_string(parse_circuit("P0:pi/4", 1)) == "P0:pi/4"
+
+    def test_p_gate_without_angle(self):
+        # a P gate built without an angle is the default-phase gate
+        gate = GateInstance(GATE_KINDS["P"], (0,))
+        assert gate.angle == math.pi / 2 and not gate.free
+        circuit = QuantumCircuit(1, (gate,))
+        assert circuit_to_string(circuit) == "P0"
+        table = GateTable(1, ["P"])
+        assert gene_to_circuit(circuit_to_gene(circuit, table, 2),
+                               table) == circuit
 
     def test_parse_errors_name_token(self):
         with pytest.raises(ConfigError, match="token 1"):

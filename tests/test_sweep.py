@@ -233,22 +233,15 @@ def framed_circuit(rng, n, k_slots):
 
 @SLOW
 @given(n=st.integers(2, 4), k_slots=st.integers(0, 4),
-       seed=st.integers(0, 2**32), kind=KINDS, refine=st.booleans(),
-       stackable=st.booleans())
+       seed=st.integers(0, 2**32), kind=KINDS, refine=st.booleans())
 def test_framed_circuits_match_exhaustive_scan(monkeypatch, n, k_slots, seed,
-                                               kind, refine, stackable):
+                                               kind, refine):
     # the kept prefix state is rebuilt, advanced past fixed gates, and
-    # moved back when the cycle wraps; on a register at the simulator's
-    # width limit, where no stacked pair fits, psi and -iY psi go through
-    # the suffix one at a time
+    # moved back when the cycle wraps
     circuit = framed_circuit(random.Random(seed), n, k_slots)
     table = GateTable(n, ["Ry", "P", "CNOT", "H"])
-    with monkeypatch.context() as m:
-        if not stackable:
-            m.setattr(fitness_mod, "MAX_QUBITS", n)
-        assert_matches_reference(circuit,
-                                 make_problem(kind, table, seed, refine),
-                                 monkeypatch)
+    assert_matches_reference(circuit, make_problem(kind, table, seed, refine),
+                             monkeypatch)
 
 
 @SLOW
@@ -265,18 +258,13 @@ def test_several_pairs_match_exhaustive_scan(monkeypatch, n, k_slots, n_pairs,
 
 @SLOW
 @given(n=st.integers(2, 4), k_slots=st.integers(1, 4),
-       n_pairs=st.integers(2, 5), seed=st.integers(0, 2**32), kind=KINDS,
-       stacked=st.booleans())
-def test_sinusoid_reproduces_direct_prefitness(monkeypatch, n, k_slots,
-                                               n_pairs, seed, kind, stacked):
+       n_pairs=st.integers(2, 5), seed=st.integers(0, 2**32), kind=KINDS)
+def test_sinusoid_reproduces_direct_prefitness(n, k_slots, n_pairs, seed,
+                                               kind):
     # H/P/CNOT frames, other slots held at random angles, several training
     # pairs, random non-diagonal Pauli sums with shift and scale, and
-    # diagonal ones; psi and -iY psi stacked, or run one at a time as at
-    # the simulator's width limit
-    with monkeypatch.context() as m:
-        if not stacked:
-            m.setattr(fitness_mod, "MAX_QUBITS", n)
-        check_sinusoids(n, k_slots, n_pairs, seed, kind)
+    # diagonal ones
+    check_sinusoids(n, k_slots, n_pairs, seed, kind)
 
 
 def check_sinusoids(n, k_slots, n_pairs, seed, kind):
@@ -287,8 +275,7 @@ def check_sinusoids(n, k_slots, n_pairs, seed, kind):
     phi = [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(k_slots)]
     kept = fitness_mod._KeptStates(circuit, problem)
     for k in range(k_slots):
-        gate = [i for i, g in enumerate(circuit.gates) if g.free][k]
-        kept.move_to(gate, phi)
+        kept.move_to(k, phi)
         a, b, c = kept.sinusoid(phi)
         angles = list(DEFAULT_GRID) + [rng.uniform(-10.0, 10.0)
                                        for _ in range(4)]
@@ -308,14 +295,14 @@ H4 = PauliSumHamiltonian(4, [
 
 
 def count_applies(monkeypatch):
-    """Log (n_bits, gates) for every apply_circuit_array call the sweep
-    makes."""
+    """Log (pair, gates) for every apply_circuit_array call the sweep
+    makes; pair is true for a stacked (psi, -iY psi) run."""
     log = []
     apply = fitness_mod.apply_circuit_array
 
     def counted(amps, n_bits, circuit, params, /):
         # four positional arguments, as the benchmark's counter takes them
-        log.append((n_bits, len(circuit.gates)))
+        log.append((amps.ndim == 2, len(circuit.gates)))
         return apply(amps, n_bits, circuit, params)
 
     monkeypatch.setattr(fitness_mod, "apply_circuit_array", counted)
@@ -338,10 +325,10 @@ def test_one_stacked_run_per_visit_and_early_stop(monkeypatch):
     last_change = max(v for v, (_, changed) in enumerate(history) if changed)
     assert len(history) == last_change + k_slots     # K - 1 visits after it
     assert len(history) > k_slots                    # something did change
-    # every visit: one stacked run on 5 bits; plus one direct evaluation
-    stacked = [gates for n_bits, gates in applies if n_bits == 5]
+    # every visit: one stacked pair run; plus one direct evaluation
+    stacked = [gates for pair, gates in applies if pair]
     assert len(stacked) == len(sinusoids) == len(history)
-    assert applies[-1] == (4, len(circuit.gates))
+    assert applies[-1] == (False, len(circuit.gates))
 
 
 def test_gate_applications_counted_exactly(monkeypatch):
@@ -357,8 +344,8 @@ def test_gate_applications_counted_exactly(monkeypatch):
     ref_phi, ref_best, history = reference_sweep(circuit, problem,
                                                  sinusoids)
     assert result == (ref_phi, ref_best)
-    stacked = [gates for n_bits, gates in applies if n_bits == 5]
-    moves = [gates for n_bits, gates in applies[:-1] if n_bits == 4]
+    stacked = [gates for pair, gates in applies if pair]
+    moves = [gates for pair, gates in applies[:-1] if not pair]
     # the last change is at visit 12 (a sideways move), so the sweep stops
     # after visit 19: stacked runs of 7, 6, ..., 0 gates in visits 0-7 and
     # 8-15 and 7, 6, 5, 4 in visits 16-19; one-gate moves before visits
@@ -367,7 +354,7 @@ def test_gate_applications_counted_exactly(monkeypatch):
     assert len(history) == 20
     assert (len(stacked), sum(stacked)) == (20, 28 + 28 + 22)
     assert (len(moves), sum(moves)) == (17, 17)
-    assert applies[-1] == (4, 8)
+    assert applies[-1] == (False, 8)
     assert sum(gates for _, gates in applies) == 103
 
 
