@@ -1,10 +1,13 @@
 """Command line driver: input-file parsing, runs, and oracle cross-checks.
 
-Input files are one `Key = value` per line with `#` comments. Relative
-paths inside the file resolve against the file's directory, and artifacts
-(trace.csv, best.circ, maxcut.txt) are written there too. Exit status 0
-means the run completed all generations; EXIT_EARLY_STOP means the fitness
-target was reached first.
+Input files are UTF-8 text, one `Key = value` per line with `#` comments,
+read like every other input file through ``engine.content_lines``; an
+error in one names its file and line (``file:N:``), and one in a genome
+string its token (``token K``). Relative paths inside the file resolve
+against the file's directory, and artifacts (trace.csv, best.circ,
+maxcut.txt) are written there too. Exit status 0 means the run completed
+all generations; EXIT_EARLY_STOP means the fitness target was reached
+first; a bad input ends in one `error:` line on stderr and EXIT_ERROR.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from gepcirc.engine import (
     EvolutionResult,
     FitnessEvaluationError,
     Gene,
+    Locator,
+    content_lines,
     make_gene,
     run_evolution,
 )
@@ -52,9 +57,11 @@ from gepcirc.oracle import (
 from gepcirc.sim import (
     GATE_KINDS,
     MAX_QUBITS,
+    GateInstance,
     GateTable,
     QuantumCircuit,
     StateVector,
+    _gate_token,
     apply_circuit,
     basis_state,
     bind_params,
@@ -107,8 +114,8 @@ class RunSpec:
     exact_energy: float | None = None
     p_phase: float = math.pi / 2.0
     base_dir: Path = Path(".")
-    # key -> "file:line" that set it, for errors found after parsing
-    origin: dict[str, str] = field(default_factory=dict)
+    # key -> the input file line that set it, for errors found after parsing
+    origin: dict[str, Locator] = field(default_factory=dict)
 
     def resolve(self, path: str) -> Path:
         return self.base_dir / path
@@ -116,7 +123,7 @@ class RunSpec:
     def error(self, key: str, message: str) -> ConfigError:
         """``message`` as a ConfigError naming the line that set ``key``."""
         where = self.origin.get(key)
-        return ConfigError(f"{where}: {message}" if where else message)
+        return where.error(message) if where else ConfigError(message)
 
 
 def _parse_float(text: str) -> float:
@@ -203,33 +210,27 @@ def parse_input(path: str | Path) -> RunSpec:
     path = Path(path)
     values: dict[str, object] = {}
     seen: dict[str, int] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected Key = value")
-            key, _, value = line.partition("=")
+    lines = content_lines(path)
+    with Locator(path) as at:
+        for at.line, line in lines:
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ConfigError("expected Key = value")
             key, value = key.strip(), value.strip()
             if key not in _KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ConfigError(f"unknown key {key!r}")
             if key in seen:
-                raise ConfigError(
-                    f"{path}:{lineno}: key {key} already set on line {seen[key]}"
-                )
-            seen[key] = lineno
+                raise ConfigError(f"key {key} already set on line {seen[key]}")
+            seen[key] = at.line
             attr, convert = _KEYS[key]
             try:
                 values[attr] = convert(value)
             except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value for {key}: {exc}"
-                ) from None
+                raise ConfigError(f"bad value for {key}: {exc}") from None
     for key in _REQUIRED:
         if _KEYS[key][0] not in values:
             raise ConfigError(f"{path}: missing required key {key}")
-    origin = {key: f"{path}:{lineno}" for key, lineno in seen.items()}
+    origin = {key: Locator(path, line) for key, line in seen.items()}
     spec = RunSpec(base_dir=path.parent, origin=origin, **values)
     _validate_spec(spec, path)
     return spec
@@ -265,30 +266,14 @@ def _validate_spec(spec: RunSpec, path: Path) -> None:
 def _builtin_hamiltonian(value: str) -> PauliSumHamiltonian:
     """`xx:n,Jx,open|periodic` or `heisenberg2d:rows,cols`."""
     kind, _, rest = value.partition(":")
-    if kind == "xx":
-        parts = rest.split(",")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"Hamiltonian=xx takes n,Jx,open|periodic, got {value!r}"
-            )
-        try:
-            n, jx = int(parts[0]), float(parts[1])
-        except ValueError:
-            raise ConfigError(f"bad xx parameters in {value!r}") from None
-        return xx_chain(n, jx, parts[2])
-    if kind == "heisenberg2d":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ConfigError(
-                f"Hamiltonian=heisenberg2d takes rows,cols, got {value!r}"
-            )
-        try:
-            return heisenberg_2d(int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise ConfigError(f"bad heisenberg2d parameters in {value!r}") from None
+    parts = rest.split(",")
+    if kind == "xx" and len(parts) == 3:
+        return xx_chain(int(parts[0]), float(parts[1]), parts[2])
+    if kind == "heisenberg2d" and len(parts) == 2:
+        return heisenberg_2d(int(parts[0]), int(parts[1]))
     raise ConfigError(
-        f"Hamiltonian must be xx:..., heisenberg2d:... or file:..., "
-        f"got {value!r}"
+        "Hamiltonian must be xx:n,Jx,open|periodic, heisenberg2d:rows,cols "
+        f"or file:<path>, got {value!r}"
     )
 
 
@@ -310,21 +295,14 @@ def load_training_pairs(path: str | Path, n_bits: int
                         ) -> list[tuple[StateVector, StateVector]]:
     """Pairs file: one `input output` of basis labels per line; `->` allowed."""
     pairs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+    lines = content_lines(path)
+    with Locator(path) as at:
+        for at.line, line in lines:
             parts = line.replace("->", " ").split()
             if len(parts) != 2:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'input output' labels"
-                )
-            try:
-                idx_in = parse_basis_label(parts[0], n_bits)
-                idx_out = parse_basis_label(parts[1], n_bits)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                raise ConfigError("expected 'input output' labels")
+            idx_in = parse_basis_label(parts[0], n_bits)
+            idx_out = parse_basis_label(parts[1], n_bits)
             pairs.append((basis_state(n_bits, idx_in), basis_state(n_bits, idx_out)))
     if not pairs:
         raise ConfigError(f"{path}: no training pairs")
@@ -376,7 +354,11 @@ def _prepare(spec: RunSpec) -> _Prepared:
         else:
             h = _hamiltonian_from_key(spec.hamiltonian, spec.n_bits, spec)
         if spec.energy_shift != 0.0 or spec.energy_scale != 1.0:
-            h = h.rescaled(spec.energy_shift, spec.energy_scale)
+            try:
+                h = h.rescaled(spec.energy_shift, spec.energy_scale)
+            except ConfigError as exc:
+                key = "EnergyScale" if "EnergyScale" in spec.origin else "EnergyShift"
+                raise spec.error(key, str(exc)) from None
         index = 0
         if spec.initial_state is not None:
             try:
@@ -529,20 +511,16 @@ def decode_gene_string(text: str) -> QuantumCircuit:
     tokens = text.split()
     if "psi0" in tokens:
         tokens = tokens[: tokens.index("psi0")]
-    placements = []
-    for pos, token in enumerate(tokens):
-        name = token.rstrip("0123456789,")
-        kind = GATE_KINDS.get(name)
-        qubits = token[len(name):].split(",")
-        if (kind is None or len(qubits) != kind.n_qubits
-                or not all(q.isdecimal() for q in qubits)
-                or len(set(map(int, qubits))) != len(qubits)):
-            raise ConfigError(f"token {pos} ({token!r}): not a genome symbol")
-        placements.append((kind, tuple(map(int, qubits))))
-    n_bits = 1 + max((q for _, qubits in placements for q in qubits),
-                     default=0)
+    gates = []
+    with Locator() as at:
+        for at.token in enumerate(tokens):
+            kind, qubits, angle_text = _gate_token(at.token[1])
+            if angle_text is not None:
+                raise ConfigError("a genome symbol takes no angle")
+            gates.append(GateInstance(kind, qubits))
+    n_bits = 1 + max((q for g in gates for q in g.qubits), default=0)
     table = GateTable(n_bits, tuple(GATE_KINDS.values()))
-    head = [table.symbol_for(*p) for p in placements] + [table.terminal]
+    head = [table.symbol_for(g.kind, g.qubits) for g in gates] + [table.terminal]
     gene = make_gene(head + [table.terminal], len(head), table.pset)
     return gene_to_circuit(gene, table)
 

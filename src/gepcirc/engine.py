@@ -6,16 +6,23 @@ guarantees that breadth-first (Karva) decoding never runs past the end of the
 gene, so every genome and every operator output is syntactically valid. The
 engine is fitness-agnostic: it evolves genes for any primitive set and any
 fitness callable.
+
+Every input also enters here: ``content_lines`` reads each input file,
+and a ``Locator`` names the file line or circuit token an error arose at.
 """
 
 from __future__ import annotations
 
+import io
 import random
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 __all__ = [
     "ConfigError",
+    "content_lines",
+    "Locator",
     "FitnessEvaluationError",
     "PrimitiveSet",
     "Gene",
@@ -42,6 +49,58 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid primitive set, gene shape, or evolution configuration."""
+
+
+def content_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(line number, text) of each line of the UTF-8 file at ``path`` that
+    holds more than a `#` comment, cut at the `#` and stripped."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except ValueError as exc:     # a NUL in the name
+        raise ConfigError(f"{path!r}: {exc}") from None
+    lines = []
+    # newline=None ends lines at \\n, \\r\\n or \\r, as text mode does
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+    return lines
+
+
+class Locator:
+    """Where a reader is in its input, for error messages.
+
+    A file reader runs its loop in ``with Locator(path) as at:`` and stores
+    each line number in ``at.line``; a circuit-string reader runs it in
+    ``with Locator() as at:`` and stores (index, token) in ``at.token``.
+    A ValueError (ConfigError included) raised inside leaves as the
+    ConfigError ``error`` makes of it, so checks raise bare messages and
+    no prefix is formatted unless one fails.
+    """
+
+    def __init__(self, path: str | Path | None = None, line: int = 0):
+        self.path, self.line = path, line       # line 0: the whole file
+        self.token: tuple[int, str] = (0, "")
+
+    def error(self, message: object) -> ConfigError:
+        """``message`` after ``file:N:``, ``file:`` at line 0, or
+        ``token K ('text'):`` without a file."""
+        if self.path is None:
+            where = "token {} ({!r})".format(*self.token)
+        else:
+            where = f"{self.path}:{self.line}" if self.line else str(self.path)
+        return ConfigError(f"{where}: {message}")
+
+    def __enter__(self) -> "Locator":
+        return self
+
+    def __exit__(self, kind: type | None, exc: BaseException | None,
+                 tb: object) -> None:
+        if isinstance(exc, ValueError):
+            raise self.error(exc) from None
 
 
 class FitnessEvaluationError(RuntimeError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gepcirc.engine import ConfigError
+from gepcirc.engine import ConfigError, Locator, content_lines
 from gepcirc.sim import MAX_QUBITS, StateVector
 
 __all__ = [
@@ -97,10 +97,6 @@ class PauliTerm:
     def from_map(cls, coefficient: float, paulis: Mapping[int, str]) -> "PauliTerm":
         return cls(coefficient, tuple(sorted(paulis.items())))
 
-    @property
-    def paulis(self) -> dict[int, str]:
-        return dict(self.ops)
-
     def masks(self) -> tuple[int, int, int]:
         """(xmask, ymask, zmask) bit masks of the string."""
         x = y = z = 0
@@ -126,7 +122,10 @@ class PauliSumHamiltonian:
     """Real-weighted sum of Pauli strings with optional affine rescaling.
 
     ``expectation`` reports s * (<H> - e0) when a shift e0 and scale s are
-    set, matching the convention of working with H' = s*(H - e0).
+    set, matching the convention of working with H' = s*(H - e0). No
+    energy is then larger than |s|*(sum |c_i| + |e0|) in size, and the
+    constructor requires four times that to be finite, which leaves
+    headroom for the sweep's sums |a| + |b| + |c| and hypot(b, c).
     """
 
     def __init__(self, n_bits: int, terms: Iterable[PauliTerm],
@@ -141,8 +140,13 @@ class PauliSumHamiltonian:
                     raise ConfigError(f"qubit {q} outside {n_bits}-bit register")
         self.shift = float(shift)
         self.scale = float(scale)
-        if not math.isfinite(self.shift) or not math.isfinite(self.scale):
-            raise ConfigError("shift and scale must be finite")
+        bound = 4.0 * abs(self.scale) * (
+            sum(abs(t.coefficient) for t in self.terms) + abs(self.shift))
+        if not math.isfinite(bound):
+            raise ConfigError(
+                f"energies overflow: 4*|scale|*(sum of |coefficients| + "
+                f"|shift|) is {bound}"
+            )
         # built on first use: see the module docstring
         self._diag: np.ndarray | None = None
         self._perms: np.ndarray | None = None
@@ -248,8 +252,8 @@ def ising_from_graph(graph: Graph) -> PauliSumHamiltonian:
 def xx_chain(n: int, jx: float = 1.0,
              boundary: str = "periodic") -> PauliSumHamiltonian:
     """Jx * sum_i X_i X_{i+1} on a chain, optionally closed into a ring."""
-    if n < 2:
-        raise ConfigError("chain needs at least 2 sites")
+    if not 2 <= n <= MAX_QUBITS:
+        raise ConfigError(f"chain needs 2..{MAX_QUBITS} sites, got {n}")
     if boundary not in ("open", "periodic"):
         raise ConfigError(f"boundary must be open or periodic, got {boundary!r}")
     bonds = [(i, i + 1) for i in range(n - 1)]
@@ -261,8 +265,8 @@ def xx_chain(n: int, jx: float = 1.0,
 
 def heisenberg_2d(rows: int, cols: int) -> PauliSumHamiltonian:
     """Nearest-neighbor XX+YY+ZZ on an open rows x cols grid, row-major sites."""
-    if rows < 1 or cols < 1:
-        raise ConfigError("grid dimensions must be >= 1")
+    if rows < 1 or cols < 1 or rows * cols > MAX_QUBITS:
+        raise ConfigError(f"grid needs 1..{MAX_QUBITS} sites, got {rows}x{cols}")
     bonds = []
     for r in range(rows):
         for c in range(cols):
@@ -275,7 +279,7 @@ def heisenberg_2d(rows: int, cols: int) -> PauliSumHamiltonian:
         PauliTerm.from_map(1.0, {i: p, j: p})
         for i, j in bonds for p in ("X", "Y", "Z")
     ]
-    return PauliSumHamiltonian(max(rows * cols, 1), terms)
+    return PauliSumHamiltonian(rows * cols, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -330,45 +334,33 @@ def maxcut_from_state(state: StateVector, graph: Graph,
 _PAULI_TOKEN_RE = re.compile(r"^([XYZ])(\d+)$")
 
 
-def _content_lines(path: str) -> list[tuple[int, str]]:
-    out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append((lineno, line))
-    return out
+def _header(line: str, word: str) -> int:
+    """The count of a `<word> <count>` header line."""
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != word:
+        raise ConfigError(f"expected header '{word} <count>'")
+    return int(parts[1])
 
 
 def load_graph(path: str) -> Graph:
     """Edge list file: `n <count>` header, then one `i j` pair per line."""
-    lines = _content_lines(path)
+    lines = content_lines(path)
     if not lines:
         raise ConfigError(f"{path}: empty graph file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "n":
-        raise ConfigError(f"{path}:{lineno}: expected header 'n <count>'")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: bad vertex count {parts[1]!r}") from None
-    if n < 1:
-        raise ConfigError(f"{path}:{lineno}: graph needs at least one vertex")
     edges: dict[tuple[int, int], None] = {}     # insertion-ordered set
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ConfigError(f"{path}:{lineno}: expected 'i j'")
-        try:
+    with Locator(path) as at:
+        at.line, header = lines[0]
+        n = _header(header, "n")
+        if n < 1:
+            raise ConfigError("graph needs at least one vertex")
+        for at.line, line in lines[1:]:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ConfigError(f"expected 'i j', got {line!r}")
             edge = _edge(n, int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad edge {line!r}") from None
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        if edge in edges:
-            raise ConfigError(f"{path}:{lineno}: duplicate edge {line!r}")
-        edges[edge] = None
+            if edge in edges:
+                raise ConfigError(f"duplicate edge {line!r}")
+            edges[edge] = None
     return Graph(n, tuple(edges))
 
 
@@ -381,41 +373,28 @@ def save_graph(graph: Graph, path: str) -> None:
 
 def load_pauli_sum(path: str) -> PauliSumHamiltonian:
     """Text format: `nbits <N>` header, then `coefficient X0 Z3 ...` lines."""
-    lines = _content_lines(path)
+    lines = content_lines(path)
     if not lines:
         raise ConfigError(f"{path}: empty Hamiltonian file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "nbits":
-        raise ConfigError(f"{path}:{lineno}: expected header 'nbits <N>'")
-    try:
-        n_bits = int(parts[1])
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: bad bit count {parts[1]!r}") from None
-    if not 1 <= n_bits <= MAX_QUBITS:
-        raise ConfigError(f"{path}:{lineno}: nbits must be in 1..{MAX_QUBITS}")
     terms = []
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        try:
-            coeff = float(parts[0])
-        except ValueError:
-            raise ConfigError(
-                f"{path}:{lineno}: bad coefficient {parts[0]!r}"
-            ) from None
-        ops = []
-        for token in parts[1:]:
-            m = _PAULI_TOKEN_RE.match(token)
-            if not m:
-                raise ConfigError(f"{path}:{lineno}: bad Pauli token {token!r}")
-            if int(m.group(2)) >= n_bits:
-                raise ConfigError(f"{path}:{lineno}: {token} outside {n_bits} bits")
-            ops.append((int(m.group(2)), m.group(1)))
-        try:
-            terms.append(PauliTerm(coeff, tuple(ops)))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    return PauliSumHamiltonian(n_bits, terms)
+    with Locator(path) as at:
+        at.line, header = lines[0]
+        n_bits = _header(header, "nbits")
+        if not 1 <= n_bits <= MAX_QUBITS:
+            raise ConfigError(f"nbits must be in 1..{MAX_QUBITS}")
+        for at.line, line in lines[1:]:
+            coefficient, *tokens = line.split()
+            ops = []
+            for token in tokens:
+                m = _PAULI_TOKEN_RE.match(token)
+                if not m:
+                    raise ConfigError(f"bad Pauli token {token!r}")
+                if int(m.group(2)) >= n_bits:
+                    raise ConfigError(f"{token} outside {n_bits} bits")
+                ops.append((int(m.group(2)), m.group(1)))
+            terms.append(PauliTerm(float(coefficient), tuple(ops)))
+        at.line = 0     # an overflow belongs to the sum, not to one line
+        return PauliSumHamiltonian(n_bits, terms)
 
 
 def save_pauli_sum(h: PauliSumHamiltonian, path: str) -> None:

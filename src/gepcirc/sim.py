@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from gepcirc.engine import (
-    ConfigError, Gene, PrimitiveSet, coding_length, make_gene,
+    ConfigError, Gene, Locator, PrimitiveSet, coding_length, make_gene,
 )
 
 MAX_QUBITS = 24        # dense statevectors above this exhaust memory
@@ -77,18 +77,23 @@ GATE_KINDS: dict[str, GateKind] = {
 # self-inverse kinds cancel as adjacent identical pairs (P does not: P^2 = Z)
 _SELF_INVERSE = {"H", "X", "Y", "Z", "CNOT"}
 
+
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
+
+
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# read-only: the kernels use them as they are, gate_matrix hands out copies
 _FIXED_MATRICES = {
-    "H": np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
-                  dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    # first qubit of the pair is the control
-    "CNOT": np.array([[1, 0, 0, 0],
-                      [0, 1, 0, 0],
-                      [0, 0, 0, 1],
-                      [0, 0, 1, 0]], dtype=complex),
+    name: _frozen(np.array(rows, dtype=complex)) for name, rows in {
+        "H": [[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
+        "X": [[0, 1], [1, 0]],
+        "Y": [[0, -1j], [1j, 0]],
+        "Z": [[1, 0], [0, -1]],
+        # first qubit of the pair is the control
+        "CNOT": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    }.items()
 }
 
 
@@ -202,17 +207,6 @@ def gate_matrix(kind: GateKind | str, angle: float | None = None) -> np.ndarray:
         raise ConfigError(f"unknown gate kind {name!r}") from None
 
 
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    mat.flags.writeable = False
-    return mat
-
-
-# read-only matrices of the angle-free 1-qubit gates; gate_matrix hands
-# out fresh copies
-_KERNEL_MATRICES = {name: _frozen(gate_matrix(name))
-                    for name in ("H", "X", "Y", "Z")}
-
-
 @functools.lru_cache(maxsize=1024)
 def _angle_matrix(name: str, angle: float, sign: float) -> np.ndarray:
     # `sign` is part of the key because 0.0 == -0.0 while their matrices
@@ -222,7 +216,7 @@ def _angle_matrix(name: str, angle: float, sign: float) -> np.ndarray:
 
 def _kernel_matrix(name: str, angle: float | None) -> np.ndarray:
     if angle is None:
-        return _KERNEL_MATRICES[name]
+        return _FIXED_MATRICES[name]
     return _angle_matrix(name, angle, math.copysign(1.0, angle))
 
 
@@ -502,17 +496,19 @@ def parse_angle(text: str) -> float | int | None:
         except ValueError:
             raise ConfigError(f"bad free-angle reference {text!r}") from None
     m = _PI_FRACTION_RE.match(text)
-    if m:
-        sign = -1.0 if m.group(1) else 1.0
-        num = int(m.group(2)) if m.group(2) else 1
-        den = int(m.group(3)) if m.group(3) else 1
-        if den == 0:
-            raise ConfigError(f"zero denominator in angle {text!r}")
-        return sign * num * math.pi / den
     try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse angle {text!r}") from None
+        if m:
+            sign = -1.0 if m.group(1) else 1.0
+            num = int(m.group(2)) if m.group(2) else 1
+            den = int(m.group(3)) if m.group(3) else 1
+            angle = sign * num * math.pi / den
+        else:
+            angle = float(text)
+    except (ArithmeticError, ValueError):   # no number, 0 denominator, overflow
+        angle = math.nan
+    if not math.isfinite(angle):
+        raise ConfigError(f"cannot parse angle {text!r} as a finite number")
+    return angle
 
 
 def _format_gate(gate: GateInstance, n_free_before: int) -> str:
@@ -536,6 +532,16 @@ def circuit_to_string(circuit: QuantumCircuit) -> str:
     return " ".join(tokens)
 
 
+def _gate_token(token: str) -> tuple[GateKind, tuple[int, ...], str | None]:
+    """A gate token's kind, qubits and angle text (None without one)."""
+    m = _TOKEN_RE.match(token)
+    if not m:
+        raise ConfigError("not a gate token")
+    name, qa, qb, angle_text = m.groups()
+    qubits = (int(qa),) if qb is None else (int(qa), int(qb))
+    return GATE_KINDS[name], qubits, angle_text
+
+
 def parse_circuit(text: str, n_bits: int) -> QuantumCircuit:
     """Inverse of circuit_to_string; errors name the offending token.
 
@@ -544,47 +550,21 @@ def parse_circuit(text: str, n_bits: int) -> QuantumCircuit:
     """
     gates: list[GateInstance] = []
     n_free = 0
-    for pos, token in enumerate(text.split()):
-        m = _TOKEN_RE.match(token)
-        if not m:
-            raise ConfigError(f"token {pos} ({token!r}): not a gate token")
-        name, qa, qb, angle_text = m.groups()
-        kind = GATE_KINDS[name]
-        qubits = (int(qa),) if qb is None else (int(qa), int(qb))
-        if len(qubits) != kind.n_qubits:
-            raise ConfigError(
-                f"token {pos} ({token!r}): {name} takes {kind.n_qubits} qubits"
-            )
-        angle: float | None = None
-        if angle_text is not None:
-            if not kind.n_slots and name != "P":
-                raise ConfigError(
-                    f"token {pos} ({token!r}): {name} takes no angle"
-                )
-            parsed = parse_angle(angle_text)
-            if isinstance(parsed, int):
+    with Locator() as at:
+        for at.token in enumerate(text.split()):
+            kind, qubits, angle_text = _gate_token(at.token[1])
+            angle = None if angle_text is None else parse_angle(angle_text)
+            if isinstance(angle, int):      # phi<k>
                 if not kind.n_slots:
-                    raise ConfigError(
-                        f"token {pos} ({token!r}): {name} takes no free angle"
-                    )
-                if parsed != n_free:
-                    raise ConfigError(
-                        f"token {pos} ({token!r}): expected phi{n_free}, "
-                        "free angles are numbered in gate order"
-                    )
-                n_free += 1
-            else:
-                angle = parsed
-        elif kind.n_slots:
-            raise ConfigError(f"token {pos} ({token!r}): Ry needs an angle")
-        try:
-            gates.append(GateInstance(kind, qubits, angle=angle))
-        except ConfigError as exc:
-            raise ConfigError(f"token {pos} ({token!r}): {exc}") from None
-    try:
-        return QuantumCircuit(n_bits, tuple(gates))
-    except ConfigError as exc:
-        raise ConfigError(f"circuit {text!r}: {exc}") from None
+                    raise ConfigError(f"{kind.name} takes no free angle")
+                if angle != n_free:
+                    raise ConfigError(f"expected phi{n_free}, free angles "
+                                      "are numbered in gate order")
+                angle, n_free = None, n_free + 1
+            elif angle_text is None and kind.n_slots:
+                raise ConfigError("Ry needs an angle")
+            gates.append(GateInstance(kind, qubits, angle))
+    return QuantumCircuit(n_bits, tuple(gates))
 
 
 def parse_basis_label(text: str, n_bits: int) -> int:

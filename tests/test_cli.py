@@ -404,7 +404,11 @@ class TestMain:
         ("GraphFile = g3.txt", "graph has 3 vertices but NumBits = 2"),
         ("Hamiltonian = xx:3,1,open", "Hamiltonian is on 3 bits but NumBits = 2"),
         ("InitialState = 9", "initial state 9 out of range for 2 bits"),
+        # finite, but the energies they make are not
+        ("EnergyScale = 1e308", "energies overflow"),
+        ("EnergyShift = -1e308", "energies overflow"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_line_exit(self, tmp_path, capsys, line, message):
         edge_graph(tmp_path)
         save_graph(Graph(3, ((0, 1), (1, 2))), str(tmp_path / "g3.txt"))

@@ -100,6 +100,11 @@ class TestChainAndGrid:
             xx_chain(1, 1.0, "open")
         with pytest.raises(ConfigError):
             xx_chain(4, 1.0, "moebius")
+        # over the simulator's width before a term is built
+        with pytest.raises(ConfigError, match="chain needs 2..24 sites"):
+            xx_chain(10**9, 1.0, "open")
+        with pytest.raises(ConfigError, match="grid needs 1..24 sites"):
+            heisenberg_2d(5, 5)
 
     def test_xx_alternating_ry_reaches_exact_energy(self):
         h = xx_chain(4, 1.0, "periodic")
@@ -167,6 +172,26 @@ class TestExpectation:
             PauliTerm.from_map(1.0, {0: "W"})
         with pytest.raises(ConfigError):
             PauliSumHamiltonian(2, [PauliTerm.from_map(1.0, {5: "Z"})])
+
+    @pytest.mark.parametrize("coefficients, shift, scale", [
+        ((1e308, 1e308), 0.0, 1.0),
+        ((1.0,), 0.0, 1e308),
+        ((1.0,), -1e308, 1.0),
+        ((1.0,), math.inf, 0.0),
+        ((1.0,), 0.0, math.nan),
+    ])
+    def test_energy_overflow_rejected(self, coefficients, shift, scale):
+        terms = [PauliTerm.from_map(c, {0: "Z"}) for c in coefficients]
+        with pytest.raises(ConfigError, match="energies overflow"):
+            PauliSumHamiltonian(1, terms, shift, scale)
+
+    def test_energy_bound_leaves_headroom(self):
+        # 4 * (1e307 + 1e307) is finite, and so is every energy
+        h = PauliSumHamiltonian(1, [PauliTerm.from_map(1e307, {0: "Z"}),
+                                    PauliTerm(1e307, ())])
+        assert expectation(h, basis_state(1, 0)) == 2e307
+        with pytest.raises(ConfigError, match="energies overflow"):
+            h.rescaled(0.0, 8.0)
 
     def test_imaginary_residue_raises(self):
         h = PauliSumHamiltonian(1, [PauliTerm.from_map(1.0, {0: "X"})])
@@ -355,6 +380,13 @@ class TestFileFormats:
             load_pauli_sum(str(path))
         path.write_text("nbits 2\n1.0 Z0 Z0\n")
         with pytest.raises(ConfigError, match="bad.ham:2"):
+            load_pauli_sum(str(path))
+
+    def test_pauli_overflow_names_the_file(self, tmp_path):
+        # each coefficient is finite, their sum is not: no one line is at fault
+        path = tmp_path / "bad.ham"
+        path.write_text("nbits 2\n1e308 Z0\n1e308 Z1\n")
+        with pytest.raises(ConfigError, match=r"bad\.ham: energies overflow"):
             load_pauli_sum(str(path))
 
     @pytest.mark.parametrize("text, line", [

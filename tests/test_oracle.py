@@ -35,7 +35,7 @@ def kron_matrix(h):
     dim = 1 << h.n_bits
     total = np.zeros((dim, dim), dtype=complex)
     for term in h.terms:
-        paulis = term.paulis
+        paulis = dict(term.ops)
         mat = np.eye(1, dtype=complex)
         # qubit 0 is the least significant bit, so it is the last factor
         for q in range(h.n_bits - 1, -1, -1):

@@ -721,6 +721,9 @@ class TestStringGrammar:
             parse_angle("wat")
         with pytest.raises(ConfigError):
             parse_angle("pi/0")
+        for text in ("inf", "-inf", "nan", "1e999", "9" * 400 + "pi"):
+            with pytest.raises(ConfigError, match="as a finite number"):
+                parse_angle(text)
 
     def test_fixed_angle_circuit_round_trip(self):
         text = "Ry0:3pi/2 Ry1:pi/2 Ry2:3pi/2 Ry3:pi/2"
