@@ -16,7 +16,7 @@ import argparse
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from gepcirc import __version__
@@ -28,7 +28,6 @@ from gepcirc.engine import (
     Gene,
     Locator,
     content_lines,
-    make_gene,
     run_evolution,
 )
 from gepcirc.fitness import (
@@ -87,16 +86,13 @@ __all__ = [
 
 @dataclass
 class RunSpec:
-    """Everything a run needs, as parsed from one input file."""
+    """Everything a run needs, as parsed from one input file; the GEP
+    engine's own settings are ``evolution``."""
 
     run_type: str
     n_bits: int
     gates: tuple[str, ...]
-    head_size: int
-    generations: int
-    population: int = 100
-    seed: int = 0
-    early_stop: float | None = None
+    evolution: EvolutionConfig
     initial_state: str | None = None
     graph_file: str | None = None
     hamiltonian: str | None = None
@@ -106,11 +102,6 @@ class RunSpec:
     energy_shift: float = 0.0
     energy_scale: float = 1.0
     epsilon: float = 1e-4
-    mutation_rate: float = 0.05
-    one_point_rate: float = 0.4
-    two_point_rate: float = 0.2
-    inversion_rate: float = 0.1
-    swap_rate: float = 0.1
     exact_energy: float | None = None
     p_phase: float = math.pi / 2.0
     base_dir: Path = Path(".")
@@ -174,16 +165,16 @@ def _parse_hamiltonian(text: str) -> str:
     return text
 
 
-# key -> (RunSpec attribute, converter)
+# key -> (RunSpec or EvolutionConfig field, converter)
 _KEYS = {
     "RunType": ("run_type", str),
     "NumBits": ("n_bits", _ranged(int, 1, MAX_QUBITS)),
     "Gates": ("gates", _parse_gates),
-    "HeadSize": ("head_size", _ranged(int, 1)),
-    "Population": ("population", _ranged(int, 2)),
+    "HeadSize": ("head_len", _ranged(int, 1)),
+    "Population": ("population_size", _ranged(int, 2)),
     "Generations": ("generations", _ranged(int, 1)),
     "Seed": ("seed", int),
-    "EarlyStopFitness": ("early_stop", _parse_float),
+    "EarlyStopFitness": ("early_stop_fitness", _parse_float),
     "InitialState": ("initial_state", str),
     "GraphFile": ("graph_file", str),
     "Hamiltonian": ("hamiltonian", _parse_hamiltonian),
@@ -194,10 +185,10 @@ _KEYS = {
     "EnergyScale": ("energy_scale", _parse_float),
     "Epsilon": ("epsilon", _ranged(_parse_float, 0)),
     "MutationRate": ("mutation_rate", _parse_rate),
-    "OnePointRate": ("one_point_rate", _parse_rate),
-    "TwoPointRate": ("two_point_rate", _parse_rate),
-    "InversionRate": ("inversion_rate", _parse_rate),
-    "SwapRate": ("swap_rate", _parse_rate),
+    "OnePointRate": ("one_point_prob", _parse_rate),
+    "TwoPointRate": ("two_point_prob", _parse_rate),
+    "InversionRate": ("inversion_prob", _parse_rate),
+    "SwapRate": ("swap_prob", _parse_rate),
     "ExactEnergy": ("exact_energy", _parse_float),
     "PPhase": ("p_phase", _parse_float),
 }
@@ -231,7 +222,10 @@ def parse_input(path: str | Path) -> RunSpec:
         if _KEYS[key][0] not in values:
             raise ConfigError(f"{path}: missing required key {key}")
     origin = {key: Locator(path, line) for key, line in seen.items()}
-    spec = RunSpec(base_dir=path.parent, origin=origin, **values)
+    evolution = {f.name: values.pop(f.name) for f in fields(EvolutionConfig)
+                 if f.name in values}
+    spec = RunSpec(evolution=EvolutionConfig(**evolution), base_dir=path.parent,
+                   origin=origin, **values)
     _validate_spec(spec, path)
     return spec
 
@@ -314,25 +308,24 @@ class _Prepared:
     problem: Problem
     graph: Graph | None
     reference: float | None     # ground energy of the optimized Hamiltonian
-    config: EvolutionConfig
     canonicalize_gene: Callable[[Gene], Gene] | None
 
 
-def _reference_energy(spec: RunSpec, h: PauliSumHamiltonian,
-                      graph: Graph | None) -> float | None:
-    """Exact ground energy for the delta columns, when obtainable.
+def _reference_energy(h: PauliSumHamiltonian, graph: Graph | None,
+                      exact_energy: float | None) -> float | None:
+    """Exact ground energy of ``h`` for the delta columns, when obtainable.
 
     A graph's Ising model is diagonal, so enumerating its spin states gives
     the minimum that dense diagonalization would, as the same float. With
     a negative scale the minimum sits at the other end, so the dense
     matrix decides.
     """
-    if graph is not None and graph.n <= ENUM_CAP and spec.energy_scale >= 0:
+    if graph is not None and graph.n <= ENUM_CAP and h.scale >= 0:
         raw = exhaustive_ising_ground(graph).ground_energy
-        return spec.energy_scale * (raw - spec.energy_shift)
+        return h.scale * (raw - h.shift)
     if h.n_bits <= DENSE_CAP:
         return exact_ground_energy(h)
-    return spec.exact_energy
+    return exact_energy
 
 
 def _prepare(spec: RunSpec) -> _Prepared:
@@ -353,12 +346,11 @@ def _prepare(spec: RunSpec) -> _Prepared:
             h = ising_from_graph(graph)
         else:
             h = _hamiltonian_from_key(spec.hamiltonian, spec.n_bits, spec)
-        if spec.energy_shift != 0.0 or spec.energy_scale != 1.0:
-            try:
-                h = h.rescaled(spec.energy_shift, spec.energy_scale)
-            except ConfigError as exc:
-                key = "EnergyScale" if "EnergyScale" in spec.origin else "EnergyShift"
-                raise spec.error(key, str(exc)) from None
+        try:
+            h = h.rescaled(spec.energy_shift, spec.energy_scale)
+        except ConfigError as exc:
+            key = "EnergyScale" if "EnergyScale" in spec.origin else "EnergyShift"
+            raise spec.error(key, str(exc)) from None
         index = 0
         if spec.initial_state is not None:
             try:
@@ -367,31 +359,19 @@ def _prepare(spec: RunSpec) -> _Prepared:
                 raise spec.error("InitialState", str(exc)) from None
         problem = ground_state_problem(table, h, basis_state(spec.n_bits, index),
                                        spec.gradient_refine)
-        reference = _reference_energy(spec, h, graph)
-    config = EvolutionConfig(
-        generations=spec.generations,
-        head_len=spec.head_size,
-        population_size=spec.population,
-        seed=spec.seed,
-        early_stop_fitness=spec.early_stop,
-        mutation_rate=spec.mutation_rate,
-        one_point_prob=spec.one_point_rate,
-        two_point_prob=spec.two_point_rate,
-        inversion_prob=spec.inversion_rate,
-        swap_prob=spec.swap_rate,
-    )
+        reference = _reference_energy(h, graph, spec.exact_energy)
     hook = None
     if spec.canonicalize:
         def hook(gene: Gene) -> Gene:
             circ = canonicalize(gene_to_circuit(gene, table))
-            return circuit_to_gene(circ, table, spec.head_size)
-    return _Prepared(problem, graph, reference, config, hook)
+            return circuit_to_gene(circ, table, spec.evolution.head_len)
+    return _Prepared(problem, graph, reference, hook)
 
 
 def _execute(spec: RunSpec) -> tuple[EvolutionResult, CachingFitness, _Prepared]:
     prep = _prepare(spec)
     cache = CachingFitness(prep.problem)
-    result = run_evolution(prep.config, prep.problem.table.pset, cache,
+    result = run_evolution(spec.evolution, prep.problem.table.pset, cache,
                            canonicalize=prep.canonicalize_gene)
     return result, cache, prep
 
@@ -519,10 +499,7 @@ def decode_gene_string(text: str) -> QuantumCircuit:
                 raise ConfigError("a genome symbol takes no angle")
             gates.append(GateInstance(kind, qubits))
     n_bits = 1 + max((q for g in gates for q in g.qubits), default=0)
-    table = GateTable(n_bits, tuple(GATE_KINDS.values()))
-    head = [table.symbol_for(g.kind, g.qubits) for g in gates] + [table.terminal]
-    gene = make_gene(head + [table.terminal], len(head), table.pset)
-    return gene_to_circuit(gene, table)
+    return QuantumCircuit(n_bits, tuple(reversed(gates)))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,8 +12,10 @@ factors (identity terms included), plus one complex weight row per
 distinct flip mask, summing coefficient times phase over the terms that
 share it. H psi is then the diagonal product plus one stacked gather over
 the flip masks (12 rows for the 36-term 3x3 Heisenberg lattice, none for
-an Ising Hamiltonian), and the expectation and the sweep's pair elements
-are inner products with it.
+an Ising Hamiltonian). A shift e0 and scale s are folded into the
+diagonal and the rows once, when the cache is built, so the cache holds
+H' = s*(H - e0) and the expectation and the sweep's pair elements are
+plain inner products with H' psi.
 """
 
 from __future__ import annotations
@@ -121,11 +123,11 @@ def _parity(values: np.ndarray) -> np.ndarray:
 class PauliSumHamiltonian:
     """Real-weighted sum of Pauli strings with optional affine rescaling.
 
-    ``expectation`` reports s * (<H> - e0) when a shift e0 and scale s are
-    set, matching the convention of working with H' = s*(H - e0). No
-    energy is then larger than |s|*(sum |c_i| + |e0|) in size, and the
-    constructor requires four times that to be finite, which leaves
-    headroom for the sweep's sums |a| + |b| + |c| and hypot(b, c).
+    Expectations are those of H' = s*(H - e0) for the shift e0 and scale
+    s, which the cache holds (see the module docstring). No energy is
+    then larger than |s|*(sum |c_i| + |e0|) in size, and the constructor
+    requires four times that to be finite, which leaves headroom for the
+    sweep's sums |a| + |b| + |c| and hypot(b, c).
     """
 
     def __init__(self, n_bits: int, terms: Iterable[PauliTerm],
@@ -168,13 +170,18 @@ class PauliSumHamiltonian:
                 continue
             row = rows.setdefault(xmask | ymask, np.zeros(dim, dtype=complex))
             row += t.coefficient * (-1j) ** bin(ymask).count("1") * signs
-        self._diag = diag
         flips = np.array(list(rows), dtype=np.uint64)
         self._perms = (indices ^ flips[:, None]).astype(np.intp)
         self._weights = np.array(list(rows.values())).reshape(len(rows), dim)
+        # H' = s*(H - e0) in place; both tables summed from +0.0 hold no
+        # -0.0, so e0 = 0, s = 1 keeps every bit
+        diag -= self.shift
+        diag *= self.scale
+        self._weights *= self.scale
+        self._diag = diag
 
     def _apply(self, amps: np.ndarray) -> np.ndarray:
-        """H amps: the diagonal product plus one stacked gather."""
+        """H' amps: the diagonal product plus one stacked gather."""
         if self._diag is None:
             self._build_cache()
         h_amps = self._diag * amps
@@ -182,26 +189,24 @@ class PauliSumHamiltonian:
             h_amps = h_amps + (self._weights * amps[self._perms]).sum(axis=0)
         return h_amps
 
-    def raw_expectation_array(self, amps: np.ndarray) -> float:
-        """<H> without shift/scale, from a flat amplitude array."""
+    def _real(self, value: complex) -> float:
+        """The real part of <x|H'|x>. Its imaginary part is rounding,
+        scaled by s like everything else in H'; more means corruption."""
+        if not abs(value.imag) <= 1e-10 * abs(self.scale):
+            raise ImaginaryResidueError(f"imaginary residue {value.imag}")
+        return float(value.real)
+
+    def expectation_array(self, amps: np.ndarray) -> float:
+        """<amps|H'|amps> for a flat amplitude array."""
         if amps.shape != (1 << self.n_bits,):
             raise ConfigError(
                 f"expected {1 << self.n_bits} amplitudes, got {amps.shape}"
             )
-        if not self.terms:
-            return 0.0
-        total = complex(np.vdot(amps, self._apply(amps)))
-        if not abs(total.imag) < 1e-10:
-            raise ImaginaryResidueError(f"imaginary residue {total.imag}")
-        return float(total.real)
-
-    def expectation_array(self, amps: np.ndarray) -> float:
-        return self.scale * (self.raw_expectation_array(amps) - self.shift)
+        return self._real(np.vdot(amps, self._apply(amps)))
 
     def pair_elements(self, a: np.ndarray,
                       b: np.ndarray) -> tuple[float, float, float]:
-        """(<a|H'|a>, <b|H'|b>, Re <a|H'|b>) for two flat amplitude arrays,
-        with H' = s*(H - e0) as in ``expectation_array``.
+        """(<a|H'|a>, <b|H'|b>, Re <a|H'|b>) for two flat amplitude arrays.
 
         <x|H'|x> at x = cos(t/2) a + sin(t/2) b follows from the three
         numbers; the fitness sweep takes a = U psi and b = U(-iY_q psi).
@@ -212,24 +217,14 @@ class PauliSumHamiltonian:
                 f"expected two arrays of {dim} amplitudes, "
                 f"got {a.shape} and {b.shape}"
             )
-        # the shift's share of Re <a|H'|b>
-        cross_shift = self.shift * np.vdot(a, b).real
-        if not self.terms:
-            return (-self.scale * self.shift, -self.scale * self.shift,
-                    -self.scale * cross_shift)
         h_b = self._apply(b)
-        aa, bb = complex(np.vdot(a, self._apply(a))), complex(np.vdot(b, h_b))
-        ab = np.vdot(a, h_b)
-        for value in (aa, bb):
-            if not abs(value.imag) < 1e-10:
-                raise ImaginaryResidueError(f"imaginary residue {value.imag}")
-        return (self.scale * (aa.real - self.shift),
-                self.scale * (bb.real - self.shift),
-                self.scale * (float(ab.real) - cross_shift))
+        return (self._real(np.vdot(a, self._apply(a))),
+                self._real(np.vdot(b, h_b)), float(np.vdot(a, h_b).real))
 
 
 def expectation(h: PauliSumHamiltonian, state: StateVector) -> float:
-    """s * (<state|H|state> - e0); real within a 1e-10 imaginary residue."""
+    """<state|H'|state> = s * (<state|H|state> - e0), real within an
+    imaginary residue of 1e-10 * |s|."""
     if h.n_bits != state.n_bits:
         raise ConfigError(
             f"Hamiltonian on {h.n_bits} bits, state on {state.n_bits}"

@@ -16,6 +16,7 @@ import pytest
 from gepcirc.arith import eval_tree, make_arith_pset
 from gepcirc.cli import EXIT_EARLY_STOP, RunSpec, main, run, verify
 from gepcirc.engine import (
+    EvolutionConfig,
     decode,
     invert_head,
     karva_decode,
@@ -97,8 +98,10 @@ def test_criterion_02_xx_chain(capsys, tmp_path):
             d.mkdir()
             spec = RunSpec(
                 run_type="GroundState", n_bits=4, gates=("Ry", "P"),
-                head_size=8, generations=100, population=100, seed=seed,
-                early_stop=target, hamiltonian=f"xx:4,1.0,{bc}", base_dir=d)
+                evolution=EvolutionConfig(
+                    head_len=8, generations=100, population_size=100,
+                    seed=seed, early_stop_fitness=target),
+                hamiltonian=f"xx:4,1.0,{bc}", base_dir=d)
             code, col = record_run(spec, f"xx-{bc}-seed{seed}", bound)
             if code == EXIT_EARLY_STOP and col[-1] >= target:
                 results[bc] = (seed, col[-1])
@@ -144,8 +147,10 @@ def test_criterion_03_maxcut_suite(capsys, tmp_path):
             save_graph(graph, str(d / "g.txt"))
             spec = RunSpec(
                 run_type="GroundState", n_bits=n, gates=("Ry",),
-                head_size=8, generations=200, population=60, seed=seed,
-                early_stop=-e_min - 1e-6, graph_file="g.txt", base_dir=d)
+                evolution=EvolutionConfig(
+                    head_len=8, generations=200, population_size=60,
+                    seed=seed, early_stop_fitness=-e_min - 1e-6),
+                graph_file="g.txt", base_dir=d)
             code, col = record_run(spec, f"maxcut-g{i}-s{seed}", -e_min)
             if code == EXIT_EARLY_STOP and col[-1] >= -e_min - 1e-6:
                 converged += 1
@@ -293,8 +298,10 @@ def test_criterion_09_function_fit(capsys, tmp_path):
         d.mkdir()
         (d / "pairs.txt").write_text("0000 1111\n")
         spec = RunSpec(
-            run_type="FunctionFit", n_bits=4, gates=("Ry",), head_size=8,
-            generations=50, population=100, seed=seed, early_stop=0.999,
+            run_type="FunctionFit", n_bits=4, gates=("Ry",),
+            evolution=EvolutionConfig(
+                head_len=8, generations=50, population_size=100, seed=seed,
+                early_stop_fitness=0.999),
             training_pairs="pairs.txt", base_dir=d)
         code, col = record_run(spec, f"funcfit-seed{seed}")
         if code == EXIT_EARLY_STOP and col[-1] >= 0.999:
@@ -341,7 +348,8 @@ def test_criterion_10_determinism(capsys, tmp_path):
 def test_criterion_11_heisenberg_negative_result(capsys, tmp_path):
     spec = RunSpec(
         run_type="GroundState", n_bits=9, gates=("Ry", "P", "CNOT"),
-        head_size=6, generations=500, population=30, seed=0,
+        evolution=EvolutionConfig(head_len=6, generations=500,
+                                  population_size=30, seed=0),
         hamiltonian="heisenberg2d:3,3", canonicalize=True, base_dir=tmp_path)
     report = verify(spec)
     reported = any(line.startswith("gap:") for line in report.lines())

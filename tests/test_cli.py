@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,8 @@ from gepcirc.cli import (
     EXIT_EARLY_STOP,
     EXIT_ERROR,
     EXIT_OK,
-    RunSpec,
+    _KEYS,
+    _REQUIRED,
     _reference_energy,
     decode_gene_string,
     load_training_pairs,
@@ -22,7 +24,7 @@ from gepcirc.cli import (
 from gepcirc.engine import ConfigError
 from gepcirc.hamiltonians import Graph, ising_from_graph, save_graph
 from gepcirc.oracle import exact_ground_energy
-from gepcirc.sim import circuit_to_string, parse_circuit
+from gepcirc.sim import circuit_to_string, parse_angle, parse_circuit
 
 
 def write(path, text):
@@ -63,19 +65,19 @@ Canonicalize = 1
         assert spec.run_type == "GroundState"
         assert spec.n_bits == 4
         assert spec.gates == ("Ry", "P")
-        assert spec.head_size == 8
-        assert spec.generations == 100
-        assert spec.seed == 3
-        assert spec.early_stop == 3.99
+        assert spec.evolution.head_len == 8
+        assert spec.evolution.generations == 100
+        assert spec.evolution.seed == 3
+        assert spec.evolution.early_stop_fitness == 3.99
         assert spec.canonicalize is True
         assert spec.base_dir == tmp_path
 
     def test_defaults(self, tmp_path):
         edge_graph(tmp_path)
         spec = parse_input(write(tmp_path / "in.txt", BASE))
-        assert spec.population == 100
-        assert spec.seed == 0
-        assert spec.early_stop is None
+        assert spec.evolution.population_size == 100
+        assert spec.evolution.seed == 0
+        assert spec.evolution.early_stop_fitness is None
         assert spec.canonicalize is False
         assert spec.epsilon == 1e-4
         assert spec.p_phase == math.pi / 2
@@ -164,6 +166,36 @@ class TestHamiltonianKey:
         assert spec.hamiltonian == "heisenberg2d:2,2"
 
 
+def readme_defaults():
+    """Key -> default text, from README's Keys table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Keys\n\n", 1)[1].split("\n\n")[0]
+    defaults = {}
+    for row in table.splitlines()[2:]:
+        keys, default, _ = row.strip("| ").split(" | ")
+        defaults.update(zip(keys.split(", "), default.split(", ")))
+    return defaults
+
+
+class TestReadmeKeys:
+    def test_table_names_every_key(self):
+        assert sorted(readme_defaults()) == sorted(_KEYS)
+
+    def test_defaults_are_what_parsing_gives(self, tmp_path):
+        edge_graph(tmp_path)
+        spec = parse_input(write(tmp_path / "in.txt", BASE))
+        parsed = {**vars(spec), **vars(spec.evolution)}
+        for key, default in readme_defaults().items():
+            assert (default == "required") == (key in _REQUIRED), key
+            if key in BASE:     # set by the minimal file
+                continue
+            value = parsed[_KEYS[key][0]]
+            if default in ("off", "-", "`0...0`"):
+                assert value is None, key
+            else:
+                assert value == parse_angle(default), key
+
+
 class TestReferenceEnergy:
     def test_graph_enumeration_equals_dense_diagonalization(self):
         # a graph's reference comes from enumeration; dense diagonalization
@@ -176,10 +208,8 @@ class TestReferenceEnergy:
             for shift, scale in [(0.0, 1.0),
                                  (rng.uniform(-5, 5), rng.uniform(0.1, 3)),
                                  (rng.uniform(-5, 5), 0.0)]:
-                spec = RunSpec("GroundState", n, ("Ry",), 4, 1,
-                               energy_shift=shift, energy_scale=scale)
                 h = ising_from_graph(graph).rescaled(shift, scale)
-                assert _reference_energy(spec, h, graph) \
+                assert _reference_energy(h, graph, None) \
                     == exact_ground_energy(h)
 
 

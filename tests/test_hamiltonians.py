@@ -196,12 +196,26 @@ class TestExpectation:
     def test_imaginary_residue_raises(self):
         h = PauliSumHamiltonian(1, [PauliTerm.from_map(1.0, {0: "X"})])
         amps = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        assert abs(h.raw_expectation_array(amps) - 1.0) < 1e-12
+        assert abs(h.expectation_array(amps) - 1.0) < 1e-12
         h._weights = h._weights * 1j    # corrupt the cached weight rows
         with pytest.raises(ImaginaryResidueError):
-            h.raw_expectation_array(amps)
+            h.expectation_array(amps)
         with pytest.raises(ImaginaryResidueError):
             h.pair_elements(amps, amps)
+
+    def test_residue_bound_scales_with_s(self):
+        # the cache holds s*(H - e0), whose rounding s scales too: at
+        # s = 1e6 healthy states leave imaginary parts above 1e-10
+        rng = random.Random(32)
+        h = heisenberg_2d(3, 3)
+        big = h.rescaled(0.0, 1e6)
+        worst = 0.0
+        for _ in range(100):
+            a = rand_state(9, rng).amplitudes
+            worst = max(worst, abs(np.vdot(a, big._apply(a)).imag))
+            assert abs(big.expectation_array(a)
+                       - 1e6 * h.expectation_array(a)) < 1e-6
+        assert worst > 1e-10
 
 
 @st.composite
@@ -237,7 +251,6 @@ class TestGroupedExpectation:
         h, a, b = case
         tol = 1e-12 * (1.0 + sum(abs(t.coefficient) for t in h.terms))
         m = dense_matrix(h)
-        assert abs(h.raw_expectation_array(a) - np.vdot(a, m @ a).real) < tol
         shifted = h.scale * (m - h.shift * np.eye(len(a)))
         want = (np.vdot(a, shifted @ a).real, np.vdot(b, shifted @ b).real,
                 np.vdot(a, shifted @ b).real)
@@ -248,7 +261,7 @@ class TestGroupedExpectation:
     def test_heisenberg_3x3_gathers_one_row_per_flip_mask(self):
         # XX and YY on a bond share its flip mask; ZZ goes to the diagonal
         h = heisenberg_2d(3, 3)
-        h.raw_expectation_array(basis_state(9, 0).amplitudes)
+        h.expectation_array(basis_state(9, 0).amplitudes)
         assert len(h.terms) == 36
         assert h._perms.shape == h._weights.shape == (12, 512)
 
@@ -261,7 +274,7 @@ class TestGroupedExpectation:
                 continue
             a, b = (rand_state(h.n_bits, rng).amplitudes for _ in range(2))
             diag = dense_matrix(h).diagonal().real
-            assert h.raw_expectation_array(a) == np.vdot(a, diag * a).real
+            assert h.expectation_array(a) == np.vdot(a, diag * a).real
             assert h.pair_elements(a, b) == (
                 np.vdot(a, diag * a).real, np.vdot(b, diag * b).real,
                 np.vdot(a, diag * b).real)

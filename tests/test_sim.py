@@ -100,10 +100,10 @@ class TestBasisState:
                 print("norm")
             h = PauliSumHamiltonian(1, [PauliTerm.from_map(1.0, {0: "X"})])
             amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
-            h.raw_expectation_array(amps)
+            h.expectation_array(amps)
             h._weights = h._weights * 1j    # corrupt the cached weight rows
             try:
-                h.raw_expectation_array(amps)
+                h.expectation_array(amps)
             except ImaginaryResidueError:
                 print("residue")
         """)
