@@ -13,6 +13,7 @@ first; a bad input ends in one `error:` line on stderr and EXIT_ERROR.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from collections.abc import Callable
@@ -48,7 +49,6 @@ from gepcirc.hamiltonians import (
 )
 from gepcirc.oracle import (
     DENSE_CAP,
-    ENUM_CAP,
     brute_force_maxcut,
     exact_ground_energy,
     exhaustive_ising_ground,
@@ -111,10 +111,10 @@ class RunSpec:
     def resolve(self, path: str) -> Path:
         return self.base_dir / path
 
-    def error(self, key: str, message: str) -> ConfigError:
-        """``message`` as a ConfigError naming the line that set ``key``."""
-        where = self.origin.get(key)
-        return where.error(message) if where else ConfigError(message)
+    def at(self, key: str) -> Locator | contextlib.nullcontext:
+        """A context in which errors name the line that set ``key``; they
+        pass through bare when no line set it."""
+        return self.origin.get(key, contextlib.nullcontext())
 
 
 def _parse_float(text: str) -> float:
@@ -138,6 +138,12 @@ def _ranged(convert: Callable[[str], float], low: float,
 
 
 _parse_rate = _ranged(_parse_float, 0, 1)
+
+
+def _parse_run_type(text: str) -> str:
+    if text not in ("FunctionFit", "GroundState"):
+        raise ValueError(f"must be FunctionFit or GroundState, got {text!r}")
+    return text
 
 
 def _parse_bool(text: str) -> bool:
@@ -167,7 +173,7 @@ def _parse_hamiltonian(text: str) -> str:
 
 # key -> (RunSpec or EvolutionConfig field, converter)
 _KEYS = {
-    "RunType": ("run_type", str),
+    "RunType": ("run_type", _parse_run_type),
     "NumBits": ("n_bits", _ranged(int, 1, MAX_QUBITS)),
     "Gates": ("gates", _parse_gates),
     "HeadSize": ("head_len", _ranged(int, 1)),
@@ -231,11 +237,6 @@ def parse_input(path: str | Path) -> RunSpec:
 
 
 def _validate_spec(spec: RunSpec, path: Path) -> None:
-    if spec.run_type not in ("FunctionFit", "GroundState"):
-        raise ConfigError(
-            f"{path}: RunType must be FunctionFit or GroundState, "
-            f"got {spec.run_type!r}"
-        )
     if spec.run_type == "FunctionFit":
         if spec.training_pairs is None:
             raise ConfigError(f"{path}: FunctionFit requires TrainingPairs")
@@ -277,11 +278,10 @@ def _hamiltonian_from_key(value: str, n_bits: int,
         h = load_pauli_sum(str(spec.resolve(value[len("file:"):])))
     else:
         h = _builtin_hamiltonian(value)
-    if h.n_bits != n_bits:
-        raise spec.error(
-            "Hamiltonian",
-            f"Hamiltonian is on {h.n_bits} bits but NumBits = {n_bits}"
-        )
+    with spec.at("Hamiltonian"):
+        if h.n_bits != n_bits:
+            raise ConfigError(
+                f"Hamiltonian is on {h.n_bits} bits but NumBits = {n_bits}")
     return h
 
 
@@ -315,12 +315,14 @@ def _reference_energy(h: PauliSumHamiltonian, graph: Graph | None,
                       exact_energy: float | None) -> float | None:
     """Exact ground energy of ``h`` for the delta columns, when obtainable.
 
-    A graph's Ising model is diagonal, so enumerating its spin states gives
-    the minimum that dense diagonalization would, as the same float. With
-    a negative scale the minimum sits at the other end, so the dense
-    matrix decides.
+    A graph's Ising model is diagonal, with energies sum S_i*S_j from the
+    enumerated minimum up to |E|, every spin aligned. s*(E - e0) is lowest
+    at the minimum for s >= 0 and at |E| for s < 0, as the same float that
+    dense diagonalization gives.
     """
-    if graph is not None and graph.n <= ENUM_CAP and h.scale >= 0:
+    if graph is not None:
+        if h.scale < 0:
+            return h.scale * (len(graph.edges) - h.shift)
         raw = exhaustive_ising_ground(graph).ground_energy
         return h.scale * (raw - h.shift)
     if h.n_bits <= DENSE_CAP:
@@ -338,25 +340,20 @@ def _prepare(spec: RunSpec) -> _Prepared:
     else:
         if spec.graph_file:
             graph = load_graph(str(spec.resolve(spec.graph_file)))
-            if graph.n != spec.n_bits:
-                raise spec.error(
-                    "GraphFile",
-                    f"graph has {graph.n} vertices but NumBits = {spec.n_bits}"
-                )
+            with spec.at("GraphFile"):
+                if graph.n != spec.n_bits:
+                    raise ConfigError(f"graph has {graph.n} vertices but "
+                                      f"NumBits = {spec.n_bits}")
             h = ising_from_graph(graph)
         else:
             h = _hamiltonian_from_key(spec.hamiltonian, spec.n_bits, spec)
-        try:
+        key = "EnergyScale" if "EnergyScale" in spec.origin else "EnergyShift"
+        with spec.at(key):
             h = h.rescaled(spec.energy_shift, spec.energy_scale)
-        except ConfigError as exc:
-            key = "EnergyScale" if "EnergyScale" in spec.origin else "EnergyShift"
-            raise spec.error(key, str(exc)) from None
         index = 0
-        if spec.initial_state is not None:
-            try:
+        with spec.at("InitialState"):
+            if spec.initial_state is not None:
                 index = parse_basis_label(spec.initial_state, spec.n_bits)
-            except ConfigError as exc:
-                raise spec.error("InitialState", str(exc)) from None
         problem = ground_state_problem(table, h, basis_state(spec.n_bits, index),
                                        spec.gradient_refine)
         reference = _reference_energy(h, graph, spec.exact_energy)
@@ -470,10 +467,8 @@ def verify(spec: RunSpec) -> VerifyReport:
         raise ConfigError("verify requires a GroundState run")
     result, cache, prep = _execute(spec)
     if prep.reference is None:
-        raise ConfigError(
-            f"no oracle available: NumBits > {DENSE_CAP} and no graph "
-            f"within {ENUM_CAP} vertices"
-        )
+        raise ConfigError(f"no oracle available: NumBits > {DENSE_CAP}, "
+                          f"no GraphFile and no ExactEnergy")
     gap = -result.best_fitness - prep.reference
     maxcut = None
     if prep.graph is not None:

@@ -10,12 +10,13 @@ X|Y bits of c toggles exactly the Y positions, worth (-1)^nY. The
 expectation cache is one real diagonal, holding every term without X or Y
 factors (identity terms included), plus one complex weight row per
 distinct flip mask, summing coefficient times phase over the terms that
-share it. H psi is then the diagonal product plus one stacked gather over
-the flip masks (12 rows for the 36-term 3x3 Heisenberg lattice, none for
-an Ising Hamiltonian). A shift e0 and scale s are folded into the
-diagonal and the rows once, when the cache is built, so the cache holds
-H' = s*(H - e0) and the expectation and the sweep's pair elements are
-plain inner products with H' psi.
+share it; each term is added in place into its row of one preallocated
+(flip masks, 2^N) array. H psi is then the diagonal product plus one
+stacked gather over the flip masks (12 rows for the 36-term 3x3
+Heisenberg lattice, none for an Ising Hamiltonian). A shift e0 and scale
+s are folded into the diagonal and the rows once, when the cache is
+built, so the cache holds H' = s*(H - e0) and the expectation and the
+sweep's pair elements are plain inner products with H' psi.
 """
 
 from __future__ import annotations
@@ -112,14 +113,6 @@ class PauliTerm:
         return x, y, z
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    """Bit parity of each entry (0 or 1), vectorized."""
-    v = values.astype(np.uint64).copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.int8)
-
-
 class PauliSumHamiltonian:
     """Real-weighted sum of Pauli strings with optional affine rescaling.
 
@@ -159,26 +152,27 @@ class PauliSumHamiltonian:
 
     def _build_cache(self) -> None:
         dim = 1 << self.n_bits
-        indices = np.arange(dim, dtype=np.uint64)
+        indices = np.arange(dim, dtype=np.intp)
+        masks = [t.masks() for t in self.terms]
+        # one weight row per distinct flip mask, in order of first use
+        row_of = {f: r for r, f in enumerate(dict.fromkeys(
+            x | y for x, y, _ in masks if x | y))}
         diag = np.zeros(dim, dtype=float)
-        rows: dict[int, np.ndarray] = {}
-        for t in self.terms:
-            xmask, ymask, zmask = t.masks()
-            signs = 1.0 - 2.0 * _parity(indices & np.uint64(ymask | zmask))
-            if not xmask | ymask:
+        weights = np.zeros((len(row_of), dim), dtype=complex)
+        for t, (xmask, ymask, zmask) in zip(self.terms, masks):
+            signs = 1.0 - 2.0 * (np.bitwise_count(indices & (ymask | zmask)) & 1)
+            if xmask | ymask:
+                weights[row_of[xmask | ymask]] += \
+                    t.coefficient * (-1j) ** ymask.bit_count() * signs
+            else:
                 diag += t.coefficient * signs
-                continue
-            row = rows.setdefault(xmask | ymask, np.zeros(dim, dtype=complex))
-            row += t.coefficient * (-1j) ** bin(ymask).count("1") * signs
-        flips = np.array(list(rows), dtype=np.uint64)
-        self._perms = (indices ^ flips[:, None]).astype(np.intp)
-        self._weights = np.array(list(rows.values())).reshape(len(rows), dim)
+        self._perms = indices ^ np.array(list(row_of), dtype=np.intp)[:, None]
         # H' = s*(H - e0) in place; both tables summed from +0.0 hold no
         # -0.0, so e0 = 0, s = 1 keeps every bit
         diag -= self.shift
         diag *= self.scale
-        self._weights *= self.scale
-        self._diag = diag
+        weights *= self.scale
+        self._diag, self._weights = diag, weights
 
     def _apply(self, amps: np.ndarray) -> np.ndarray:
         """H' amps: the diagonal product plus one stacked gather."""

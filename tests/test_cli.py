@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -136,7 +137,9 @@ Canonicalize = 1
     def test_bad_run_type(self, tmp_path):
         path = write(tmp_path / "in.txt",
                      BASE.replace("GroundState", "Minimize"))
-        with pytest.raises(ConfigError, match="RunType must be"):
+        message = (f"{path}:1: bad value for RunType: must be FunctionFit "
+                   f"or GroundState, got 'Minimize'")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_input(path)
 
     def test_bool_rejects_words(self, tmp_path):
@@ -198,8 +201,9 @@ class TestReadmeKeys:
 
 class TestReferenceEnergy:
     def test_graph_enumeration_equals_dense_diagonalization(self):
-        # a graph's reference comes from enumeration; dense diagonalization
-        # of the same rescaled model must give the same float
+        # a graph's reference comes from enumeration at any scale sign;
+        # dense diagonalization of the same rescaled model must give the
+        # same float
         rng = random.Random(5)
         for n in [3, 4, 5, 6, 7, 8] * 6 + [9]:
             graph = Graph(n, tuple((i, j) for i in range(n)
@@ -207,7 +211,10 @@ class TestReferenceEnergy:
                                    if rng.random() < 0.4))
             for shift, scale in [(0.0, 1.0),
                                  (rng.uniform(-5, 5), rng.uniform(0.1, 3)),
-                                 (rng.uniform(-5, 5), 0.0)]:
+                                 (rng.uniform(-5, 5), 0.0),
+                                 (rng.uniform(-5, 5), -0.0),
+                                 (0.0, -1.0),
+                                 (rng.uniform(-5, 5), rng.uniform(-3, -0.1))]:
                 h = ising_from_graph(graph).rescaled(shift, scale)
                 assert _reference_energy(h, graph, None) \
                     == exact_ground_energy(h)
@@ -337,6 +344,21 @@ class TestVerify:
         text = "\n".join(report.lines())
         assert "oracle ground energy: -1.0" in text
         assert "oracle maxcut: 1" in text
+
+    def test_graph_above_dense_cap_with_negative_scale(self, tmp_path,
+                                                       capsys):
+        # H' = -(H - 0.5) is lowest with every spin aligned: -(12 - 0.5)
+        save_graph(Graph(12, tuple((i, (i + 1) % 12) for i in range(12))),
+                   str(tmp_path / "ring.txt"))
+        text = (BASE.replace("NumBits = 2", "NumBits = 12")
+                .replace("Generations = 5", "Generations = 1")
+                .replace("g.txt", "ring.txt"))
+        path = write(tmp_path / "in.txt", text + "Population = 4\n"
+                     "EnergyShift = 0.5\nEnergyScale = -1\n")
+        assert main(["verify", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "oracle ground energy: -11.5\n" in out
+        assert float(out.split("gap: ")[1].split()[0]) >= -1e-8
 
     def test_requires_ground_state(self, tmp_path):
         write(tmp_path / "pairs.txt", "0 1\n")

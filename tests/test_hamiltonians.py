@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,19 @@ class TestGroupedExpectation:
         h.expectation_array(basis_state(9, 0).amplitudes)
         assert len(h.terms) == 36
         assert h._perms.shape == h._weights.shape == (12, 512)
+
+    def test_cache_build_keeps_no_second_copy(self):
+        # the tables are filled in place, so building them peaks at little
+        # more than what is kept; a stacked copy of the rows reads ~1.7x
+        h = xx_chain(16, 1.0, "open")
+        tracemalloc.start()
+        try:
+            h._build_cache()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = h._diag.nbytes + h._perms.nbytes + h._weights.nbytes
+        assert peak <= 1.10 * kept
 
     def test_diagonal_hamiltonian_is_one_product(self):
         # an Ising Hamiltonian gathers nothing: exactly vdot(a, diag * a)
