@@ -56,6 +56,7 @@ from gepcirc.oracle import (
 from gepcirc.sim import (
     GATE_KINDS,
     MAX_QUBITS,
+    P_PHASE,
     GateInstance,
     GateTable,
     QuantumCircuit,
@@ -103,7 +104,7 @@ class RunSpec:
     energy_scale: float = 1.0
     epsilon: float = 1e-4
     exact_energy: float | None = None
-    p_phase: float = math.pi / 2.0
+    p_phase: float = P_PHASE
     base_dir: Path = Path(".")
     # key -> the input file line that set it, for errors found after parsing
     origin: dict[str, Locator] = field(default_factory=dict)
@@ -365,12 +366,12 @@ def _prepare(spec: RunSpec) -> _Prepared:
     return _Prepared(problem, graph, reference, hook)
 
 
-def _execute(spec: RunSpec) -> tuple[EvolutionResult, CachingFitness, _Prepared]:
-    prep = _prepare(spec)
+def _evolve(spec: RunSpec, prep: _Prepared
+            ) -> tuple[EvolutionResult, CachingFitness]:
     cache = CachingFitness(prep.problem)
     result = run_evolution(spec.evolution, prep.problem.table.pset, cache,
                            canonicalize=prep.canonicalize_gene)
-    return result, cache, prep
+    return result, cache
 
 
 def _write_trace(path: Path, result: EvolutionResult,
@@ -429,7 +430,8 @@ def _write_maxcut(path: Path, spec: RunSpec, result: EvolutionResult,
 
 def run(spec: RunSpec) -> int:
     """Full pipeline: evolve, then write trace.csv, best.circ, maxcut.txt."""
-    result, cache, prep = _execute(spec)
+    prep = _prepare(spec)
+    result, cache = _evolve(spec, prep)
     out = spec.base_dir
     _write_trace(out / "trace.csv", result, prep.reference)
     _write_best(out / "best.circ", result, cache, prep)
@@ -465,10 +467,11 @@ def verify(spec: RunSpec) -> VerifyReport:
     """Run the evolution and compare against the exact oracle answer."""
     if spec.run_type != "GroundState":
         raise ConfigError("verify requires a GroundState run")
-    result, cache, prep = _execute(spec)
+    prep = _prepare(spec)
     if prep.reference is None:
         raise ConfigError(f"no oracle available: NumBits > {DENSE_CAP}, "
                           f"no GraphFile and no ExactEnergy")
+    result, _ = _evolve(spec, prep)
     gap = -result.best_fitness - prep.reference
     maxcut = None
     if prep.graph is not None:

@@ -239,39 +239,23 @@ class ExpressionTree:
 def karva_decode(symbols: Sequence[int], pset: PrimitiveSet) -> ExpressionTree:
     """Breadth-first decode of a symbol sequence into an expression tree.
 
-    Symbols are consumed left to right; each consumed symbol becomes a node
-    and function nodes claim the next ``arity`` unconsumed symbols, level by
-    level. Raises ConfigError if the sequence is exhausted before all
-    children are filled (cannot happen for a valid gene).
+    Node i is symbol i, and its children are the ``arity`` positions from
+    ``end``, the first position no earlier node has claimed. Raises
+    ConfigError if the sequence ends before every child is filled (cannot
+    happen for a valid gene).
     """
     if not symbols:
         raise ConfigError("cannot decode an empty symbol sequence")
-    arities: list[int] = []
-    node_syms: list[int] = [symbols[0]]
-    arities.append(pset.arity(symbols[0]))
-    pos = 1
-    # children[i] collects the child indices of node i
-    children: list[list[int]] = [[]]
-    frontier = [0]
-    while frontier:
-        next_frontier: list[int] = []
-        for idx in frontier:
-            for _ in range(arities[idx]):
-                if pos >= len(symbols):
-                    raise ConfigError("symbol sequence exhausted during decode")
-                sym = symbols[pos]
-                child = len(node_syms)
-                node_syms.append(sym)
-                arities.append(pset.arity(sym))
-                children.append([])
-                children[idx].append(child)
-                next_frontier.append(child)
-                pos += 1
-        frontier = next_frontier
-    nodes = tuple(
-        TreeNode(s, tuple(ch)) for s, ch in zip(node_syms, children)
-    )
-    return ExpressionTree(nodes, pos)
+    nodes: list[TreeNode] = []
+    end = 1
+    while len(nodes) < end:
+        sym = symbols[len(nodes)]
+        arity = pset.arity(sym)
+        if end + arity > len(symbols):
+            raise ConfigError("symbol sequence exhausted during decode")
+        nodes.append(TreeNode(sym, tuple(range(end, end + arity))))
+        end += arity
+    return ExpressionTree(tuple(nodes), end)
 
 
 def decode(gene: Gene | Sequence[int], pset: PrimitiveSet | None = None) -> ExpressionTree:

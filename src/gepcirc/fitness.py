@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gepcirc.engine import ConfigError, Gene
+from gepcirc.engine import ConfigError, Gene, coding_length
 from gepcirc.hamiltonians import PauliSumHamiltonian
 from gepcirc.sim import (
     GateTable,
@@ -304,9 +304,9 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
 class CachingFitness:
     """The fitness of a genome, F = P(phi_max) of the circuit it decodes to.
 
-    Fitness is a pure function of the genome symbols, so results (and the
-    optimizing angles, needed when reporting winners) are cached by symbol
-    tuple.
+    Fitness and the optimizing angles (needed when reporting winners) depend
+    on the coding region alone, so results are cached by it: genes that
+    differ only in non-coding symbols share one entry.
     """
 
     def __init__(self, problem: Problem):
@@ -314,7 +314,7 @@ class CachingFitness:
         self._cache: dict[tuple[int, ...], tuple[float, tuple[float, ...]]] = {}
 
     def __call__(self, gene: Gene) -> float:
-        key = gene.symbols
+        key = gene.symbols[:coding_length(gene)]
         hit = self._cache.get(key)
         if hit is None:
             circuit = gene_to_circuit(gene, self.problem.table)
@@ -326,4 +326,4 @@ class CachingFitness:
     def params_for(self, gene: Gene) -> tuple[float, ...]:
         """Optimizing angle vector for a genome (computing it if needed)."""
         self(gene)
-        return self._cache[gene.symbols][1]
+        return self._cache[gene.symbols[:coding_length(gene)]][1]

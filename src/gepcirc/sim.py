@@ -44,9 +44,10 @@ from gepcirc.engine import (
 
 MAX_QUBITS = 24        # dense statevectors above this exhaust memory
 TWO_TURNS = 4.0 * math.pi   # Ry period on the SU(2) double cover
+P_PHASE = math.pi / 2.0     # P's default phase: the S gate
 
 __all__ = [
-    "MAX_QUBITS",
+    "MAX_QUBITS", "P_PHASE",
     "GateKind", "GATE_KINDS", "GateInstance", "QuantumCircuit",
     "StateVector", "basis_state", "gate_matrix",
     "apply_gate", "apply_circuit", "apply_circuit_array",
@@ -121,7 +122,7 @@ class GateInstance:
                 and self.kind.name != "P"):
             raise ConfigError(f"{self.kind.name} takes no angle")
         if self.kind.name == "P" and self.angle is None:
-            object.__setattr__(self, "angle", math.pi / 2.0)
+            object.__setattr__(self, "angle", P_PHASE)
         object.__setattr__(self, "free",
                            bool(self.kind.n_slots) and self.angle is None)
 
@@ -197,7 +198,7 @@ def gate_matrix(kind: GateKind | str, angle: float | None = None) -> np.ndarray:
         c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
         return np.array([[c, -s], [s, c]], dtype=complex)
     if name == "P":
-        lam = math.pi / 2.0 if angle is None else angle
+        lam = P_PHASE if angle is None else angle
         return np.array([[1.0, 0.0], [0.0, complex(math.cos(lam), math.sin(lam))]])
     if angle is not None:
         raise ConfigError(f"{name} takes no angle")
@@ -306,7 +307,7 @@ class GateTable:
     """
 
     def __init__(self, n_bits: int, kinds: Sequence[GateKind | str],
-                 p_phase: float = math.pi / 2.0):
+                 p_phase: float = P_PHASE):
         if not 1 <= n_bits <= MAX_QUBITS:
             raise ConfigError(f"n_bits must be in 1..{MAX_QUBITS}")
         self.n_bits = n_bits
@@ -469,7 +470,8 @@ def canonicalize(circuit: QuantumCircuit) -> QuantumCircuit:
 # ---------------------------------------------------------------------------
 
 _ANGLE_SNAP = 1e-9
-_TOKEN_RE = re.compile(r"^(Ry|CNOT|H|X|Y|Z|P)(\d+)(?:,(\d+))?(?::(\S+))?$")
+_TOKEN_RE = re.compile(
+    "^(" + "|".join(GATE_KINDS) + r")(\d+)(?:,(\d+))?(?::(\S+))?$")
 _PI_FRACTION_RE = re.compile(r"^(-)?(\d+)?pi(?:/(\d+))?$")
 
 
@@ -517,7 +519,7 @@ def _format_gate(gate: GateInstance, n_free_before: int) -> str:
         return f"{token}:phi{n_free_before}"
     if gate.kind.name == "Ry":
         return f"{token}:{format_angle(gate.angle)}"
-    if gate.kind.name == "P" and gate.angle != math.pi / 2.0:
+    if gate.kind.name == "P" and gate.angle != P_PHASE:
         return f"{token}:{format_angle(gate.angle)}"
     return token
 

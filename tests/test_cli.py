@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import gepcirc.cli as cli_mod
 import gepcirc.fitness as fitness_mod
 from gepcirc.cli import (
     EXIT_EARLY_STOP,
@@ -359,6 +360,27 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "oracle ground energy: -11.5\n" in out
         assert float(out.split("gap: ")[1].split()[0]) >= -1e-8
+
+    def test_refused_before_evolving_without_oracle(self, tmp_path,
+                                                    monkeypatch):
+        # 12 bits is past the dense oracle, with no graph or ExactEnergy
+        path = write(tmp_path / "in.txt", """\
+RunType = GroundState
+NumBits = 12
+Gates = Ry,CNOT
+HeadSize = 6
+Population = 20
+Generations = 30
+MutationRate = 0.5
+Hamiltonian = xx:12,1.0,open
+""")
+
+        def evolve(*args, **kwargs):
+            raise AssertionError("verify evolved without an oracle")
+
+        monkeypatch.setattr(cli_mod, "run_evolution", evolve)
+        with pytest.raises(ConfigError, match="^no oracle available: "):
+            verify(parse_input(path))
 
     def test_requires_ground_state(self, tmp_path):
         write(tmp_path / "pairs.txt", "0 1\n")

@@ -9,8 +9,10 @@ from gepcirc.arith import make_arith_pset
 from gepcirc.engine import (
     ConfigError,
     EvolutionConfig,
+    ExpressionTree,
     Gene,
     PrimitiveSet,
+    TreeNode,
     coding_length,
     decode,
     evolve_generation,
@@ -88,6 +90,63 @@ def genes(draw):
                         range(len(arities), len(arities) + n_terms))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return random_gene(pset, draw(st.integers(1, 12)), rng)
+
+
+def frontier_decode(symbols, pset):
+    """The level-by-level Karva decoder that ``karva_decode`` replaced, kept
+    as an independent reference."""
+    if not symbols:
+        raise ConfigError("cannot decode an empty symbol sequence")
+    arities: list[int] = []
+    node_syms: list[int] = [symbols[0]]
+    arities.append(pset.arity(symbols[0]))
+    pos = 1
+    # children[i] collects the child indices of node i
+    children: list[list[int]] = [[]]
+    frontier = [0]
+    while frontier:
+        next_frontier: list[int] = []
+        for idx in frontier:
+            for _ in range(arities[idx]):
+                if pos >= len(symbols):
+                    raise ConfigError("symbol sequence exhausted during decode")
+                sym = symbols[pos]
+                child = len(node_syms)
+                node_syms.append(sym)
+                arities.append(pset.arity(sym))
+                children.append([])
+                children[idx].append(child)
+                next_frontier.append(child)
+                pos += 1
+        frontier = next_frontier
+    nodes = tuple(
+        TreeNode(s, tuple(ch)) for s, ch in zip(node_syms, children)
+    )
+    return ExpressionTree(nodes, pos)
+
+
+# arithmetic (arities 1 and 2), arities 1, 2 and 3, and terminals only
+DECODE_SETS = (ARITH, PrimitiveSet([(0, 1), (1, 2), (2, 3)], [3, 4]),
+               PrimitiveSet([], [0, 1]))
+
+
+def decoded(decoder, symbols, pset):
+    """The tree ``decoder`` builds, or the text of its ConfigError."""
+    try:
+        return decoder(symbols, pset)
+    except ConfigError as exc:
+        return str(exc)
+
+
+class TestPositionalDecode:
+    @settings(deadline=None, max_examples=500)
+    @given(data=st.data())
+    def test_matches_frontier_decoder(self, data):
+        pset = data.draw(st.sampled_from(DECODE_SETS))
+        symbols = data.draw(st.lists(st.sampled_from(pset.all_symbols),
+                                     max_size=30))
+        assert (decoded(karva_decode, symbols, pset)
+                == decoded(frontier_decode, symbols, pset))
 
 
 class TestCodingLength:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import gepcirc.fitness as fitness_mod
 from gepcirc.engine import ConfigError, make_gene, random_gene
 from gepcirc.fitness import (
     CachingFitness,
@@ -184,3 +185,21 @@ class TestFitness:
         params = cache.params_for(gene)
         circuit = gene_to_circuit(gene, table)
         assert abs(prefitness(circuit, params, prob) - value) < 1e-12
+
+    def test_shared_coding_region_optimized_once(self, monkeypatch):
+        # both genes code Ry0 psi0 and differ only past it
+        table = GateTable(2, ["Ry"])
+        z0 = PauliSumHamiltonian(2, [PauliTerm.from_map(1.0, {0: "Z"})])
+        cache = CachingFitness(ground_state_problem(table, z0))
+        calls = []
+
+        def counted(circuit, problem):
+            calls.append(circuit)
+            return optimize_params(circuit, problem)
+
+        monkeypatch.setattr(fitness_mod, "optimize_params", counted)
+        a = make_gene((0, 2, 0, 1, 2), 4, table.pset)
+        b = make_gene((0, 2, 1, 1, 2), 4, table.pset)
+        assert cache(a) == cache(b)
+        assert cache.params_for(a) == cache.params_for(b)
+        assert len(calls) == 1
