@@ -24,7 +24,11 @@ U in one simulation of the gates after the slot and reads the whole grid
 off (a, b, c), and also the exact maximum over all angles,
 a + hypot(b, c) at t = atan2(c, b). A visit holds one stacked pair at a
 time, twice the per-state working set of evaluating one angle, at every
-N.
+N. Simulating U costs one kernel per 1-qubit gate or lone CNOT and one
+gather per run of two or more CNOTs (see ``sim``): slot gates are Ry, so
+no slot splits a run, and the kept states' steps and suffixes (below)
+are parts of the circuit that share its run tables, so each table is
+built once per optimized circuit.
 
 Nor does a visit simulate the gates before its slot. They do not change
 during the visit, so the sweep keeps the state(s) entering that gate,
@@ -176,13 +180,14 @@ class _KeptStates:
 
     def __init__(self, circuit: QuantumCircuit, problem: Problem):
         self.problem = problem
-        gates, n = circuit.gates, problem.n_bits
+        gates = circuit.gates
         # slot -> index of its gate
         gate_of = [i for i, gate in enumerate(gates) if gate.free]
         self.qubits = [gates[i].qubits[0] for i in gate_of]
-        self.steps = [QuantumCircuit(n, gates[start:stop]) for start, stop
+        # parts of the circuit: a CNOT run is tabled once for all of them
+        self.steps = [circuit.part(start, stop) for start, stop
                       in zip([0] + gate_of, gate_of)]
-        self.suffixes = [QuantumCircuit(n, gates[i + 1:]) for i in gate_of]
+        self.suffixes = [circuit.part(i + 1) for i in gate_of]
         self.k = -1
         self.states = list(problem.inputs)
 

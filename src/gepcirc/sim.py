@@ -19,17 +19,28 @@ one product; when at most 8 blocks sit above q (q >= 4) a batched
 product per block replaces the two transposes. Both are the same
 2x2 @ 2xM products as the original kernel, which moved the qubit's axis
 of the (2,)*n tensor to the front, so every amplitude comes out with the
-same bits. CNOT, the only two-qubit kind, is a slice swap: copy the
-state, then exchange the two target halves where the control bit is 1.
-It does no arithmetic, so it gives the values of the original 4x4
+same bits. CNOT, the only two-qubit kind, only permutes basis indices.
+A lone CNOT is a slice swap: copy the state, then exchange the two
+target halves where the control bit is 1. A run of two or more
+consecutive CNOTs is one permutation, applied as one gather,
+np.take(amps, table, axis=-1), through a read-only int32 index table.
+Neither does arithmetic, so both give the values of the original 4x4
 permutation product exactly (that product could only change the sign of
-an exact zero). Matrices are cached read-only; gate_matrix hands out
-copies.
+an exact zero), and a gather equals the run's slice swaps bit for bit.
+Matrices are cached read-only; gate_matrix hands out copies.
+
+A circuit is compiled into these kernel ops once, on first application
+(``QuantumCircuit.ops``), and keeps its tables as long as it lives. The
+parts of a circuit cut with ``QuantumCircuit.part`` share the tables of
+the runs they hold whole, so such a run is tabled once however many
+parts contain it. No table outlives the last circuit that uses it; there
+is no cache across circuits.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from collections.abc import Sequence
@@ -152,6 +163,24 @@ class QuantumCircuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @functools.cached_property
+    def ops(self) -> tuple[GateInstance | np.ndarray | None, ...]:
+        """What ``apply_circuit_array`` runs at each gate, compiled on first
+        use (see ``_compile_ops``)."""
+        return _compile_ops(self)
+
+    def part(self, start: int, stop: int | None = None) -> QuantumCircuit:
+        """``gates[start:stop]`` as a circuit. Unless the cut splits a CNOT
+        run, its ops are the matching slice of this circuit's, so the two
+        share their run tables."""
+        sub = QuantumCircuit(self.n_bits, self.gates[start:stop])
+        ops = self.ops
+        end = len(ops) if stop is None else stop
+        if ((start >= len(ops) or ops[start] is not None)
+                and (end >= len(ops) or ops[end] is not None)):
+            object.__setattr__(sub, "ops", ops[start:stop])
+        return sub
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -246,6 +275,43 @@ def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     return out
 
 
+def _cnot_run_table(n_bits: int, run: Sequence[GateInstance]) -> np.ndarray:
+    """Index table with np.take(amps, table, axis=-1) equal to applying the
+    CNOTs of ``run`` in order.
+
+    A CNOT maps amplitude i to s(i) = i ^ (bit control of i) << target, so
+    out[i] = amps[s(i)], s being its own inverse; a run gives
+    out[i] = amps[s_1(s_2(... s_m(i)))], built from the last gate to the
+    first.
+    """
+    table = np.arange(1 << n_bits, dtype=np.int32)
+    flip = np.empty_like(table)
+    for gate in reversed(run):
+        control, target = gate.qubits
+        np.right_shift(table, control, out=flip)
+        flip &= 1
+        flip <<= target
+        table ^= flip
+    return _frozen(table)
+
+
+def _compile_ops(circuit: QuantumCircuit
+                 ) -> tuple[GateInstance | np.ndarray | None, ...]:
+    """One op per gate: the gate itself, except that each maximal run of two
+    or more CNOTs becomes its index table at the run's first gate and None
+    at the others."""
+    ops: list[GateInstance | np.ndarray | None] = []
+    for is_cnot, group in itertools.groupby(
+            circuit.gates, lambda gate: gate.kind.n_qubits == 2):
+        run = tuple(group)
+        if is_cnot and len(run) > 1:
+            ops.append(_cnot_run_table(circuit.n_bits, run))
+            ops += [None] * (len(run) - 1)
+        else:
+            ops += run
+    return tuple(ops)
+
+
 def _apply_instance(amps: np.ndarray, gate: GateInstance,
                     angle: float | None) -> np.ndarray:
     if gate.kind.n_qubits == 2:     # CNOT is the only two-qubit kind
@@ -264,7 +330,10 @@ def _check_params(circuit: QuantumCircuit, params: Sequence[float]) -> None:
 def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
                         params: Sequence[float] = ()) -> np.ndarray:
     """Hot-path variant working on raw amplitude arrays shaped
-    (..., 2^n_bits): every state along the leading axes goes through."""
+    (..., 2^n_bits): every state along the leading axes goes through.
+
+    Runs the circuit's compiled ops: one kernel per gate, except one
+    gather per run of two or more CNOTs."""
     if circuit.n_bits != n_bits:
         raise ConfigError(
             f"circuit is for {circuit.n_bits} bits, state has {n_bits}"
@@ -275,9 +344,12 @@ def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
         )
     _check_params(circuit, params)
     free_angles = iter(params)
-    for gate in circuit.gates:
-        angle = float(next(free_angles)) if gate.free else gate.angle
-        amps = _apply_instance(amps, gate, angle)
+    for op in circuit.ops:
+        if isinstance(op, GateInstance):
+            angle = float(next(free_angles)) if op.free else op.angle
+            amps = _apply_instance(amps, op, angle)
+        elif op is not None:    # a CNOT run's index table; None: in the run
+            amps = np.take(amps.astype(complex, copy=False), op, axis=-1)
     return amps
 
 

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,7 +292,30 @@ def kernel_states(draw, max_bits=10):
     return n, rows
 
 
+def cnot_runs(gates):
+    """The maximal runs of two or more consecutive CNOTs in ``gates``."""
+    runs, run = [], []
+    for gate in list(gates) + [None]:
+        if gate is not None and gate.kind.name == "CNOT":
+            run.append(gate)
+            continue
+        if len(run) > 1:
+            runs.append(run)
+        run = []
+    return runs
+
+
+def gate_by_gate(amps, gates, params):
+    """``gates`` applied one at a time through the per-gate kernel."""
+    free_angles = iter(params)
+    for gate in gates:
+        angle = float(next(free_angles)) if gate.free else gate.angle
+        amps = sim._apply_instance(amps, gate, angle)
+    return amps
+
+
 def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64),
                                                  b.view(np.uint64))
 
@@ -375,6 +399,81 @@ class TestKernels:
         out = apply_gate(basis_state(1, 0), GateInstance(GATE_KINDS["H"], (0,)))
         assert abs(out.amplitudes[0] - 1 / math.sqrt(2)) < 1e-15
 
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), n=st.integers(1, 12),
+           lead=st.sampled_from([(), (2,), (2, 2)]))
+    def test_fused_cnot_runs_match_gate_by_gate(self, data, n, lead):
+        """CNOT runs of 1-8 (longer where two meet) between Ry, P, H and X
+        gates: the compiled ops, one gather per run of two or more, give
+        the per-gate kernels' raw bits."""
+        gates, params = [], []
+        for _ in range(data.draw(st.integers(0, 6))):
+            if n > 1 and data.draw(st.booleans()):
+                for _ in range(data.draw(st.integers(1, 8))):
+                    pair = data.draw(st.permutations(range(n)))[:2]
+                    gates.append(GateInstance(GATE_KINDS["CNOT"], tuple(pair)))
+            else:
+                name = data.draw(st.sampled_from(["Ry", "P", "H", "X"]))
+                gate = GateInstance(GATE_KINDS[name],
+                                    (data.draw(st.integers(0, n - 1)),))
+                gates.append(gate)
+                if gate.free:
+                    params.append(data.draw(st.floats(-20.0, 20.0)))
+        circuit = QuantumCircuit(n, tuple(gates))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = lead + (1 << n,)
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for component in (amps.real, amps.imag):    # signed zeros too
+            mask = rng.random(shape) < 0.3
+            component[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+        before = amps.copy()
+        fused = apply_circuit_array(amps, n, circuit, params)
+        assert same_bits(fused, gate_by_gate(amps, gates, params))
+        assert same_bits(amps, before)
+        runs = cnot_runs(gates)
+        tables = [op for op in circuit.ops if isinstance(op, np.ndarray)]
+        assert len(tables) == len(runs)
+        assert sum(op is None for op in circuit.ops) \
+            == sum(len(run) - 1 for run in runs)
+        assert all(not t.flags.writeable and t.dtype == np.int32
+                   for t in tables)
+        # a part gives its gates' bits, cut inside a run or not, and shares
+        # the tables of the runs it holds whole
+        start = data.draw(st.integers(0, len(gates)))
+        stop = data.draw(st.integers(start, len(gates)))
+        part = circuit.part(start, stop)
+        first_param = sum(gate.free for gate in gates[:start])
+        assert same_bits(apply_circuit_array(amps, n, part,
+                                             params[first_param:]),
+                         gate_by_gate(amps, gates[start:stop],
+                                      params[first_param:]))
+        if all(i == len(gates) or circuit.ops[i] is not None
+               for i in (start, stop)):
+            assert len(part.ops) == stop - start
+            assert all(a is b for a, b in zip(part.ops,
+                                               circuit.ops[start:stop]))
+
+    def test_cnot_run_gather_memory(self):
+        """An 8-CNOT run on a (2, 2^16) pair, table built on first use,
+        allocates at most the output, one int32 table and the intp copy of
+        it that np.take makes."""
+        n = 16
+        pairs = [(0, 5), (5, 9), (15, 0), (3, 12), (12, 7), (9, 1), (1, 15),
+                 (7, 3)]
+        circuit = QuantumCircuit(n, tuple(
+            GateInstance(GATE_KINDS["CNOT"], pair) for pair in pairs))
+        amps = np.ones((2, 1 << n), dtype=complex)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = apply_circuit_array(amps, n, circuit)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        table = circuit.ops[0]
+        bound = out.nbytes + table.nbytes + (1 << n) * np.dtype(np.intp).itemsize
+        assert peak <= bound + 16384, (peak, bound)
+
     def test_negative_zero_angle_keeps_its_matrix(self):
         gate = GateInstance(GATE_KINDS["Ry"], (0,))
         amps = np.array([-0.0, 1.0, 1.0, -0.0], dtype=complex)
@@ -431,6 +530,8 @@ def test_trajectory_locked_to_reference_kernels(tmp_path, monkeypatch, name):
         (d / "in.txt").write_text(LOCK_INPUTS[name])
         with monkeypatch.context() as m:
             if patched:
+                # every gate through the reference kernel, none fused
+                m.setattr(sim, "_compile_ops", lambda circuit: circuit.gates)
                 m.setattr(sim, "_apply_instance", reference_instance)
             run(parse_input(d / "in.txt"))
         artifacts.append({p.name: p.read_bytes() for p in sorted(d.iterdir())
