@@ -23,7 +23,8 @@ same bits. CNOT, the only two-qubit kind, only permutes basis indices.
 A lone CNOT is a slice swap: copy the state, then exchange the two
 target halves where the control bit is 1. A run of two or more
 consecutive CNOTs is one permutation, applied as one gather,
-np.take(amps, table, axis=-1), through a read-only int32 index table.
+np.take(amps, table, axis=-1), through a read-only int32 index table
+(in chunks of 2^16 indices above 16 bits).
 Neither does arithmetic, so both give the values of the original 4x4
 permutation product exactly (that product could only change the sign of
 an exact zero), and a gather equals the run's slice swaps bit for bit.
@@ -56,6 +57,7 @@ from gepcirc.engine import (
 MAX_QUBITS = 24        # dense statevectors above this exhaust memory
 TWO_TURNS = 4.0 * math.pi   # Ry period on the SU(2) double cover
 P_PHASE = math.pi / 2.0     # P's default phase: the S gate
+_GATHER_CHUNK = 1 << 16     # indices per np.take of a CNOT run's table
 
 __all__ = [
     "MAX_QUBITS", "P_PHASE",
@@ -173,12 +175,16 @@ class QuantumCircuit:
         """``gates[start:stop]`` as a circuit. Unless the cut splits a CNOT
         run, its ops are the matching slice of this circuit's, so the two
         share their run tables."""
-        sub = QuantumCircuit(self.n_bits, self.gates[start:stop])
+        gates = self.gates[start:stop]
+        # built without __post_init__: this circuit checked these gates
+        sub = object.__new__(QuantumCircuit)
+        sub.__dict__.update(n_bits=self.n_bits, gates=gates,
+                            n_params=sum(g.free for g in gates))
         ops = self.ops
         end = len(ops) if stop is None else stop
         if ((start >= len(ops) or ops[start] is not None)
                 and (end >= len(ops) or ops[end] is not None)):
-            object.__setattr__(sub, "ops", ops[start:stop])
+            sub.__dict__["ops"] = ops[start:stop]
         return sub
 
 
@@ -312,6 +318,23 @@ def _compile_ops(circuit: QuantumCircuit
     return tuple(ops)
 
 
+def _gather(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """np.take(amps, table, axis=-1) for a CNOT run's table.
+
+    np.take gathers through an intp copy of its int32 indices, 128 MB for
+    a whole 24-bit table, so tables longer than ``_GATHER_CHUNK`` go in
+    chunks of that many indices, each into its slice of one output array.
+    The values are the same either way."""
+    amps = amps.astype(complex, copy=False)
+    if len(table) <= _GATHER_CHUNK:
+        return np.take(amps, table, axis=-1)
+    out = np.empty_like(amps)
+    for start in range(0, len(table), _GATHER_CHUNK):
+        chunk = slice(start, start + _GATHER_CHUNK)
+        np.take(amps, table[chunk], axis=-1, out=out[..., chunk])
+    return out
+
+
 def _apply_instance(amps: np.ndarray, gate: GateInstance,
                     angle: float | None) -> np.ndarray:
     if gate.kind.n_qubits == 2:     # CNOT is the only two-qubit kind
@@ -349,7 +372,7 @@ def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
             angle = float(next(free_angles)) if op.free else op.angle
             amps = _apply_instance(amps, op, angle)
         elif op is not None:    # a CNOT run's index table; None: in the run
-            amps = np.take(amps.astype(complex, copy=False), op, axis=-1)
+            amps = _gather(amps, op)
     return amps
 
 

@@ -16,6 +16,7 @@ from gepcirc.hamiltonians import (
     xx_chain,
 )
 from gepcirc.oracle import (
+    block_labels,
     brute_force_maxcut,
     dense_matrix,
     exact_ground_energy,
@@ -55,6 +56,69 @@ def pauli_sums(draw, max_bits=6):
         coefficient = draw(st.floats(-5.0, 5.0, allow_nan=False))
         terms.append(PauliTerm.from_map(coefficient, ops))
     return PauliSumHamiltonian(n, terms)
+
+
+@st.composite
+def exchange_sums(draw, max_bits=6):
+    """XX+YY bonds, some with ZZ: their |00><11| parts cancel to exact
+    zeros, which split the matrix by the number of up spins."""
+    n = draw(st.integers(2, max_bits))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        i, j = draw(st.lists(st.integers(0, n - 1), unique=True,
+                             min_size=2, max_size=2))
+        coefficient = draw(st.floats(-5.0, 5.0, allow_nan=False))
+        for pauli in draw(st.sampled_from(["XY", "XYZ"])):
+            terms.append(PauliTerm.from_map(coefficient, {i: pauli, j: pauli}))
+    return PauliSumHamiltonian(n, terms)
+
+
+@st.composite
+def diagonal_sums(draw, max_bits=6):
+    """Z strings only: every basis state is a block of its own."""
+    n = draw(st.integers(1, max_bits))
+    terms = [PauliTerm.from_map(
+                 draw(st.floats(-5.0, 5.0, allow_nan=False)),
+                 dict.fromkeys(draw(st.lists(st.integers(0, n - 1),
+                                             unique=True, max_size=n)), "Z"))
+             for _ in range(draw(st.integers(0, 6)))]
+    return PauliSumHamiltonian(n, terms)
+
+
+@st.composite
+def one_block_sums(draw, max_bits=6):
+    """A nonzero X on every qubit joins every basis state to every other;
+    Z strings add only diagonal entries, so nothing cancels."""
+    h = draw(diagonal_sums(max_bits))
+    fields = [PauliTerm.from_map(
+                  draw(st.floats(0.5, 5.0)) * draw(st.sampled_from([-1, 1])),
+                  {q: "X"}) for q in range(h.n_bits)]
+    return PauliSumHamiltonian(h.n_bits, fields + list(h.terms))
+
+
+@st.composite
+def rescaled_sums(draw):
+    h = draw(st.one_of(pauli_sums(), exchange_sums(), diagonal_sums(),
+                       one_block_sums()))
+    shift = draw(st.floats(-5.0, 5.0, allow_nan=False))
+    scale = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.0, 3.0))
+    return h.rescaled(shift, scale)
+
+
+def reference_labels(matrix):
+    """Least index of each index's component, by union-find over the
+    nonzero entries."""
+    parent = list(range(len(matrix)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(matrix)):
+        a, b = root(int(i)), root(int(j))
+        parent[max(a, b)] = min(a, b)
+    return np.array([root(i) for i in range(len(matrix))])
 
 
 K3 = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -159,6 +223,45 @@ class TestDenseDiagonalization:
     @given(h=pauli_sums())
     def test_equals_kronecker_products(self, h):
         assert np.array_equal(dense_matrix(h), kron_matrix(h))
+
+    @settings(deadline=None, max_examples=200)
+    @given(h=rescaled_sums())
+    def test_blocks_match_whole_matrix(self, h):
+        whole = np.linalg.eigvalsh(dense_matrix(h))
+        expected = np.min(h.scale * (whole - h.shift))
+        size = 1 + sum(abs(t.coefficient) for t in h.terms) + abs(h.shift)
+        assert abs(exact_ground_energy(h) - expected) \
+            <= 1e-12 * abs(h.scale) * size
+
+    @settings(deadline=None, max_examples=200)
+    @given(h=st.one_of(pauli_sums(), exchange_sums(), diagonal_sums(),
+                       one_block_sums()))
+    def test_no_entry_joins_two_blocks(self, h):
+        matrix = dense_matrix(h)
+        labels = block_labels(matrix)
+        rows, cols = np.nonzero(matrix)
+        assert np.array_equal(labels[rows], labels[cols])
+        assert np.array_equal(labels, reference_labels(matrix))
+
+    @settings(deadline=None, max_examples=50)
+    @given(h=diagonal_sums())
+    def test_diagonal_sum_has_one_state_blocks(self, h):
+        labels = block_labels(dense_matrix(h))
+        assert np.array_equal(labels, np.arange(1 << h.n_bits))
+
+    @settings(deadline=None, max_examples=50)
+    @given(h=one_block_sums())
+    def test_fields_on_every_qubit_make_one_block(self, h):
+        assert not block_labels(dense_matrix(h)).any()
+
+    @pytest.mark.parametrize("h, sizes", [
+        (heisenberg_2d(3, 3), [1, 1, 9, 9, 36, 36, 84, 84, 126, 126]),
+        (xx_chain(10, 1.0, "open"), [512, 512]),
+    ])
+    def test_block_sizes(self, h, sizes):
+        _, counts = np.unique(block_labels(dense_matrix(h)),
+                              return_counts=True)
+        assert sorted(counts) == sizes
 
     def test_heisenberg_equals_kronecker_products(self):
         h = heisenberg_2d(3, 3)

@@ -220,6 +220,40 @@ class TestApplyCircuit:
             out = apply_circuit(rand_state(n, rng), rand_circuit(n, rng))
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
 
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+           data=st.data())
+    def test_part_equals_direct_construction(self, seed, n, data):
+        """A part, built without re-checking its gates, equals the circuit
+        built from the same slice: gates, free-angle count and ops."""
+        rng = random.Random(seed)
+        kinds = ("Ry", "P", "H", "CNOT")[:3 + (n > 1)]
+        table = GateTable(n, kinds)
+        circuit = gene_to_circuit(random_gene(table.pset, 12, rng), table)
+        if data.draw(st.booleans()):    # fixed angles on some Ry gates
+            circuit = QuantumCircuit(n, tuple(
+                GateInstance(g.kind, g.qubits, rng.uniform(0, 4 * math.pi))
+                if g.free and rng.random() < 0.5 else g
+                for g in circuit.gates))
+        start = data.draw(st.integers(0, len(circuit)))
+        stop = data.draw(st.none() | st.integers(start, len(circuit)))
+        part = circuit.part(start, stop)
+        direct = QuantumCircuit(n, circuit.gates[start:stop])
+        assert part == direct and hash(part) == hash(direct)
+        assert part.n_params == direct.n_params
+        assert len(part.ops) == len(direct.ops)
+        for a, b in zip(part.ops, direct.ops):
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b)
+            else:
+                assert a == b
+
+    def test_out_of_range_qubit_rejected(self):
+        for text in ("H2", "CNOT0,2", "CNOT2,1"):
+            gate = parse_circuit(text, 3).gates[0]
+            with pytest.raises(ConfigError, match="qubit 2 out of range"):
+                QuantumCircuit(2, (gate,))
+
 
 # ---------------------------------------------------------------------------
 # Reference kernels: the simulator's gate application as first written.
@@ -401,11 +435,18 @@ class TestKernels:
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data(), n=st.integers(1, 12),
-           lead=st.sampled_from([(), (2,), (2, 2)]))
-    def test_fused_cnot_runs_match_gate_by_gate(self, data, n, lead):
+           lead=st.sampled_from([(), (2,), (2, 2)]),
+           chunk=st.sampled_from([sim._GATHER_CHUNK, 4]))
+    def test_fused_cnot_runs_match_gate_by_gate(self, data, n, lead, chunk):
         """CNOT runs of 1-8 (longer where two meet) between Ry, P, H and X
         gates: the compiled ops, one gather per run of two or more, give
-        the per-gate kernels' raw bits."""
+        the per-gate kernels' raw bits, also when a gather goes in chunks
+        of 4 indices."""
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sim, "_GATHER_CHUNK", chunk)
+            self.check_fused_runs(data, n, lead)
+
+    def check_fused_runs(self, data, n, lead):
         gates, params = [], []
         for _ in range(data.draw(st.integers(0, 6))):
             if n > 1 and data.draw(st.booleans()):
@@ -473,6 +514,39 @@ class TestKernels:
         table = circuit.ops[0]
         bound = out.nbytes + table.nbytes + (1 << n) * np.dtype(np.intp).itemsize
         assert peak <= bound + 16384, (peak, bound)
+
+    def test_gather_above_one_chunk(self):
+        """At 17 bits each run's table goes in two chunks of 2^16 indices,
+        with the per-gate kernels' raw bits."""
+        n = 17
+        assert 1 << n == 2 * sim._GATHER_CHUNK
+        circuit = parse_circuit("H16 CNOT16,0 CNOT3,16 Ry16:0.3 CNOT0,9 "
+                                "CNOT9,16 CNOT16,2 P16 CNOT1,16 H0", n)
+        rng = np.random.default_rng(17)
+        amps = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
+        fused = apply_circuit_array(amps, n, circuit)
+        assert sum(isinstance(op, np.ndarray) for op in circuit.ops) == 2
+        assert same_bits(fused, gate_by_gate(amps, circuit.gates, ()))
+
+    def test_chunked_gather_memory(self):
+        """Above one chunk, a gather allocates the output, the int32 table,
+        and per chunk at most the intp copy of its indices and the buffer
+        np.take writes the chunk through: not an intp copy of the whole
+        table (8 MB here)."""
+        n = 20
+        circuit = parse_circuit("CNOT0,19 CNOT19,7 CNOT7,0", n)
+        amps = np.ones((2, 1 << n), dtype=complex)
+        circuit.ops     # the table is built before the trace starts
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = apply_circuit_array(amps, n, circuit)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        per_chunk = (1 << 16) * (np.dtype(np.intp).itemsize
+                                 + out.itemsize * len(out))
+        assert peak <= out.nbytes + per_chunk + 16384, (peak, out.nbytes)
 
     def test_negative_zero_angle_keeps_its_matrix(self):
         gate = GateInstance(GATE_KINDS["Ry"], (0,))
