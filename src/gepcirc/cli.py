@@ -287,7 +287,7 @@ def _hamiltonian_from_key(value: str, n_bits: int,
 
 
 def load_training_pairs(path: str | Path, n_bits: int
-                        ) -> list[tuple[StateVector, StateVector]]:
+                        ) -> list[tuple[int, int]]:
     """Pairs file: one `input output` of basis labels per line; `->` allowed."""
     pairs = []
     lines = content_lines(path)
@@ -296,9 +296,8 @@ def load_training_pairs(path: str | Path, n_bits: int
             parts = line.replace("->", " ").split()
             if len(parts) != 2:
                 raise ConfigError("expected 'input output' labels")
-            idx_in = parse_basis_label(parts[0], n_bits)
-            idx_out = parse_basis_label(parts[1], n_bits)
-            pairs.append((basis_state(n_bits, idx_in), basis_state(n_bits, idx_out)))
+            pairs.append((parse_basis_label(parts[0], n_bits),
+                          parse_basis_label(parts[1], n_bits)))
     if not pairs:
         raise ConfigError(f"{path}: no training pairs")
     return pairs
@@ -351,12 +350,10 @@ def _prepare(spec: RunSpec) -> _Prepared:
         key = "EnergyScale" if "EnergyScale" in spec.origin else "EnergyShift"
         with spec.at(key):
             h = h.rescaled(spec.energy_shift, spec.energy_scale)
-        index = 0
         with spec.at("InitialState"):
-            if spec.initial_state is not None:
-                index = parse_basis_label(spec.initial_state, spec.n_bits)
-        problem = ground_state_problem(table, h, basis_state(spec.n_bits, index),
-                                       spec.gradient_refine)
+            initial = (0 if spec.initial_state is None else
+                       parse_basis_label(spec.initial_state, spec.n_bits))
+        problem = ground_state_problem(table, h, initial, spec.gradient_refine)
         reference = _reference_energy(h, graph, spec.exact_energy)
     hook = None
     if spec.canonicalize:
@@ -412,7 +409,7 @@ def _final_state(result: EvolutionResult, cache: CachingFitness,
                  prep: _Prepared) -> StateVector:
     gene = result.best_gene
     circuit = gene_to_circuit(gene, prep.problem.table)
-    state = StateVector(prep.problem.n_bits, prep.problem.initial)
+    state = basis_state(prep.problem.n_bits, prep.problem.inputs[0])
     return apply_circuit(state, circuit, cache.params_for(gene))
 
 

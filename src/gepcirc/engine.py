@@ -179,9 +179,6 @@ class Gene:
     def tail_len(self) -> int:
         return len(self.symbols) - self.head_len
 
-    def replaced(self, symbols: Sequence[int]) -> "Gene":
-        return make_gene(symbols, self.head_len, self.pset)
-
 
 def make_gene(symbols: Sequence[int], head_len: int, pset: PrimitiveSet) -> Gene:
     """Build a gene, validating the head/tail structure."""
@@ -230,10 +227,6 @@ class ExpressionTree:
     @property
     def root(self) -> int:
         return 0
-
-    def bfs_symbols(self) -> tuple[int, ...]:
-        # Nodes are allocated in consumption order, which is breadth-first.
-        return tuple(n.symbol for n in self.nodes)
 
 
 def karva_decode(symbols: Sequence[int], pset: PrimitiveSet) -> ExpressionTree:

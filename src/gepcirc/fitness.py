@@ -1,8 +1,9 @@
 """Pre-fitness functionals, parameter optimization, and problem binding.
 
 A circuit's fitness is the maximum of its pre-fitness over the continuous
-gate angles: overlap-squared with target states averaged over training
-pairs (FunctionFit), or minus the Hamiltonian expectation (GroundState).
+gate angles: the squared amplitude at each training pair's output index,
+averaged over the pairs (FunctionFit), or minus the Hamiltonian
+expectation (GroundState).
 The optimizer is a deterministic coordinate sweep over a discrete angle
 grid, optionally continued with each slot set to its exact continuous
 maximum.
@@ -15,26 +16,26 @@ sin(t/2) (-iY), so if psi is the state entering a slot's only gate and U
 the gates after it, the output at angle t is cos(t/2) A + sin(t/2) B with
 A = U psi and B = U (-iY psi). The pre-fitness is then exactly
 a + b*cos(t) + c*sin(t), with (a, b, c) from <A|H|A>, <B|H|B> and
-Re <A|H|B> (GroundState) or from the overlaps <o|A> and <o|B> of each
-training pair (FunctionFit); this is the Rotosolve/NFT observation
-(Ostaszewski et al., arXiv:1905.09692; Nakanishi et al., arXiv:1903.12166)
-applied to the statevector. The gate kernels act on the last axis, so a
-slot visit pushes psi and -iY psi, stacked as one (2, 2^N) array, through
-U in one simulation of the gates after the slot and reads the whole grid
-off (a, b, c), and also the exact maximum over all angles,
+Re <A|H|B> (GroundState) or from A's amplitude at the output index, and
+B's, for each training pair (FunctionFit); this is the Rotosolve/NFT
+observation (Ostaszewski et al., arXiv:1905.09692; Nakanishi et al.,
+arXiv:1903.12166) applied to the statevector. The gate kernels act on the
+last axis, so a slot visit pushes psi and -iY psi, stacked as one (2, 2^N)
+array, through U in one simulation of the gates after the slot and reads
+the whole grid off (a, b, c), and also the exact maximum over all angles,
 a + hypot(b, c) at t = atan2(c, b). A visit holds one stacked pair at a
-time, twice the per-state working set of evaluating one angle, at every
-N. Simulating U costs one kernel per 1-qubit gate or lone CNOT and one
-gather per run of two or more CNOTs (see ``sim``): slot gates are Ry, so
-no slot splits a run, and the kept states' steps and suffixes (below)
-are parts of the circuit that share its run tables, so each table is
-built once per optimized circuit.
+time, twice the per-state working set of evaluating one angle, at every N.
+Simulating U costs one kernel per 1-qubit gate or lone CNOT and one gather
+per run of two or more CNOTs (see ``sim``): slot gates are Ry, so no slot
+splits a run, and the kept states' steps and suffixes (below) are parts of
+the circuit that share its run tables, so each table is built once per
+optimized circuit.
 
 Nor does a visit simulate the gates before its slot. They do not change
 during the visit, so the sweep keeps the state(s) entering that gate,
 built once with the committed angles. Between visits the kept state moves
-forward to the next slot's gate, or is rebuilt from the input states when
-the cycle wraps.
+forward to the next slot's gate, or restarts from the input states when
+the cycle wraps: read-only one-hot arrays, built once per problem.
 
 The sweep starts from all angles at pi/4 rather than 0: for product-state
 problems the all-zero point is a stationary saddle where no single-angle
@@ -43,6 +44,7 @@ change moves the pre-fitness, so a sweep seeded there cannot leave it.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -54,11 +56,10 @@ from gepcirc.hamiltonians import PauliSumHamiltonian
 from gepcirc.sim import (
     GateTable,
     QuantumCircuit,
-    StateVector,
     _apply_1q,
     _frozen,
     apply_circuit_array,
-    basis_state,
+    check_basis_index,
     gene_to_circuit,
 )
 
@@ -77,85 +78,73 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Problem:
-    """A fitness target: training pairs or a Hamiltonian plus start state.
-
-    ``refine`` continues the angle sweep with exact per-slot maxima once
-    the grid sweep settles (see ``optimize_params``).
+    """A fitness target. Every input is a basis state, held as its index:
+    with ``outputs``, one index per input, FunctionFit; with a Hamiltonian
+    and one input, the initial state, GroundState. ``refine`` continues
+    the angle sweep with exact per-slot maxima once the grid sweep settles
+    (see ``optimize_params``).
     """
 
-    kind: str                   # "FunctionFit" or "GroundState"
     table: GateTable
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+    inputs: tuple[int, ...]
+    outputs: tuple[int, ...] = ()
     hamiltonian: PauliSumHamiltonian | None = None
-    initial: np.ndarray | None = None
     refine: bool = False
 
     @property
     def n_bits(self) -> int:
         return self.table.n_bits
 
-    @property
-    def inputs(self) -> tuple[np.ndarray, ...]:
-        """The states a circuit acts on: one per training pair, or the
-        initial state."""
-        if self.kind == "FunctionFit":
-            return tuple(amps_in for amps_in, _ in self.pairs)
-        return (self.initial,)
 
-
-def function_fit_problem(
-    table: GateTable,
-    pairs: Sequence[tuple[StateVector, StateVector]],
-    refine: bool = False,
-) -> Problem:
-    """Reproduce D input -> output state mappings (D >= 1)."""
+def function_fit_problem(table: GateTable, pairs: Sequence[tuple[int, int]],
+                         refine: bool = False) -> Problem:
+    """Reproduce D >= 1 mappings of basis index ``input`` to ``output``."""
     if not pairs:
         raise ConfigError("FunctionFit needs at least one training pair")
-    for s_in, s_out in pairs:
-        if s_in.n_bits != table.n_bits or s_out.n_bits != table.n_bits:
-            raise ConfigError(
-                f"training pair on {s_in.n_bits}/{s_out.n_bits} bits, "
-                f"gate table on {table.n_bits}"
-            )
-    raw = tuple((p.amplitudes, q.amplitudes) for p, q in pairs)
-    return Problem("FunctionFit", table, pairs=raw, refine=refine)
+    inputs, outputs = zip(*pairs)
+    for index in inputs + outputs:
+        check_basis_index(table.n_bits, index)
+    return Problem(table, inputs, outputs, refine=refine)
 
 
-def ground_state_problem(
-    table: GateTable,
-    hamiltonian: PauliSumHamiltonian,
-    initial_state: StateVector | None = None,
-    refine: bool = False,
-) -> Problem:
-    """Minimize <H> over circuit outputs from one initial state."""
+def ground_state_problem(table: GateTable, hamiltonian: PauliSumHamiltonian,
+                         initial: int = 0, refine: bool = False) -> Problem:
+    """Minimize <H> over circuit outputs from basis state ``initial``."""
     if hamiltonian.n_bits != table.n_bits:
         raise ConfigError(
             f"Hamiltonian on {hamiltonian.n_bits} bits, "
             f"gate table on {table.n_bits}"
         )
-    if initial_state is None:
-        initial_state = basis_state(table.n_bits, 0)
-    elif initial_state.n_bits != table.n_bits:
-        raise ConfigError(
-            f"initial state on {initial_state.n_bits} bits, "
-            f"gate table on {table.n_bits}"
-        )
-    return Problem("GroundState", table, hamiltonian=hamiltonian,
-                   initial=initial_state.amplitudes, refine=refine)
+    check_basis_index(table.n_bits, initial)
+    return Problem(table, (initial,), hamiltonian=hamiltonian, refine=refine)
+
+
+@functools.lru_cache(maxsize=1)
+def _one_hots(n_bits: int, inputs: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The inputs as read-only one-hot arrays, built on first use and
+    shared by every simulation of the problem: no kernel writes into its
+    input."""
+    hots = []
+    for index in inputs:
+        amps = np.zeros(1 << n_bits, dtype=complex)
+        amps[index] = 1.0
+        hots.append(_frozen(amps))
+    return tuple(hots)
 
 
 def prefitness(circuit: QuantumCircuit, params: Sequence[float],
                problem: Problem) -> float:
-    """P(phi): mean squared overlap (FunctionFit) or -<H> (GroundState)."""
+    """P(phi): mean |A[out]|^2 over the pairs (FunctionFit) or -<H>
+    (GroundState), A the circuit's output; one pair at a time."""
     n = problem.n_bits
-    if problem.kind == "FunctionFit":
-        total = 0.0
-        for amps_in, amps_out in problem.pairs:
-            evolved = apply_circuit_array(amps_in, n, circuit, params)
-            total += float(abs(np.vdot(amps_out, evolved)) ** 2)
-        return total / len(problem.pairs)
-    evolved = apply_circuit_array(problem.initial, n, circuit, params)
-    return -problem.hamiltonian.expectation_array(evolved)
+    evolved = (apply_circuit_array(amps, n, circuit, params)
+               for amps in _one_hots(n, problem.inputs))
+    if not problem.outputs:
+        return -problem.hamiltonian.expectation_array(next(evolved))
+    total = 0.0
+    for amps, out in zip(evolved, problem.outputs):
+        total += float(abs(amps[out]) ** 2)
+    return total / len(problem.outputs)
 
 
 # -iY: Ry(t) = cos(t/2) * I + sin(t/2) * _MINUS_IY
@@ -175,7 +164,7 @@ class _KeptStates:
     ``steps``, step k running from slot k-1's gate (or the start) up to
     slot k's gate, and ``suffixes``, suffix k being the gates after slot
     k's gate. Moving forward applies the steps in between; moving back
-    rebuilds from the problem's inputs.
+    restarts from the problem's shared one-hot inputs.
     """
 
     def __init__(self, circuit: QuantumCircuit, problem: Problem):
@@ -189,12 +178,12 @@ class _KeptStates:
                       in zip([0] + gate_of, gate_of)]
         self.suffixes = [circuit.part(i + 1) for i in gate_of]
         self.k = -1
-        self.states = list(problem.inputs)
+        self.inputs = self.states = _one_hots(problem.n_bits, problem.inputs)
 
     def move_to(self, k: int, phi: Sequence[float]) -> None:
         """Keep the states entering slot ``k``'s gate."""
         if k < self.k:
-            self.k, self.states = -1, list(self.problem.inputs)
+            self.k, self.states = -1, self.inputs
         n = self.problem.n_bits
         for j in range(self.k + 1, k + 1):
             step = self.steps[j]
@@ -223,18 +212,18 @@ class _KeptStates:
                 problem.n_bits, self.suffixes[k], phi[k + 1:])
 
         outs = map(outputs, self.states)
-        if problem.kind == "GroundState":
+        if not problem.outputs:
             # -<x|H'|x> at x = cos(t/2) A + sin(t/2) B
             aa, bb, ab = problem.hamiltonian.pair_elements(*next(outs))
             return -0.5 * (aa + bb), -0.5 * (aa - bb), -ab
-        # |cos(t/2) alpha + sin(t/2) beta|^2 per pair, alpha = <o|A>
+        # |cos(t/2) alpha + sin(t/2) beta|^2 per pair, alpha = A[out]
         aa = bb = ab = 0.0
-        for (out_a, out_b), (_, amps_out) in zip(outs, problem.pairs):
-            alpha, beta = np.vdot(amps_out, out_a), np.vdot(amps_out, out_b)
+        for pair, out in zip(outs, problem.outputs):
+            alpha, beta = pair[0, out], pair[1, out]
             aa += abs(alpha) ** 2
             bb += abs(beta) ** 2
             ab += (alpha.conjugate() * beta).real
-        d = len(problem.pairs)
+        d = len(problem.outputs)
         return 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
 
 

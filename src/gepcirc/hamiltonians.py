@@ -34,8 +34,8 @@ from gepcirc.sim import MAX_QUBITS, StateVector
 __all__ = [
     "Graph", "PauliTerm", "PauliSumHamiltonian", "ImaginaryResidueError",
     "ising_from_graph", "xx_chain", "heisenberg_2d",
-    "expectation", "cut_value", "CutCandidate", "maxcut_from_state",
-    "load_graph", "save_graph", "load_pauli_sum", "save_pauli_sum",
+    "cut_value", "CutCandidate", "maxcut_from_state",
+    "load_graph", "load_pauli_sum",
 ]
 
 
@@ -216,16 +216,6 @@ class PauliSumHamiltonian:
                 self._real(np.vdot(b, h_b)), float(np.vdot(a, h_b).real))
 
 
-def expectation(h: PauliSumHamiltonian, state: StateVector) -> float:
-    """<state|H'|state> = s * (<state|H|state> - e0), real within an
-    imaginary residue of 1e-10 * |s|."""
-    if h.n_bits != state.n_bits:
-        raise ConfigError(
-            f"Hamiltonian on {h.n_bits} bits, state on {state.n_bits}"
-        )
-    return h.expectation_array(state.amplitudes)
-
-
 # ---------------------------------------------------------------------------
 # Problem generators
 # ---------------------------------------------------------------------------
@@ -353,13 +343,6 @@ def load_graph(path: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def save_graph(graph: Graph, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"n {graph.n}\n")
-        for i, j in graph.edges:
-            fh.write(f"{i} {j}\n")
-
-
 def load_pauli_sum(path: str) -> PauliSumHamiltonian:
     """Text format: `nbits <N>` header, then `coefficient X0 Z3 ...` lines."""
     lines = content_lines(path)
@@ -384,11 +367,3 @@ def load_pauli_sum(path: str) -> PauliSumHamiltonian:
             terms.append(PauliTerm(float(coefficient), tuple(ops)))
         at.line = 0     # an overflow belongs to the sum, not to one line
         return PauliSumHamiltonian(n_bits, terms)
-
-
-def save_pauli_sum(h: PauliSumHamiltonian, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"nbits {h.n_bits}\n")
-        for t in h.terms:
-            tokens = " ".join(f"{p}{q}" for q, p in t.ops)
-            fh.write(f"{t.coefficient!r} {tokens}".rstrip() + "\n")

@@ -62,8 +62,8 @@ _GATHER_CHUNK = 1 << 16     # indices per np.take of a CNOT run's table
 __all__ = [
     "MAX_QUBITS", "P_PHASE",
     "GateKind", "GATE_KINDS", "GateInstance", "QuantumCircuit",
-    "StateVector", "basis_state", "gate_matrix",
-    "apply_gate", "apply_circuit", "apply_circuit_array",
+    "StateVector", "check_basis_index", "basis_state", "gate_matrix",
+    "apply_circuit", "apply_circuit_array",
     "GateTable", "gene_to_circuit", "circuit_to_gene",
     "bind_params", "canonicalize",
     "format_angle", "parse_angle", "circuit_to_string", "parse_circuit",
@@ -208,17 +208,18 @@ class StateVector:
         if not abs(norm - 1.0) < 1e-10:
             raise ConfigError(f"state norm {norm} drifted from 1")
 
-    def fidelity(self, other: "StateVector") -> float:
-        """|<self|other>|^2, the global-phase-blind overlap."""
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
+
+def check_basis_index(n_bits: int, index: int) -> None:
+    """ConfigError unless ``index`` labels a basis state of n_bits qubits."""
+    if not 0 <= index < (1 << n_bits):
+        raise ConfigError(f"basis label {index} out of range for {n_bits} bits")
 
 
 def basis_state(n_bits: int, index: int) -> StateVector:
     """Computational basis state |index>."""
     if not 1 <= n_bits <= MAX_QUBITS:
         raise ConfigError(f"n_bits must be in 1..{MAX_QUBITS}")
-    if not 0 <= index < (1 << n_bits):
-        raise ConfigError(f"basis index {index} out of range for {n_bits} bits")
+    check_basis_index(n_bits, index)
     amps = np.zeros(1 << n_bits, dtype=complex)
     amps[index] = 1.0
     return StateVector(n_bits, amps)
@@ -381,12 +382,6 @@ def apply_circuit(state: StateVector, circuit: QuantumCircuit,
     """Apply all gates in order: gates[0] acts first."""
     amps = apply_circuit_array(state.amplitudes, state.n_bits, circuit, params)
     return StateVector(state.n_bits, amps)
-
-
-def apply_gate(state: StateVector, gate: GateInstance,
-               params: Sequence[float] = ()) -> StateVector:
-    """Apply one gate; unitarity keeps the norm within tolerance."""
-    return apply_circuit(state, QuantumCircuit(state.n_bits, (gate,)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +660,7 @@ def parse_circuit(text: str, n_bits: int) -> QuantumCircuit:
 
 
 def parse_basis_label(text: str, n_bits: int) -> int:
-    """Initial-state label -> basis index.
+    """Basis label (an InitialState or a training-pair entry) -> basis index.
 
     A string of exactly n_bits 0/1 characters is a bitstring (leftmost
     character is the highest qubit); anything else must be a decimal index.
@@ -676,9 +671,6 @@ def parse_basis_label(text: str, n_bits: int) -> int:
     try:
         index = int(text)
     except ValueError:
-        raise ConfigError(f"cannot parse initial state {text!r}") from None
-    if not 0 <= index < (1 << n_bits):
-        raise ConfigError(
-            f"initial state {index} out of range for {n_bits} bits"
-        )
+        raise ConfigError(f"cannot parse basis label {text!r}") from None
+    check_basis_index(n_bits, index)
     return index

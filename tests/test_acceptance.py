@@ -27,7 +27,7 @@ from gepcirc.engine import (
     swap_symbols,
     two_point_recombine,
 )
-from gepcirc.hamiltonians import Graph, save_graph, xx_chain
+from gepcirc.hamiltonians import Graph, xx_chain
 from gepcirc.oracle import (
     brute_force_maxcut,
     exact_ground_energy,
@@ -42,6 +42,8 @@ from gepcirc.sim import (
     gene_to_circuit,
     parse_circuit,
 )
+
+from writers import save_graph
 
 # best_fitness columns of every trace.csv produced here, checked by criterion 8
 TRACES = []

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,9 +25,11 @@ from gepcirc.cli import (
     verify,
 )
 from gepcirc.engine import ConfigError
-from gepcirc.hamiltonians import Graph, ising_from_graph, save_graph
+from gepcirc.hamiltonians import Graph, ising_from_graph
 from gepcirc.oracle import exact_ground_energy
 from gepcirc.sim import circuit_to_string, parse_angle, parse_circuit
+
+from writers import save_graph
 
 
 def write(path, text):
@@ -228,11 +231,7 @@ class TestTrainingPairs:
 00 -> 11
 0 3           # decimal indices work too
 """)
-        pairs = load_training_pairs(path, 2)
-        assert len(pairs) == 2
-        for inp, out in pairs:
-            assert inp.amplitudes[0] == 1.0
-            assert out.amplitudes[3] == 1.0
+        assert load_training_pairs(path, 2) == [(0, 3), (0, 3)]
 
     def test_errors(self, tmp_path):
         path = write(tmp_path / "pairs.txt", "00 11 00\n")
@@ -241,9 +240,39 @@ class TestTrainingPairs:
         path = write(tmp_path / "pairs.txt", "00 21\n")
         with pytest.raises(ConfigError, match=r"pairs\.txt:1"):
             load_training_pairs(path, 2)
+        # a label is a basis label, not an initial state
+        for line, message in [
+                ("00 -> 9", "basis label 9 out of range for 2 bits"),
+                ("00 -> zz", "cannot parse basis label 'zz'")]:
+            path = write(tmp_path / "pairs.txt", line + "\n")
+            with pytest.raises(ConfigError) as info:
+                load_training_pairs(path, 2)
+            assert str(info.value) == f"{path}:1: {message}"
         path = write(tmp_path / "pairs.txt", "# nothing\n")
         with pytest.raises(ConfigError, match="no training pairs"):
             load_training_pairs(path, 2)
+
+    def test_set_up_holds_no_states(self, tmp_path):
+        # a problem keeps basis indices: at 20 bits, 16 dense states of
+        # 16 MB each would be 256 MB before anything is evaluated
+        write(tmp_path / "pairs.txt", "".join(
+            f"{k} -> {(k * 7919) % (1 << 20)}\n" for k in range(8)))
+        spec = parse_input(write(tmp_path / "in.txt", """\
+RunType = FunctionFit
+NumBits = 20
+Gates = Ry,CNOT
+HeadSize = 3
+Generations = 1
+TrainingPairs = pairs.txt
+"""))
+        tracemalloc.start()
+        try:
+            prep = cli_mod._prepare(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prep.problem.inputs == tuple(range(8))
+        assert peak < 1 << 20, peak
 
 
 class TestRun:
@@ -477,7 +506,7 @@ class TestMain:
         # widths that disagree with NumBits, found once the run is set up
         ("GraphFile = g3.txt", "graph has 3 vertices but NumBits = 2"),
         ("Hamiltonian = xx:3,1,open", "Hamiltonian is on 3 bits but NumBits = 2"),
-        ("InitialState = 9", "initial state 9 out of range for 2 bits"),
+        ("InitialState = 9", "basis label 9 out of range for 2 bits"),
         # finite, but the energies they make are not
         ("EnergyScale = 1e308", "energies overflow"),
         ("EnergyShift = -1e308", "energies overflow"),

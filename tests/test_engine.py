@@ -45,7 +45,7 @@ class TestKarvaDecode:
         # Q + * - a b c d reads breadth-first into sqrt(a*b + (c - d))
         tree = karva_decode(seq("Q+*-abcd"), ARITH)
         assert tree.coding_length == 8
-        assert names(tree.bfs_symbols()) == "Q+*-abcd"
+        assert names(node.symbol for node in tree.nodes) == "Q+*-abcd"
         root = tree.nodes[0]
         assert ARITH.names[root.symbol] == "Q"
         plus = tree.nodes[root.children[0]]
@@ -60,7 +60,7 @@ class TestKarvaDecode:
     def test_noncoding_suffix_ignored(self):
         tree = karva_decode(seq("+b*aQa-ababbabbbabab"), ARITH)
         assert tree.coding_length == 6
-        assert names(tree.bfs_symbols()) == "+b*aQa"
+        assert names(node.symbol for node in tree.nodes) == "+b*aQa"
 
     def test_single_terminal(self):
         tree = karva_decode(seq("a"), ARITH)
@@ -371,7 +371,8 @@ class TestEvolution:
         def normalize(gene: Gene) -> Gene:
             n = decode(gene).coding_length
             pad = [ARITH.terminals[0]] * (len(gene.symbols) - n)
-            return gene.replaced(gene.symbols[:n] + tuple(pad))
+            return make_gene(gene.symbols[:n] + tuple(pad), gene.head_len,
+                             gene.pset)
 
         calls = []
 

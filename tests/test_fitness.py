@@ -3,7 +3,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gepcirc.fitness as fitness_mod
 from gepcirc.engine import ConfigError, make_gene, random_gene
@@ -21,15 +23,19 @@ from gepcirc.hamiltonians import (
     ising_from_graph,
     xx_chain,
 )
-from gepcirc.oracle import exact_ground_energy
+from gepcirc.oracle import dense_matrix, exact_ground_energy
 from gepcirc.sim import (
     GateTable,
+    apply_circuit,
     basis_state,
+    bind_params,
     canonicalize,
     circuit_to_gene,
     gene_to_circuit,
     parse_circuit,
 )
+
+from test_sim import dense_unitary, gene_circuits
 
 Z0 = PauliSumHamiltonian(1, [PauliTerm.from_map(1.0, {0: "Z"})])
 EDGE = ising_from_graph(Graph(2, ((0, 1),)))
@@ -39,14 +45,16 @@ XX4 = xx_chain(4, 1.0, "periodic")
 class TestPrefitness:
     def test_empty_circuit_identity_pair(self):
         table = GateTable(1, ["Ry"])
-        prob = function_fit_problem(
-            table, [(basis_state(1, 0), basis_state(1, 0))])
+        prob = function_fit_problem(table, [(0, 0)])
         assert prefitness(parse_circuit("", 1), (), prob) == 1.0
 
     def test_empty_circuit_ground_state(self):
         table = GateTable(2, ["Ry"])
-        prob = ground_state_problem(table, EDGE, basis_state(2, 0))
+        prob = ground_state_problem(table, EDGE, 0)
         assert prefitness(parse_circuit("", 2), (), prob) == -1.0
+        # |01> has energy -1, so its fitness is 1
+        prob = ground_state_problem(table, EDGE, 1)
+        assert prefitness(parse_circuit("", 2), (), prob) == 1.0
 
     def test_known_xx_circuit(self):
         table = GateTable(4, ["Ry"])
@@ -56,17 +64,14 @@ class TestPrefitness:
 
     def test_function_fit_mean_over_pairs(self):
         table = GateTable(1, ["X"])
-        prob = function_fit_problem(
-            table,
-            [(basis_state(1, 0), basis_state(1, 1)),    # X fixes this one
-             (basis_state(1, 0), basis_state(1, 0))])   # and breaks this one
+        prob = function_fit_problem(table, [(0, 1),     # X fixes this one
+                                            (0, 0)])    # and breaks this one
         assert prefitness(parse_circuit("X0", 1), (), prob) == 0.5
 
     def test_function_fit_bounded(self):
         rng = random.Random(40)
         table = GateTable(2, ["H", "Ry", "CNOT"])
-        prob = function_fit_problem(
-            table, [(basis_state(2, 0), basis_state(2, 3))])
+        prob = function_fit_problem(table, [(0, 3)])
         for _ in range(50):
             gene = random_gene(table.pset, 6, rng)
             value = CachingFitness(prob)(gene)
@@ -76,11 +81,96 @@ class TestPrefitness:
         table = GateTable(2, ["Ry"])
         with pytest.raises(ConfigError):
             function_fit_problem(table, [])
-        with pytest.raises(ConfigError):
-            function_fit_problem(
-                table, [(basis_state(1, 0), basis_state(1, 0))])
+        for pair in [(4, 0), (0, 4), (-1, 0)]:
+            with pytest.raises(ConfigError, match="out of range for 2 bits"):
+                function_fit_problem(table, [(0, 0), pair])
         with pytest.raises(ConfigError):
             ground_state_problem(table, Z0)
+        with pytest.raises(ConfigError, match="basis label 4 out of range"):
+            ground_state_problem(table, EDGE, 4)
+
+    def test_problem_holds_indices(self):
+        table = GateTable(2, ["Ry"])
+        prob = function_fit_problem(table, [(1, 2), (3, 0)])
+        assert (prob.inputs, prob.outputs, prob.hamiltonian) \
+            == ((1, 3), (2, 0), None)
+        prob = ground_state_problem(table, EDGE, 2)
+        assert (prob.inputs, prob.outputs) == ((2,), ())
+
+    def test_one_hot_inputs_built_once(self):
+        # read-only one-hot arrays equal to the basis states, built on
+        # first use and shared by the sweep and every prefitness call
+        n = 6
+        table = GateTable(n, ["Ry", "CNOT"])
+        pairs = [(5, 5), (5, 1 << (n - 1) | 5), (3, 3)]
+        prob = function_fit_problem(table, pairs)
+        fitness_mod._one_hots.cache_clear()
+        circuit = parse_circuit(f"Ry{n - 1}:phi0 CNOT{n - 1},0 Ry0:phi1", n)
+        phi, value = optimize_params(circuit, prob)
+        assert prefitness(circuit, phi, prob) == value
+        assert fitness_mod._one_hots.cache_info().misses == 1
+        hots = fitness_mod._one_hots(n, prob.inputs)
+        for amps, index in zip(hots, prob.inputs):
+            assert not amps.flags.writeable
+            assert np.array_equal(amps, basis_state(n, index).amplitudes)
+        bound = parse_circuit(f"Ry{n - 1}:pi/3 CNOT{n - 1},0", n)
+        total = 0.0
+        for i, out in pairs:
+            amps = apply_circuit(basis_state(n, i), bound).amplitudes
+            total += abs(amps[out]) ** 2
+        assert prefitness(bound, (), prob) == total / 3
+        assert all(np.array_equal(amps, basis_state(n, index).amplitudes)
+                   for amps, index in zip(hots, prob.inputs))
+
+
+class TestDenseReference:
+    """prefitness against the gates' Kronecker matrices and the oracle's
+    dense Hamiltonian, on random gene circuits at random angles."""
+
+    @staticmethod
+    def bound_unitary(circuit, rng):
+        params = [rng.uniform(-20.0, 20.0) for _ in range(circuit.n_params)]
+        return params, dense_unitary(bind_params(circuit, params))
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=gene_circuits(), seed=st.integers(0, 2**32 - 1))
+    def test_function_fit_is_mean_squared_entry(self, case, seed):
+        # half the outputs are drawn with the weights |U[out, in]|^2, so
+        # most pairs have a nonzero overlap
+        _, table, circuit = case
+        rng = random.Random(seed)
+        params, u = self.bound_unitary(circuit, rng)
+        dim = 1 << table.n_bits
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(dim)
+            weights = np.abs(u[:, i]) ** 2 if rng.random() < 0.5 else None
+            pairs.append((i, rng.choices(range(dim), weights)[0]))
+        want = sum(abs(u[out, i]) ** 2 for i, out in pairs) / len(pairs)
+        got = prefitness(circuit, params, function_fit_problem(table, pairs))
+        assert abs(got - want) <= 1e-12
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=gene_circuits(), seed=st.integers(0, 2**32 - 1))
+    def test_ground_state_from_any_initial(self, case, seed):
+        _, table, circuit = case
+        rng = random.Random(seed)
+        n = table.n_bits
+        params, u = self.bound_unitary(circuit, rng)
+        terms = [PauliTerm.from_map(rng.uniform(-2.0, 2.0), {
+                     q: rng.choice("XYZ")
+                     for q in rng.sample(range(n), rng.randint(0, n))})
+                 for _ in range(rng.randint(0, 6))]
+        h = PauliSumHamiltonian(n, terms, shift=rng.uniform(-3.0, 3.0),
+                                scale=rng.uniform(-2.0, 2.0))
+        initial = rng.randrange(1, 1 << n)
+        x = u[:, initial]
+        want = -h.scale * (np.vdot(x, dense_matrix(h) @ x).real - h.shift)
+        got = prefitness(circuit, params,
+                         ground_state_problem(table, h, initial))
+        tol = 1e-12 * abs(h.scale) * (
+            1.0 + sum(abs(t.coefficient) for t in terms) + abs(h.shift))
+        assert abs(got - want) <= tol
 
 
 class TestOptimizeParams:

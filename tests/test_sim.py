@@ -18,7 +18,7 @@ import gepcirc
 import gepcirc.sim as sim
 from gepcirc.cli import parse_input, run
 from gepcirc.engine import ConfigError, coding_length, decode, random_gene
-from gepcirc.hamiltonians import Graph, save_graph
+from gepcirc.hamiltonians import Graph
 from gepcirc.sim import (
     GATE_KINDS,
     GateInstance,
@@ -27,7 +27,6 @@ from gepcirc.sim import (
     StateVector,
     apply_circuit,
     apply_circuit_array,
-    apply_gate,
     basis_state,
     bind_params,
     canonicalize,
@@ -40,6 +39,8 @@ from gepcirc.sim import (
     parse_basis_label,
     parse_circuit,
 )
+
+from writers import save_graph
 
 
 def rand_state(n, rng):
@@ -148,29 +149,28 @@ class TestGateMatrices:
 class TestApplyGate:
     def test_z_fixes_zero_state(self):
         s = basis_state(4, 0)
-        out = apply_gate(s, GateInstance(GATE_KINDS["Z"], (0,)))
+        out = apply_circuit(s, parse_circuit("Z0", 4))
         assert np.array_equal(out.amplitudes, s.amplitudes)
 
     def test_ry_pi_on_qubit_1(self):
-        out = apply_gate(basis_state(3, 0),
-                         GateInstance(GATE_KINDS["Ry"], (1,), angle=math.pi))
+        out = apply_circuit(basis_state(3, 0), parse_circuit("Ry1:pi", 3))
         assert abs(out.amplitudes[2] - 1.0) < 1e-12
 
     def test_cnot_control_is_first_qubit(self):
-        gate = GateInstance(GATE_KINDS["CNOT"], (0, 1))
-        out = apply_gate(basis_state(3, 1), gate)
+        cnot = parse_circuit("CNOT0,1", 3)
+        out = apply_circuit(basis_state(3, 1), cnot)
         assert out.amplitudes[3] == 1.0
         # control clear: target untouched
-        out = apply_gate(basis_state(3, 2), gate)
+        out = apply_circuit(basis_state(3, 2), cnot)
         assert out.amplitudes[2] == 1.0
 
     def test_slot_resolution(self):
-        gate = GateInstance(GATE_KINDS["Ry"], (0,))
-        assert gate.free
-        out = apply_gate(basis_state(1, 0), gate, [math.pi])
+        circuit = parse_circuit("Ry0:phi0", 1)
+        assert circuit.gates[0].free
+        out = apply_circuit(basis_state(1, 0), circuit, [math.pi])
         assert abs(out.amplitudes[1] - 1.0) < 1e-12
         with pytest.raises(ConfigError):
-            apply_gate(basis_state(1, 0), gate, [])
+            apply_circuit(basis_state(1, 0), circuit, [])
 
     def test_unitarity_round_trip(self):
         rng = random.Random(12)
@@ -179,9 +179,10 @@ class TestApplyGate:
             s = rand_state(n, rng)
             q = rng.randrange(n)
             theta = rng.uniform(0, 4 * math.pi)
-            fwd = apply_gate(s, GateInstance(GATE_KINDS["Ry"], (q,), angle=theta))
-            back = apply_gate(fwd, GateInstance(GATE_KINDS["Ry"], (q,),
-                                                angle=-theta))
+            fwd = apply_circuit(s, QuantumCircuit(n, (
+                GateInstance(GATE_KINDS["Ry"], (q,), angle=theta),)))
+            back = apply_circuit(fwd, QuantumCircuit(n, (
+                GateInstance(GATE_KINDS["Ry"], (q,), angle=-theta),)))
             assert np.allclose(back.amplitudes, s.amplitudes, atol=1e-10)
 
 
@@ -430,7 +431,7 @@ class TestKernels:
         assert same_bits(amps, before)
         gate_matrix("H")[0, 0] = 5.0     # callers get copies
         assert same_bits(gate_matrix("H"), sim._FIXED_MATRICES["H"])
-        out = apply_gate(basis_state(1, 0), GateInstance(GATE_KINDS["H"], (0,)))
+        out = apply_circuit(basis_state(1, 0), parse_circuit("H0", 1))
         assert abs(out.amplitudes[0] - 1 / math.sqrt(2)) < 1e-15
 
     @settings(deadline=None, max_examples=60)
@@ -782,7 +783,8 @@ class TestCanonicalize:
             s = rand_state(n, rng)
             out_a = apply_circuit(s, circuit)
             out_b = apply_circuit(s, canonicalize(circuit))
-            assert out_a.fidelity(out_b) >= 1.0 - 1e-10
+            fidelity = abs(np.vdot(out_a.amplitudes, out_b.amplitudes)) ** 2
+            assert fidelity >= 1.0 - 1e-10
 
 
 @st.composite
@@ -819,7 +821,8 @@ def dense_unitary(circuit):
 
 def tree_path_circuit(gene, table):
     """The circuit read from the decoded expression tree, gate by gate."""
-    symbols = decode(gene).bfs_symbols()
+    # the tree's nodes are in breadth-first order
+    symbols = [node.symbol for node in decode(gene).nodes]
     gates = [table.instance(sym) for sym in reversed(symbols[:-1])]
     return QuantumCircuit(table.n_bits, tuple(gates))
 

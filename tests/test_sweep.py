@@ -34,7 +34,7 @@ from gepcirc.fitness import (
 from gepcirc.hamiltonians import PauliSumHamiltonian, PauliTerm
 from gepcirc.sim import (
     GateTable,
-    StateVector,
+    apply_circuit_array,
     gene_to_circuit,
     parse_circuit,
 )
@@ -134,22 +134,37 @@ def random_ising(n, rng):
     return PauliSumHamiltonian(n, terms)
 
 
-def random_state(n, rng):
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return StateVector(n, amps / np.linalg.norm(amps))
+def reachable_output(circuit, index, rng):
+    """An output index that ``circuit`` reaches from basis state ``index``
+    at random angles, drawn with the weights |U(phi)[out, index]|^2: its
+    overlap is not identically zero."""
+    n = circuit.n_bits
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[index] = 1.0
+    phi = [rng.uniform(-2 * math.pi, 2 * math.pi)
+           for _ in range(circuit.n_params)]
+    weights = np.abs(apply_circuit_array(amps, n, circuit, phi)) ** 2
+    return rng.choices(range(1 << n), weights=weights)[0]
 
 
-def make_problem(kind, table, seed, refine=False, n_pairs=None):
+def make_problem(kind, circuit, table, seed, refine=False, n_pairs=None):
+    """A random Hamiltonian from a random initial basis state, or random
+    index pairs for ``circuit``: three in four pairs take an output it
+    reaches (see ``reachable_output``), the rest any output."""
     rng = random.Random(seed)
     n = table.n_bits
     if kind in ("pauli", "ising"):
         h = (random_pauli_sum if kind == "pauli" else random_ising)(n, rng)
-        return ground_state_problem(table, h, refine=refine)
-    nprng = np.random.default_rng(seed)
+        return ground_state_problem(table, h, rng.randrange(1 << n),
+                                    refine=refine)
     if n_pairs is None:
         n_pairs = rng.randint(1, 3)
-    pairs = [(random_state(n, nprng), random_state(n, nprng))
-             for _ in range(n_pairs)]
+    pairs = []
+    for _ in range(n_pairs):
+        index = rng.randrange(1 << n)
+        reached = rng.random() < 0.75
+        pairs.append((index, reachable_output(circuit, index, rng) if reached
+                      else rng.randrange(1 << n)))
     return function_fit_problem(table, pairs, refine=refine)
 
 
@@ -180,8 +195,8 @@ def gene_circuit(n, head, seed):
 def test_gene_circuits_match_exhaustive_scan(monkeypatch, n, head, seed, kind,
                                              refine):
     circuit, table = gene_circuit(n, head, seed)
-    assert_matches_reference(circuit, make_problem(kind, table, seed, refine),
-                             monkeypatch)
+    assert_matches_reference(
+        circuit, make_problem(kind, circuit, table, seed, refine), monkeypatch)
 
 
 @SLOW
@@ -194,8 +209,9 @@ def test_refined_angles_are_per_slot_maxima(monkeypatch, n, head, seed, kind):
     # of its peak and has slope R*sin(d) <= sqrt(2*m*R); a, b, c and R
     # come from direct evaluations at 0, pi/2 and pi, not from the sweep
     circuit, table = gene_circuit(n, head, seed)
-    _, grid_value = optimize_params(circuit, make_problem(kind, table, seed))
-    problem = make_problem(kind, table, seed, refine=True)
+    _, grid_value = optimize_params(
+        circuit, make_problem(kind, circuit, table, seed))
+    problem = make_problem(kind, circuit, table, seed, refine=True)
     with monkeypatch.context() as m:
         visits = record_sinusoids(m)
         phi, value = optimize_params(circuit, problem)
@@ -240,8 +256,8 @@ def test_framed_circuits_match_exhaustive_scan(monkeypatch, n, k_slots, seed,
     # moved back when the cycle wraps
     circuit = framed_circuit(random.Random(seed), n, k_slots)
     table = GateTable(n, ["Ry", "P", "CNOT", "H"])
-    assert_matches_reference(circuit, make_problem(kind, table, seed, refine),
-                             monkeypatch)
+    assert_matches_reference(
+        circuit, make_problem(kind, circuit, table, seed, refine), monkeypatch)
 
 
 @SLOW
@@ -252,7 +268,7 @@ def test_several_pairs_match_exhaustive_scan(monkeypatch, n, k_slots, n_pairs,
     # one kept state, and one stacked run, per training pair
     circuit = framed_circuit(random.Random(seed), n, k_slots)
     table = GateTable(n, ["Ry", "P", "CNOT", "H"])
-    problem = make_problem("pairs", table, seed, n_pairs=n_pairs)
+    problem = make_problem("pairs", circuit, table, seed, n_pairs=n_pairs)
     assert_matches_reference(circuit, problem, monkeypatch)
 
 
@@ -271,7 +287,7 @@ def check_sinusoids(n, k_slots, n_pairs, seed, kind):
     rng = random.Random(seed)
     circuit = framed_circuit(rng, n, k_slots)
     table = GateTable(n, ["Ry", "P", "CNOT", "H"])
-    problem = make_problem(kind, table, seed, n_pairs=n_pairs)
+    problem = make_problem(kind, circuit, table, seed, n_pairs=n_pairs)
     phi = [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(k_slots)]
     kept = fitness_mod._KeptStates(circuit, problem)
     for k in range(k_slots):
