@@ -25,8 +25,8 @@ array, through U in one simulation of the gates after the slot and reads
 the whole grid off (a, b, c), and also the exact maximum over all angles,
 a + hypot(b, c) at t = atan2(c, b). A visit holds one stacked pair at a
 time, twice the per-state working set of evaluating one angle, at every N.
-Simulating U costs one kernel per 1-qubit gate or lone CNOT and one gather
-per run of two or more CNOTs (see ``sim``): slot gates are Ry, so no slot
+Simulating U costs one kernel per 1-qubit gate and one gather per run of
+CNOTs, a lone CNOT included (see ``sim``): slot gates are Ry, so no slot
 splits a run, and the kept states' steps and suffixes (below) are parts of
 the circuit that share its run tables, so each table is built once per
 optimized circuit.
@@ -35,7 +35,8 @@ Nor does a visit simulate the gates before its slot. They do not change
 during the visit, so the sweep keeps the state(s) entering that gate,
 built once with the committed angles. Between visits the kept state moves
 forward to the next slot's gate, or restarts from the input states when
-the cycle wraps: read-only one-hot arrays, built once per problem.
+the cycle wraps: read-only one-hot arrays, built once per problem and
+held by it (``Problem.one_hots``).
 
 The sweep starts from all angles at pi/4 rather than 0: for product-state
 problems the all-zero point is a stationary saddle where no single-angle
@@ -95,6 +96,18 @@ class Problem:
     def n_bits(self) -> int:
         return self.table.n_bits
 
+    @functools.cached_property
+    def one_hots(self) -> tuple[np.ndarray, ...]:
+        """The inputs as read-only one-hot arrays, built on first use and
+        shared by every simulation of this problem: no kernel writes into
+        its input. They live as long as the problem."""
+        hots = []
+        for index in self.inputs:
+            amps = np.zeros(1 << self.n_bits, dtype=complex)
+            amps[index] = 1.0
+            hots.append(_frozen(amps))
+        return tuple(hots)
+
 
 def function_fit_problem(table: GateTable, pairs: Sequence[tuple[int, int]],
                          refine: bool = False) -> Problem:
@@ -119,26 +132,13 @@ def ground_state_problem(table: GateTable, hamiltonian: PauliSumHamiltonian,
     return Problem(table, (initial,), hamiltonian=hamiltonian, refine=refine)
 
 
-@functools.lru_cache(maxsize=1)
-def _one_hots(n_bits: int, inputs: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The inputs as read-only one-hot arrays, built on first use and
-    shared by every simulation of the problem: no kernel writes into its
-    input."""
-    hots = []
-    for index in inputs:
-        amps = np.zeros(1 << n_bits, dtype=complex)
-        amps[index] = 1.0
-        hots.append(_frozen(amps))
-    return tuple(hots)
-
-
 def prefitness(circuit: QuantumCircuit, params: Sequence[float],
                problem: Problem) -> float:
     """P(phi): mean |A[out]|^2 over the pairs (FunctionFit) or -<H>
     (GroundState), A the circuit's output; one pair at a time."""
     n = problem.n_bits
     evolved = (apply_circuit_array(amps, n, circuit, params)
-               for amps in _one_hots(n, problem.inputs))
+               for amps in problem.one_hots)
     if not problem.outputs:
         return -problem.hamiltonian.expectation_array(next(evolved))
     total = 0.0
@@ -178,12 +178,12 @@ class _KeptStates:
                       in zip([0] + gate_of, gate_of)]
         self.suffixes = [circuit.part(i + 1) for i in gate_of]
         self.k = -1
-        self.inputs = self.states = _one_hots(problem.n_bits, problem.inputs)
+        self.states = problem.one_hots
 
     def move_to(self, k: int, phi: Sequence[float]) -> None:
         """Keep the states entering slot ``k``'s gate."""
         if k < self.k:
-            self.k, self.states = -1, self.inputs
+            self.k, self.states = -1, self.problem.one_hots
         n = self.problem.n_bits
         for j in range(self.k + 1, k + 1):
             step = self.steps[j]

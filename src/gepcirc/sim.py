@@ -19,15 +19,14 @@ one product; when at most 8 blocks sit above q (q >= 4) a batched
 product per block replaces the two transposes. Both are the same
 2x2 @ 2xM products as the original kernel, which moved the qubit's axis
 of the (2,)*n tensor to the front, so every amplitude comes out with the
-same bits. CNOT, the only two-qubit kind, only permutes basis indices.
-A lone CNOT is a slice swap: copy the state, then exchange the two
-target halves where the control bit is 1. A run of two or more
-consecutive CNOTs is one permutation, applied as one gather,
-np.take(amps, table, axis=-1), through a read-only int32 index table
-(in chunks of 2^16 indices above 16 bits).
-Neither does arithmetic, so both give the values of the original 4x4
-permutation product exactly (that product could only change the sign of
-an exact zero), and a gather equals the run's slice swaps bit for bit.
+same bits. CNOT, the only two-qubit kind, only permutes basis indices,
+and so does every maximal run of consecutive CNOTs, a lone CNOT
+included: the run is applied as one gather, np.take(amps, table,
+axis=-1), through a read-only int32 index table (in chunks of 2^16
+indices above 16 bits). A gather does no arithmetic, so it gives the
+values of the original 4x4 permutation products exactly (those products
+could only change the sign of an exact zero), and a run's gather equals
+its CNOTs gathered one at a time bit for bit.
 Matrices are cached read-only; gate_matrix hands out copies.
 
 A circuit is compiled into these kernel ops once, on first application
@@ -268,20 +267,6 @@ def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
     return (mat @ t).reshape(2, -1, low).transpose(1, 0, 2).reshape(amps.shape)
 
 
-def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
-    hi, lo = max(control, target), min(control, target)
-    shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    out = amps.astype(complex)
-    src, dst = amps.reshape(shape), out.reshape(shape)
-    if control > target:
-        dst[:, 1, :, 0] = src[:, 1, :, 1]
-        dst[:, 1, :, 1] = src[:, 1, :, 0]
-    else:
-        dst[:, 0, :, 1] = src[:, 1, :, 1]
-        dst[:, 1, :, 1] = src[:, 0, :, 1]
-    return out
-
-
 def _cnot_run_table(n_bits: int, run: Sequence[GateInstance]) -> np.ndarray:
     """Index table with np.take(amps, table, axis=-1) equal to applying the
     CNOTs of ``run`` in order.
@@ -304,14 +289,14 @@ def _cnot_run_table(n_bits: int, run: Sequence[GateInstance]) -> np.ndarray:
 
 def _compile_ops(circuit: QuantumCircuit
                  ) -> tuple[GateInstance | np.ndarray | None, ...]:
-    """One op per gate: the gate itself, except that each maximal run of two
-    or more CNOTs becomes its index table at the run's first gate and None
-    at the others."""
+    """One op per gate: the gate itself for a 1-qubit gate, and for each
+    maximal run of CNOTs, a lone CNOT included, its index table at the
+    run's first gate and None at the others."""
     ops: list[GateInstance | np.ndarray | None] = []
     for is_cnot, group in itertools.groupby(
             circuit.gates, lambda gate: gate.kind.n_qubits == 2):
         run = tuple(group)
-        if is_cnot and len(run) > 1:
+        if is_cnot:
             ops.append(_cnot_run_table(circuit.n_bits, run))
             ops += [None] * (len(run) - 1)
         else:
@@ -336,14 +321,6 @@ def _gather(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_instance(amps: np.ndarray, gate: GateInstance,
-                    angle: float | None) -> np.ndarray:
-    if gate.kind.n_qubits == 2:     # CNOT is the only two-qubit kind
-        return _apply_cnot(amps, *gate.qubits)
-    mat = _kernel_matrix(gate.kind.name, angle)
-    return _apply_1q(amps, mat, gate.qubits[0])
-
-
 def _check_params(circuit: QuantumCircuit, params: Sequence[float]) -> None:
     if len(params) < circuit.n_params:
         raise ConfigError(
@@ -356,8 +333,8 @@ def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
     """Hot-path variant working on raw amplitude arrays shaped
     (..., 2^n_bits): every state along the leading axes goes through.
 
-    Runs the circuit's compiled ops: one kernel per gate, except one
-    gather per run of two or more CNOTs."""
+    Runs the circuit's compiled ops: one kernel per 1-qubit gate and one
+    gather per run of CNOTs."""
     if circuit.n_bits != n_bits:
         raise ConfigError(
             f"circuit is for {circuit.n_bits} bits, state has {n_bits}"
@@ -369,9 +346,10 @@ def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
     _check_params(circuit, params)
     free_angles = iter(params)
     for op in circuit.ops:
-        if isinstance(op, GateInstance):
+        if isinstance(op, GateInstance):    # every gate op is 1-qubit
             angle = float(next(free_angles)) if op.free else op.angle
-            amps = _apply_instance(amps, op, angle)
+            amps = _apply_1q(amps, _kernel_matrix(op.kind.name, angle),
+                             op.qubits[0])
         elif op is not None:    # a CNOT run's index table; None: in the run
             amps = _gather(amps, op)
     return amps

@@ -1,7 +1,9 @@
 """Pre-fitness, parameter optimization, and fitness-binding tests."""
 
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -97,19 +99,25 @@ class TestPrefitness:
         prob = ground_state_problem(table, EDGE, 2)
         assert (prob.inputs, prob.outputs) == ((2,), ())
 
-    def test_one_hot_inputs_built_once(self):
+    def test_one_hot_inputs_built_once(self, monkeypatch):
         # read-only one-hot arrays equal to the basis states, built on
         # first use and shared by the sweep and every prefitness call
         n = 6
         table = GateTable(n, ["Ry", "CNOT"])
         pairs = [(5, 5), (5, 1 << (n - 1) | 5), (3, 3)]
         prob = function_fit_problem(table, pairs)
-        fitness_mod._one_hots.cache_clear()
+        assert "one_hots" not in vars(prob)
         circuit = parse_circuit(f"Ry{n - 1}:phi0 CNOT{n - 1},0 Ry0:phi1", n)
         phi, value = optimize_params(circuit, prob)
+        hots = prob.one_hots
+        kept = fitness_mod._KeptStates(circuit, prob)
+        assert kept.states is hots
+        kept.move_to(1, phi)
+        kept.move_to(0, phi)
+        assert kept.states is hots
+        inputs = logged_inputs(monkeypatch)
         assert prefitness(circuit, phi, prob) == value
-        assert fitness_mod._one_hots.cache_info().misses == 1
-        hots = fitness_mod._one_hots(n, prob.inputs)
+        assert len(inputs) == 3 and all(a is b for a, b in zip(inputs, hots))
         for amps, index in zip(hots, prob.inputs):
             assert not amps.flags.writeable
             assert np.array_equal(amps, basis_state(n, index).amplitudes)
@@ -121,6 +129,42 @@ class TestPrefitness:
         assert prefitness(bound, (), prob) == total / 3
         assert all(np.array_equal(amps, basis_state(n, index).amplitudes)
                    for amps, index in zip(hots, prob.inputs))
+
+    def test_one_hots_belong_to_their_problem(self, monkeypatch):
+        # two problems optimized in turn build their one-hots once each,
+        # and a problem's one-hots are freed with it
+        n = 5
+        table = GateTable(n, ["Ry", "CNOT"])
+        probs = [function_fit_problem(table, [(1, 3), (4, 6)]),
+                 function_fit_problem(table, [(2, 7)])]
+        circuit = parse_circuit("Ry0:phi0 CNOT0,1 Ry1:phi1 CNOT1,2", n)
+        inputs = logged_inputs(monkeypatch)
+        for _ in range(3):
+            for prob in probs:
+                optimize_params(circuit, prob)
+        assert len({id(amps) for amps in inputs}) == 3
+        assert all(any(amps is hot for amps in inputs)
+                   for prob in probs for hot in prob.one_hots)
+        hot = weakref.ref(probs[0].one_hots[0])
+        del probs, prob
+        inputs.clear()
+        gc.collect()
+        assert hot() is None
+
+
+def logged_inputs(monkeypatch):
+    """Every read-only state the fitness module simulates from, kept alive
+    in call order: these are the problems' one-hot inputs."""
+    log = []
+    apply = fitness_mod.apply_circuit_array
+
+    def logged(amps, *rest):
+        if not amps.flags.writeable:
+            log.append(amps)
+        return apply(amps, *rest)
+
+    monkeypatch.setattr(fitness_mod, "apply_circuit_array", logged)
+    return log
 
 
 class TestDenseReference:

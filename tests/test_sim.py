@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gepcirc
+import gepcirc.fitness as fitness_mod
 import gepcirc.sim as sim
 from gepcirc.cli import parse_input, run
 from gepcirc.engine import ConfigError, coding_length, decode, random_gene
@@ -328,24 +329,37 @@ def kernel_states(draw, max_bits=10):
 
 
 def cnot_runs(gates):
-    """The maximal runs of two or more consecutive CNOTs in ``gates``."""
+    """The maximal runs of consecutive CNOTs in ``gates``, lone ones
+    included."""
     runs, run = [], []
     for gate in list(gates) + [None]:
         if gate is not None and gate.kind.name == "CNOT":
             run.append(gate)
             continue
-        if len(run) > 1:
+        if run:
             runs.append(run)
         run = []
     return runs
 
 
 def gate_by_gate(amps, gates, params):
-    """``gates`` applied one at a time through the per-gate kernel."""
+    """``gates`` applied one at a time, each as a one-gate circuit through
+    ``apply_circuit_array``."""
+    n = amps.shape[-1].bit_length() - 1
     free_angles = iter(params)
     for gate in gates:
+        own = (float(next(free_angles)),) if gate.free else ()
+        amps = apply_circuit_array(amps, n, QuantumCircuit(n, (gate,)), own)
+    return amps
+
+
+def reference_apply(amps, n_bits, circuit, params=()):
+    """``apply_circuit_array`` with every gate through the moveaxis
+    reference kernel, none fused."""
+    free_angles = iter(params)
+    for gate in circuit.gates:
         angle = float(next(free_angles)) if gate.free else gate.angle
-        amps = sim._apply_instance(amps, gate, angle)
+        amps = reference_instance(amps, gate, angle)
     return amps
 
 
@@ -370,8 +384,7 @@ class TestKernels:
             kind = GATE_KINDS[name]
             for q in range(n):
                 gate = GateInstance(kind, (q,), angle=angle)
-                outs = [sim._apply_instance(amps, gate, gate.angle)
-                        for amps in rows]
+                outs = [gate_by_gate(amps, [gate], ()) for amps in rows]
                 for amps, out in zip(rows, outs):
                     ref = reference_instance(amps, gate, gate.angle)
                     assert same_bits(out, ref), (name, q)
@@ -388,8 +401,7 @@ class TestKernels:
                 if control == target:
                     continue
                 gate = GateInstance(GATE_KINDS["CNOT"], (control, target))
-                outs = [sim._apply_instance(amps, gate, None)
-                        for amps in rows]
+                outs = [gate_by_gate(amps, [gate], ()) for amps in rows]
                 for amps, out in zip(rows, outs):
                     ref = reference_instance(amps, gate, None)
                     # the reference's 4x4 product adds +-0 terms, so the sign
@@ -426,8 +438,7 @@ class TestKernels:
         amps = rand_state(4, random.Random(3)).amplitudes
         before = amps.copy()
         for token in ("Ry2:0.7", "CNOT3,1", "H0", "P3"):
-            gate = parse_circuit(token, 4).gates[0]
-            sim._apply_instance(amps, gate, gate.angle)
+            gate_by_gate(amps, parse_circuit(token, 4).gates, ())
         assert same_bits(amps, before)
         gate_matrix("H")[0, 0] = 5.0     # callers get copies
         assert same_bits(gate_matrix("H"), sim._FIXED_MATRICES["H"])
@@ -440,8 +451,8 @@ class TestKernels:
            chunk=st.sampled_from([sim._GATHER_CHUNK, 4]))
     def test_fused_cnot_runs_match_gate_by_gate(self, data, n, lead, chunk):
         """CNOT runs of 1-8 (longer where two meet) between Ry, P, H and X
-        gates: the compiled ops, one gather per run of two or more, give
-        the per-gate kernels' raw bits, also when a gather goes in chunks
+        gates: the compiled ops, one gather per run, give the raw bits of
+        the gates applied one at a time, also when a gather goes in chunks
         of 4 indices."""
         with pytest.MonkeyPatch.context() as m:
             m.setattr(sim, "_GATHER_CHUNK", chunk)
@@ -517,8 +528,9 @@ class TestKernels:
         assert peak <= bound + 16384, (peak, bound)
 
     def test_gather_above_one_chunk(self):
-        """At 17 bits each run's table goes in two chunks of 2^16 indices,
-        with the per-gate kernels' raw bits."""
+        """At 17 bits each run's table, a lone CNOT's too, goes in two
+        chunks of 2^16 indices, with the raw bits of the gates applied one
+        at a time."""
         n = 17
         assert 1 << n == 2 * sim._GATHER_CHUNK
         circuit = parse_circuit("H16 CNOT16,0 CNOT3,16 Ry16:0.3 CNOT0,9 "
@@ -526,7 +538,7 @@ class TestKernels:
         rng = np.random.default_rng(17)
         amps = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
         fused = apply_circuit_array(amps, n, circuit)
-        assert sum(isinstance(op, np.ndarray) for op in circuit.ops) == 2
+        assert sum(isinstance(op, np.ndarray) for op in circuit.ops) == 3
         assert same_bits(fused, gate_by_gate(amps, circuit.gates, ()))
 
     def test_chunked_gather_memory(self):
@@ -553,7 +565,7 @@ class TestKernels:
         gate = GateInstance(GATE_KINDS["Ry"], (0,))
         amps = np.array([-0.0, 1.0, 1.0, -0.0], dtype=complex)
         for angle in (0.0, -0.0, 0.0):
-            assert same_bits(sim._apply_instance(amps, gate, angle),
+            assert same_bits(gate_by_gate(amps, [gate], (angle,)),
                              reference_instance(amps, gate, angle))
 
 
@@ -595,7 +607,12 @@ TrainingPairs = pairs.txt
 @pytest.mark.parametrize("name", sorted(LOCK_INPUTS))
 def test_trajectory_locked_to_reference_kernels(tmp_path, monkeypatch, name):
     """Artifacts are byte-identical with the reference kernels swapped in."""
-    artifacts = []
+    artifacts, calls = [], []
+
+    def reference(*args):
+        calls.append(args)
+        return reference_apply(*args)
+
     for patched in (False, True):
         d = tmp_path / str(patched)
         d.mkdir()
@@ -605,15 +622,14 @@ def test_trajectory_locked_to_reference_kernels(tmp_path, monkeypatch, name):
         (d / "in.txt").write_text(LOCK_INPUTS[name])
         with monkeypatch.context() as m:
             if patched:
-                # every gate through the reference kernel, none fused
-                m.setattr(sim, "_compile_ops", lambda circuit: circuit.gates)
-                m.setattr(sim, "_apply_instance", reference_instance)
+                m.setattr(sim, "apply_circuit_array", reference)
+                m.setattr(fitness_mod, "apply_circuit_array", reference)
             run(parse_input(d / "in.txt"))
         artifacts.append({p.name: p.read_bytes() for p in sorted(d.iterdir())
                           if p.name in ("trace.csv", "best.circ",
                                         "maxcut.txt")})
     assert len(artifacts[0]) == (3 if name == "maxcut" else 2)
-    assert artifacts[0] == artifacts[1]
+    assert calls and artifacts[0] == artifacts[1]
 
 
 class TestGateTable:

@@ -23,6 +23,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gepcirc.fitness as fitness_mod
+import gepcirc.sim as sim
 from gepcirc.engine import random_gene
 from gepcirc.fitness import (
     DEFAULT_GRID,
@@ -372,6 +373,29 @@ def test_gate_applications_counted_exactly(monkeypatch):
     assert (len(moves), sum(moves)) == (17, 17)
     assert applies[-1] == (False, 8)
     assert sum(gates for _, gates in applies) == 103
+
+
+def test_every_cnot_run_tabled_once(monkeypatch):
+    # one table per maximal CNOT run, a lone CNOT included, built once
+    # for the whole sweep: its steps and suffixes share the circuit's
+    built = []
+    table_for = sim._cnot_run_table
+
+    def counted(n_bits, run):
+        built.append(len(run))
+        return table_for(n_bits, run)
+
+    monkeypatch.setattr(sim, "_cnot_run_table", counted)
+    circuit = parse_circuit(
+        "Ry0:phi0 CNOT0,1 Ry1:phi1 CNOT1,2 CNOT2,0 Ry2:phi2", 3)
+    problem = function_fit_problem(GateTable(3, ["Ry", "CNOT"]),
+                                   [(0, 5), (3, 6)])
+    optimize_params(circuit, problem)
+    assert built == [1, 2]
+    assert circuit.ops[4] is None
+    for op in (circuit.ops[1], circuit.ops[3]):
+        assert isinstance(op, np.ndarray)
+        assert op.dtype == np.int32 and not op.flags.writeable
 
 
 def test_flat_slot_moves_sideways_once(monkeypatch):
