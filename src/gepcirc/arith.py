@@ -8,7 +8,6 @@ scale * n_samples and maximal exactly when every sample is reproduced.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ _FUNCTION_NAMES = {SQRT: "Q", ADD: "+", SUB: "-", MUL: "*"}
 __all__ = [
     "SQRT", "ADD", "SUB", "MUL",
     "make_arith_pset", "terminal_slot", "eval_tree",
-    "ArithProblem", "regression_fitness", "load_samples_csv",
+    "ArithProblem", "regression_fitness",
 ]
 
 
@@ -103,22 +102,3 @@ def regression_fitness(gene: Gene, problem: ArithProblem) -> float:
             continue
         total += max(0.0, problem.scale - abs(value - target))
     return total
-
-
-def load_samples_csv(path: str) -> list[tuple[tuple[float, ...], float]]:
-    """Read samples from CSV: input columns then a final target column."""
-    samples: list[tuple[tuple[float, ...], float]] = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                values = [float(x) for x in row]
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            if len(values) < 2:
-                raise ConfigError(f"{path}:{lineno}: need inputs plus a target")
-            samples.append((tuple(values[:-1]), values[-1]))
-    if not samples:
-        raise ConfigError(f"{path}: no samples")
-    return samples

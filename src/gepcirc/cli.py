@@ -319,12 +319,15 @@ def _reference_energy(h: PauliSumHamiltonian, graph: Graph | None,
     enumerated minimum up to |E|, every spin aligned. s*(E - e0) is lowest
     at the minimum for s >= 0 and at |E| for s < 0, as the same float that
     dense diagonalization gives.
+
+    ``exact_energy`` (the ExactEnergy key) is returned as given, and only
+    without a graph past ``DENSE_CAP`` bits: it must be the ground energy
+    of s*(H - e0), the Hamiltonian the run optimizes, not of H.
     """
     if graph is not None:
         if h.scale < 0:
             return h.scale * (len(graph.edges) - h.shift)
-        raw = exhaustive_ising_ground(graph).ground_energy
-        return h.scale * (raw - h.shift)
+        return h.scale * (exhaustive_ising_ground(graph) - h.shift)
     if h.n_bits <= DENSE_CAP:
         return exact_ground_energy(h)
     return exact_energy

@@ -254,9 +254,6 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
     one direct pre-fitness evaluation at the final angles.
     """
     k_slots = circuit.n_params
-    if k_slots == 0:
-        return (), prefitness(circuit, (), problem)
-
     trig = [(math.cos(t), math.sin(t)) for t in DEFAULT_GRID]
     kept = _KeptStates(circuit, problem)
     phi = [_START_ANGLE] * k_slots

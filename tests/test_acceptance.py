@@ -141,7 +141,7 @@ def test_criterion_03_maxcut_suite(capsys, tmp_path):
     for i in range(20):
         n = 6 + i % 3
         graph = random_connected_graph(n, rng)
-        e_min = exhaustive_ising_ground(graph).ground_energy
+        e_min = exhaustive_ising_ground(graph)
         best_cut, winners = brute_force_maxcut(graph)
         for seed in range(5):
             d = tmp_path / f"g{i}s{seed}"

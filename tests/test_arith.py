@@ -8,7 +8,6 @@ import pytest
 from gepcirc.arith import (
     ArithProblem,
     eval_tree,
-    load_samples_csv,
     make_arith_pset,
     regression_fitness,
 )
@@ -107,29 +106,3 @@ class TestRegressionFitness:
         result = run_evolution(cfg, PSET,
                                lambda g: regression_fitness(g, prob))
         assert result.best_fitness == prob.max_fitness
-
-
-class TestCsvLoader:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "samples.csv"
-        path.write_text("# inputs then target\n1,2,3\n4.5,0,-1\n")
-        assert load_samples_csv(str(path)) \
-            == [((1.0, 2.0), 3.0), ((4.5, 0.0), -1.0)]
-
-    def test_malformed_row(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,2,x\n")
-        with pytest.raises(ConfigError, match="bad.csv:1"):
-            load_samples_csv(str(path))
-
-    def test_too_short_row(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("1\n")
-        with pytest.raises(ConfigError):
-            load_samples_csv(str(path))
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("# nothing\n")
-        with pytest.raises(ConfigError):
-            load_samples_csv(str(path))

@@ -25,7 +25,7 @@ from gepcirc.cli import (
     verify,
 )
 from gepcirc.engine import ConfigError
-from gepcirc.hamiltonians import Graph, ising_from_graph
+from gepcirc.hamiltonians import Graph, ising_from_graph, xx_chain
 from gepcirc.oracle import exact_ground_energy
 from gepcirc.sim import circuit_to_string, parse_angle, parse_circuit
 
@@ -203,7 +203,42 @@ class TestReadmeKeys:
                 assert value == parse_angle(default), key
 
 
+class TestReadmeExample:
+    def test_library_example_prints_its_comment(self, capsys):
+        # the ```python block runs as printed, and its print() writes the
+        # comment line under it
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        lines = code.splitlines()
+        after = next(i for i, line in enumerate(lines)
+                     if line.startswith("print(")) + 1
+        assert lines[after].startswith("# 4.0 ")
+        exec(code, {})
+        assert capsys.readouterr().out == lines[after][2:] + "\n"
+
+
 class TestReferenceEnergy:
+    def test_exact_energy_only_past_the_dense_oracle(self, tmp_path):
+        # ExactEnergy is the ground energy of s*(H - e0), taken as given
+        # without a graph past the dense oracle; within it the oracle wins
+        def reference(n_bits):
+            spec = parse_input(write(tmp_path / "in.txt", f"""\
+RunType = GroundState
+NumBits = {n_bits}
+Gates = Ry
+HeadSize = 2
+Generations = 1
+Hamiltonian = xx:{n_bits},1.0,open
+EnergyScale = 2
+ExactEnergy = -7.5
+"""))
+            return cli_mod._prepare(spec).reference
+
+        assert reference(12) == -7.5
+        assert reference(4) == exact_ground_energy(
+            xx_chain(4, 1.0, "open").rescaled(0.0, 2.0))
+        assert reference(4) != -7.5
+
     def test_graph_enumeration_equals_dense_diagonalization(self):
         # a graph's reference comes from enumeration at any scale sign;
         # dense diagonalization of the same rescaled model must give the

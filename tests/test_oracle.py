@@ -11,11 +11,13 @@ from gepcirc.hamiltonians import (
     Graph,
     PauliSumHamiltonian,
     PauliTerm,
+    cut_value,
     heisenberg_2d,
     ising_from_graph,
     xx_chain,
 )
 from gepcirc.oracle import (
+    ENUM_CAP,
     block_labels,
     brute_force_maxcut,
     dense_matrix,
@@ -132,21 +134,27 @@ def rand_graph(n, rng, p=0.5):
     return Graph(n, tuple(edges))
 
 
+@st.composite
+def graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True))
+                          if pairs else ()))
+
+
 class TestIsingEnumeration:
+    # the Ising minimizers are the maximum cuts, read from brute_force_maxcut
     def test_triangle(self):
-        res = exhaustive_ising_ground(K3)
-        assert res.ground_energy == -1.0
-        assert res.degeneracy == 6          # all but 000 and 111
+        assert exhaustive_ising_ground(K3) == -1.0
+        assert len(brute_force_maxcut(K3)[1]) == 6  # all but 000 and 111
 
     def test_edgeless(self):
-        res = exhaustive_ising_ground(Graph(3, ()))
-        assert res.ground_energy == 0.0
-        assert res.minimizers == tuple(range(8))
+        assert exhaustive_ising_ground(Graph(3, ())) == 0.0
+        assert brute_force_maxcut(Graph(3, ()))[1].tolist() == list(range(8))
 
     def test_four_cycle(self):
-        res = exhaustive_ising_ground(C4)
-        assert res.ground_energy == -4.0
-        assert res.minimizers == (0b0101, 0b1010)
+        assert exhaustive_ising_ground(C4) == -4.0
+        assert brute_force_maxcut(C4)[1].tolist() == [0b0101, 0b1010]
 
     def test_cap(self):
         with pytest.raises(ConfigError):
@@ -160,7 +168,7 @@ class TestMaxCut:
     def test_four_cycle(self):
         best, winners = brute_force_maxcut(C4)
         assert best == 4
-        assert winners == (0b0101, 0b1010)
+        assert winners.tolist() == [0b0101, 0b1010]
 
     def test_complete_four(self):
         assert brute_force_maxcut(K4)[0] == 4
@@ -169,9 +177,30 @@ class TestMaxCut:
         rng = random.Random(30)
         for _ in range(25):
             g = rand_graph(rng.randint(2, 9), rng)
-            e_min = exhaustive_ising_ground(g).ground_energy
+            e_min = exhaustive_ising_ground(g)
             cut, _ = brute_force_maxcut(g)
             assert 2 * cut + e_min == len(g.edges)
+
+    @settings(deadline=None, max_examples=100)
+    @given(g=graphs())
+    def test_equals_per_index_enumeration(self, g):
+        cuts = [cut_value(g, b) for b in range(1 << g.n)]
+        best, winners = brute_force_maxcut(g)
+        assert isinstance(best, int) and best == max(cuts)
+        assert winners.tolist() == [b for b, c in enumerate(cuts) if c == best]
+        spins = [[1 - 2 * ((b >> v) & 1) for v in range(g.n)]
+                 for b in range(1 << g.n)]
+        energy = min(sum(s[i] * s[j] for i, j in g.edges) for s in spins)
+        e_min = exhaustive_ising_ground(g)
+        assert type(e_min) is float and e_min == energy
+
+    def test_ring_at_cap(self):
+        n = ENUM_CAP
+        ring = Graph(n, tuple((v, (v + 1) % n) for v in range(n)))
+        best, winners = brute_force_maxcut(ring)
+        assert best == 24
+        assert winners.tolist() == [0x555555, 0xAAAAAA]
+        assert exhaustive_ising_ground(ring) == -24.0
 
 
 class TestDenseDiagonalization:
@@ -195,7 +224,7 @@ class TestDenseDiagonalization:
         for _ in range(10):
             g = rand_graph(rng.randint(2, 8), rng)
             dense = exact_ground_energy(ising_from_graph(g))
-            enum = exhaustive_ising_ground(g).ground_energy
+            enum = exhaustive_ising_ground(g)
             assert abs(dense - enum) < 1e-8
 
     def test_shift_scale_applied(self):
