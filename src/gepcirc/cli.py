@@ -5,9 +5,11 @@ read like every other input file through ``engine.content_lines``; an
 error in one names its file and line (``file:N:``), and one in a genome
 string its token (``token K``). Relative paths inside the file resolve
 against the file's directory, and artifacts (trace.csv, best.circ,
-maxcut.txt) are written there too. Exit status 0 means the run completed
-all generations; EXIT_EARLY_STOP means the fitness target was reached
-first; a bad input ends in one `error:` line on stderr and EXIT_ERROR.
+maxcut.txt) are written there too. A graph run enumerates its cut table
+once, in set-up, for both its reference energy and its max cut. Exit
+status 0 means the run completed all generations; EXIT_EARLY_STOP means
+the fitness target was reached first; a bad input ends in one `error:`
+line on stderr and EXIT_ERROR.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from gepcirc import __version__
+from gepcirc import __version__, sim
 from gepcirc.engine import (
     ConfigError,
     EvolutionConfig,
@@ -44,12 +46,11 @@ from gepcirc.hamiltonians import (
     ising_from_graph,
     load_graph,
     load_pauli_sum,
-    maxcut_from_state,
+    maxcut_rows,
     xx_chain,
 )
 from gepcirc.oracle import (
     DENSE_CAP,
-    brute_force_maxcut,
     exact_ground_energy,
     exhaustive_ising_ground,
 )
@@ -62,8 +63,6 @@ from gepcirc.sim import (
     QuantumCircuit,
     StateVector,
     _gate_token,
-    apply_circuit,
-    basis_state,
     bind_params,
     canonicalize,
     circuit_to_gene,
@@ -308,35 +307,28 @@ class _Prepared:
     problem: Problem
     graph: Graph | None
     reference: float | None     # ground energy of the optimized Hamiltonian
+    maxcut: int | None          # the graph's maximum cut
     canonicalize_gene: Callable[[Gene], Gene] | None
 
 
-def _reference_energy(h: PauliSumHamiltonian, graph: Graph | None,
-                      exact_energy: float | None) -> float | None:
-    """Exact ground energy of ``h`` for the delta columns, when obtainable.
+def _graph_oracle(h: PauliSumHamiltonian, graph: Graph) -> tuple[float, int]:
+    """Exact ground energy of ``h``, the graph's rescaled Ising model, and
+    the graph's maximum cut, from one enumeration.
 
-    A graph's Ising model is diagonal, with energies sum S_i*S_j from the
-    enumerated minimum up to |E|, every spin aligned. s*(E - e0) is lowest
-    at the minimum for s >= 0 and at |E| for s < 0, as the same float that
-    dense diagonalization gives.
-
-    ``exact_energy`` (the ExactEnergy key) is returned as given, and only
-    without a graph past ``DENSE_CAP`` bits: it must be the ground energy
-    of s*(H - e0), the Hamiltonian the run optimizes, not of H.
+    The Ising energies sum S_i*S_j run from ground = |E| - 2*maxcut up to
+    |E|, every spin aligned, and s*(E - e0) is monotone in E, so its
+    minimum sits at one of the two ends, as the same float that dense
+    diagonalization gives.
     """
-    if graph is not None:
-        if h.scale < 0:
-            return h.scale * (len(graph.edges) - h.shift)
-        return h.scale * (exhaustive_ising_ground(graph) - h.shift)
-    if h.n_bits <= DENSE_CAP:
-        return exact_ground_energy(h)
-    return exact_energy
+    edges = len(graph.edges)
+    ground = exhaustive_ising_ground(graph)
+    reference = min(h.scale * (ground - h.shift), h.scale * (edges - h.shift))
+    return reference, (edges - int(ground)) // 2
 
 
 def _prepare(spec: RunSpec) -> _Prepared:
     table = GateTable(spec.n_bits, spec.gates, p_phase=spec.p_phase)
-    graph = None
-    reference = None
+    graph = reference = maxcut = None
     if spec.run_type == "FunctionFit":
         pairs = load_training_pairs(spec.resolve(spec.training_pairs), spec.n_bits)
         problem = function_fit_problem(table, pairs, spec.gradient_refine)
@@ -357,13 +349,20 @@ def _prepare(spec: RunSpec) -> _Prepared:
             initial = (0 if spec.initial_state is None else
                        parse_basis_label(spec.initial_state, spec.n_bits))
         problem = ground_state_problem(table, h, initial, spec.gradient_refine)
-        reference = _reference_energy(h, graph, spec.exact_energy)
+        # ExactEnergy is the ground energy of s*(H - e0), the Hamiltonian
+        # the run optimizes, taken as given only where no oracle reaches
+        if graph is not None:
+            reference, maxcut = _graph_oracle(h, graph)
+        elif h.n_bits <= DENSE_CAP:
+            reference = exact_ground_energy(h)
+        else:
+            reference = spec.exact_energy
     hook = None
     if spec.canonicalize:
         def hook(gene: Gene) -> Gene:
             circ = canonicalize(gene_to_circuit(gene, table))
             return circuit_to_gene(circ, table, spec.evolution.head_len)
-    return _Prepared(problem, graph, reference, hook)
+    return _Prepared(problem, graph, reference, maxcut, hook)
 
 
 def _evolve(spec: RunSpec, prep: _Prepared
@@ -408,24 +407,21 @@ def _write_best(path: Path, result: EvolutionResult, cache: CachingFitness,
         fh.writelines(lines)
 
 
-def _final_state(result: EvolutionResult, cache: CachingFitness,
-                 prep: _Prepared) -> StateVector:
-    gene = result.best_gene
-    circuit = gene_to_circuit(gene, prep.problem.table)
-    state = basis_state(prep.problem.n_bits, prep.problem.inputs[0])
-    return apply_circuit(state, circuit, cache.params_for(gene))
-
-
 def _write_maxcut(path: Path, spec: RunSpec, result: EvolutionResult,
                   cache: CachingFitness, prep: _Prepared) -> None:
-    state = _final_state(result, cache, prep)
-    candidates = maxcut_from_state(state, prep.graph, spec.epsilon)
+    """The best circuit's final state from the problem's input, as
+    maxcut.txt rows; StateVector checks that it kept unit norm. The kernel
+    is looked up on `sim` at call time, so a patched `sim` reaches it."""
+    gene = result.best_gene
+    n_bits = prep.problem.n_bits
+    amps = sim.apply_circuit_array(prep.problem.one_hots[0], n_bits,
+                                   gene_to_circuit(gene, prep.problem.table),
+                                   cache.params_for(gene))
+    rows = maxcut_rows(StateVector(n_bits, amps).amplitudes, prep.graph,
+                       spec.epsilon)
     with open(path, "w") as fh:
         fh.write("# bitstring weight cut side_a side_b\n")
-        for c in candidates:
-            a = ",".join(map(str, c.side_a)) or "-"
-            b = ",".join(map(str, c.side_b)) or "-"
-            fh.write(f"{c.bitstring} {c.weight!r} {c.cut} {a} {b}\n")
+        fh.writelines(f"{row}\n" for row in rows)
 
 
 def run(spec: RunSpec) -> int:
@@ -464,7 +460,8 @@ class VerifyReport:
 
 
 def verify(spec: RunSpec) -> VerifyReport:
-    """Run the evolution and compare against the exact oracle answer."""
+    """Run the evolution and compare against the exact oracle answer: the
+    reference energy, and for a graph the max cut, that set-up found."""
     if spec.run_type != "GroundState":
         raise ConfigError("verify requires a GroundState run")
     prep = _prepare(spec)
@@ -473,10 +470,7 @@ def verify(spec: RunSpec) -> VerifyReport:
                           f"no GraphFile and no ExactEnergy")
     result, _ = _evolve(spec, prep)
     gap = -result.best_fitness - prep.reference
-    maxcut = None
-    if prep.graph is not None:
-        maxcut = brute_force_maxcut(prep.graph)[0]
-    return VerifyReport(prep.reference, result.best_fitness, gap, maxcut,
+    return VerifyReport(prep.reference, result.best_fitness, gap, prep.maxcut,
                         result.early_stopped)
 
 

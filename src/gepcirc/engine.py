@@ -53,10 +53,13 @@ class ConfigError(ValueError):
 
 def content_lines(path: str | Path) -> list[tuple[int, str]]:
     """(line number, text) of each line of the UTF-8 file at ``path`` that
-    holds more than a `#` comment, cut at the `#` and stripped."""
+    holds more than a `#` comment, cut at the `#` and stripped.
+
+    A leading byte-order mark is dropped after decoding, so a bad byte's
+    offset still counts from the start of the file."""
     try:
         with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+            text = fh.read().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except ValueError as exc:     # a NUL in the name
@@ -174,10 +177,6 @@ class Gene:
     symbols: tuple[int, ...]
     head_len: int
     pset: PrimitiveSet
-
-    @property
-    def tail_len(self) -> int:
-        return len(self.symbols) - self.head_len
 
 
 def make_gene(symbols: Sequence[int], head_len: int, pset: PrimitiveSet) -> Gene:

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from gepcirc.engine import ConfigError, Locator, content_lines
-from gepcirc.sim import MAX_QUBITS, StateVector
+from gepcirc.sim import MAX_QUBITS
 
 __all__ = [
     "Graph", "PauliTerm", "PauliSumHamiltonian", "ImaginaryResidueError",
     "ising_from_graph", "xx_chain", "heisenberg_2d",
-    "cut_value", "CutCandidate", "maxcut_from_state",
+    "cut_value", "maxcut_rows",
     "load_graph", "load_pauli_sum",
 ]
 
@@ -265,45 +265,30 @@ def heisenberg_2d(rows: int, cols: int) -> PauliSumHamiltonian:
 # MaxCut extraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CutCandidate:
-    index: int
-    bitstring: str          # highest qubit leftmost
-    weight: float           # |amplitude|^2
-    cut: int
-    side_a: tuple[int, ...]  # vertices with the bit set
+def maxcut_rows(amplitudes: np.ndarray, graph: Graph,
+                epsilon: float = 1e-4) -> list[str]:
+    """The maxcut.txt rows of a final state: one `bitstring weight cut
+    side_a side_b` row per basis state whose weight |amplitude|^2 is
+    above epsilon.
 
-    @property
-    def side_b(self) -> tuple[int, ...]:
-        n = len(self.bitstring)
-        return tuple(v for v in range(n) if v not in set(self.side_a))
-
-
-def maxcut_from_state(state: StateVector, graph: Graph,
-                      epsilon: float = 1e-4) -> list[CutCandidate]:
-    """Basis states with weight above epsilon, as graph bipartitions.
-
-    Sorted by weight descending (index ascending on ties); the set bits of
-    each reported index form one side of the cut.
+    The bitstring has the highest vertex leftmost, the weight is printed
+    with ``repr``, side_a lists the vertices whose bit is set and side_b
+    the rest (`-` for an empty side). Rows run by weight descending,
+    index ascending on ties.
     """
-    if graph.n != state.n_bits:
-        raise ConfigError(
-            f"graph has {graph.n} vertices, state has {state.n_bits} qubits"
-        )
-    weights = np.abs(state.amplitudes) ** 2
-    hits = np.nonzero(weights > epsilon)[0]
-    out = [
-        CutCandidate(
-            int(b),
-            format(int(b), f"0{graph.n}b"),
-            float(weights[b]),
-            cut_value(graph, int(b)),
-            tuple(v for v in range(graph.n) if (b >> v) & 1),
-        )
-        for b in hits
-    ]
-    out.sort(key=lambda c: (-c.weight, c.index))
-    return out
+    if amplitudes.shape != (1 << graph.n,):
+        raise ConfigError(f"graph has {graph.n} vertices, expected "
+                          f"{1 << graph.n} amplitudes, got {amplitudes.shape}")
+    weights = np.abs(amplitudes) ** 2
+    hits = np.flatnonzero(weights > epsilon).tolist()
+    rows = []
+    for b in sorted(hits, key=lambda b: (-weights[b], b)):
+        side_a, side_b = (",".join(str(v) for v in range(graph.n)
+                                   if (b >> v) & 1 == bit) or "-"
+                          for bit in (1, 0))
+        rows.append(f"{b:0{graph.n}b} {float(weights[b])!r} "
+                    f"{cut_value(graph, b)} {side_a} {side_b}")
+    return rows
 
 
 # ---------------------------------------------------------------------------

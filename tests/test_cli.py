@@ -10,13 +10,14 @@ import pytest
 
 import gepcirc.cli as cli_mod
 import gepcirc.fitness as fitness_mod
+import gepcirc.oracle as oracle_mod
 from gepcirc.cli import (
     EXIT_EARLY_STOP,
     EXIT_ERROR,
     EXIT_OK,
     _KEYS,
     _REQUIRED,
-    _reference_energy,
+    _graph_oracle,
     decode_gene_string,
     load_training_pairs,
     main,
@@ -26,7 +27,7 @@ from gepcirc.cli import (
 )
 from gepcirc.engine import ConfigError
 from gepcirc.hamiltonians import Graph, ising_from_graph, xx_chain
-from gepcirc.oracle import exact_ground_energy
+from gepcirc.oracle import brute_force_maxcut, exact_ground_energy
 from gepcirc.sim import circuit_to_string, parse_angle, parse_circuit
 
 from writers import save_graph
@@ -240,9 +241,9 @@ ExactEnergy = -7.5
         assert reference(4) != -7.5
 
     def test_graph_enumeration_equals_dense_diagonalization(self):
-        # a graph's reference comes from enumeration at any scale sign;
-        # dense diagonalization of the same rescaled model must give the
-        # same float
+        # a graph's reference and max cut come from one enumeration at any
+        # scale sign; dense diagonalization of the same rescaled model
+        # must give the same float, and the cut table the same max cut
         rng = random.Random(5)
         for n in [3, 4, 5, 6, 7, 8] * 6 + [9]:
             graph = Graph(n, tuple((i, j) for i in range(n)
@@ -255,8 +256,9 @@ ExactEnergy = -7.5
                                  (0.0, -1.0),
                                  (rng.uniform(-5, 5), rng.uniform(-3, -0.1))]:
                 h = ising_from_graph(graph).rescaled(shift, scale)
-                assert _reference_energy(h, graph, None) \
-                    == exact_ground_energy(h)
+                reference, maxcut = _graph_oracle(h, graph)
+                assert reference == exact_ground_energy(h)
+                assert maxcut == brute_force_maxcut(graph)[0]
 
 
 class TestTrainingPairs:
@@ -424,6 +426,32 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "oracle ground energy: -11.5\n" in out
         assert float(out.split("gap: ")[1].split()[0]) >= -1e-8
+
+    @pytest.mark.parametrize("scale, reference", [("1", -5.0), ("-1", -7.0)])
+    def test_one_cut_table_per_verify(self, tmp_path, monkeypatch, scale,
+                                      reference):
+        # set-up enumerates the cut table once, for the reference at either
+        # end of the Ising spectrum and for the max cut that verify prints
+        graph = Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+                          (0, 2)))
+        save_graph(graph, str(tmp_path / "g6.txt"))
+        table = oracle_mod.brute_force_maxcut
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return table(g)
+
+        monkeypatch.setattr(oracle_mod, "brute_force_maxcut", counted)
+        text = (BASE.replace("NumBits = 2", "NumBits = 6")
+                .replace("Generations = 5", "Generations = 1")
+                .replace("g.txt", "g6.txt"))
+        path = write(tmp_path / "in.txt",
+                     text + f"Population = 4\nEnergyScale = {scale}\n")
+        report = verify(parse_input(path))
+        assert calls == [graph]
+        assert report.maxcut == 6 == table(graph)[0]
+        assert report.oracle_energy == reference
 
     def test_refused_before_evolving_without_oracle(self, tmp_path,
                                                     monkeypatch):

@@ -19,7 +19,7 @@ from gepcirc.hamiltonians import (
     ising_from_graph,
     load_graph,
     load_pauli_sum,
-    maxcut_from_state,
+    maxcut_rows,
     xx_chain,
 )
 from gepcirc.oracle import dense_matrix
@@ -344,32 +344,71 @@ class TestMaxCutReadout:
     C8 = Graph(8, ((0, 2), (1, 2), (3, 4), (0, 7)))
 
     def test_single_basis_state(self):
-        out = maxcut_from_state(basis_state(8, 3), self.C8, 1e-4)
-        assert len(out) == 1
-        cand = out[0]
-        assert cand.bitstring == "00000011"
-        assert cand.side_a == (0, 1)
-        assert cand.side_b == (2, 3, 4, 5, 6, 7)
-        assert cand.cut == cut_value(self.C8, 3)
+        # vertices 0 and 1 against the rest: edges (0,2), (1,2), (0,7) cross
+        assert maxcut_rows(basis_state(8, 3).amplitudes, self.C8, 1e-4) == [
+            "00000011 1.0 3 0,1 2,3,4,5,6,7"]
 
     def test_threshold_filters_everything(self):
         g = Graph(3, ((0, 1),))
-        uniform = StateVector(3, np.full(8, math.sqrt(1 / 8)))
-        assert maxcut_from_state(uniform, g, epsilon=1.0) == []
+        uniform = np.full(8, math.sqrt(1 / 8), dtype=complex)
+        assert maxcut_rows(uniform, g, epsilon=1.0) == []
 
     def test_superposition_reports_both(self):
         g = Graph(3, ((0, 1), (1, 2)))
         amps = np.zeros(8, dtype=complex)
         amps[3] = amps[7] = math.sqrt(0.5)
-        out = maxcut_from_state(StateVector(3, amps), g, 1e-4)
-        assert [c.index for c in out] == [3, 7]
+        assert maxcut_rows(amps, g, 1e-4) == [
+            "011 0.5000000000000001 1 0,1 2",
+            "111 0.5000000000000001 0 0,1,2 -"]
 
     def test_sorted_by_weight(self):
         g = Graph(2, ((0, 1),))
         amps = np.array([0.6, 0.0, 0.0, 0.8], dtype=complex)
-        out = maxcut_from_state(StateVector(2, amps), g, 1e-4)
-        assert [c.index for c in out] == [3, 0]
-        assert out[0].weight > out[1].weight
+        assert maxcut_rows(amps, g, 1e-4) == [
+            "11 0.6400000000000001 0 0,1 -",
+            "00 0.36 0 - 0,1"]
+
+    def test_wrong_length_is_refused(self):
+        g = Graph(3, ((0, 1),))
+        for amps in (basis_state(2, 0).amplitudes, basis_state(4, 0).amplitudes,
+                     np.zeros((2, 8), dtype=complex)):
+            with pytest.raises(ConfigError, match="graph has 3 vertices"):
+                maxcut_rows(amps, g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_follow_the_format(self, data):
+        # the maxcut.txt format as the README defines it, built here row by
+        # row; exact zeros and equal weights come from a few magnitudes
+        # times exact unit phases
+        n = data.draw(st.integers(1, 6), label="n")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                          if pairs else st.just([]), label="edges")
+        graph = Graph(n, tuple(edges))
+        magnitude = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                              st.floats(1e-3, 2.0))
+        phase = st.one_of(st.sampled_from([1, -1, 1j, -1j]),
+                          st.floats(0.0, 2 * math.pi).map(
+                              lambda t: complex(math.cos(t), math.sin(t))))
+        amps = np.array(data.draw(st.lists(
+            st.tuples(magnitude, phase).map(lambda mp: mp[0] * mp[1]),
+            min_size=1 << n, max_size=1 << n).filter(any), label="amps"))
+        amps = amps / np.linalg.norm(amps)
+        epsilon = data.draw(st.sampled_from([0.0, 1e-4, 0.3]), label="eps")
+        # |a| as numpy computes it, which can differ from Python's
+        # abs(complex) in the last bit
+        weights = (np.abs(amps) ** 2).tolist()
+        expected = []
+        for b in sorted(range(1 << n), key=lambda b: (-weights[b], b)):
+            if weights[b] > epsilon:
+                bits = "".join(str((b >> v) & 1) for v in reversed(range(n)))
+                side_a = [str(v) for v in range(n) if (b >> v) & 1]
+                side_b = [str(v) for v in range(n) if not (b >> v) & 1]
+                expected.append(
+                    f"{bits} {weights[b]!r} {cut_value(graph, b)} "
+                    f"{','.join(side_a) or '-'} {','.join(side_b) or '-'}")
+        assert maxcut_rows(amps, graph, epsilon) == expected
 
 
 class TestFileFormats:

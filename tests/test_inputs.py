@@ -84,13 +84,15 @@ def assert_clean_exit(code, err):
         assert err == ""
 
 
-def run_case(directory, kind, data):
-    """Write the valid companions, put ``data`` in the case's file, and run."""
+def run_case(directory, kind, data, whole=False):
+    """Write the valid companions, put ``data`` in the case's file (after
+    the input file's valid lines unless ``whole``), and run."""
     for name, text in VALID.items():
         (directory / name).write_text(text)
     target, text = CASES[kind]
     (directory / "in.txt").write_text(text)
-    with open(directory / target, "ab" if target == "in.txt" else "wb") as fh:
+    append = target == "in.txt" and not whole
+    with open(directory / target, "ab" if append else "wb") as fh:
         fh.write(data)
     return run_main(["run", str(directory / "in.txt")])
 
@@ -127,6 +129,43 @@ def test_non_utf8_byte_names_the_file(tmp_path, kind):
     assert code == EXIT_ERROR
     offset = len(CASES[kind][1]) if kind == "input" else 0
     assert err == f"error: {tmp_path / target}: not UTF-8 text (byte {offset})\n"
+
+
+BOM = "\ufeff".encode()
+
+
+def valid_target(kind):
+    """The valid contents of the case's file, as bytes."""
+    target, text = CASES[kind]
+    return (text if target == "in.txt" else VALID[target]).encode()
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_byte_order_mark_is_dropped(tmp_path, kind):
+    # as Windows Notepad writes UTF-8: the run and its artifacts are those
+    # of the same file without the mark
+    outcomes = []
+    for name, data in (("plain", valid_target(kind)),
+                       ("bom", BOM + valid_target(kind))):
+        directory = tmp_path / name
+        directory.mkdir()
+        code, err = run_case(directory, kind, data, whole=True)
+        artifacts = {artifact: (directory / artifact).read_bytes()
+                     for artifact in ("trace.csv", "best.circ", "maxcut.txt")
+                     if (directory / artifact).exists()}
+        outcomes.append((code, err, artifacts))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0][0] in (EXIT_OK, EXIT_EARLY_STOP)
+    assert "best.circ" in outcomes[0][2]
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_byte_order_mark_keeps_byte_offsets(tmp_path, kind):
+    data = BOM + valid_target(kind)
+    code, err = run_case(tmp_path, kind, data + b"\xff\n", whole=True)
+    assert code == EXIT_ERROR
+    assert err == (f"error: {tmp_path / CASES[kind][0]}: not UTF-8 text "
+                   f"(byte {len(data)})\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
