@@ -28,7 +28,6 @@ from gepcirc.engine import (
     EvolutionConfig,
     EvolutionResult,
     FitnessEvaluationError,
-    Gene,
     Locator,
     content_lines,
     run_evolution,
@@ -64,6 +63,7 @@ from gepcirc.sim import (
     StateVector,
     _gate_token,
     bind_params,
+    # unused here, but perfbench/tracing.py wraps these two by name
     canonicalize,
     circuit_to_gene,
     circuit_to_string,
@@ -308,7 +308,6 @@ class _Prepared:
     graph: Graph | None
     reference: float | None     # ground energy of the optimized Hamiltonian
     maxcut: int | None          # the graph's maximum cut
-    canonicalize_gene: Callable[[Gene], Gene] | None
 
 
 def _graph_oracle(h: PauliSumHamiltonian, graph: Graph) -> tuple[float, int]:
@@ -357,19 +356,15 @@ def _prepare(spec: RunSpec) -> _Prepared:
             reference = exact_ground_energy(h)
         else:
             reference = spec.exact_energy
-    hook = None
-    if spec.canonicalize:
-        def hook(gene: Gene) -> Gene:
-            circ = canonicalize(gene_to_circuit(gene, table))
-            return circuit_to_gene(circ, table, spec.evolution.head_len)
-    return _Prepared(problem, graph, reference, maxcut, hook)
+    return _Prepared(problem, graph, reference, maxcut)
 
 
 def _evolve(spec: RunSpec, prep: _Prepared
             ) -> tuple[EvolutionResult, CachingFitness]:
     cache = CachingFitness(prep.problem)
     result = run_evolution(spec.evolution, prep.problem.table.pset, cache,
-                           canonicalize=prep.canonicalize_gene)
+                           canonicalize=cache.canonical if spec.canonicalize
+                           else None)
     return result, cache
 
 
@@ -489,6 +484,9 @@ def decode_gene_string(text: str) -> QuantumCircuit:
             kind, qubits, angle_text = _gate_token(at.token[1])
             if angle_text is not None:
                 raise ConfigError("a genome symbol takes no angle")
+            if max(qubits) >= MAX_QUBITS:
+                raise ConfigError(f"qubit {max(qubits)} out of range for "
+                                  f"{MAX_QUBITS} bits")
             gates.append(GateInstance(kind, qubits))
     n_bits = 1 + max((q for g in gates for q in g.qubits), default=0)
     return QuantumCircuit(n_bits, tuple(reversed(gates)))

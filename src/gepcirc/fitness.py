@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -60,7 +61,9 @@ from gepcirc.sim import (
     _apply_1q,
     _frozen,
     apply_circuit_array,
+    canonicalize,
     check_basis_index,
+    circuit_to_gene,
     gene_to_circuit,
 )
 
@@ -292,29 +295,51 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
     return tuple(phi), prefitness(circuit, phi, problem)
 
 
+@dataclass
+class _Record:
+    """What is known of one coding region, each part None until asked for."""
+
+    optimized: tuple[tuple[float, ...], float] | None = None  # angles, value
+    canonical: tuple[int, ...] | None = None    # the canonical coding region
+
+
 class CachingFitness:
     """The fitness of a genome, F = P(phi_max) of the circuit it decodes to.
 
-    Fitness and the optimizing angles (needed when reporting winners) depend
-    on the coding region alone, so results are cached by it: genes that
-    differ only in non-coding symbols share one entry.
+    Fitness, the optimizing angles (needed when reporting winners) and the
+    canonical form depend on the coding region alone, so each coding region
+    has one record of them: genes that differ only in non-coding symbols
+    share it. A record holds no circuit, whose CNOT-run tables would then
+    live as long as the store: callers that need one decode it again.
     """
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self._cache: dict[tuple[int, ...], tuple[float, tuple[float, ...]]] = {}
+        self._records = defaultdict(_Record)    # coding region -> record
+
+    def _optimized(self, gene: Gene) -> tuple[tuple[float, ...], float]:
+        record = self._records[gene.symbols[:coding_length(gene)]]
+        if record.optimized is None:
+            circuit = gene_to_circuit(gene, self.problem.table)
+            record.optimized = optimize_params(circuit, self.problem)
+        return record.optimized
 
     def __call__(self, gene: Gene) -> float:
-        key = gene.symbols[:coding_length(gene)]
-        hit = self._cache.get(key)
-        if hit is None:
-            circuit = gene_to_circuit(gene, self.problem.table)
-            params, value = optimize_params(circuit, self.problem)
-            hit = (value, params)
-            self._cache[key] = hit
-        return hit[0]
+        return self._optimized(gene)[1]
 
     def params_for(self, gene: Gene) -> tuple[float, ...]:
         """Optimizing angle vector for a genome (computing it if needed)."""
-        self(gene)
-        return self._cache[gene.symbols[:coding_length(gene)]][1]
+        return self._optimized(gene)[0]
+
+    def canonical(self, gene: Gene) -> Gene:
+        """The genome rewritten to its canonical circuit (``sim.canonicalize``)
+        at its own head length, computed once per coding region: as
+        ``run_evolution``'s hook it does what ``Canonicalize = 1`` does."""
+        record = self._records[gene.symbols[:coding_length(gene)]]
+        table = self.problem.table
+        if record.canonical is None:
+            circuit = canonicalize(gene_to_circuit(gene, table))
+            canon = circuit_to_gene(circuit, table, gene.head_len)
+            record.canonical = canon.symbols[:coding_length(canon)]
+        pad = (table.terminal,) * (len(gene.symbols) - len(record.canonical))
+        return Gene(record.canonical + pad, gene.head_len, gene.pset)

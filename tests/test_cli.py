@@ -3,14 +3,17 @@
 import math
 import random
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gepcirc.cli as cli_mod
 import gepcirc.fitness as fitness_mod
 import gepcirc.oracle as oracle_mod
+import gepcirc.sim as sim_mod
 from gepcirc.cli import (
     EXIT_EARLY_STOP,
     EXIT_ERROR,
@@ -26,9 +29,14 @@ from gepcirc.cli import (
     verify,
 )
 from gepcirc.engine import ConfigError
-from gepcirc.hamiltonians import Graph, ising_from_graph, xx_chain
+from gepcirc.hamiltonians import Graph, ising_from_graph, maxcut_rows, xx_chain
 from gepcirc.oracle import brute_force_maxcut, exact_ground_energy
-from gepcirc.sim import circuit_to_string, parse_angle, parse_circuit
+from gepcirc.sim import (
+    apply_circuit_array,
+    circuit_to_string,
+    parse_angle,
+    parse_circuit,
+)
 
 from writers import save_graph
 
@@ -340,6 +348,41 @@ class TestRun:
         rows = [line.split() for line in cut[1:]]
         assert all(r[2] == "1" for r in rows)
 
+    def test_maxcut_rows_are_the_best_circuits_state(self, tmp_path):
+        # a triangle plus the isolated vertex 3; after one short generation
+        # the best circuit leaves two basis states of unequal weight
+        graph = Graph(4, ((0, 1), (1, 2), (0, 2)))
+        save_graph(graph, str(tmp_path / "g.txt"))
+        spec = parse_input(write(tmp_path / "in.txt", """\
+RunType = GroundState
+NumBits = 4
+Gates = Ry
+HeadSize = 4
+Population = 4
+Generations = 1
+Seed = 13
+GraphFile = g.txt
+InitialState = 1000
+"""))
+        run(spec)
+        best = (tmp_path / "best.circ").read_text().splitlines()[0]
+        initial = np.zeros(16, dtype=complex)
+        initial[0b1000] = 1.0
+        final = apply_circuit_array(initial, 4,
+                                    parse_circuit(best.split("\t")[1], 4))
+        expected = [row.split() for row in
+                    maxcut_rows(final, graph, spec.epsilon)]
+        lines = (tmp_path / "maxcut.txt").read_text().splitlines()
+        assert lines[0] == "# bitstring weight cut side_a side_b"
+        rows = [line.split() for line in lines[1:]]
+        weights = [float(row[1]) for row in rows]
+        assert len(rows) >= 2 and max(weights) - min(weights) > 0.5
+        # bitstring, cut and sides exactly, row by row in the file's order
+        assert [[r[0]] + r[2:] for r in rows] \
+            == [[r[0]] + r[2:] for r in expected]
+        for weight, row in zip(weights, expected):
+            assert abs(weight - float(row[1])) <= 1e-12
+
     def test_single_generation_single_row(self, tmp_path):
         edge_graph(tmp_path)
         path = write(tmp_path / "in.txt",
@@ -497,9 +540,31 @@ class TestDecode:
     def test_all_terminal(self):
         assert len(decode_gene_string("psi0 psi0")) == 0
 
-    def test_bad_token(self):
-        with pytest.raises(ConfigError, match="token 1"):
-            decode_gene_string("H0 nope psi0")
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("H0 nope psi0", "token 1", id="unknown-symbol"),
+        pytest.param("Ry25 psi0", r"^token 0 \('Ry25'\): qubit 25 ",
+                     id="qubit-out-of-range"),
+    ])
+    def test_bad_token(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            decode_gene_string(text)
+
+
+class TestBenchmarkHooks:
+    def test_patched_names_exist(self, monkeypatch):
+        # the benchmark wraps program functions by name (perfbench/tracing.py
+        # TARGETS) and its kernel probe builds states with sim.basis_state;
+        # a renamed or removed name fails here rather than in a traced run
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        monkeypatch.delitem(sys.modules, "tracing", raising=False)
+        import tracing
+
+        with tracing.Tracer().installed(), tracing.Counters().installed():
+            pass
+        assert callable(sim_mod.basis_state)
+        probe = tracing.kernel_probe(2, repeats=1)
+        assert set(probe) == {"sim.ry_us", "sim.cnot_us"}
 
 
 class TestMain:

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gepcirc.fitness as fitness_mod
-from gepcirc.engine import ConfigError, make_gene, random_gene
+from gepcirc.engine import (
+    ConfigError,
+    EvolutionConfig,
+    coding_length,
+    make_gene,
+    random_gene,
+    run_evolution,
+)
 from gepcirc.fitness import (
     CachingFitness,
     function_fit_problem,
@@ -27,6 +34,7 @@ from gepcirc.hamiltonians import (
 )
 from gepcirc.oracle import dense_matrix, exact_ground_energy
 from gepcirc.sim import (
+    GATE_KINDS,
     GateTable,
     apply_circuit,
     basis_state,
@@ -337,3 +345,78 @@ class TestFitness:
         assert cache(a) == cache(b)
         assert cache.params_for(a) == cache.params_for(b)
         assert len(calls) == 1
+
+
+def rewrite(gene, table):
+    """The gene of the canonical circuit, built directly at every call."""
+    circuit = canonicalize(gene_to_circuit(gene, table))
+    return circuit_to_gene(circuit, table, gene.head_len)
+
+
+@st.composite
+def gate_set_genes(draw):
+    """(table, gene): a random gate set on 1-4 qubits, any head length."""
+    n = draw(st.integers(1, 4))
+    usable = [k for k, kind in GATE_KINDS.items() if n > 1 or kind.n_qubits == 1]
+    kinds = draw(st.lists(st.sampled_from(usable), min_size=1, unique=True))
+    table = GateTable(n, kinds)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return table, random_gene(table.pset, draw(st.integers(1, 14)), rng)
+
+
+class TestCanonicalRecord:
+    @settings(deadline=None, max_examples=300)
+    @given(gate_set_genes())
+    def test_canonical_gene_decodes_to_canonical_circuit(self, case):
+        table, gene = case
+        cache = CachingFitness(function_fit_problem(table, [(0, 0)]))
+        canon = cache.canonical(gene)
+        assert gene_to_circuit(canon, table) \
+            == canonicalize(gene_to_circuit(gene, table))
+        assert canon == rewrite(gene, table)
+        assert cache.canonical(canon) == canon
+
+    def test_canonicalize_runs_once_per_coding_region(self, monkeypatch):
+        table = GateTable(3, ["H", "X", "P", "Ry", "CNOT"])
+        cache = CachingFitness(function_fit_problem(table, [(0, 0)]))
+        calls = []
+
+        def counted(circuit):
+            calls.append(circuit)
+            return canonicalize(circuit)
+
+        monkeypatch.setattr(fitness_mod, "canonicalize", counted)
+        rng = random.Random(19)
+        genes = [random_gene(table.pset, 3, rng) for _ in range(200)]
+        genes += genes[:50]
+        regions = {g.symbols[:coding_length(g)] for g in genes}
+        assert len(regions) < 200      # head 3: coding regions repeat
+        canon = [cache.canonical(g) for g in genes]
+        assert len(calls) == len(regions)
+        assert canon == [rewrite(g, table) for g in genes]
+
+    def test_gene_at_the_callers_head_length(self):
+        # Ry0 Ry0 fuses to one Ry0; both genes code Ry0 Ry0 psi0
+        table = GateTable(2, ["Ry"])
+        cache = CachingFitness(function_fit_problem(table, [(0, 0)]))
+        short = make_gene((0, 0, 2, 1, 2), 4, table.pset)
+        long = make_gene((0, 0, 2, 0, 1, 1, 2), 6, table.pset)
+        for gene in (short, long, short):
+            canon = cache.canonical(gene)
+            assert canon.head_len == gene.head_len
+            assert canon == rewrite(gene, table)
+            assert canon.symbols[:2] == (0, 2)
+
+    def test_evolution_matches_direct_rewrite(self):
+        table = GateTable(4, ["Ry", "P", "CNOT"])
+        problem = ground_state_problem(table, xx_chain(4, 1.0, "open"))
+        cfg = EvolutionConfig(generations=4, head_len=6, population_size=10,
+                              seed=5)
+        cache = CachingFitness(problem)
+        ours = run_evolution(cfg, table.pset, cache,
+                             canonicalize=cache.canonical)
+        hook = run_evolution(cfg, table.pset, CachingFitness(problem),
+                             canonicalize=lambda g: rewrite(g, table))
+        assert ours.population == hook.population
+        assert ours.fitnesses == hook.fitnesses
+        assert ours.stats == hook.stats
