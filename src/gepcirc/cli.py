@@ -226,36 +226,33 @@ def parse_input(path: str | Path) -> RunSpec:
                 raise ConfigError(f"bad value for {key}: {exc}") from None
     for key in _REQUIRED:
         if _KEYS[key][0] not in values:
-            raise ConfigError(f"{path}: missing required key {key}")
+            raise Locator(path).error(f"missing required key {key}")
     origin = {key: Locator(path, line) for key, line in seen.items()}
     evolution = {f.name: values.pop(f.name) for f in fields(EvolutionConfig)
                  if f.name in values}
     spec = RunSpec(evolution=EvolutionConfig(**evolution), base_dir=path.parent,
                    origin=origin, **values)
-    _validate_spec(spec, path)
+    with Locator(path):
+        _validate_spec(spec)
     return spec
 
 
-def _validate_spec(spec: RunSpec, path: Path) -> None:
+def _validate_spec(spec: RunSpec) -> None:
     if spec.run_type == "FunctionFit":
         if spec.training_pairs is None:
-            raise ConfigError(f"{path}: FunctionFit requires TrainingPairs")
+            raise ConfigError("FunctionFit requires TrainingPairs")
         if spec.graph_file or spec.hamiltonian:
-            raise ConfigError(
-                f"{path}: FunctionFit takes no GraphFile or Hamiltonian"
-            )
+            raise ConfigError("FunctionFit takes no GraphFile or Hamiltonian")
         if spec.initial_state is not None:
-            raise ConfigError(f"{path}: FunctionFit takes inputs from "
-                              f"TrainingPairs, not InitialState")
+            raise ConfigError("FunctionFit takes inputs from TrainingPairs, "
+                              "not InitialState")
     else:
         sources = [s for s in (spec.graph_file, spec.hamiltonian) if s]
         if len(sources) != 1:
-            raise ConfigError(
-                f"{path}: GroundState requires exactly one of "
-                f"GraphFile or Hamiltonian"
-            )
+            raise ConfigError("GroundState requires exactly one of "
+                              "GraphFile or Hamiltonian")
         if spec.training_pairs:
-            raise ConfigError(f"{path}: GroundState takes no TrainingPairs")
+            raise ConfigError("GroundState takes no TrainingPairs")
 
 
 def _builtin_hamiltonian(value: str) -> PauliSumHamiltonian:
@@ -298,7 +295,7 @@ def load_training_pairs(path: str | Path, n_bits: int
             pairs.append((parse_basis_label(parts[0], n_bits),
                           parse_basis_label(parts[1], n_bits)))
     if not pairs:
-        raise ConfigError(f"{path}: no training pairs")
+        raise Locator(path).error("no training pairs")
     return pairs
 
 

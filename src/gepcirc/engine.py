@@ -61,8 +61,8 @@ def content_lines(path: str | Path) -> list[tuple[int, str]]:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    except ValueError as exc:     # a NUL in the name
+        raise Locator(path).error(f"not UTF-8 text (byte {exc.start})") from None
+    except ValueError as exc:     # a NUL in the name: repr keeps it off stderr
         raise ConfigError(f"{path!r}: {exc}") from None
     lines = []
     # newline=None ends lines at \\n, \\r\\n or \\r, as text mode does
@@ -250,13 +250,9 @@ def karva_decode(symbols: Sequence[int], pset: PrimitiveSet) -> ExpressionTree:
     return ExpressionTree(tuple(nodes), end)
 
 
-def decode(gene: Gene | Sequence[int], pset: PrimitiveSet | None = None) -> ExpressionTree:
-    """Decode a gene (or a raw symbol sequence plus primitive set)."""
-    if isinstance(gene, Gene):
-        return karva_decode(gene.symbols, gene.pset)
-    if pset is None:
-        raise ConfigError("decoding a raw sequence requires a primitive set")
-    return karva_decode(gene, pset)
+def decode(gene: Gene) -> ExpressionTree:
+    """Decode a gene; ``karva_decode`` takes a raw symbol sequence."""
+    return karva_decode(gene.symbols, gene.pset)
 
 
 def coding_length(gene: Gene) -> int:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -295,51 +294,48 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
     return tuple(phi), prefitness(circuit, phi, problem)
 
 
-@dataclass
-class _Record:
-    """What is known of one coding region, each part None until asked for."""
-
-    optimized: tuple[tuple[float, ...], float] | None = None  # angles, value
-    canonical: tuple[int, ...] | None = None    # the canonical coding region
-
-
 class CachingFitness:
     """The fitness of a genome, F = P(phi_max) of the circuit it decodes to.
 
-    Fitness, the optimizing angles (needed when reporting winners) and the
-    canonical form depend on the coding region alone, so each coding region
-    has one record of them: genes that differ only in non-coding symbols
-    share it. A record holds no circuit, whose CNOT-run tables would then
-    live as long as the store: callers that need one decode it again.
+    Fitness and the optimizing angles (needed when reporting winners)
+    depend on the coding region alone, and the canonical gene on the coding
+    region and the head length, so each is computed once per key: genes
+    that differ only in non-coding symbols share them. Nothing kept holds a
+    circuit, whose CNOT-run tables would then live as long as the store:
+    callers that need one decode it again.
     """
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self._records = defaultdict(_Record)    # coding region -> record
+        self._optimized = {}    # coding region -> (angles, fitness)
+        self._canonical = {}    # (coding region, head length) -> gene
 
-    def _optimized(self, gene: Gene) -> tuple[tuple[float, ...], float]:
-        record = self._records[gene.symbols[:coding_length(gene)]]
-        if record.optimized is None:
+    def _optimum(self, gene: Gene) -> tuple[tuple[float, ...], float]:
+        coding = gene.symbols[:coding_length(gene)]
+        optimum = self._optimized.get(coding)
+        if optimum is None:
             circuit = gene_to_circuit(gene, self.problem.table)
-            record.optimized = optimize_params(circuit, self.problem)
-        return record.optimized
+            optimum = self._optimized[coding] = optimize_params(
+                circuit, self.problem)
+        return optimum
 
     def __call__(self, gene: Gene) -> float:
-        return self._optimized(gene)[1]
+        return self._optimum(gene)[1]
 
     def params_for(self, gene: Gene) -> tuple[float, ...]:
         """Optimizing angle vector for a genome (computing it if needed)."""
-        return self._optimized(gene)[0]
+        return self._optimum(gene)[0]
 
     def canonical(self, gene: Gene) -> Gene:
         """The genome rewritten to its canonical circuit (``sim.canonicalize``)
-        at its own head length, computed once per coding region: as
-        ``run_evolution``'s hook it does what ``Canonicalize = 1`` does."""
-        record = self._records[gene.symbols[:coding_length(gene)]]
-        table = self.problem.table
-        if record.canonical is None:
+        at its own head length, computed once per coding region and head
+        length: as ``run_evolution``'s hook it does what ``Canonicalize = 1``
+        does."""
+        key = (gene.symbols[:coding_length(gene)], gene.head_len)
+        canon = self._canonical.get(key)
+        if canon is None:
+            table = self.problem.table
             circuit = canonicalize(gene_to_circuit(gene, table))
-            canon = circuit_to_gene(circuit, table, gene.head_len)
-            record.canonical = canon.symbols[:coding_length(canon)]
-        pad = (table.terminal,) * (len(gene.symbols) - len(record.canonical))
-        return Gene(record.canonical + pad, gene.head_len, gene.pset)
+            canon = self._canonical[key] = circuit_to_gene(
+                circuit, table, gene.head_len)
+        return canon

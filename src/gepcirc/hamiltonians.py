@@ -310,7 +310,7 @@ def load_graph(path: str) -> Graph:
     """Edge list file: `n <count>` header, then one `i j` pair per line."""
     lines = content_lines(path)
     if not lines:
-        raise ConfigError(f"{path}: empty graph file")
+        raise Locator(path).error("empty graph file")
     edges: dict[tuple[int, int], None] = {}     # insertion-ordered set
     with Locator(path) as at:
         at.line, header = lines[0]
@@ -332,7 +332,7 @@ def load_pauli_sum(path: str) -> PauliSumHamiltonian:
     """Text format: `nbits <N>` header, then `coefficient X0 Z3 ...` lines."""
     lines = content_lines(path)
     if not lines:
-        raise ConfigError(f"{path}: empty Hamiltonian file")
+        raise Locator(path).error("empty Hamiltonian file")
     terms = []
     with Locator(path) as at:
         at.line, header = lines[0]

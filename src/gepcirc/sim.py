@@ -62,7 +62,7 @@ __all__ = [
     "MAX_QUBITS", "P_PHASE",
     "GateKind", "GATE_KINDS", "GateInstance", "QuantumCircuit",
     "StateVector", "check_basis_index", "basis_state", "gate_matrix",
-    "apply_circuit", "apply_circuit_array",
+    "apply_circuit_array",
     "GateTable", "gene_to_circuit", "circuit_to_gene",
     "bind_params", "canonicalize",
     "format_angle", "parse_angle", "circuit_to_string", "parse_circuit",
@@ -355,13 +355,6 @@ def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
     return amps
 
 
-def apply_circuit(state: StateVector, circuit: QuantumCircuit,
-                  params: Sequence[float] = ()) -> StateVector:
-    """Apply all gates in order: gates[0] acts first."""
-    amps = apply_circuit_array(state.amplitudes, state.n_bits, circuit, params)
-    return StateVector(state.n_bits, amps)
-
-
 # ---------------------------------------------------------------------------
 # Gene <-> circuit bridge
 # ---------------------------------------------------------------------------
@@ -442,22 +435,24 @@ def circuit_to_gene(circuit: QuantumCircuit, table: GateTable,
                     head_len: int) -> Gene:
     """Re-encode a circuit as a gene (inverse of decode).
 
-    Fixed Ry angles are not representable as symbols; only circuits whose Ry
-    gates are all free (as produced by gene_to_circuit) can round-trip.
+    A gate is a symbol when the table has its placement and its angle is
+    that symbol's gate's: none for a free Ry or a fixed kind, the table's
+    phase for P. So circuits from gene_to_circuit round-trip, and a fixed
+    Ry angle does not; the error names the first other gate's token.
     """
     if len(circuit.gates) > head_len:
         raise ConfigError(
             f"{len(circuit.gates)} gates do not fit a head of {head_len}"
         )
     symbols: list[int] = []
-    for gate in reversed(circuit.gates):
-        if gate.kind.n_slots and not gate.free:
-            raise ConfigError("cannot encode a fixed-angle Ry as a gene symbol")
-        if gate.kind.name == "P" and gate.angle != table.p_phase:
-            raise ConfigError("cannot encode a P gate with a non-default phase")
-        symbols.append(table.symbol_for(gate.kind, gate.qubits))
-    pad = head_len + 1 - len(symbols)
-    symbols += [table.terminal] * pad
+    for index, gate in enumerate(circuit.gates):
+        symbol = table._index.get((gate.kind, gate.qubits))
+        if symbol is None or gate.angle != table.instance(symbol).angle:
+            token = circuit_to_string(circuit).split()[index]
+            raise ConfigError(f"cannot encode {token} as a genome symbol")
+        symbols.append(symbol)
+    symbols.reverse()
+    symbols += [table.terminal] * (head_len + 1 - len(symbols))
     return make_gene(symbols, head_len, table.pset)
 
 

@@ -73,12 +73,13 @@ class TestKarvaDecode:
         with pytest.raises(ConfigError):
             karva_decode([], ARITH)
 
-    def test_decode_accepts_gene_or_raw(self):
+    def test_decode_is_karva_decode_of_the_symbols(self):
         gene = make_gene(seq("Q+*-abcd" + "abcdabc"), 7, ARITH)
         assert decode(gene).coding_length == 8
-        assert decode(gene.symbols, ARITH).coding_length == 8
+        assert karva_decode(gene.symbols, ARITH) == decode(gene)
+        assert karva_decode(gene.symbols, ARITH).coding_length == 8
         with pytest.raises(ConfigError):
-            decode(seq("ab"))
+            karva_decode(gene.symbols[:7], ARITH)   # one child short
 
 
 @st.composite

@@ -36,7 +36,7 @@ from gepcirc.oracle import dense_matrix, exact_ground_energy
 from gepcirc.sim import (
     GATE_KINDS,
     GateTable,
-    apply_circuit,
+    apply_circuit_array,
     basis_state,
     bind_params,
     canonicalize,
@@ -132,7 +132,8 @@ class TestPrefitness:
         bound = parse_circuit(f"Ry{n - 1}:pi/3 CNOT{n - 1},0", n)
         total = 0.0
         for i, out in pairs:
-            amps = apply_circuit(basis_state(n, i), bound).amplitudes
+            amps = apply_circuit_array(basis_state(n, i).amplitudes, n,
+                                       bound)
             total += abs(amps[out]) ** 2
         assert prefitness(bound, (), prob) == total / 3
         assert all(np.array_equal(amps, basis_state(n, index).amplitudes)

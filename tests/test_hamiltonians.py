@@ -23,7 +23,8 @@ from gepcirc.hamiltonians import (
     xx_chain,
 )
 from gepcirc.oracle import dense_matrix
-from gepcirc.sim import StateVector, basis_state, parse_circuit, apply_circuit
+from gepcirc.sim import (StateVector, apply_circuit_array, basis_state,
+                         parse_circuit)
 
 from writers import save_graph, save_pauli_sum
 
@@ -109,8 +110,8 @@ class TestChainAndGrid:
     def test_xx_alternating_ry_reaches_exact_energy(self):
         h = xx_chain(4, 1.0, "periodic")
         circuit = parse_circuit("Ry0:3pi/2 Ry1:pi/2 Ry2:3pi/2 Ry3:pi/2", 4)
-        out = apply_circuit(basis_state(4, 0), circuit)
-        assert abs(h.expectation_array(out.amplitudes) - (-4.0)) < 1e-9
+        out = apply_circuit_array(basis_state(4, 0).amplitudes, 4, circuit)
+        assert abs(h.expectation_array(out) - (-4.0)) < 1e-9
 
     def test_heisenberg_bond_counts(self):
         assert len(heisenberg_2d(1, 2).terms) == 3     # one bond, X+Y+Z
@@ -322,7 +323,8 @@ class TestPairElements:
         rng = random.Random(25)
         h = rand_hamiltonian(3, rng).rescaled(1.5, -2.0)
         psi = rand_state(3, rng)
-        rotated = apply_circuit(psi, parse_circuit("Ry1:pi", 3)).amplitudes
+        rotated = apply_circuit_array(psi.amplitudes, 3,
+                                      parse_circuit("Ry1:pi", 3))
         aa, bb, ab = h.pair_elements(psi.amplitudes, rotated)
         for t in (0.0, 0.3, 2.0, -4.0):
             x = math.cos(t / 2) * psi.amplitudes + math.sin(t / 2) * rotated

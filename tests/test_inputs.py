@@ -131,6 +131,45 @@ def test_non_utf8_byte_names_the_file(tmp_path, kind):
     assert err == f"error: {tmp_path / target}: not UTF-8 text (byte {offset})\n"
 
 
+PAIRS = "RunType = FunctionFit\n" + SMALL + "TrainingPairs = p.txt\n"
+GRAPH = CASES["graph"][1]
+
+
+@pytest.mark.parametrize("files, named, message", [
+    pytest.param({"in.txt": GRAPH.replace("Gates = Ry,CNOT\n", "")}, "in.txt",
+                 "missing required key Gates", id="missing-key"),
+    pytest.param({"in.txt": "RunType = FunctionFit\n" + SMALL}, "in.txt",
+                 "FunctionFit requires TrainingPairs", id="no-pairs-key"),
+    pytest.param({"in.txt": PAIRS + "GraphFile = g.txt\n"}, "in.txt",
+                 "FunctionFit takes no GraphFile or Hamiltonian",
+                 id="fit-with-graph"),
+    pytest.param({"in.txt": PAIRS + "InitialState = 00\n"}, "in.txt",
+                 "FunctionFit takes inputs from TrainingPairs, "
+                 "not InitialState", id="fit-with-initial"),
+    pytest.param({"in.txt": GROUND}, "in.txt",
+                 "GroundState requires exactly one of GraphFile or "
+                 "Hamiltonian", id="no-source"),
+    pytest.param({"in.txt": GRAPH + "TrainingPairs = p.txt\n"}, "in.txt",
+                 "GroundState takes no TrainingPairs", id="ground-with-pairs"),
+    pytest.param({"in.txt": PAIRS, "p.txt": "# none\n"}, "p.txt",
+                 "no training pairs", id="empty-pairs"),
+    pytest.param({"in.txt": GRAPH, "g.txt": "# none\n"}, "g.txt",
+                 "empty graph file", id="empty-graph"),
+    pytest.param({"in.txt": CASES["pauli"][1], "h.txt": "\n"}, "h.txt",
+                 "empty Hamiltonian file", id="empty-pauli"),
+    pytest.param({"in.txt": GRAPH, "g.txt": b"n 2\n\xff"}, "g.txt",
+                 "not UTF-8 text (byte 4)", id="not-utf8"),
+])
+def test_file_level_errors_name_the_file(tmp_path, files, named, message):
+    # an error that belongs to a whole file reads `file: message`
+    for name, text in {**VALID, **files}.items():
+        data = text.encode() if isinstance(text, str) else text
+        (tmp_path / name).write_bytes(data)
+    code, err = run_main(["run", str(tmp_path / "in.txt")])
+    assert code == EXIT_ERROR
+    assert err == f"error: {tmp_path / named}: {message}\n"
+
+
 BOM = "\ufeff".encode()
 
 

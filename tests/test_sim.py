@@ -4,6 +4,7 @@ and the circuit string grammar."""
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -26,7 +27,6 @@ from gepcirc.sim import (
     GateTable,
     QuantumCircuit,
     StateVector,
-    apply_circuit,
     apply_circuit_array,
     basis_state,
     bind_params,
@@ -150,28 +150,30 @@ class TestGateMatrices:
 class TestApplyGate:
     def test_z_fixes_zero_state(self):
         s = basis_state(4, 0)
-        out = apply_circuit(s, parse_circuit("Z0", 4))
-        assert np.array_equal(out.amplitudes, s.amplitudes)
+        out = apply_circuit_array(s.amplitudes, 4, parse_circuit("Z0", 4))
+        assert np.array_equal(out, s.amplitudes)
 
     def test_ry_pi_on_qubit_1(self):
-        out = apply_circuit(basis_state(3, 0), parse_circuit("Ry1:pi", 3))
-        assert abs(out.amplitudes[2] - 1.0) < 1e-12
+        out = apply_circuit_array(basis_state(3, 0).amplitudes, 3,
+                                  parse_circuit("Ry1:pi", 3))
+        assert abs(out[2] - 1.0) < 1e-12
 
     def test_cnot_control_is_first_qubit(self):
         cnot = parse_circuit("CNOT0,1", 3)
-        out = apply_circuit(basis_state(3, 1), cnot)
-        assert out.amplitudes[3] == 1.0
+        out = apply_circuit_array(basis_state(3, 1).amplitudes, 3, cnot)
+        assert out[3] == 1.0
         # control clear: target untouched
-        out = apply_circuit(basis_state(3, 2), cnot)
-        assert out.amplitudes[2] == 1.0
+        out = apply_circuit_array(basis_state(3, 2).amplitudes, 3, cnot)
+        assert out[2] == 1.0
 
     def test_slot_resolution(self):
         circuit = parse_circuit("Ry0:phi0", 1)
         assert circuit.gates[0].free
-        out = apply_circuit(basis_state(1, 0), circuit, [math.pi])
-        assert abs(out.amplitudes[1] - 1.0) < 1e-12
+        zero = basis_state(1, 0).amplitudes
+        out = apply_circuit_array(zero, 1, circuit, [math.pi])
+        assert abs(out[1] - 1.0) < 1e-12
         with pytest.raises(ConfigError):
-            apply_circuit(basis_state(1, 0), circuit, [])
+            apply_circuit_array(zero, 1, circuit, [])
 
     def test_unitarity_round_trip(self):
         rng = random.Random(12)
@@ -180,34 +182,35 @@ class TestApplyGate:
             s = rand_state(n, rng)
             q = rng.randrange(n)
             theta = rng.uniform(0, 4 * math.pi)
-            fwd = apply_circuit(s, QuantumCircuit(n, (
+            fwd = apply_circuit_array(s.amplitudes, n, QuantumCircuit(n, (
                 GateInstance(GATE_KINDS["Ry"], (q,), angle=theta),)))
-            back = apply_circuit(fwd, QuantumCircuit(n, (
+            back = apply_circuit_array(fwd, n, QuantumCircuit(n, (
                 GateInstance(GATE_KINDS["Ry"], (q,), angle=-theta),)))
-            assert np.allclose(back.amplitudes, s.amplitudes, atol=1e-10)
+            assert np.allclose(back, s.amplitudes, atol=1e-10)
 
 
 class TestApplyCircuit:
     def test_empty_circuit(self):
         s = basis_state(3, 5)
-        out = apply_circuit(s, QuantumCircuit(3, ()))
-        assert np.array_equal(out.amplitudes, s.amplitudes)
+        out = apply_circuit_array(s.amplitudes, 3, QuantumCircuit(3, ()))
+        assert np.array_equal(out, s.amplitudes)
 
     def test_two_flips(self):
         c = parse_circuit("Ry0:pi Ry1:pi", 2)
-        out = apply_circuit(basis_state(2, 0), c)
-        assert abs(abs(out.amplitudes[3]) - 1.0) < 1e-12
+        out = apply_circuit_array(basis_state(2, 0).amplitudes, 2, c)
+        assert abs(abs(out[3]) - 1.0) < 1e-12
 
     def test_gate_order_matters(self):
         # X then H differs from H then X on |0>
-        a = apply_circuit(basis_state(1, 0), parse_circuit("X0 H0", 1))
-        b = apply_circuit(basis_state(1, 0), parse_circuit("H0 X0", 1))
-        assert not np.allclose(a.amplitudes, b.amplitudes)
+        zero = basis_state(1, 0).amplitudes
+        a = apply_circuit_array(zero, 1, parse_circuit("X0 H0", 1))
+        b = apply_circuit_array(zero, 1, parse_circuit("H0 X0", 1))
+        assert not np.allclose(a, b)
 
     def test_param_count_checked(self):
         c = parse_circuit("Ry0:phi0 Ry1:phi1", 2)
         with pytest.raises(ConfigError):
-            apply_circuit(basis_state(2, 0), c, [1.0])
+            apply_circuit_array(basis_state(2, 0).amplitudes, 2, c, [1.0])
 
     def test_wrong_length_rejected(self):
         amps = np.ones(6, dtype=complex)
@@ -219,8 +222,9 @@ class TestApplyCircuit:
         rng = random.Random(13)
         for _ in range(60):
             n = rng.randint(1, 5)
-            out = apply_circuit(rand_state(n, rng), rand_circuit(n, rng))
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+            out = apply_circuit_array(rand_state(n, rng).amplitudes, n,
+                                      rand_circuit(n, rng))
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     @settings(deadline=None, max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
@@ -442,8 +446,9 @@ class TestKernels:
         assert same_bits(amps, before)
         gate_matrix("H")[0, 0] = 5.0     # callers get copies
         assert same_bits(gate_matrix("H"), sim._FIXED_MATRICES["H"])
-        out = apply_circuit(basis_state(1, 0), parse_circuit("H0", 1))
-        assert abs(out.amplitudes[0] - 1 / math.sqrt(2)) < 1e-15
+        out = apply_circuit_array(basis_state(1, 0).amplitudes, 1,
+                                  parse_circuit("H0", 1))
+        assert abs(out[0] - 1 / math.sqrt(2)) < 1e-15
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data(), n=st.integers(1, 12),
@@ -727,6 +732,51 @@ class TestGeneBridge:
         with pytest.raises(ConfigError):
             circuit_to_gene(bound, table, 8)
 
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), n=st.integers(1, 3),
+           p_phase=st.sampled_from([sim.P_PHASE, 0.0, math.pi / 4]),
+           kinds=st.sets(st.sampled_from(sorted(GATE_KINDS)), min_size=1))
+    def test_circuit_to_gene_one_rule_matches_the_two_checks(
+            self, data, n, p_phase, kinds):
+        """A gate is a symbol exactly when the table has its placement and
+        it passes the two per-kind checks that the one angle rule replaced;
+        a rejection names the first other gate's token."""
+        usable = sorted(k for k in GATE_KINDS
+                        if n > 1 or GATE_KINDS[k].n_qubits == 1)
+        assume(kinds & set(usable))
+        table = GateTable(n, sorted(kinds & set(usable)), p_phase=p_phase)
+        gates = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            kind = GATE_KINDS[data.draw(st.sampled_from(usable))]
+            qubits = data.draw(st.permutations(range(n)))[:kind.n_qubits]
+            angle = None
+            if kind.name == "Ry":       # free, or fixed on and off the grid
+                angle = data.draw(st.sampled_from([None, 0.0, math.pi / 4,
+                                                   1.0]))
+            elif kind.name == "P":      # the table's phase, or another
+                angle = data.draw(st.sampled_from([
+                    p_phase, sim.P_PHASE, 0.0, -0.0, math.pi / 4, 1.0]))
+            gates.append(GateInstance(kind, tuple(qubits), angle))
+        circuit = QuantumCircuit(n, tuple(gates))
+
+        def passes_the_two_checks(gate):
+            if gate.kind.n_slots and not gate.free:     # a fixed-angle Ry
+                return False
+            if gate.kind.name == "P" and gate.angle != table.p_phase:
+                return False
+            return (gate.kind, gate.qubits) in table.placements
+
+        rejected = [i for i, gate in enumerate(gates)
+                    if not passes_the_two_checks(gate)]
+        if not rejected:
+            gene = circuit_to_gene(circuit, table, 5)
+            assert gene_to_circuit(gene, table) == circuit
+            return
+        token = circuit_to_string(circuit).split()[rejected[0]]
+        with pytest.raises(ConfigError, match=f"^cannot encode "
+                           f"{re.escape(token)} as a genome symbol$"):
+            circuit_to_gene(circuit, table, 5)
+
 
 class TestCanonicalize:
     def test_z_pair_cancels(self):
@@ -797,9 +847,9 @@ class TestCanonicalize:
             n = rng.randint(1, 4)
             circuit = rand_circuit(n, rng)
             s = rand_state(n, rng)
-            out_a = apply_circuit(s, circuit)
-            out_b = apply_circuit(s, canonicalize(circuit))
-            fidelity = abs(np.vdot(out_a.amplitudes, out_b.amplitudes)) ** 2
+            out_a = apply_circuit_array(s.amplitudes, n, circuit)
+            out_b = apply_circuit_array(s.amplitudes, n, canonicalize(circuit))
+            fidelity = abs(np.vdot(out_a, out_b)) ** 2
             assert fidelity >= 1.0 - 1e-10
 
 
