@@ -54,7 +54,6 @@ from gepcirc.oracle import (
     exhaustive_ising_ground,
 )
 from gepcirc.sim import (
-    GATE_KINDS,
     MAX_QUBITS,
     P_PHASE,
     GateInstance,
@@ -154,13 +153,7 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_gates(text: str) -> tuple[str, ...]:
     gates = tuple(g.strip() for g in text.split(","))
-    for g in gates:
-        if g not in GATE_KINDS:
-            raise ValueError(
-                f"unknown gate {g!r} (choose from {', '.join(sorted(GATE_KINDS))})"
-            )
-    if len(set(gates)) != len(gates):
-        raise ValueError("duplicate gate kind")
+    sim.gate_kinds(gates)
     return gates
 
 

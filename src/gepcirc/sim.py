@@ -60,7 +60,7 @@ _GATHER_CHUNK = 1 << 16     # indices per np.take of a CNOT run's table
 
 __all__ = [
     "MAX_QUBITS", "P_PHASE",
-    "GateKind", "GATE_KINDS", "GateInstance", "QuantumCircuit",
+    "GateKind", "GATE_KINDS", "gate_kinds", "GateInstance", "QuantumCircuit",
     "StateVector", "check_basis_index", "basis_state", "gate_matrix",
     "apply_circuit_array",
     "GateTable", "gene_to_circuit", "circuit_to_gene",
@@ -86,6 +86,24 @@ GATE_KINDS: dict[str, GateKind] = {
     "Ry": GateKind("Ry", 1, 1),
     "CNOT": GateKind("CNOT", 2, 0),
 }
+
+
+def gate_kinds(names: Sequence[str]) -> tuple[GateKind, ...]:
+    """The named kinds; ConfigError for an unknown or repeated name."""
+    for name in names:
+        if name not in GATE_KINDS:
+            raise ConfigError(f"unknown gate {name!r} "
+                              f"(choose from {', '.join(sorted(GATE_KINDS))})")
+    if len(set(names)) != len(names):
+        raise ConfigError("duplicate gate kind")
+    return tuple(GATE_KINDS[name] for name in names)
+
+
+def _token(kind: GateKind, qubits: tuple[int, ...]) -> str:
+    """A gate placement's name, without an angle: "H3", "Ry0", "CNOT0,1";
+    genome symbols and circuit tokens are both named by it."""
+    return f"{kind.name}{qubits[0]}" + (f",{qubits[1]}" if len(qubits) > 1 else "")
+
 
 # self-inverse kinds cancel as adjacent identical pairs (P does not: P^2 = Z)
 _SELF_INVERSE = {"H", "X", "Y", "Z", "CNOT"}
@@ -330,8 +348,8 @@ def _check_params(circuit: QuantumCircuit, params: Sequence[float]) -> None:
 
 def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
                         params: Sequence[float] = ()) -> np.ndarray:
-    """Hot-path variant working on raw amplitude arrays shaped
-    (..., 2^n_bits): every state along the leading axes goes through.
+    """Apply a circuit to raw amplitude arrays shaped (..., 2^n_bits):
+    every state along the leading axes goes through.
 
     Runs the circuit's compiled ops: one kernel per 1-qubit gate and one
     gather per run of CNOTs."""
@@ -367,17 +385,14 @@ class GateTable:
     two-qubit kind. The single terminal is the input state psi0.
     """
 
-    def __init__(self, n_bits: int, kinds: Sequence[GateKind | str],
+    def __init__(self, n_bits: int, kinds: Sequence[str],
                  p_phase: float = P_PHASE):
         if not 1 <= n_bits <= MAX_QUBITS:
             raise ConfigError(f"n_bits must be in 1..{MAX_QUBITS}")
         self.n_bits = n_bits
         self.p_phase = float(p_phase)
-        self.kinds = tuple(
-            GATE_KINDS[k] if isinstance(k, str) else k for k in kinds
-        )
         placements: list[tuple[GateKind, tuple[int, ...]]] = []
-        for kind in self.kinds:
+        for kind in gate_kinds(kinds):
             if kind.n_qubits == 1:
                 placements += [(kind, (q,)) for q in range(n_bits)]
             else:
@@ -387,26 +402,13 @@ class GateTable:
                 ]
         self.placements = tuple(placements)
         self.terminal = len(placements)
-        # symbol names match circuit tokens: "H3", "Ry0", "CNOT0,1"
-        names = {
-            s: f"{kind.name}{qubits[0]}" + (f",{qubits[1]}" if len(qubits) > 1 else "")
-            for s, (kind, qubits) in enumerate(placements)
-        }
+        names = {s: _token(*placement) for s, placement in enumerate(placements)}
         names[self.terminal] = "psi0"
         self.pset = PrimitiveSet(
             [(s, 1) for s in range(len(placements))], [self.terminal], names
         )
         self._index = {pl: s for s, pl in enumerate(placements)}
         self._instances: dict[int, GateInstance] = {}
-
-    def symbol_for(self, kind: GateKind | str, qubits: Sequence[int]) -> int:
-        kind = GATE_KINDS[kind] if isinstance(kind, str) else kind
-        try:
-            return self._index[(kind, tuple(qubits))]
-        except KeyError:
-            raise ConfigError(
-                f"no symbol for {kind.name} on {tuple(qubits)}"
-            ) from None
 
     def instance(self, symbol: int) -> GateInstance:
         """The symbol's gate: Ry free, P at ``p_phase``; built on first use
@@ -438,17 +440,19 @@ def circuit_to_gene(circuit: QuantumCircuit, table: GateTable,
     A gate is a symbol when the table has its placement and its angle is
     that symbol's gate's: none for a free Ry or a fixed kind, the table's
     phase for P. So circuits from gene_to_circuit round-trip, and a fixed
-    Ry angle does not; the error names the first other gate's token.
+    Ry angle does not; the error names the first other gate and any angle.
     """
     if len(circuit.gates) > head_len:
         raise ConfigError(
             f"{len(circuit.gates)} gates do not fit a head of {head_len}"
         )
     symbols: list[int] = []
-    for index, gate in enumerate(circuit.gates):
+    for gate in circuit.gates:
         symbol = table._index.get((gate.kind, gate.qubits))
         if symbol is None or gate.angle != table.instance(symbol).angle:
-            token = circuit_to_string(circuit).split()[index]
+            token = _token(gate.kind, gate.qubits)
+            if gate.angle is not None:
+                token += f":{format_angle(gate.angle)}"
             raise ConfigError(f"cannot encode {token} as a genome symbol")
         symbols.append(symbol)
     symbols.reverse()
@@ -553,7 +557,7 @@ def format_angle(angle: float) -> str:
     return repr(a)
 
 
-def parse_angle(text: str) -> float | int | None:
+def parse_angle(text: str) -> float | int:
     """Angle text -> radians, or the index k of a free angle `phi<k>`."""
     if text.startswith("phi"):
         try:
@@ -577,7 +581,7 @@ def parse_angle(text: str) -> float | int | None:
 
 
 def _format_gate(gate: GateInstance, n_free_before: int) -> str:
-    token = gate.kind.name + ",".join(str(q) for q in gate.qubits)
+    token = _token(gate.kind, gate.qubits)
     if gate.free:
         return f"{token}:phi{n_free_before}"
     if gate.kind.name == "Ry":

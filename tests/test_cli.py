@@ -20,6 +20,7 @@ from gepcirc.cli import (
     EXIT_OK,
     _KEYS,
     _REQUIRED,
+    _builtin_hamiltonian,
     _graph_oracle,
     decode_gene_string,
     load_training_pairs,
@@ -30,7 +31,11 @@ from gepcirc.cli import (
 )
 from gepcirc.engine import ConfigError
 from gepcirc.hamiltonians import Graph, ising_from_graph, maxcut_rows, xx_chain
-from gepcirc.oracle import brute_force_maxcut, exact_ground_energy
+from gepcirc.oracle import (
+    brute_force_maxcut,
+    dense_matrix,
+    exact_ground_energy,
+)
 from gepcirc.sim import (
     apply_circuit_array,
     circuit_to_string,
@@ -382,6 +387,44 @@ InitialState = 1000
             == [[r[0]] + r[2:] for r in expected]
         for weight, row in zip(weights, expected):
             assert abs(weight - float(row[1])) <= 1e-12
+
+    def test_non_default_p_phase(self, tmp_path):
+        # every P gate of a table at PPhase = pi/4 prints its phase, and
+        # every best circuit re-simulates to its printed fitness
+        text = """\
+RunType = GroundState
+NumBits = 4
+Gates = Ry,P,CNOT
+HeadSize = 6
+Population = 20
+Generations = 4
+Seed = 7
+Hamiltonian = heisenberg2d:2,2
+Canonicalize = 1
+PPhase = 0.7853981633974483
+"""
+        artifacts = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            run(parse_input(write(tmp_path / name / "in.txt", text)))
+            artifacts.append({f: (tmp_path / name / f).read_bytes()
+                              for f in ("trace.csv", "best.circ")})
+        assert artifacts[0] == artifacts[1]
+        h = _builtin_hamiltonian("heisenberg2d:2,2")
+        matrix = dense_matrix(h)
+        tolerance = 1e-12 * (1 + sum(abs(t.coefficient) for t in h.terms))
+        initial = np.zeros(16, dtype=complex)
+        initial[0] = 1.0
+        tokens = []
+        for line in artifacts[0]["best.circ"].decode().splitlines():
+            fit, _, circ = line.partition("\t")
+            tokens += circ.split()
+            final = apply_circuit_array(initial, 4, parse_circuit(circ, 4))
+            energy = np.vdot(final, matrix @ final).real
+            assert abs(-energy - float(fit)) <= tolerance
+        p_tokens = [t for t in tokens if t.startswith("P")]
+        assert p_tokens
+        assert all(re.fullmatch(r"P\d:pi/4", t) for t in p_tokens)
 
     def test_single_generation_single_row(self, tmp_path):
         edge_graph(tmp_path)

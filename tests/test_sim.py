@@ -659,10 +659,35 @@ class TestGateTable:
 
     def test_symbol_lookup(self):
         table = GateTable(3, ["H", "CNOT"])
-        sym = table.symbol_for("CNOT", (2, 0))
+        sym = table.placements.index((GATE_KINDS["CNOT"], (2, 0)))
         assert table.placements[sym] == (GATE_KINDS["CNOT"], (2, 0))
-        with pytest.raises(ConfigError):
-            table.symbol_for("CNOT", (0, 0))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError) as err:
+            GateTable(2, ["Q"])
+        assert str(err.value) \
+            == "unknown gate 'Q' (choose from CNOT, H, P, Ry, X, Y, Z)"
+
+    def test_duplicate_kind(self):
+        with pytest.raises(ConfigError) as err:
+            GateTable(2, ["Ry", "Ry"])
+        assert str(err.value) == "duplicate gate kind"
+
+    @settings(deadline=None, max_examples=200)
+    @given(n=st.integers(1, 5),
+           p_phase=st.sampled_from([sim.P_PHASE, 0.0, math.pi / 4]),
+           kinds=st.sets(st.sampled_from(sorted(GATE_KINDS)), min_size=1))
+    def test_every_symbol_is_named_by_its_token(self, n, p_phase, kinds):
+        """Each symbol's name is the token of its one-gate circuit without
+        the angle, and that circuit encodes back to the symbol."""
+        table = GateTable(n, sorted(kinds), p_phase=p_phase)
+        for symbol in range(table.terminal):
+            circuit = QuantumCircuit(n, (table.instance(symbol),))
+            token = circuit_to_string(circuit)
+            assert table.pset.names[symbol] == token.split(":")[0]
+            gene = circuit_to_gene(circuit, table, 1)
+            assert gene.symbols[0] == symbol
+            assert gene_to_circuit(gene, table) == circuit
 
 
 class TestGeneBridge:
@@ -670,7 +695,8 @@ class TestGeneBridge:
         return GateTable(4, ["H", "Ry", "CNOT"])
 
     def gene_of(self, table, tokens, head=8):
-        symbols = [table.symbol_for(*tok) for tok in tokens]
+        symbols = [table.placements.index((GATE_KINDS[kind], qubits))
+                   for kind, qubits in tokens]
         symbols += [table.terminal] * (head + 1 - len(symbols))
         from gepcirc.engine import make_gene
         return make_gene(symbols, head, table.pset)
@@ -691,8 +717,10 @@ class TestGeneBridge:
 
     def test_noncoding_symbols_ignored(self):
         table = self.table()
-        symbols = [table.symbol_for("H", (0,)), table.symbol_for("H", (1,)),
-                   table.terminal, table.symbol_for("H", (2,))]
+        h = GATE_KINDS["H"]
+        symbols = [table.placements.index((h, (0,))),
+                   table.placements.index((h, (1,))), table.terminal,
+                   table.placements.index((h, (2,)))]
         symbols += [table.terminal] * 5
         from gepcirc.engine import make_gene
         gene = make_gene(symbols, 8, table.pset)
@@ -725,6 +753,15 @@ class TestGeneBridge:
             again = gene_to_circuit(back, table)
             assert again == circuit
 
+    def test_rejected_p_gate_shows_its_phase(self):
+        # P at pi/2 prints as "P0" in a circuit string, the name of the
+        # table's own symbol for P at 0.5
+        table = GateTable(1, ["P"], p_phase=0.5)
+        circuit = QuantumCircuit(1, (GateInstance(GATE_KINDS["P"], (0,)),))
+        with pytest.raises(ConfigError) as err:
+            circuit_to_gene(circuit, table, 2)
+        assert str(err.value) == "cannot encode P0:pi/2 as a genome symbol"
+
     def test_circuit_to_gene_rejects_bound_ry(self):
         table = self.table()
         bound = QuantumCircuit(4, (GateInstance(GATE_KINDS["Ry"], (0,),
@@ -740,7 +777,8 @@ class TestGeneBridge:
             self, data, n, p_phase, kinds):
         """A gate is a symbol exactly when the table has its placement and
         it passes the two per-kind checks that the one angle rule replaced;
-        a rejection names the first other gate's token."""
+        a rejection names the first other gate by its placement and, when
+        it has one, its angle."""
         usable = sorted(k for k in GATE_KINDS
                         if n > 1 or GATE_KINDS[k].n_qubits == 1)
         assume(kinds & set(usable))
@@ -772,7 +810,10 @@ class TestGeneBridge:
             gene = circuit_to_gene(circuit, table, 5)
             assert gene_to_circuit(gene, table) == circuit
             return
-        token = circuit_to_string(circuit).split()[rejected[0]]
+        gate = gates[rejected[0]]
+        token = gate.kind.name + ",".join(map(str, gate.qubits))
+        if gate.angle is not None:
+            token += f":{format_angle(gate.angle)}"
         with pytest.raises(ConfigError, match=f"^cannot encode "
                            f"{re.escape(token)} as a genome symbol$"):
             circuit_to_gene(circuit, table, 5)
