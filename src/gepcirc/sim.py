@@ -27,7 +27,8 @@ indices above 16 bits). A gather does no arithmetic, so it gives the
 values of the original 4x4 permutation products exactly (those products
 could only change the sign of an exact zero), and a run's gather equals
 its CNOTs gathered one at a time bit for bit.
-Matrices are cached read-only; gate_matrix hands out copies.
+The kernels' matrices are read-only: the fixed kinds' are built once, and
+Ry and P matrices are cached by angle.
 
 A circuit is compiled into these kernel ops once, on first application
 (``QuantumCircuit.ops``), and keeps its tables as long as it lives. The
@@ -61,7 +62,7 @@ _GATHER_CHUNK = 1 << 16     # indices per np.take of a CNOT run's table
 __all__ = [
     "MAX_QUBITS", "P_PHASE",
     "GateKind", "GATE_KINDS", "gate_kinds", "GateInstance", "QuantumCircuit",
-    "StateVector", "check_basis_index", "basis_state", "gate_matrix",
+    "StateVector", "check_basis_index", "basis_state",
     "apply_circuit_array",
     "GateTable", "gene_to_circuit", "circuit_to_gene",
     "bind_params", "canonicalize",
@@ -115,15 +116,13 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-# read-only: the kernels use them as they are, gate_matrix hands out copies
+# read-only: the kernels use them as they are
 _FIXED_MATRICES = {
     name: _frozen(np.array(rows, dtype=complex)) for name, rows in {
         "H": [[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
         "X": [[0, 1], [1, 0]],
         "Y": [[0, -1j], [1j, 0]],
         "Z": [[1, 0], [0, -1]],
-        # first qubit of the pair is the control
-        "CNOT": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
     }.items()
 }
 
@@ -242,30 +241,16 @@ def basis_state(n_bits: int, index: int) -> StateVector:
     return StateVector(n_bits, amps)
 
 
-def gate_matrix(kind: GateKind | str, angle: float | None = None) -> np.ndarray:
-    """Unitary matrix of a gate kind; angle required for Ry, optional for P."""
-    name = kind.name if isinstance(kind, GateKind) else kind
-    if name == "Ry":
-        if angle is None:
-            raise ConfigError("Ry requires an angle")
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if name == "P":
-        lam = P_PHASE if angle is None else angle
-        return np.array([[1.0, 0.0], [0.0, complex(math.cos(lam), math.sin(lam))]])
-    if angle is not None:
-        raise ConfigError(f"{name} takes no angle")
-    try:
-        return _FIXED_MATRICES[name].copy()
-    except KeyError:
-        raise ConfigError(f"unknown gate kind {name!r}") from None
-
-
 @functools.lru_cache(maxsize=1024)
 def _angle_matrix(name: str, angle: float, sign: float) -> np.ndarray:
+    """Ry(angle) or P(angle), read-only."""
     # `sign` is part of the key because 0.0 == -0.0 while their matrices
     # differ in the sign of a zero entry
-    return _frozen(gate_matrix(name, angle))
+    if name == "Ry":
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        return _frozen(np.array([[c, -s], [s, c]], dtype=complex))
+    return _frozen(np.array(
+        [[1.0, 0.0], [0.0, complex(math.cos(angle), math.sin(angle))]]))
 
 
 def _kernel_matrix(name: str, angle: float | None) -> np.ndarray:
@@ -549,7 +534,8 @@ def format_angle(angle: float) -> str:
         a += TWO_TURNS
     k = round(a / (math.pi / 4.0))
     if abs(a - k * (math.pi / 4.0)) <= _ANGLE_SNAP:
-        frac = Fraction(int(k), 4)
+        # k = 16 (just below 4*pi, or a tiny negative angle) is a full turn
+        frac = Fraction(int(k) % 16, 4)
         if frac == 0:
             return "0"
         num = "pi" if frac.numerator == 1 else f"{frac.numerator}pi"

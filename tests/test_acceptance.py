@@ -43,6 +43,7 @@ from gepcirc.sim import (
     parse_circuit,
 )
 
+from reference import dense_gate
 from writers import save_graph
 
 # best_fitness columns of every trace.csv produced here, checked by criterion 8
@@ -190,35 +191,6 @@ def random_amplitudes(rng, n):
     return amps / np.linalg.norm(amps)
 
 
-def _embed(mat, q, n):
-    return np.kron(np.eye(2 ** (n - 1 - q)), np.kron(mat, np.eye(2 ** q)))
-
-
-def _dense_gate(gate, n):
-    name = gate.kind.name
-    if name == "CNOT":
-        ctrl, tgt = gate.qubits
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p1 = np.diag([0.0, 1.0]).astype(complex)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        return _embed(p0, ctrl, n) + _embed(p1, ctrl, n) @ _embed(x, tgt, n)
-    if name == "H":
-        mat = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    elif name == "X":
-        mat = np.array([[0, 1], [1, 0]], dtype=complex)
-    elif name == "Y":
-        mat = np.array([[0, -1j], [1j, 0]])
-    elif name == "Z":
-        mat = np.diag([1.0, -1.0]).astype(complex)
-    elif name == "P":
-        mat = np.diag([1.0, np.exp(1j * gate.angle)])
-    else:
-        half = gate.angle / 2.0
-        mat = np.array([[math.cos(half), -math.sin(half)],
-                        [math.sin(half), math.cos(half)]], dtype=complex)
-    return _embed(mat, gate.qubits[0], n)
-
-
 def test_criterion_05_unitarity_and_dense(capsys):
     rng = random.Random(55)
     worst_norm = 0.0
@@ -233,7 +205,7 @@ def test_criterion_05_unitarity_and_dense(capsys):
         if n <= 4:
             dense = amps.copy()
             for gate in circuit.gates:
-                dense = _dense_gate(gate, n) @ dense
+                dense = dense_gate(gate, n) @ dense
             worst_dense = max(worst_dense, np.abs(out - dense).max())
             dense_checked += 1
     ok = worst_norm < 1e-10 and worst_dense < 1e-12 and dense_checked > 0

@@ -45,7 +45,8 @@ from gepcirc.sim import (
     parse_circuit,
 )
 
-from test_sim import dense_unitary, gene_circuits
+from reference import dense_unitary
+from test_sim import gene_circuits
 
 Z0 = PauliSumHamiltonian(1, [PauliTerm.from_map(1.0, {0: "Z"})])
 EDGE = ising_from_graph(Graph(2, ((0, 1),)))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gepcirc
 import gepcirc.fitness as fitness_mod
@@ -34,13 +34,14 @@ from gepcirc.sim import (
     circuit_to_gene,
     circuit_to_string,
     format_angle,
-    gate_matrix,
+    gate_kinds,
     gene_to_circuit,
     parse_angle,
     parse_basis_label,
     parse_circuit,
 )
 
+from reference import dense_gate, dense_unitary, one_qubit_matrix
 from writers import save_graph
 
 
@@ -120,31 +121,49 @@ class TestBasisState:
 
 
 class TestGateMatrices:
+    """The kernels' matrices and the dense reference's, side by side."""
+
+    def matrices(self, name, angle=None):
+        return (sim._kernel_matrix(name, angle), one_qubit_matrix(name, angle))
+
     def test_ry_zero_is_identity(self):
-        assert np.allclose(gate_matrix("Ry", 0.0), np.eye(2))
+        for m in self.matrices("Ry", 0.0):
+            assert np.allclose(m, np.eye(2))
 
     def test_ry_pi_flips(self):
-        out = gate_matrix("Ry", math.pi) @ np.array([1.0, 0.0])
-        assert abs(out[0]) < 1e-12 and abs(out[1] - 1.0) < 1e-12
+        for m in self.matrices("Ry", math.pi):
+            out = m @ np.array([1.0, 0.0])
+            assert abs(out[0]) < 1e-12 and abs(out[1] - 1.0) < 1e-12
 
     def test_p_squared_is_z(self):
-        p = gate_matrix("P")
-        assert np.allclose(p @ p, gate_matrix("Z"), atol=1e-15)
+        for p, z in zip(self.matrices("P", sim.P_PHASE), self.matrices("Z")):
+            assert np.allclose(p @ p, z, atol=1e-15)
 
     def test_all_unitary(self):
         rng = random.Random(11)
-        for name in GATE_KINDS:
-            angle = rng.uniform(0, 4 * math.pi) if name == "Ry" else None
-            m = gate_matrix(name, angle)
-            assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12)
+        for name, kind in GATE_KINDS.items():
+            if kind.n_qubits == 2:
+                cnot = GateInstance(kind, (0, 1))
+                mats = (CNOT_4X4, dense_gate(cnot, 2))
+            else:
+                angle = (rng.uniform(0, 4 * math.pi) if name == "Ry"
+                         else sim.P_PHASE if name == "P" else None)
+                mats = self.matrices(name, angle)
+            for m in mats:
+                assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]),
+                                   atol=1e-12)
 
     def test_angle_argument_policing(self):
-        with pytest.raises(ConfigError):
-            gate_matrix("Ry")
-        with pytest.raises(ConfigError):
-            gate_matrix("H", 1.0)
-        with pytest.raises(ConfigError):
-            gate_matrix("Q")
+        with pytest.raises(ConfigError) as err:
+            GateInstance(GATE_KINDS["H"], (0,), 1.0)
+        assert str(err.value) == "H takes no angle"
+        with pytest.raises(ConfigError) as err:
+            parse_circuit("Ry0", 1)
+        assert str(err.value) == "token 0 ('Ry0'): Ry needs an angle"
+        with pytest.raises(ConfigError) as err:
+            gate_kinds(["Q"])
+        assert str(err.value) \
+            == "unknown gate 'Q' (choose from CNOT, H, P, Ry, X, Y, Z)"
 
 
 class TestApplyGate:
@@ -282,40 +301,22 @@ def moveaxis_2q(amps, n_bits, mat, qa, qb):
     return np.moveaxis(t, (0, 1), axes).reshape(-1)
 
 
+# CNOT on the (control, target) axes that moveaxis_2q brings to the front
+CNOT_4X4 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                    dtype=complex)
+
+
 def reference_instance(amps, gate, angle):
-    """The moveaxis kernel run on each state along the leading axes."""
+    """The moveaxis kernel run on each state along the leading axes, with
+    the simulator's own 1-qubit matrices, so that bit-for-bit checks
+    isolate the kernels' indexing."""
     n_bits = amps.shape[-1].bit_length() - 1
-    mat = gate_matrix(gate.kind, angle)
-    outs = [moveaxis_1q(row, n_bits, mat, gate.qubits[0])
+    outs = [moveaxis_1q(row, n_bits, sim._kernel_matrix(gate.kind.name, angle),
+                        gate.qubits[0])
             if gate.kind.n_qubits == 1
-            else moveaxis_2q(row, n_bits, mat, *gate.qubits)
+            else moveaxis_2q(row, n_bits, CNOT_4X4, *gate.qubits)
             for row in amps.reshape(-1, amps.shape[-1])]
     return np.stack(outs).reshape(amps.shape)
-
-
-def kron_all(factors_high_first):
-    out = np.ones((1, 1))
-    for f in factors_high_first:
-        out = np.kron(out, f)
-    return out
-
-
-def dense_1q(n_bits, mat, q):
-    """I (x) .. (x) mat (x) .. (x) I with qubit n-1 as the leftmost factor."""
-    return kron_all([np.eye(1 << (n_bits - 1 - q)), mat, np.eye(1 << q)])
-
-
-def dense_cnot(n_bits, control, target):
-    """|0><0|_c (x) I + |1><1|_c (x) X_t as full Kronecker products."""
-    hi, lo = max(control, target), min(control, target)
-
-    def term(ops):
-        return kron_all([np.eye(1 << (n_bits - 1 - hi)), ops.get(hi, np.eye(2)),
-                         np.eye(1 << (hi - lo - 1)), ops.get(lo, np.eye(2)),
-                         np.eye(1 << lo)])
-    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return term({control: p0}) + term({control: p1, target: x})
 
 
 @st.composite
@@ -392,7 +393,7 @@ class TestKernels:
                 for amps, out in zip(rows, outs):
                     ref = reference_instance(amps, gate, gate.angle)
                     assert same_bits(out, ref), (name, q)
-                dense = dense_1q(n, gate_matrix(kind, angle), q)
+                dense = dense_gate(gate, n)
                 assert np.allclose(outs, (dense @ rows.T).T,
                                    rtol=0, atol=1e-12)
 
@@ -414,7 +415,7 @@ class TestKernels:
                     parts, ref_parts = out.view(np.float64), ref.view(np.float64)
                     nonzero = ref_parts != 0
                     assert same_bits(parts[nonzero], ref_parts[nonzero])
-                dense = dense_cnot(n, control, target)
+                dense = dense_gate(gate, n)
                 assert np.allclose(outs, (dense @ rows.T).T,
                                    rtol=0, atol=1e-12)
 
@@ -444,8 +445,14 @@ class TestKernels:
         for token in ("Ry2:0.7", "CNOT3,1", "H0", "P3"):
             gate_by_gate(amps, parse_circuit(token, 4).gates, ())
         assert same_bits(amps, before)
-        gate_matrix("H")[0, 0] = 5.0     # callers get copies
-        assert same_bits(gate_matrix("H"), sim._FIXED_MATRICES["H"])
+        assert sorted(sim._FIXED_MATRICES) == ["H", "X", "Y", "Z"]
+        mats = list(sim._FIXED_MATRICES.values()) + [
+            sim._angle_matrix(name, angle, math.copysign(1.0, angle))
+            for name in ("Ry", "P") for angle in (0.7, -0.0, sim.P_PHASE)]
+        for mat in mats:
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError):
+                mat[0, 0] = 5.0
         out = apply_circuit_array(basis_state(1, 0).amplitudes, 1,
                                   parse_circuit("H0", 1))
         assert abs(out[0] - 1 / math.sqrt(2)) < 1e-15
@@ -914,18 +921,6 @@ def gene_circuits(draw, max_bits=4):
     return gene, table, circuit
 
 
-def dense_unitary(circuit):
-    """Product of the gates' Kronecker matrices, the first gate rightmost."""
-    n = circuit.n_bits
-    u = np.eye(1 << n, dtype=complex)
-    for g in circuit.gates:
-        if g.kind.n_qubits == 2:
-            u = dense_cnot(n, *g.qubits) @ u
-        else:
-            u = dense_1q(n, gate_matrix(g.kind, g.angle), g.qubits[0]) @ u
-    return u
-
-
 def tree_path_circuit(gene, table):
     """The circuit read from the decoded expression tree, gate by gate."""
     # the tree's nodes are in breadth-first order
@@ -994,6 +989,22 @@ class TestStringGrammar:
         assert format_angle(6 * (math.pi / 4)) == "3pi/2"
         assert format_angle(4 * math.pi) == "0"     # normalized mod 4*pi
         assert format_angle(1.234) == repr(1.234)
+
+    @pytest.mark.parametrize("angle", [-1e-17, math.atan2(-1e-18, 1.0),
+                                       4 * math.pi - 1e-12])
+    def test_full_turn_from_below_formats_as_zero(self, angle):
+        # each reduces to within the snap of 4*pi, a full turn, so 0
+        assert format_angle(angle) == "0"
+
+    @settings(max_examples=500)
+    @given(angle=st.floats(-20.0, 20.0))
+    @example(angle=0.0)
+    @example(angle=-0.0)
+    def test_formatted_angle_parses_back(self, angle):
+        """The text reads back as the angle mod 4*pi, up to the snap to a
+        multiple of pi/4 (and the rounding of the reduction)."""
+        back = parse_angle(format_angle(angle))
+        assert abs(math.remainder(back - angle, 4 * math.pi)) <= 1e-9 + 1e-14
 
     def test_angle_parsing(self):
         assert parse_angle("3pi/2") == 3 * math.pi / 2
