@@ -36,7 +36,15 @@ during the visit, so the sweep keeps the state(s) entering that gate,
 built once with the committed angles. Between visits the kept state moves
 forward to the next slot's gate, or restarts from the input states when
 the cycle wraps: read-only one-hot arrays, built once per problem and
-held by it (``Problem.one_hots``).
+held by it (``Problem.one_hots``). The value returned at the end comes
+from the last visit's kept states too, through the gates from its slot's
+gate on: the kernel calls a whole-circuit run makes, in the same order.
+
+The one-hot inputs are float64 and -iY is a real matrix, so every state
+the sweep holds, kept states and stacked pairs alike, stays float64 at
+8 B per amplitude through Ry, H, X, Z and CNOT gates and becomes complex
+at the first P or Y (see ``sim``); either way the values are those of
+complex states.
 
 The sweep starts from all angles at pi/4 rather than 0: for product-state
 problems the all-zero point is a stationary saddle where no single-angle
@@ -47,7 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +113,7 @@ class Problem:
         its input. They live as long as the problem."""
         hots = []
         for index in self.inputs:
-            amps = np.zeros(1 << self.n_bits, dtype=complex)
+            amps = np.zeros(1 << self.n_bits)
             amps[index] = 1.0
             hots.append(_frozen(amps))
         return tuple(hots)
@@ -134,13 +142,14 @@ def ground_state_problem(table: GateTable, hamiltonian: PauliSumHamiltonian,
     return Problem(table, (initial,), hamiltonian=hamiltonian, refine=refine)
 
 
-def prefitness(circuit: QuantumCircuit, params: Sequence[float],
-               problem: Problem) -> float:
-    """P(phi): mean |A[out]|^2 over the pairs (FunctionFit) or -<H>
-    (GroundState), A the circuit's output; one pair at a time."""
+def _score(problem: Problem, states: Iterable[np.ndarray],
+           circuit: QuantumCircuit, params: Sequence[float]) -> float:
+    """The pre-fitness of ``circuit`` applied to ``states``, one per
+    problem input in order: mean |A[out]|^2 over the pairs (FunctionFit)
+    or -<H> (GroundState), A the output; one pair at a time."""
     n = problem.n_bits
     evolved = (apply_circuit_array(amps, n, circuit, params)
-               for amps in problem.one_hots)
+               for amps in states)
     if not problem.outputs:
         return -problem.hamiltonian.expectation_array(next(evolved))
     total = 0.0
@@ -149,8 +158,14 @@ def prefitness(circuit: QuantumCircuit, params: Sequence[float],
     return total / len(problem.outputs)
 
 
+def prefitness(circuit: QuantumCircuit, params: Sequence[float],
+               problem: Problem) -> float:
+    """P(phi): the circuit run from the problem's inputs and scored."""
+    return _score(problem, problem.one_hots, circuit, params)
+
+
 # -iY: Ry(t) = cos(t/2) * I + sin(t/2) * _MINUS_IY
-_MINUS_IY = _frozen(np.array([[0, -1], [1, 0]], dtype=complex))
+_MINUS_IY = _frozen(np.array([[0.0, -1.0], [1.0, 0.0]]))
 # values within this times 1 + |a| + |b| + |c| of each other tie: well
 # above the ~1e-15 relative rounding of the sinusoid, so rounding noise
 # decides no move
@@ -171,9 +186,11 @@ class _KeptStates:
 
     def __init__(self, circuit: QuantumCircuit, problem: Problem):
         self.problem = problem
+        self.circuit = circuit
         gates = circuit.gates
         # slot -> index of its gate
-        gate_of = [i for i, gate in enumerate(gates) if gate.free]
+        self.gate_of = gate_of = [i for i, gate in enumerate(gates)
+                                  if gate.free]
         self.qubits = [gates[i].qubits[0] for i in gate_of]
         # parts of the circuit: a CNOT run is tabled once for all of them
         self.steps = [circuit.part(start, stop) for start, stop
@@ -228,6 +245,14 @@ class _KeptStates:
         d = len(problem.outputs)
         return 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
 
+    def value(self, phi: Sequence[float]) -> float:
+        """The pre-fitness at ``phi``, as long as slots 0..k-1 keep their
+        angles: the kept states go through the gates from slot ``k``'s gate
+        on, the kernel calls a whole-circuit run makes from there."""
+        k = self.k
+        return _score(self.problem, self.states,
+                      self.circuit.part(self.gate_of[k]), phi[k:])
+
 
 def optimize_params(circuit: QuantumCircuit, problem: Problem
                     ) -> tuple[tuple[float, ...], float]:
@@ -253,9 +278,13 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
     current angle's value by more than the margin; this phase too ends
     K - 1 visits after its last change. Either way the sweep stops after
     ``_MAX_SWEEP_CYCLES * K`` visits at the latest. The value returned is
-    one direct pre-fitness evaluation at the final angles.
+    the pre-fitness at the final angles, simulated from the last visit's
+    kept states (``_KeptStates.value``); a circuit without slots runs
+    whole.
     """
     k_slots = circuit.n_params
+    if not k_slots:
+        return (), prefitness(circuit, (), problem)
     trig = [(math.cos(t), math.sin(t)) for t in DEFAULT_GRID]
     kept = _KeptStates(circuit, problem)
     phi = [_START_ANGLE] * k_slots
@@ -291,7 +320,7 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
             if exact or not problem.refine:
                 break
             exact, settled = True, 0
-    return tuple(phi), prefitness(circuit, phi, problem)
+    return tuple(phi), kept.value(phi)
 
 
 class CachingFitness:

@@ -17,6 +17,12 @@ Heisenberg lattice, none for an Ising Hamiltonian). A shift e0 and scale
 s are folded into the diagonal and the rows once, when the cache is
 built, so the cache holds H' = s*(H - e0) and the expectation and the
 sweep's pair elements are plain inner products with H' psi.
+
+States may come real (float64) or complex. A real state is made complex
+right before each inner product, because the real dot product sums in
+another order than the complex one: so a real state gives the bits of
+its complex cast. The cache is built before any such copy is made, and
+``pair_elements`` frees b's copy and H' b before it makes a's and H' a.
 """
 
 from __future__ import annotations
@@ -183,6 +189,14 @@ class PauliSumHamiltonian:
             h_amps = h_amps + (self._weights * amps[self._perms]).sum(axis=0)
         return h_amps
 
+    def _complex(self, amps: np.ndarray) -> np.ndarray:
+        """``amps`` as complex128 for an inner product, the cache built
+        first, so that no complex copy sits beside the build's
+        temporaries."""
+        if self._diag is None:
+            self._build_cache()
+        return amps.astype(complex, copy=False)
+
     def _real(self, value: complex) -> float:
         """The real part of <x|H'|x>. Its imaginary part is rounding,
         scaled by s like everything else in H'; more means corruption."""
@@ -196,6 +210,7 @@ class PauliSumHamiltonian:
             raise ConfigError(
                 f"expected {1 << self.n_bits} amplitudes, got {amps.shape}"
             )
+        amps = self._complex(amps)
         return self._real(np.vdot(amps, self._apply(amps)))
 
     def pair_elements(self, a: np.ndarray,
@@ -211,9 +226,16 @@ class PauliSumHamiltonian:
                 f"expected two arrays of {dim} amplitudes, "
                 f"got {a.shape} and {b.shape}"
             )
+        # two 2^n arrays live here at a time: b and H'b, a and H'b, then
+        # a and H'a
+        b = self._complex(b)
         h_b = self._apply(b)
-        return (self._real(np.vdot(a, self._apply(a))),
-                self._real(np.vdot(b, h_b)), float(np.vdot(a, h_b).real))
+        bb = self._real(np.vdot(b, h_b))
+        del b
+        a = self._complex(a)
+        ab = float(np.vdot(a, h_b).real)
+        del h_b
+        return self._real(np.vdot(a, self._apply(a))), bb, ab
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,19 @@ its CNOTs gathered one at a time bit for bit.
 The kernels' matrices are read-only: the fixed kinds' are built once, and
 Ry and P matrices are cached by angle.
 
+A state stays float64 for as long as every gate applied to it is real.
+The matrices of H, X, Z and Ry are float64 and those of Y and P complex,
+and numpy's type promotion in the kernels' products picks the real or
+the complex BLAS product, so a real state becomes complex128 at the first
+P or Y that acts on it; a gather keeps the dtype. On real amplitudes the
+real 2x2 @ 2xM products (M >= 2) give the values of the complex ones, so
+a real state costs 8 B per amplitude instead of 16 with no value changed
+(the kernel tests check both paths). A lone 1-qubit state is the
+exception: its 2x2 @ 2x1 product is a matrix-vector one, which the real
+and complex BLAS routines round differently, so states of one qubit are
+made complex at entry, like inputs of any dtype but float64 and
+complex128.
+
 A circuit is compiled into these kernel ops once, on first application
 (``QuantumCircuit.ops``), and keeps its tables as long as it lives. The
 parts of a circuit cut with ``QuantumCircuit.part`` share the tables of
@@ -116,13 +129,13 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-# read-only: the kernels use them as they are
+# read-only: the kernels use them as they are; float64 but for Y
 _FIXED_MATRICES = {
-    name: _frozen(np.array(rows, dtype=complex)) for name, rows in {
+    name: _frozen(np.array(rows)) for name, rows in {
         "H": [[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
-        "X": [[0, 1], [1, 0]],
-        "Y": [[0, -1j], [1j, 0]],
-        "Z": [[1, 0], [0, -1]],
+        "X": [[0.0, 1.0], [1.0, 0.0]],
+        "Y": [[0.0, -1j], [1j, 0.0]],
+        "Z": [[1.0, 0.0], [0.0, -1.0]],
     }.items()
 }
 
@@ -243,12 +256,12 @@ def basis_state(n_bits: int, index: int) -> StateVector:
 
 @functools.lru_cache(maxsize=1024)
 def _angle_matrix(name: str, angle: float, sign: float) -> np.ndarray:
-    """Ry(angle) or P(angle), read-only."""
+    """Ry(angle), float64, or P(angle), complex; read-only."""
     # `sign` is part of the key because 0.0 == -0.0 while their matrices
     # differ in the sign of a zero entry
     if name == "Ry":
         c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        return _frozen(np.array([[c, -s], [s, c]], dtype=complex))
+        return _frozen(np.array([[c, -s], [s, c]]))
     return _frozen(np.array(
         [[1.0, 0.0], [0.0, complex(math.cos(angle), math.sin(angle))]]))
 
@@ -311,16 +324,23 @@ def _gather(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
     """np.take(amps, table, axis=-1) for a CNOT run's table.
 
     np.take gathers through an intp copy of its int32 indices, 128 MB for
-    a whole 24-bit table, so tables longer than ``_GATHER_CHUNK`` go in
-    chunks of that many indices, each into its slice of one output array.
-    The values are the same either way."""
-    amps = amps.astype(complex, copy=False)
+    a whole 24-bit table, so tables longer than ``_GATHER_CHUNK`` (both
+    powers of two) go in chunks of that many indices. Each chunk is copied
+    into one intp buffer and gathered row by row into its contiguous slice
+    of the output, which np.take with mode="clip" fills in place (a table
+    is a permutation, so nothing is clipped). The values are the same
+    either way."""
     if len(table) <= _GATHER_CHUNK:
         return np.take(amps, table, axis=-1)
-    out = np.empty_like(amps)
+    out = np.empty(amps.shape, amps.dtype)
+    rows = amps.reshape(-1, len(table))
+    out_rows = out.reshape(rows.shape)
+    indices = np.empty(_GATHER_CHUNK, np.intp)
     for start in range(0, len(table), _GATHER_CHUNK):
         chunk = slice(start, start + _GATHER_CHUNK)
-        np.take(amps, table[chunk], axis=-1, out=out[..., chunk])
+        np.copyto(indices, table[chunk])
+        for row, out_row in zip(rows, out_rows):
+            np.take(row, indices, out=out_row[chunk], mode="clip")
     return out
 
 
@@ -337,7 +357,11 @@ def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
     every state along the leading axes goes through.
 
     Runs the circuit's compiled ops: one kernel per 1-qubit gate and one
-    gather per run of CNOTs."""
+    gather per run of CNOTs. The result is float64 when the input is
+    float64, every gate is real (Ry, H, X, Z, CNOT) and n_bits >= 2, and
+    complex128 otherwise: an input of any other dtype, or of one qubit,
+    is made complex128 once at entry, and the first P or Y makes a real
+    state complex (see the module docstring)."""
     if circuit.n_bits != n_bits:
         raise ConfigError(
             f"circuit is for {circuit.n_bits} bits, state has {n_bits}"
@@ -347,6 +371,8 @@ def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
             f"expected {1 << n_bits} amplitudes per state, got {amps.shape[-1]}"
         )
     _check_params(circuit, params)
+    if amps.dtype != np.float64 or n_bits == 1:
+        amps = amps.astype(complex, copy=False)
     free_angles = iter(params)
     for op in circuit.ops:
         if isinstance(op, GateInstance):    # every gate op is 1-qubit

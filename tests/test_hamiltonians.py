@@ -318,6 +318,28 @@ class TestPairElements:
             assert abs(ab - np.vdot(a, shifted @ b).real) < 1e-10
             assert abs(aa - h.expectation_array(a)) < 1e-10
 
+    @settings(deadline=None, max_examples=100)
+    @given(case=pauli_sums(), seed=st.integers(0, 2**32 - 1))
+    def test_real_states_give_their_complex_casts_bits(self, case, seed):
+        # the real dot product sums in another order than the complex one,
+        # so real states are made complex first: the same bits, for the
+        # sum and for its diagonal (Z-only) terms, whose H' psi is real
+        h, a, b = case
+        diagonal = PauliSumHamiltonian(
+            h.n_bits, [t for t in h.terms if all(p == "Z" for _, p in t.ops)],
+            h.shift, h.scale)
+        rng = np.random.default_rng(seed)
+        a, b = (np.ascontiguousarray(amps.real) for amps in (a, b))
+        for amps in (a, b):
+            mask = rng.random(amps.size) < 0.3
+            amps[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+        cast = [amps.astype(complex) for amps in (a, b)]
+        for hamiltonian in (h, diagonal):
+            assert (hamiltonian.expectation_array(a).hex()
+                    == hamiltonian.expectation_array(cast[0]).hex())
+            assert ([x.hex() for x in hamiltonian.pair_elements(a, b)]
+                    == [x.hex() for x in hamiltonian.pair_elements(*cast)])
+
     def test_gives_the_rotated_expectation(self):
         # b = -iY_q a: <x|H'|x> at x = cos(t/2) a + sin(t/2) b, shift and all
         rng = random.Random(25)

@@ -301,15 +301,17 @@ def moveaxis_2q(amps, n_bits, mat, qa, qb):
     return np.moveaxis(t, (0, 1), axes).reshape(-1)
 
 
-# CNOT on the (control, target) axes that moveaxis_2q brings to the front
+# CNOT on the (control, target) axes that moveaxis_2q brings to the front;
+# real, so a real state stays real and a complex one promotes it
 CNOT_4X4 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                    dtype=complex)
+                    dtype=float)
 
 
 def reference_instance(amps, gate, angle):
     """The moveaxis kernel run on each state along the leading axes, with
     the simulator's own 1-qubit matrices, so that bit-for-bit checks
-    isolate the kernels' indexing."""
+    isolate the kernels' indexing; real amplitudes stay real through real
+    gates, as in the simulator."""
     n_bits = amps.shape[-1].bit_length() - 1
     outs = [moveaxis_1q(row, n_bits, sim._kernel_matrix(gate.kind.name, angle),
                         gate.qubits[0])
@@ -374,6 +376,33 @@ def same_bits(a, b):
                                                  b.view(np.uint64))
 
 
+def same_values_nonzero_bits(out, ref):
+    """Equal values, and equal raw bits wherever a (real or imaginary)
+    part of ``ref`` is nonzero: a 4x4 permutation product adds +-0 terms,
+    so the sign of an exactly zero part is BLAS's."""
+    parts = np.ascontiguousarray(out).view(np.float64)
+    ref_parts = np.ascontiguousarray(ref).view(np.float64)
+    nonzero = ref_parts != 0
+    return (np.array_equal(out, ref)
+            and same_bits(parts[nonzero], ref_parts[nonzero]))
+
+
+def check_real_states(rows, gate, same=same_bits):
+    """Float64 states through one gate: float64 out for a real gate on two
+    qubits or more, complex otherwise; ``same`` as the moveaxis reference
+    run on that dtype, and the values of the complex path on the states'
+    complex casts."""
+    n = rows.shape[-1].bit_length() - 1
+    real = n > 1 and gate.kind.name not in ("P", "Y")
+    for amps in rows:
+        out = gate_by_gate(amps, [gate], ())
+        assert out.dtype == (np.float64 if real else complex)
+        assert same(out, reference_instance(amps.astype(out.dtype), gate,
+                                            gate.angle))
+        assert np.array_equal(out, gate_by_gate(amps.astype(complex),
+                                                [gate], ()))
+
+
 class TestKernels:
     """The fast kernels against the moveaxis reference and dense matrices."""
 
@@ -396,6 +425,7 @@ class TestKernels:
                 dense = dense_gate(gate, n)
                 assert np.allclose(outs, (dense @ rows.T).T,
                                    rtol=0, atol=1e-12)
+                check_real_states(np.ascontiguousarray(rows.real), gate)
 
     @settings(deadline=None, max_examples=10)
     @given(states=kernel_states())
@@ -409,15 +439,12 @@ class TestKernels:
                 outs = [gate_by_gate(amps, [gate], ()) for amps in rows]
                 for amps, out in zip(rows, outs):
                     ref = reference_instance(amps, gate, None)
-                    # the reference's 4x4 product adds +-0 terms, so the sign
-                    # of an exactly zero part is BLAS's; every value is equal
-                    assert np.array_equal(out, ref)
-                    parts, ref_parts = out.view(np.float64), ref.view(np.float64)
-                    nonzero = ref_parts != 0
-                    assert same_bits(parts[nonzero], ref_parts[nonzero])
+                    assert same_values_nonzero_bits(out, ref)
                 dense = dense_gate(gate, n)
                 assert np.allclose(outs, (dense @ rows.T).T,
                                    rtol=0, atol=1e-12)
+                check_real_states(np.ascontiguousarray(rows.real), gate,
+                                  same_values_nonzero_bits)
 
     @settings(deadline=None, max_examples=100)
     @given(n=st.integers(1, 10), batch=st.integers(1, 4),
@@ -438,6 +465,27 @@ class TestKernels:
         assert np.abs(batched - separate).max() <= 1e-13
         if n >= 2:
             assert same_bits(batched, separate)
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           lead=st.sampled_from([(), (2,)]))
+    def test_real_until_p_or_y(self, n, seed, lead):
+        """Float64 states stay float64 through Ry, H, X, Z and CNOT and are
+        complex from the first P or Y on; 1-qubit states, and inputs of
+        any other dtype than float64 and complex128, are complex from the
+        start."""
+        rng = random.Random(seed)
+        circuit = rand_circuit(n, rng, head=rng.randint(1, 12))
+        amps = np.random.default_rng(seed).normal(size=lead + (1 << n,))
+        complex_from = next((i + 1 for i, gate in enumerate(circuit.gates)
+                             if gate.kind.name in ("P", "Y")), None)
+        for stop in range(len(circuit) + 1):
+            out = apply_circuit_array(amps, n, circuit.part(0, stop))
+            real = n > 1 and (complex_from is None or stop < complex_from)
+            assert out.dtype == (np.float64 if real else complex), stop
+        for dtype in (np.int64, np.float32, np.complex64, complex):
+            out = apply_circuit_array(amps.astype(dtype), n, circuit)
+            assert out.dtype == complex
 
     def test_kernels_leave_input_and_matrices_alone(self):
         amps = rand_state(4, random.Random(3)).amplitudes
@@ -491,6 +539,8 @@ class TestKernels:
         for component in (amps.real, amps.imag):    # signed zeros too
             mask = rng.random(shape) < 0.3
             component[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+        if n > 1 and data.draw(st.booleans()):     # 1 qubit: complex at entry
+            amps = amps.real.copy()
         before = amps.copy()
         fused = apply_circuit_array(amps, n, circuit, params)
         assert same_bits(fused, gate_by_gate(amps, gates, params))
@@ -554,24 +604,25 @@ class TestKernels:
         assert same_bits(fused, gate_by_gate(amps, circuit.gates, ()))
 
     def test_chunked_gather_memory(self):
-        """Above one chunk, a gather allocates the output, the int32 table,
-        and per chunk at most the intp copy of its indices and the buffer
-        np.take writes the chunk through: not an intp copy of the whole
-        table (8 MB here)."""
+        """Above one chunk, a gather allocates the output and one chunk's
+        intp copy of its indices, gathered row by row straight into the
+        output: no intp copy of the whole table (8 MB here) and no buffer
+        for the output slice, on complex and on real states."""
         n = 20
         circuit = parse_circuit("CNOT0,19 CNOT19,7 CNOT7,0", n)
-        amps = np.ones((2, 1 << n), dtype=complex)
         circuit.ops     # the table is built before the trace starts
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = apply_circuit_array(amps, n, circuit)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        per_chunk = (1 << 16) * (np.dtype(np.intp).itemsize
-                                 + out.itemsize * len(out))
-        assert peak <= out.nbytes + per_chunk + 16384, (peak, out.nbytes)
+        for dtype in (complex, np.float64):
+            amps = np.ones((2, 1 << n), dtype=dtype)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = apply_circuit_array(amps, n, circuit)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert out.dtype == dtype
+            per_chunk = (1 << 16) * np.dtype(np.intp).itemsize
+            assert peak <= out.nbytes + per_chunk + 16384, (dtype, peak)
 
     def test_negative_zero_angle_keeps_its_matrix(self):
         gate = GateInstance(GATE_KINDS["Ry"], (0,))

@@ -128,9 +128,10 @@ def random_pauli_sum(n, rng):
 
 def random_ising(n, rng):
     """ZZ and Z terms only: the diagonal expectation path."""
-    terms = [PauliTerm.from_map(rng.uniform(-2.0, 2.0),
-                                {q: "Z" for q in rng.sample(range(n),
-                                                            rng.randint(1, 2))})
+    terms = [PauliTerm.from_map(
+                 rng.uniform(-2.0, 2.0),
+                 {q: "Z" for q in rng.sample(range(n),
+                                             rng.randint(1, min(2, n)))})
              for _ in range(rng.randint(1, 5))]
     return PauliSumHamiltonian(n, terms)
 
@@ -231,6 +232,38 @@ def test_refined_angles_are_per_slot_maxima(monkeypatch, n, head, seed, kind):
         margin = fitness_mod._TIE_MARGIN * scale
         assert abs(slope) <= math.sqrt(2 * margin * math.hypot(b, c)) \
             + 1e-9 * scale
+
+
+def complex_one_hots(problem):
+    """The problem's inputs as complex128 one-hot arrays."""
+    hots = []
+    for index in problem.inputs:
+        amps = np.zeros(1 << problem.n_bits, dtype=complex)
+        amps[index] = 1.0
+        hots.append(amps)
+    return tuple(hots)
+
+
+@settings(SLOW, max_examples=400)
+@given(n=st.integers(1, 8), head=st.integers(1, 10), seed=st.integers(0, 2**32),
+       kind=KINDS, refine=st.booleans(),
+       kinds=st.sampled_from([("Ry",), ("Ry", "CNOT"), ("Ry", "H", "X", "Z"),
+                              ("Ry", "P", "CNOT"), ("Ry", "Y", "CNOT")]))
+def test_real_inputs_give_the_complex_results(monkeypatch, n, head, seed,
+                                              kind, refine, kinds):
+    # the sweep's states are float64 until a P or Y gate; with complex
+    # one-hot inputs every state is complex from the start, and the
+    # angles and value must come out the same
+    table = GateTable(n, kinds)
+    circuit = gene_to_circuit(
+        random_gene(table.pset, head, random.Random(seed)), table)
+    real = optimize_params(circuit,
+                           make_problem(kind, circuit, table, seed, refine))
+    with monkeypatch.context() as m:
+        m.setattr(fitness_mod.Problem, "one_hots", property(complex_one_hots))
+        problem = make_problem(kind, circuit, table, seed, refine)
+        assert problem.one_hots[0].dtype == complex
+        assert optimize_params(circuit, problem) == real
 
 
 def framed_circuit(rng, n, k_slots):
@@ -342,10 +375,13 @@ def test_one_stacked_run_per_visit_and_early_stop(monkeypatch):
     last_change = max(v for v, (_, changed) in enumerate(history) if changed)
     assert len(history) == last_change + k_slots     # K - 1 visits after it
     assert len(history) > k_slots                    # something did change
-    # every visit: one stacked pair run; plus one direct evaluation
+    # every visit: one stacked pair run; then the last visit's kept state
+    # goes through the gates from its slot's gate on, once
     stacked = [gates for pair, gates in applies if pair]
     assert len(stacked) == len(sinusoids) == len(history)
-    assert applies[-1] == (False, len(circuit.gates))
+    last_slot = (len(history) - 1) % k_slots
+    slot_gates = [i for i, gate in enumerate(circuit.gates) if gate.free]
+    assert applies[-1] == (False, len(circuit.gates) - slot_gates[last_slot])
 
 
 def test_gate_applications_counted_exactly(monkeypatch):
@@ -366,13 +402,14 @@ def test_gate_applications_counted_exactly(monkeypatch):
     # the last change is at visit 12 (a sideways move), so the sweep stops
     # after visit 19: stacked runs of 7, 6, ..., 0 gates in visits 0-7 and
     # 8-15 and 7, 6, 5, 4 in visits 16-19; one-gate moves before visits
-    # 1-7, 9-15 and 17-19; then one 8-gate direct evaluation
+    # 1-7, 9-15 and 17-19; then the state kept for visit 19 (slot 3) goes
+    # through the 5 gates from slot 3's gate on
     assert max(v for v, (_, changed) in enumerate(history) if changed) == 12
     assert len(history) == 20
     assert (len(stacked), sum(stacked)) == (20, 28 + 28 + 22)
     assert (len(moves), sum(moves)) == (17, 17)
-    assert applies[-1] == (False, 8)
-    assert sum(gates for _, gates in applies) == 103
+    assert applies[-1] == (False, 5)
+    assert sum(gates for _, gates in applies) == 100
 
 
 def test_every_cnot_run_tabled_once(monkeypatch):
