@@ -61,12 +61,10 @@ from gepcirc.sim import (
     QuantumCircuit,
     StateVector,
     _gate_token,
-    bind_params,
     # unused here, but perfbench/tracing.py wraps these two by name
     canonicalize,
     circuit_to_gene,
     circuit_to_string,
-    gene_to_circuit,
     parse_basis_label,
 )
 
@@ -376,12 +374,12 @@ def _write_trace(path: Path, result: EvolutionResult,
 
 def _write_best(path: Path, result: EvolutionResult, cache: CachingFitness,
                 prep: _Prepared) -> None:
-    """Top circuits with their fitness, angles bound to the optimal values."""
+    """Top circuits with their fitness: each genome's canonical circuit,
+    angles bound to the optimal values."""
     lines = []
     seen = set()
     for gene, fit in zip(result.population, result.fitnesses):
-        circuit = gene_to_circuit(gene, prep.problem.table)
-        text = circuit_to_string(bind_params(circuit, cache.params_for(gene)))
+        text = circuit_to_string(cache.bound_circuit(gene))
         if text in seen:
             continue
         seen.add(text)
@@ -394,14 +392,13 @@ def _write_best(path: Path, result: EvolutionResult, cache: CachingFitness,
 
 def _write_maxcut(path: Path, spec: RunSpec, result: EvolutionResult,
                   cache: CachingFitness, prep: _Prepared) -> None:
-    """The best circuit's final state from the problem's input, as
-    maxcut.txt rows; StateVector checks that it kept unit norm. The kernel
-    is looked up on `sim` at call time, so a patched `sim` reaches it."""
-    gene = result.best_gene
+    """The best genome's bound canonical circuit's final state from the
+    problem's input, as maxcut.txt rows; StateVector checks that it kept
+    unit norm. The kernel is looked up on `sim` at call time, so a patched
+    `sim` reaches it."""
     n_bits = prep.problem.n_bits
     amps = sim.apply_circuit_array(prep.problem.one_hots[0], n_bits,
-                                   gene_to_circuit(gene, prep.problem.table),
-                                   cache.params_for(gene))
+                                   cache.bound_circuit(result.best_gene))
     rows = maxcut_rows(StateVector(n_bits, amps).amplitudes, prep.graph,
                        spec.epsilon)
     with open(path, "w") as fh:

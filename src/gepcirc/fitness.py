@@ -6,7 +6,8 @@ averaged over the pairs (FunctionFit), or minus the Hamiltonian
 expectation (GroundState).
 The optimizer is a deterministic coordinate sweep over a discrete angle
 grid, optionally continued with each slot set to its exact continuous
-maximum.
+maximum. A genome's fitness is that of its canonical circuit
+(``CachingFitness``), which reaches the same states with fewer slots.
 
 Slot k is the angle of the k-th free Ry gate in gate order (see ``sim``),
 so every slot belongs to exactly one gate.
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gepcirc.engine import ConfigError, Gene, coding_length
+from gepcirc.engine import ConfigError, Gene, coding_length, make_gene
 from gepcirc.hamiltonians import PauliSumHamiltonian
 from gepcirc.sim import (
     GateTable,
@@ -68,9 +69,11 @@ from gepcirc.sim import (
     _apply_1q,
     _frozen,
     apply_circuit_array,
+    bind_params,
     canonicalize,
     check_basis_index,
     circuit_to_gene,
+    coding_circuit,
     gene_to_circuit,
 )
 
@@ -164,8 +167,10 @@ def prefitness(circuit: QuantumCircuit, params: Sequence[float],
     return _score(problem, problem.one_hots, circuit, params)
 
 
-# -iY: Ry(t) = cos(t/2) * I + sin(t/2) * _MINUS_IY
-_MINUS_IY = _frozen(np.array([[0.0, -1.0], [1.0, 0.0]]))
+# -iY: Ry(t) = cos(t/2) * I + sin(t/2) * _MINUS_IY, by the state's dtype,
+# so a complex state's product does not cast the matrix
+_MINUS_IY = {dtype: _frozen(np.array([[0.0, -1.0], [1.0, 0.0]], dtype))
+             for dtype in (np.dtype(float), np.dtype(complex))}
 # values within this times 1 + |a| + |b| + |c| of each other tie: well
 # above the ~1e-15 relative rounding of the sinusoid, so rounding noise
 # decides no move
@@ -227,7 +232,8 @@ class _KeptStates:
             # unnamed, -iY psi is freed once copied and the pair once its
             # first gate has run: at NumBits = 24 one state is 256 MB
             return apply_circuit_array(
-                np.array((amps, _apply_1q(amps, _MINUS_IY, self.qubits[k]))),
+                np.array((amps, _apply_1q(amps, _MINUS_IY[amps.dtype],
+                                         self.qubits[k]))),
                 problem.n_bits, self.suffixes[k], phi[k + 1:])
 
         outs = map(outputs, self.states)
@@ -324,47 +330,68 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
 
 
 class CachingFitness:
-    """The fitness of a genome, F = P(phi_max) of the circuit it decodes to.
+    """The fitness of a genome, F = P(phi_max) of its canonical circuit.
 
-    Fitness and the optimizing angles (needed when reporting winners)
-    depend on the coding region alone, and the canonical gene on the coding
-    region and the head length, so each is computed once per key: genes
-    that differ only in non-coding symbols share them. Nothing kept holds a
-    circuit, whose CNOT-run tables would then live as long as the store:
-    callers that need one decode it again.
+    ``sim.canonicalize`` keeps the set of states a circuit reaches over its
+    angles: it reorders gates on disjoint qubits, cancels self-inverse
+    pairs, and fuses a Ry chain into one Ry, free if any of them was. So a
+    circuit and its canonical form have the same best pre-fitness, and the
+    sweep runs on the canonical one, without redundant slots. Two plain
+    dicts hold the work:
+
+    * coding region -> the canonical circuit's coding region (its symbols,
+      outermost first, then the terminal), so each coding region is
+      canonicalized once; ``canonical`` records the canonical gene's own
+      coding region there too;
+    * canonical coding region -> (angles, fitness), so each canonical
+      circuit is optimized once, however many genomes share it: genes
+      that differ only in non-coding symbols, or whose circuits differ only
+      in what canonicalization rewrites.
+
+    Neither holds a circuit, whose CNOT-run tables would then live as long
+    as the store: ``bound_circuit`` decodes one again.
     """
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self._optimized = {}    # coding region -> (angles, fitness)
-        self._canonical = {}    # (coding region, head length) -> gene
+        self._canonical = {}    # coding region -> canonical coding region
+        self._optimized = {}    # canonical coding region -> (angles, fitness)
 
-    def _optimum(self, gene: Gene) -> tuple[tuple[float, ...], float]:
+    def _canonical_coding(self, gene: Gene) -> tuple[int, ...]:
         coding = gene.symbols[:coding_length(gene)]
-        optimum = self._optimized.get(coding)
-        if optimum is None:
-            circuit = gene_to_circuit(gene, self.problem.table)
-            optimum = self._optimized[coding] = optimize_params(
-                circuit, self.problem)
-        return optimum
-
-    def __call__(self, gene: Gene) -> float:
-        return self._optimum(gene)[1]
-
-    def params_for(self, gene: Gene) -> tuple[float, ...]:
-        """Optimizing angle vector for a genome (computing it if needed)."""
-        return self._optimum(gene)[0]
-
-    def canonical(self, gene: Gene) -> Gene:
-        """The genome rewritten to its canonical circuit (``sim.canonicalize``)
-        at its own head length, computed once per coding region and head
-        length: as ``run_evolution``'s hook it does what ``Canonicalize = 1``
-        does."""
-        key = (gene.symbols[:coding_length(gene)], gene.head_len)
-        canon = self._canonical.get(key)
+        canon = self._canonical.get(coding)
         if canon is None:
             table = self.problem.table
             circuit = canonicalize(gene_to_circuit(gene, table))
-            canon = self._canonical[key] = circuit_to_gene(
-                circuit, table, gene.head_len)
+            canon = circuit_to_gene(circuit, table, gene.head_len).symbols[
+                :len(circuit.gates) + 1]
+            # canonicalize is idempotent: its output is its own canonical form
+            self._canonical[coding] = self._canonical[canon] = canon
         return canon
+
+    def _optimum(self, canon: tuple[int, ...]
+                 ) -> tuple[tuple[float, ...], float]:
+        optimum = self._optimized.get(canon)
+        if optimum is None:
+            optimum = self._optimized[canon] = optimize_params(
+                coding_circuit(canon, self.problem.table), self.problem)
+        return optimum
+
+    def __call__(self, gene: Gene) -> float:
+        return self._optimum(self._canonical_coding(gene))[1]
+
+    def bound_circuit(self, gene: Gene) -> QuantumCircuit:
+        """The genome's canonical circuit with its optimizing angles bound
+        (computing them if needed): the circuit its fitness scores."""
+        canon = self._canonical_coding(gene)
+        return bind_params(coding_circuit(canon, self.problem.table),
+                           self._optimum(canon)[0])
+
+    def canonical(self, gene: Gene) -> Gene:
+        """The genome rewritten to its canonical circuit (``sim.canonicalize``)
+        at its own head length, canonicalized once per coding region: as
+        ``run_evolution``'s hook it does what ``Canonicalize = 1`` does."""
+        canon = self._canonical_coding(gene)
+        padding = (self.problem.table.terminal,) * (len(gene.symbols)
+                                                    - len(canon))
+        return make_gene(canon + padding, gene.head_len, gene.pset)

@@ -22,11 +22,12 @@ of the (2,)*n tensor to the front, so every amplitude comes out with the
 same bits. CNOT, the only two-qubit kind, only permutes basis indices,
 and so does every maximal run of consecutive CNOTs, a lone CNOT
 included: the run is applied as one gather, np.take(amps, table,
-axis=-1), through a read-only int32 index table (in chunks of 2^16
-indices above 16 bits). A gather does no arithmetic, so it gives the
-values of the original 4x4 permutation products exactly (those products
-could only change the sign of an exact zero), and a run's gather equals
-its CNOTs gathered one at a time bit for bit.
+axis=-1), through a read-only index table: intp up to 2^16 indices,
+which np.take uses as it is, and int32 above, gathered in chunks of 2^16
+indices. A gather does no arithmetic, so it gives the values of the
+original 4x4 permutation products exactly (those products could only
+change the sign of an exact zero), and a run's gather equals its CNOTs
+gathered one at a time bit for bit.
 The kernels' matrices are read-only: the fixed kinds' are built once, and
 Ry and P matrices are cached by angle.
 
@@ -34,14 +35,16 @@ A state stays float64 for as long as every gate applied to it is real.
 The matrices of H, X, Z and Ry are float64 and those of Y and P complex,
 and numpy's type promotion in the kernels' products picks the real or
 the complex BLAS product, so a real state becomes complex128 at the first
-P or Y that acts on it; a gather keeps the dtype. On real amplitudes the
-real 2x2 @ 2xM products (M >= 2) give the values of the complex ones, so
-a real state costs 8 B per amplitude instead of 16 with no value changed
-(the kernel tests check both paths). A lone 1-qubit state is the
-exception: its 2x2 @ 2x1 product is a matrix-vector one, which the real
-and complex BLAS routines round differently, so states of one qubit are
-made complex at entry, like inputs of any dtype but float64 and
-complex128.
+P or Y that acts on it; a gather keeps the dtype. On a complex state, H,
+X, Z and Ry multiply by a complex128 twin of their matrix, the values
+the promotion would cast them to, so no product casts its matrix. On
+real amplitudes the real 2x2 @ 2xM products (M >= 2) give the values of
+the complex ones, so a real state costs 8 B per amplitude instead of 16
+with no value changed (the kernel tests check both paths). A lone
+1-qubit state is the exception: its 2x2 @ 2x1 product is a
+matrix-vector one, which the real and complex BLAS routines round
+differently, so states of one qubit are made complex at entry, like
+inputs of any dtype but float64 and complex128.
 
 A circuit is compiled into these kernel ops once, on first application
 (``QuantumCircuit.ops``), and keeps its tables as long as it lives. The
@@ -77,7 +80,7 @@ __all__ = [
     "GateKind", "GATE_KINDS", "gate_kinds", "GateInstance", "QuantumCircuit",
     "StateVector", "check_basis_index", "basis_state",
     "apply_circuit_array",
-    "GateTable", "gene_to_circuit", "circuit_to_gene",
+    "GateTable", "gene_to_circuit", "coding_circuit", "circuit_to_gene",
     "bind_params", "canonicalize",
     "format_angle", "parse_angle", "circuit_to_string", "parse_circuit",
     "parse_basis_label",
@@ -129,6 +132,7 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+_COMPLEX = np.dtype(complex)
 # read-only: the kernels use them as they are; float64 but for Y
 _FIXED_MATRICES = {
     name: _frozen(np.array(rows)) for name, rows in {
@@ -138,6 +142,9 @@ _FIXED_MATRICES = {
         "Z": [[1.0, 0.0], [0.0, -1.0]],
     }.items()
 }
+# their complex128 twins, for complex states (see _kernel_matrix)
+_COMPLEX_FIXED = {name: _frozen(mat.astype(complex))
+                  for name, mat in _FIXED_MATRICES.items()}
 
 
 @dataclass(frozen=True)
@@ -255,21 +262,29 @@ def basis_state(n_bits: int, index: int) -> StateVector:
 
 
 @functools.lru_cache(maxsize=1024)
-def _angle_matrix(name: str, angle: float, sign: float) -> np.ndarray:
-    """Ry(angle), float64, or P(angle), complex; read-only."""
+def _angle_matrix(name: str, angle: float, sign: float,
+                  complex_state: bool) -> np.ndarray:
+    """Ry(angle), float64 (complex128 for a complex state), or P(angle),
+    complex; read-only."""
     # `sign` is part of the key because 0.0 == -0.0 while their matrices
     # differ in the sign of a zero entry
     if name == "Ry":
         c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        return _frozen(np.array([[c, -s], [s, c]]))
+        return _frozen(np.array([[c, -s], [s, c]],
+                                complex if complex_state else float))
     return _frozen(np.array(
         [[1.0, 0.0], [0.0, complex(math.cos(angle), math.sin(angle))]]))
 
 
-def _kernel_matrix(name: str, angle: float | None) -> np.ndarray:
+def _kernel_matrix(name: str, angle: float | None,
+                   complex_state: bool = False) -> np.ndarray:
+    """The matrix a kernel multiplies a state by. On a complex state a real
+    kind's matrix is its complex128 twin, which holds the values numpy's
+    promotion would cast it to, so no product casts a matrix per call."""
     if angle is None:
-        return _FIXED_MATRICES[name]
-    return _angle_matrix(name, angle, math.copysign(1.0, angle))
+        return (_COMPLEX_FIXED if complex_state else _FIXED_MATRICES)[name]
+    return _angle_matrix(name, angle, math.copysign(1.0, angle),
+                         complex_state)
 
 
 def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
@@ -292,7 +307,14 @@ def _cnot_run_table(n_bits: int, run: Sequence[GateInstance]) -> np.ndarray:
     out[i] = amps[s_1(s_2(... s_m(i)))], built from the last gate to the
     first.
     """
-    table = np.arange(1 << n_bits, dtype=np.int32)
+    # np.take gathers through writeable intp indices and copies any other
+    # index array first. A table of at most one chunk is therefore intp
+    # (32 KB at 12 bits) and returned as a read-only view of itself, whose
+    # writeable base _gather reads; a longer one is int32 (64 MB at 24
+    # bits), copied a chunk at a time
+    size = 1 << n_bits
+    table = np.arange(size, dtype=np.intp if size <= _GATHER_CHUNK
+                      else np.int32)
     flip = np.empty_like(table)
     for gate in reversed(run):
         control, target = gate.qubits
@@ -300,7 +322,7 @@ def _cnot_run_table(n_bits: int, run: Sequence[GateInstance]) -> np.ndarray:
         flip &= 1
         flip <<= target
         table ^= flip
-    return _frozen(table)
+    return _frozen(table.view() if size <= _GATHER_CHUNK else table)
 
 
 def _compile_ops(circuit: QuantumCircuit
@@ -323,15 +345,17 @@ def _compile_ops(circuit: QuantumCircuit
 def _gather(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
     """np.take(amps, table, axis=-1) for a CNOT run's table.
 
-    np.take gathers through an intp copy of its int32 indices, 128 MB for
-    a whole 24-bit table, so tables longer than ``_GATHER_CHUNK`` (both
-    powers of two) go in chunks of that many indices. Each chunk is copied
-    into one intp buffer and gathered row by row into its contiguous slice
-    of the output, which np.take with mode="clip" fills in place (a table
-    is a permutation, so nothing is clipped). The values are the same
-    either way."""
+    A table of at most ``_GATHER_CHUNK`` indices is a read-only view of an
+    intp array, whose writeable base np.take uses as it is (it copies a
+    read-only index array first). Longer tables are int32, and np.take
+    would gather through an intp copy, 128 MB for a whole 24-bit table, so
+    they go in chunks of that many indices (both powers of two). Each
+    chunk is copied into one intp buffer and gathered row by row into its
+    contiguous slice of the output, which np.take with mode="clip" fills
+    in place (a table is a permutation, so nothing is clipped). The values
+    are the same either way."""
     if len(table) <= _GATHER_CHUNK:
-        return np.take(amps, table, axis=-1)
+        return amps.take(table.base, axis=-1)
     out = np.empty(amps.shape, amps.dtype)
     rows = amps.reshape(-1, len(table))
     out_rows = out.reshape(rows.shape)
@@ -377,8 +401,8 @@ def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
     for op in circuit.ops:
         if isinstance(op, GateInstance):    # every gate op is 1-qubit
             angle = float(next(free_angles)) if op.free else op.angle
-            amps = _apply_1q(amps, _kernel_matrix(op.kind.name, angle),
-                             op.qubits[0])
+            amps = _apply_1q(amps, _kernel_matrix(
+                op.kind.name, angle, amps.dtype == _COMPLEX), op.qubits[0])
         elif op is not None:    # a CNOT run's index table; None: in the run
             amps = _gather(amps, op)
     return amps
@@ -433,15 +457,17 @@ class GateTable:
 
 
 def gene_to_circuit(gene: Gene, table: GateTable) -> QuantumCircuit:
-    """Decode the coding region into a circuit.
+    """Decode the coding region into a circuit (``coding_circuit``)."""
+    return coding_circuit(gene.symbols[:coding_length(gene)], table)
 
-    The string is outermost-first, so gates apply in reverse symbol order.
-    """
-    # every gate is unary, so the coding region is a chain ending in the
-    # terminal, in the gene's own order
-    symbols = gene.symbols[:coding_length(gene)]
+
+def coding_circuit(coding: Sequence[int], table: GateTable) -> QuantumCircuit:
+    """The circuit of a coding region: every gate is unary, so the region is
+    a chain of gate symbols ending in the terminal, in the gene's own
+    order. The string is outermost-first, so gates apply in reverse symbol
+    order."""
     return QuantumCircuit(table.n_bits,
-                          tuple(map(table.instance, reversed(symbols[:-1]))))
+                          tuple(map(table.instance, reversed(coding[:-1]))))
 
 
 def circuit_to_gene(circuit: QuantumCircuit, table: GateTable,
@@ -484,14 +510,6 @@ def bind_params(circuit: QuantumCircuit, params: Sequence[float]) -> QuantumCirc
 # Canonicalization
 # ---------------------------------------------------------------------------
 
-def _sort_key(gate: GateInstance) -> tuple[int, int]:
-    return (min(gate.qubits), max(gate.qubits))
-
-
-def _disjoint(a: GateInstance, b: GateInstance) -> bool:
-    return not set(a.qubits) & set(b.qubits)
-
-
 def _fuse_ry(a: GateInstance, b: GateInstance) -> GateInstance | None:
     """Combine two adjacent Ry on one qubit; None when they cancel exactly.
 
@@ -508,39 +526,62 @@ def _fuse_ry(a: GateInstance, b: GateInstance) -> GateInstance | None:
     return GateInstance(a.kind, a.qubits, angle=total)
 
 
+# how a gate pairs with an identical neighbour: a self-inverse kind
+# cancels, a Ry fuses, anything else stays
+_STAYS, _CANCELS, _FUSES = range(3)
+
+
+def _canonical_entry(gate: GateInstance) -> tuple[int, int, int, GateInstance]:
+    """(sort key, qubit mask, pairing rule, gate): the key packs
+    (min qubit, max qubit) into one int, as qubits are below 32."""
+    qubits = gate.qubits
+    mask = 0
+    for q in qubits:
+        mask |= 1 << q
+    name = gate.kind.name
+    rule = (_CANCELS if name in _SELF_INVERSE
+            else _FUSES if name == "Ry" else _STAYS)
+    return min(qubits) << 5 | max(qubits), mask, rule, gate
+
+
 def canonicalize(circuit: QuantumCircuit) -> QuantumCircuit:
     """Normal form preserving the output state up to global phase.
 
     Three rewrites run to a fixed point: adjacent gates with disjoint qubit
     support are bubble-sorted by (min qubit, max qubit); adjacent identical
     self-inverse gates on identical qubits cancel; adjacent Ry on the same
-    qubit fuse by angle addition mod 4*pi.
+    qubit fuse by angle addition mod 4*pi. Each pass of the loop is one
+    bubble pass, then one cancelling and fusing pass. Each gate's sort key
+    and qubit mask are computed once per call, so a pass compares ints.
     """
-    gates = list(circuit.gates)
+    entries = [_canonical_entry(gate) for gate in circuit.gates]
     changed = True
     while changed:
         changed = False
         # bubble pass: each swap removes one inversion, so this terminates
-        for i in range(len(gates) - 1):
-            a, b = gates[i], gates[i + 1]
-            if _disjoint(a, b) and _sort_key(b) < _sort_key(a):
-                gates[i], gates[i + 1] = b, a
+        for i in range(len(entries) - 1):
+            a, b = entries[i], entries[i + 1]
+            if b[0] < a[0] and not a[1] & b[1]:
+                entries[i], entries[i + 1] = b, a
                 changed = True
         i = 0
-        while i < len(gates) - 1:
-            a, b = gates[i], gates[i + 1]
-            if a.kind.name in _SELF_INVERSE and a == b:
-                del gates[i:i + 2]
+        while i < len(entries) - 1:
+            a, b = entries[i], entries[i + 1]
+            # both rewrites need the same qubits: equal masks
+            if a[1] != b[1]:
+                i += 1
+            elif a[2] == _CANCELS and (a[3] is b[3] or a[3] == b[3]):
+                del entries[i:i + 2]
                 changed = True
                 i = max(i - 1, 0)
-            elif a.kind.name == "Ry" and b.kind.name == "Ry" and a.qubits == b.qubits:
-                fused = _fuse_ry(a, b)
-                gates[i:i + 2] = [] if fused is None else [fused]
+            elif a[2] == _FUSES and b[2] == _FUSES:
+                fused = _fuse_ry(a[3], b[3])
+                entries[i:i + 2] = [] if fused is None else [a[:3] + (fused,)]
                 changed = True
                 i = max(i - 1, 0)
             else:
                 i += 1
-    return QuantumCircuit(circuit.n_bits, tuple(gates))
+    return QuantumCircuit(circuit.n_bits, tuple(e[3] for e in entries))
 
 
 # ---------------------------------------------------------------------------

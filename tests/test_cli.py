@@ -38,6 +38,7 @@ from gepcirc.oracle import (
 )
 from gepcirc.sim import (
     apply_circuit_array,
+    canonicalize,
     circuit_to_string,
     parse_angle,
     parse_circuit,
@@ -220,13 +221,17 @@ class TestReadmeKeys:
 class TestReadmeExample:
     def test_library_example_prints_its_comment(self, capsys):
         # the ```python block runs as printed, and its print() writes the
-        # comment line under it
+        # comment line under it: the ground state's fitness 4 (to rounding)
+        # and a canonical circuit, with no two adjacent Ry on one qubit
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         code = readme.split("```python\n", 1)[1].split("```", 1)[0]
         lines = code.splitlines()
         after = next(i for i, line in enumerate(lines)
                      if line.startswith("print(")) + 1
-        assert lines[after].startswith("# 4.0 ")
+        _, fit, text = lines[after].split(" ", 2)
+        assert abs(float(fit) - 4.0) <= 1e-15 * 4.0
+        circuit = parse_circuit(text, 4)
+        assert canonicalize(circuit) == circuit
         exec(code, {})
         assert capsys.readouterr().out == lines[after][2:] + "\n"
 
@@ -354,18 +359,18 @@ class TestRun:
         assert all(r[2] == "1" for r in rows)
 
     def test_maxcut_rows_are_the_best_circuits_state(self, tmp_path):
-        # a triangle plus the isolated vertex 3; after one short generation
-        # the best circuit leaves two basis states of unequal weight
-        graph = Graph(4, ((0, 1), (1, 2), (0, 2)))
+        # the complete graph on 4 vertices; after one short generation the
+        # best circuit leaves two basis states of unequal weight
+        graph = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
         save_graph(graph, str(tmp_path / "g.txt"))
         spec = parse_input(write(tmp_path / "in.txt", """\
 RunType = GroundState
 NumBits = 4
-Gates = Ry
-HeadSize = 4
+Gates = Ry,X,CNOT
+HeadSize = 6
 Population = 4
 Generations = 1
-Seed = 13
+Seed = 6
 GraphFile = g.txt
 InitialState = 1000
 """))

@@ -41,12 +41,14 @@ from gepcirc.sim import (
     bind_params,
     canonicalize,
     circuit_to_gene,
+    circuit_to_string,
     gene_to_circuit,
     parse_circuit,
 )
 
 from reference import dense_unitary
 from test_sim import gene_circuits
+from test_sweep import random_pauli_sum, record_sinusoids
 
 Z0 = PauliSumHamiltonian(1, [PauliTerm.from_map(1.0, {0: "Z"})])
 EDGE = ising_from_graph(Graph(2, ((0, 1),)))
@@ -326,9 +328,9 @@ class TestFitness:
         gene = random_gene(table.pset, 4, random.Random(1))
         value = cache(gene)
         assert cache(gene) == value
-        params = cache.params_for(gene)
-        circuit = gene_to_circuit(gene, table)
-        assert abs(prefitness(circuit, params, prob) - value) < 1e-12
+        circuit = cache.bound_circuit(gene)
+        assert circuit.n_params == 0
+        assert abs(prefitness(circuit, (), prob) - value) < 1e-12
 
     def test_shared_coding_region_optimized_once(self, monkeypatch):
         # both genes code Ry0 psi0 and differ only past it
@@ -345,7 +347,7 @@ class TestFitness:
         a = make_gene((0, 2, 0, 1, 2), 4, table.pset)
         b = make_gene((0, 2, 1, 1, 2), 4, table.pset)
         assert cache(a) == cache(b)
-        assert cache.params_for(a) == cache.params_for(b)
+        assert cache.bound_circuit(a) == cache.bound_circuit(b)
         assert len(calls) == 1
 
 
@@ -394,8 +396,23 @@ class TestCanonicalRecord:
         regions = {g.symbols[:coding_length(g)] for g in genes}
         assert len(regions) < 200      # head 3: coding regions repeat
         canon = [cache.canonical(g) for g in genes]
-        assert len(calls) == len(regions)
         assert canon == [rewrite(g, table) for g in genes]
+        # a region is canonicalized on its first sight, unless it is the
+        # canonical region of a gene seen before, which is recorded as its
+        # own canonical form
+        known, expected = set(), []
+        for gene, rewritten in zip(genes, canon):
+            region = gene.symbols[:coding_length(gene)]
+            if region not in known:
+                expected.append(gene_to_circuit(gene, table))
+            known |= {region, rewritten.symbols[:coding_length(rewritten)]}
+        assert calls == expected
+        assert len(calls) < len(regions)    # some regions are canonical
+        # the fitness of any of these genes, canonical ones included,
+        # canonicalizes nothing more
+        for gene in genes + canon:
+            cache(gene)
+        assert calls == expected
 
     def test_gene_at_the_callers_head_length(self):
         # Ry0 Ry0 fuses to one Ry0; both genes code Ry0 Ry0 psi0
@@ -422,3 +439,126 @@ class TestCanonicalRecord:
         assert ours.population == hook.population
         assert ours.fitnesses == hook.fitnesses
         assert ours.stats == hook.stats
+
+
+@st.composite
+def gene_problems(draw):
+    """(table, gene, problem): a gene of ``gate_set_genes`` and a random
+    Pauli sum from a random basis state, or random index pairs, with or
+    without the exact refinement."""
+    table, gene = draw(gate_set_genes())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n, refine = table.n_bits, draw(st.booleans())
+    if draw(st.booleans()):
+        return table, gene, ground_state_problem(
+            table, random_pauli_sum(n, rng), rng.randrange(1 << n), refine)
+    pairs = [(rng.randrange(1 << n), rng.randrange(1 << n))
+             for _ in range(rng.randint(1, 3))]
+    return table, gene, function_fit_problem(table, pairs, refine)
+
+
+def count_calls(monkeypatch, name):
+    """Log the first argument of every call of fitness module's ``name``."""
+    calls = []
+    original = getattr(fitness_mod, name)
+
+    def counted(circuit, *args):
+        calls.append(circuit)
+        return original(circuit, *args)
+
+    monkeypatch.setattr(fitness_mod, name, counted)
+    return calls
+
+
+def adjacent_same_qubit_ry(circuit):
+    return any(a.kind.name == b.kind.name == "Ry" and a.qubits == b.qubits
+               for a, b in zip(circuit.gates, circuit.gates[1:]))
+
+
+class TestCanonicalFitness:
+    @settings(deadline=None, max_examples=150)
+    @given(gene_problems())
+    def test_fitness_is_the_canonical_circuits_optimum(self, case):
+        table, gene, problem = case
+        circuit = canonicalize(gene_to_circuit(gene, table))
+        angles, value = optimize_params(circuit, problem)
+        cache = CachingFitness(problem)
+        assert cache(gene) == value
+        assert cache.bound_circuit(gene) == bind_params(circuit, angles)
+
+    def test_one_canonical_circuit_one_optimum(self, monkeypatch):
+        table = GateTable(2, ["H", "Ry", "CNOT"])
+        problem = ground_state_problem(
+            table, random_pauli_sum(2, random.Random(5)), refine=True)
+        cache = CachingFitness(problem)
+        optimized = count_calls(monkeypatch, "optimize_params")
+        rng = random.Random(23)
+        groups = {}
+        for _ in range(400):
+            gene = random_gene(table.pset, 5, rng)
+            circuit = canonicalize(gene_to_circuit(gene, table))
+            groups.setdefault(circuit_to_string(circuit), []).append(gene)
+        for genes in groups.values():
+            values = {cache(gene) for gene in genes}
+            bound = {cache.bound_circuit(gene) for gene in genes}
+            assert len(values) == len(bound) == 1
+        assert len(optimized) == len(groups)
+        assert [circuit_to_string(c) for c in optimized] == list(groups)
+        # genomes of different coding regions do share a canonical circuit
+        assert any(len({g.symbols[:coding_length(g)] for g in genes}) > 1
+                   for genes in groups.values())
+
+    def test_evolution_canonicalizes_each_coding_region_once(self,
+                                                            monkeypatch):
+        # Canonicalize = 1: the hook canonicalizes a coding region, and
+        # the fitness of the canonical gene canonicalizes nothing again
+        table = GateTable(4, ["Ry", "P", "CNOT"])
+        problem = ground_state_problem(table, xx_chain(4, 1.0, "open"))
+        calls = count_calls(monkeypatch, "canonicalize")
+        optimized = count_calls(monkeypatch, "optimize_params")
+        hooked = []
+        cache = CachingFitness(problem)
+
+        def hook(gene):
+            hooked.append(gene.symbols[:coding_length(gene)])
+            return cache.canonical(gene)
+
+        cfg = EvolutionConfig(generations=4, head_len=6, population_size=10,
+                              seed=5)
+        run_evolution(cfg, table.pset, cache, canonicalize=hook)
+        texts = [circuit_to_string(c) for c in calls]
+        assert len(texts) == len(set(texts)) <= len(set(hooked))
+        assert all(canonicalize(c) == c for c in optimized)
+        assert len(optimized) == len({circuit_to_string(c)
+                                      for c in optimized})
+
+    def test_adjacent_ry_reach_the_sweep_fused(self, monkeypatch):
+        # with GradientRefine = 1, the one-slot update crawls along the
+        # ridge that the adjacent Ry1 Ry1 pair (and the Ry0/Ry1 pairs
+        # around the CNOTs) make in this decoded circuit, up to the cap of
+        # 100*K visits; the fitness optimizes its canonical circuit, where
+        # each pair is one slot, and settles
+        table = GateTable(2, ["Ry", "P", "CNOT"])
+        h = PauliSumHamiltonian(2, [
+            PauliTerm.from_map(1.126, {1: "X"}),
+            PauliTerm.from_map(-1.465, {0: "X", 1: "Y"}),
+            PauliTerm.from_map(-1.84, {0: "X", 1: "X"}),
+            PauliTerm.from_map(1.363, {0: "X", 1: "Z"}),
+        ])
+        problem = ground_state_problem(table, h, initial=3, refine=True)
+        circuit = parse_circuit(
+            "P1 Ry1:phi0 Ry1:phi1 CNOT0,1 Ry1:phi2 Ry0:phi3 CNOT1,0 CNOT1,0 "
+            "CNOT1,0 Ry1:phi4 Ry0:phi5 Ry1:phi6", 2)
+        gene = circuit_to_gene(circuit, table, len(circuit.gates))
+        assert gene_to_circuit(gene, table) == circuit
+        assert adjacent_same_qubit_ry(circuit)
+        with monkeypatch.context() as m:
+            visits = record_sinusoids(m)
+            optimize_params(circuit, problem)
+        assert len(visits) == 100 * circuit.n_params
+        optimized = count_calls(monkeypatch, "optimize_params")
+        visits = record_sinusoids(monkeypatch)
+        CachingFitness(problem)(gene)
+        assert optimized == [canonicalize(circuit)]
+        assert not adjacent_same_qubit_ry(optimized[0])
+        assert len(visits) < 100 * optimized[0].n_params

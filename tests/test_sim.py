@@ -41,6 +41,7 @@ from gepcirc.sim import (
     parse_circuit,
 )
 
+from reference import canonicalize as reference_canonicalize
 from reference import dense_gate, dense_unitary, one_qubit_matrix
 from writers import save_graph
 
@@ -487,6 +488,33 @@ class TestKernels:
             out = apply_circuit_array(amps.astype(dtype), n, circuit)
             assert out.dtype == complex
 
+    @settings(deadline=None, max_examples=100)
+    @given(case=kernel_states(), data=st.data(),
+           name=st.sampled_from(["H", "X", "Z", "Ry"]),
+           angle=st.floats(-20.0, 20.0))
+    def test_complex_states_take_complex_twins(self, case, data, name, angle):
+        """A real kind on complex states: the kernel multiplies by the
+        matrix's complex128 twin, whose products give the bits of the
+        product with the matrix written complex from its definition, and
+        of numpy casting the real matrix, as before twins existed."""
+        n, rows = case
+        q = data.draw(st.integers(0, n - 1))
+        angle = angle if name == "Ry" else None
+        twin = sim._kernel_matrix(name, angle, complex_state=True)
+        real = sim._kernel_matrix(name, angle)
+        assert twin.dtype == complex and not twin.flags.writeable
+        assert real.dtype == np.float64
+        assert same_bits(twin, one_qubit_matrix(name, angle))
+        circuit = QuantumCircuit(n, (GateInstance(GATE_KINDS[name], (q,),
+                                                  angle),))
+        for amps in (rows, rows[0]):
+            out = apply_circuit_array(amps, n, circuit)
+            assert out.dtype == complex
+            assert same_bits(out, sim._apply_1q(
+                amps, one_qubit_matrix(name, angle), q))
+            assert same_bits(out, sim._apply_1q(amps, real.astype(complex),
+                                                q))
+
     def test_kernels_leave_input_and_matrices_alone(self):
         amps = rand_state(4, random.Random(3)).amplitudes
         before = amps.copy()
@@ -494,9 +522,11 @@ class TestKernels:
             gate_by_gate(amps, parse_circuit(token, 4).gates, ())
         assert same_bits(amps, before)
         assert sorted(sim._FIXED_MATRICES) == ["H", "X", "Y", "Z"]
+        assert sorted(sim._COMPLEX_FIXED) == ["H", "X", "Y", "Z"]
         mats = list(sim._FIXED_MATRICES.values()) + [
-            sim._angle_matrix(name, angle, math.copysign(1.0, angle))
-            for name in ("Ry", "P") for angle in (0.7, -0.0, sim.P_PHASE)]
+            sim._angle_matrix(name, angle, math.copysign(1.0, angle), twin)
+            for name in ("Ry", "P") for angle in (0.7, -0.0, sim.P_PHASE)
+            for twin in (False, True)] + list(sim._COMPLEX_FIXED.values())
         for mat in mats:
             assert not mat.flags.writeable
             with pytest.raises(ValueError):
@@ -550,8 +580,11 @@ class TestKernels:
         assert len(tables) == len(runs)
         assert sum(op is None for op in circuit.ops) \
             == sum(len(run) - 1 for run in runs)
-        assert all(not t.flags.writeable and t.dtype == np.int32
-                   for t in tables)
+        # tables of at most one chunk are intp, which np.take uses as
+        # they are; longer ones int32, gathered a chunk at a time
+        assert all(not t.flags.writeable and t.dtype == (
+            np.intp if len(t) <= sim._GATHER_CHUNK else np.int32)
+            for t in tables)
         # a part gives its gates' bits, cut inside a run or not, and shares
         # the tables of the runs it holds whole
         start = data.draw(st.integers(0, len(gates)))
@@ -570,8 +603,8 @@ class TestKernels:
 
     def test_cnot_run_gather_memory(self):
         """An 8-CNOT run on a (2, 2^16) pair, table built on first use,
-        allocates at most the output, one int32 table and the intp copy of
-        it that np.take makes."""
+        allocates at most the output and one table: at one chunk the
+        table is intp, so np.take makes no copy of it."""
         n = 16
         pairs = [(0, 5), (5, 9), (15, 0), (3, 12), (12, 7), (9, 1), (1, 15),
                  (7, 3)]
@@ -586,7 +619,8 @@ class TestKernels:
         finally:
             tracemalloc.stop()
         table = circuit.ops[0]
-        bound = out.nbytes + table.nbytes + (1 << n) * np.dtype(np.intp).itemsize
+        assert table.dtype == np.intp and len(table) == sim._GATHER_CHUNK
+        bound = out.nbytes + table.nbytes
         assert peak <= bound + 16384, (peak, bound)
 
     def test_gather_above_one_chunk(self):
@@ -972,6 +1006,36 @@ def gene_circuits(draw, max_bits=4):
     return gene, table, circuit
 
 
+@st.composite
+def mixed_circuits(draw, max_bits=4):
+    """Circuits of every gate kind on 1-4 qubits, most gates on qubits 0-1
+    so that neighbours meet: Ry free or at a fixed angle (multiples of
+    pi/4, negative ones and zeros of either sign included, so fused chains
+    cancel, or any angle), P at its default or another phase."""
+    n = draw(st.integers(1, max_bits))
+    qubit = st.integers(0, n - 1) | st.integers(0, min(1, n - 1))
+    angle = (st.integers(-16, 16).map(lambda k: k * math.pi / 4)
+             | st.sampled_from([0.0, -0.0, 4.0 * math.pi, -4.0 * math.pi])
+             | st.floats(-20.0, 20.0))
+    gates = []
+    for _ in range(draw(st.integers(0, 14))):
+        names = [k for k, kind in GATE_KINDS.items()
+                 if n > 1 or kind.n_qubits == 1]
+        name = draw(st.sampled_from(names))
+        if name == "CNOT":
+            control = draw(qubit)
+            target = draw(qubit.filter(lambda q: q != control))
+            gates.append(GateInstance(GATE_KINDS[name], (control, target)))
+            continue
+        fixed = None
+        if name == "Ry" and draw(st.booleans()):
+            fixed = draw(angle)
+        elif name == "P" and draw(st.booleans()):
+            fixed = draw(angle)
+        gates.append(GateInstance(GATE_KINDS[name], (draw(qubit),), fixed))
+    return QuantumCircuit(n, tuple(gates))
+
+
 def tree_path_circuit(gene, table):
     """The circuit read from the decoded expression tree, gate by gate."""
     # the tree's nodes are in breadth-first order
@@ -1027,6 +1091,17 @@ class TestCircuitProperties:
         phase = v[k] / u[k]
         assert abs(abs(phase) - 1.0) < 1e-10
         assert np.abs(v - phase * u).max() < 1e-10
+
+    @settings(deadline=None, max_examples=600)
+    @given(circuit=mixed_circuits() | gene_circuits().map(lambda case: case[2]))
+    def test_canonicalize_matches_fixed_point_reference(self, circuit):
+        # gate for gate, angles bit for bit (the sign of a zero too)
+        ours, ref = canonicalize(circuit), reference_canonicalize(circuit)
+        assert ours == ref
+        assert [math.copysign(1.0, g.angle) for g in ours.gates
+                if g.angle is not None] \
+            == [math.copysign(1.0, g.angle) for g in ref.gates
+                if g.angle is not None]
 
 
 class TestStringGrammar:

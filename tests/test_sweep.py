@@ -414,7 +414,8 @@ def test_gate_applications_counted_exactly(monkeypatch):
 
 def test_every_cnot_run_tabled_once(monkeypatch):
     # one table per maximal CNOT run, a lone CNOT included, built once
-    # for the whole sweep: its steps and suffixes share the circuit's
+    # for the whole sweep: its steps and suffixes share the circuit's.
+    # At 8 indices, within one gather chunk, a table is intp
     built = []
     table_for = sim._cnot_run_table
 
@@ -432,7 +433,8 @@ def test_every_cnot_run_tabled_once(monkeypatch):
     assert circuit.ops[4] is None
     for op in (circuit.ops[1], circuit.ops[3]):
         assert isinstance(op, np.ndarray)
-        assert op.dtype == np.int32 and not op.flags.writeable
+        assert len(op) <= sim._GATHER_CHUNK
+        assert op.dtype == np.intp and not op.flags.writeable
 
 
 def test_flat_slot_moves_sideways_once(monkeypatch):
