@@ -372,8 +372,8 @@ def _write_trace(path: Path, result: EvolutionResult,
             )
 
 
-def _write_best(path: Path, result: EvolutionResult, cache: CachingFitness,
-                prep: _Prepared) -> None:
+def _write_best(path: Path, result: EvolutionResult,
+                cache: CachingFitness) -> None:
     """Top circuits with their fitness: each genome's canonical circuit,
     angles bound to the optimal values."""
     lines = []
@@ -412,7 +412,7 @@ def run(spec: RunSpec) -> int:
     result, cache = _evolve(spec, prep)
     out = spec.base_dir
     _write_trace(out / "trace.csv", result, prep.reference)
-    _write_best(out / "best.circ", result, cache, prep)
+    _write_best(out / "best.circ", result, cache)
     if prep.graph is not None:
         _write_maxcut(out / "maxcut.txt", spec, result, cache, prep)
     print(

@@ -37,9 +37,10 @@ during the visit, so the sweep keeps the state(s) entering that gate,
 built once with the committed angles. Between visits the kept state moves
 forward to the next slot's gate, or restarts from the input states when
 the cycle wraps: read-only one-hot arrays, built once per problem and
-held by it (``Problem.one_hots``). The value returned at the end comes
-from the last visit's kept states too, through the gates from its slot's
-gate on: the kernel calls a whole-circuit run makes, in the same order.
+held by it (``Problem.one_hots``). The value returned at the end is read
+off the kept states too, moved on from the last visit past the last
+gate: the kernel calls a whole-circuit run makes, in the same order. A
+circuit without slots takes that one move from its inputs.
 
 The one-hot inputs are float64 and -iY is a real matrix, so every state
 the sweep holds, kept states and stacked pairs alike, stays float64 at
@@ -74,7 +75,6 @@ from gepcirc.sim import (
     check_basis_index,
     circuit_to_gene,
     coding_circuit,
-    gene_to_circuit,
 )
 
 DEFAULT_GRID = tuple(k * (math.pi / 4.0) for k in range(8))
@@ -145,26 +145,26 @@ def ground_state_problem(table: GateTable, hamiltonian: PauliSumHamiltonian,
     return Problem(table, (initial,), hamiltonian=hamiltonian, refine=refine)
 
 
-def _score(problem: Problem, states: Iterable[np.ndarray],
-           circuit: QuantumCircuit, params: Sequence[float]) -> float:
-    """The pre-fitness of ``circuit`` applied to ``states``, one per
-    problem input in order: mean |A[out]|^2 over the pairs (FunctionFit)
-    or -<H> (GroundState), A the output; one pair at a time."""
-    n = problem.n_bits
-    evolved = (apply_circuit_array(amps, n, circuit, params)
-               for amps in states)
+def _score(problem: Problem, outputs: Iterable[np.ndarray]) -> float:
+    """The pre-fitness read off a circuit's ``outputs``, one per problem
+    input in order: mean |A[out]|^2 over the pairs (FunctionFit) or -<H>
+    (GroundState), A the output; one pair at a time."""
+    outputs = iter(outputs)
     if not problem.outputs:
-        return -problem.hamiltonian.expectation_array(next(evolved))
+        return -problem.hamiltonian.expectation_array(next(outputs))
     total = 0.0
-    for amps, out in zip(evolved, problem.outputs):
+    for amps, out in zip(outputs, problem.outputs):
         total += float(abs(amps[out]) ** 2)
     return total / len(problem.outputs)
 
 
 def prefitness(circuit: QuantumCircuit, params: Sequence[float],
                problem: Problem) -> float:
-    """P(phi): the circuit run from the problem's inputs and scored."""
-    return _score(problem, problem.one_hots, circuit, params)
+    """P(phi): the whole circuit run from the problem's inputs and scored,
+    one input at a time."""
+    n = problem.n_bits
+    return _score(problem, (apply_circuit_array(amps, n, circuit, params)
+                            for amps in problem.one_hots))
 
 
 # -iY: Ry(t) = cos(t/2) * I + sin(t/2) * _MINUS_IY, by the state's dtype,
@@ -178,44 +178,47 @@ _TIE_MARGIN = 1e-12
 
 
 class _KeptStates:
-    """The states entering slot ``k``'s gate, one per problem input.
+    """The states entering slot ``k``'s gate, one per problem input; at
+    k = K, past the last gate, the circuit's outputs.
 
     They are built with the angles passed to ``move_to``, and ``sinusoid``
     is exact as long as slots 0..k-1 keep those angles. Visits walk the
-    slots in gate order, so the gates are cut once per circuit into
+    slots in gate order, so the gates are cut once per circuit into K + 1
     ``steps``, step k running from slot k-1's gate (or the start) up to
-    slot k's gate, and ``suffixes``, suffix k being the gates after slot
-    k's gate. Moving forward applies the steps in between; moving back
-    restarts from the problem's shared one-hot inputs.
+    slot k's gate (or the end), and ``suffixes``, suffix k being the gates
+    after slot k's gate. Moving forward applies the steps in between, one
+    state at a time in place; moving back restarts from the problem's
+    shared one-hot inputs.
     """
 
     def __init__(self, circuit: QuantumCircuit, problem: Problem):
         self.problem = problem
-        self.circuit = circuit
         gates = circuit.gates
         # slot -> index of its gate
-        self.gate_of = gate_of = [i for i, gate in enumerate(gates)
-                                  if gate.free]
+        gate_of = [i for i, gate in enumerate(gates) if gate.free]
         self.qubits = [gates[i].qubits[0] for i in gate_of]
         # parts of the circuit: a CNOT run is tabled once for all of them
         self.steps = [circuit.part(start, stop) for start, stop
-                      in zip([0] + gate_of, gate_of)]
+                      in zip([0] + gate_of, gate_of + [None])]
         self.suffixes = [circuit.part(i + 1) for i in gate_of]
         self.k = -1
-        self.states = problem.one_hots
+        self.states = list(problem.one_hots)
 
     def move_to(self, k: int, phi: Sequence[float]) -> None:
-        """Keep the states entering slot ``k``'s gate."""
+        """Keep the states entering slot ``k``'s gate (at k = K, the
+        outputs). Each state is replaced as soon as it has moved, so beyond
+        the kept states a move holds only one state's simulation, and the
+        one-hot inputs are never copied."""
         if k < self.k:
-            self.k, self.states = -1, self.problem.one_hots
-        n = self.problem.n_bits
+            self.k, self.states = -1, list(self.problem.one_hots)
+        n, states = self.problem.n_bits, self.states
         for j in range(self.k + 1, k + 1):
             step = self.steps[j]
             if step.gates:
                 # step j starts at slot j-1's gate
                 params = phi[max(j - 1, 0):]
-                self.states = [apply_circuit_array(amps, n, step, params)
-                               for amps in self.states]
+                for i, amps in enumerate(states):
+                    states[i] = apply_circuit_array(amps, n, step, params)
         self.k = k
 
     def sinusoid(self, phi: Sequence[float]) -> tuple[float, float, float]:
@@ -251,14 +254,6 @@ class _KeptStates:
         d = len(problem.outputs)
         return 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
 
-    def value(self, phi: Sequence[float]) -> float:
-        """The pre-fitness at ``phi``, as long as slots 0..k-1 keep their
-        angles: the kept states go through the gates from slot ``k``'s gate
-        on, the kernel calls a whole-circuit run makes from there."""
-        k = self.k
-        return _score(self.problem, self.states,
-                      self.circuit.part(self.gate_of[k]), phi[k:])
-
 
 def optimize_params(circuit: QuantumCircuit, problem: Problem
                     ) -> tuple[tuple[float, ...], float]:
@@ -284,13 +279,11 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
     current angle's value by more than the margin; this phase too ends
     K - 1 visits after its last change. Either way the sweep stops after
     ``_MAX_SWEEP_CYCLES * K`` visits at the latest. The value returned is
-    the pre-fitness at the final angles, simulated from the last visit's
-    kept states (``_KeptStates.value``); a circuit without slots runs
-    whole.
+    the pre-fitness at the final angles, read off the kept states moved
+    from the last visit to the end of the circuit; with K = 0 there is no
+    visit, and that one move runs the whole circuit.
     """
     k_slots = circuit.n_params
-    if not k_slots:
-        return (), prefitness(circuit, (), problem)
     trig = [(math.cos(t), math.sin(t)) for t in DEFAULT_GRID]
     kept = _KeptStates(circuit, problem)
     phi = [_START_ANGLE] * k_slots
@@ -326,7 +319,8 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
             if exact or not problem.refine:
                 break
             exact, settled = True, 0
-    return tuple(phi), kept.value(phi)
+    kept.move_to(k_slots, phi)
+    return tuple(phi), _score(problem, kept.states)
 
 
 class CachingFitness:
@@ -362,7 +356,7 @@ class CachingFitness:
         canon = self._canonical.get(coding)
         if canon is None:
             table = self.problem.table
-            circuit = canonicalize(gene_to_circuit(gene, table))
+            circuit = canonicalize(coding_circuit(coding, table))
             canon = circuit_to_gene(circuit, table, gene.head_len).symbols[
                 :len(circuit.gates) + 1]
             # canonicalize is idempotent: its output is its own canonical form

@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -122,10 +123,13 @@ class TestPrefitness:
         phi, value = optimize_params(circuit, prob)
         hots = prob.one_hots
         kept = fitness_mod._KeptStates(circuit, prob)
-        assert kept.states is hots
+        # the kept states start, and restart, as the one-hot arrays
+        # themselves, in a list of their own that moves replace them in
+        assert all(a is b for a, b in zip(kept.states, hots, strict=True))
         kept.move_to(1, phi)
+        assert not any(a is b for a, b in zip(kept.states, hots))
         kept.move_to(0, phi)
-        assert kept.states is hots
+        assert all(a is b for a, b in zip(kept.states, hots, strict=True))
         inputs = logged_inputs(monkeypatch)
         assert prefitness(circuit, phi, prob) == value
         assert len(inputs) == 3 and all(a is b for a, b in zip(inputs, hots))
@@ -162,6 +166,33 @@ class TestPrefitness:
         inputs.clear()
         gc.collect()
         assert hot() is None
+
+    def test_kept_states_move_in_place(self):
+        # a move replaces each of the D kept states as soon as it has moved:
+        # at most D + 2 states are live, the D kept ones and the moving
+        # one's last gate output and next, with 16 KiB for Python objects
+        # (one state is 128 KiB). The one-hots and the CNOT-run tables are
+        # built before tracing
+        n, d = 14, 6
+        table = GateTable(n, ["Ry", "CNOT"])
+        prob = function_fit_problem(table,
+                                    [(k, k ^ (k >> 1)) for k in range(d)])
+        circuit = parse_circuit("CNOT0,1 Ry0:phi0 CNOT1,2 Ry1:phi1", n)
+        hots = prob.one_hots
+        kept = fitness_mod._KeptStates(circuit, prob)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept.move_to(1, [0.3, 1.1])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        state = (1 << n) * 8
+        assert all(amps.dtype == np.float64 and amps.nbytes == state
+                   for amps in kept.states)
+        assert peak <= (d + 2) * state + 16384, peak / state
+        assert all(np.array_equal(amps, basis_state(n, index).amplitudes)
+                   for amps, index in zip(hots, prob.inputs))
 
 
 def logged_inputs(monkeypatch):

@@ -376,12 +376,19 @@ def test_one_stacked_run_per_visit_and_early_stop(monkeypatch):
     assert len(history) == last_change + k_slots     # K - 1 visits after it
     assert len(history) > k_slots                    # something did change
     # every visit: one stacked pair run; then the last visit's kept state
-    # goes through the gates from its slot's gate on, once
+    # moves step by step, slot gate to slot gate, to the end of the circuit:
+    # through the gates from its slot's gate on, once
     stacked = [gates for pair, gates in applies if pair]
     assert len(stacked) == len(sinusoids) == len(history)
     last_slot = (len(history) - 1) % k_slots
     slot_gates = [i for i, gate in enumerate(circuit.gates) if gate.free]
-    assert applies[-1] == (False, len(circuit.gates) - slot_gates[last_slot])
+    ends = slot_gates + [len(circuit.gates)]
+    last_run = max(i for i, (pair, _) in enumerate(applies) if pair)
+    trailing = applies[last_run + 1:]
+    assert trailing == [(False, ends[j] - ends[j - 1])
+                        for j in range(last_slot + 1, k_slots + 1)]
+    assert sum(gates for _, gates in trailing) \
+        == len(circuit.gates) - slot_gates[last_slot]
 
 
 def test_gate_applications_counted_exactly(monkeypatch):
@@ -398,17 +405,17 @@ def test_gate_applications_counted_exactly(monkeypatch):
                                                  sinusoids)
     assert result == (ref_phi, ref_best)
     stacked = [gates for pair, gates in applies if pair]
-    moves = [gates for pair, gates in applies[:-1] if not pair]
+    moves = [gates for pair, gates in applies if not pair]
     # the last change is at visit 12 (a sideways move), so the sweep stops
     # after visit 19: stacked runs of 7, 6, ..., 0 gates in visits 0-7 and
     # 8-15 and 7, 6, 5, 4 in visits 16-19; one-gate moves before visits
     # 1-7, 9-15 and 17-19; then the state kept for visit 19 (slot 3) goes
-    # through the 5 gates from slot 3's gate on
+    # through the 5 gates from slot 3's gate on, as five one-gate steps
     assert max(v for v, (_, changed) in enumerate(history) if changed) == 12
     assert len(history) == 20
     assert (len(stacked), sum(stacked)) == (20, 28 + 28 + 22)
-    assert (len(moves), sum(moves)) == (17, 17)
-    assert applies[-1] == (False, 5)
+    assert (len(moves), sum(moves)) == (17 + 5, 17 + 5)
+    assert applies[-6:] == [(True, 4)] + [(False, 1)] * 5
     assert sum(gates for _, gates in applies) == 100
 
 
