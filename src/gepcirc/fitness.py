@@ -65,9 +65,11 @@ import numpy as np
 from gepcirc.engine import ConfigError, Gene, coding_length, make_gene
 from gepcirc.hamiltonians import PauliSumHamiltonian
 from gepcirc.sim import (
+    MAX_QUBITS,
     GateTable,
     QuantumCircuit,
     _apply_1q,
+    _forms,
     _frozen,
     apply_circuit_array,
     bind_params,
@@ -167,10 +169,13 @@ def prefitness(circuit: QuantumCircuit, params: Sequence[float],
                             for amps in problem.one_hots))
 
 
-# -iY: Ry(t) = cos(t/2) * I + sin(t/2) * _MINUS_IY, by the state's dtype,
-# so a complex state's product does not cast the matrix
-_MINUS_IY = {dtype: _frozen(np.array([[0.0, -1.0], [1.0, 0.0]], dtype))
-             for dtype in (np.dtype(float), np.dtype(complex))}
+# -iY: Ry(t) = cos(t/2) * I + sin(t/2) * _MINUS_IY, by the state's dtype
+# (so a complex state's product does not cast the matrix) and qubit, as
+# the matrix and its widened form that sim's kernel takes
+_MINUS_IY = {
+    (dtype, q): _forms(_frozen(np.array([[0.0, -1.0], [1.0, 0.0]], dtype)), q)
+    for dtype in (np.dtype(float), np.dtype(complex))
+    for q in range(MAX_QUBITS)}
 # values within this times 1 + |a| + |b| + |c| of each other tie: well
 # above the ~1e-15 relative rounding of the sinusoid, so rounding noise
 # decides no move
@@ -229,14 +234,15 @@ class _KeptStates:
         go through the gates after slot ``k``'s gate in one simulation.
         """
         problem, k = self.problem, self.k
+        q = self.qubits[k]
 
         def outputs(amps: np.ndarray) -> np.ndarray:
             """(A, B) for one kept state psi."""
             # unnamed, -iY psi is freed once copied and the pair once its
             # first gate has run: at NumBits = 24 one state is 256 MB
+            mat, wide = _MINUS_IY[amps.dtype, q]
             return apply_circuit_array(
-                np.array((amps, _apply_1q(amps, _MINUS_IY[amps.dtype],
-                                         self.qubits[k]))),
+                np.array((amps, _apply_1q(amps, mat, q, wide))),
                 problem.n_bits, self.suffixes[k], phi[k + 1:])
 
         outs = map(outputs, self.states)

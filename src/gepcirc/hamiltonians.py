@@ -11,7 +11,9 @@ expectation cache is one real diagonal, holding every term without X or Y
 factors (identity terms included), plus one complex weight row per
 distinct flip mask, summing coefficient times phase over the terms that
 share it; each term is added in place into its row of one preallocated
-(flip masks, 2^N) array. H psi is then the diagonal product plus one
+(flip masks, 2^N) array, its +-1 signs filled by doubling into one
+reused float64 row, so the build makes no index array of the register's
+size. H psi is then the diagonal product plus one
 stacked gather over the flip masks (12 rows for the 36-term 3x3
 Heisenberg lattice, none for an Ising Hamiltonian). A shift e0 and scale
 s are folded into the diagonal and the rows once, when the cache is
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gepcirc.engine import ConfigError, Locator, content_lines
-from gepcirc.sim import MAX_QUBITS
+from gepcirc.sim import MAX_QUBITS, _frozen
 
 __all__ = [
     "Graph", "PauliTerm", "PauliSumHamiltonian", "ImaginaryResidueError",
@@ -119,6 +121,30 @@ class PauliTerm:
         return x, y, z
 
 
+# c and (-1)^popcount(c) for c below _LOW_SIGNS, read-only
+_LOW_SIGNS = 1 << 10
+_LOW_INDICES = _frozen(np.arange(_LOW_SIGNS))
+_PARITY_SIGNS = _frozen(1.0 - 2.0 * (np.bitwise_count(_LOW_INDICES) & 1))
+
+
+def _fill_signs(signs: np.ndarray, mask: int) -> None:
+    """signs[c] = (-1)^popcount(c & mask), exactly +-1.0, in place.
+
+    The first 2^10 entries are looked up by c & mask; from there each
+    doubling copies the filled prefix, negated when the next bit is in
+    ``mask``. So no index array or integer or float temporary of the
+    register's size is made."""
+    size = min(len(signs), _LOW_SIGNS)
+    np.take(_PARITY_SIGNS, _LOW_INDICES[:size] & mask, out=signs[:size],
+            mode="clip")
+    while size < len(signs):
+        if mask & size:
+            np.negative(signs[:size], out=signs[size:2 * size])
+        else:
+            signs[size:2 * size] = signs[:size]
+        size *= 2
+
+
 class PauliSumHamiltonian:
     """Real-weighted sum of Pauli strings with optional affine rescaling.
 
@@ -158,21 +184,25 @@ class PauliSumHamiltonian:
 
     def _build_cache(self) -> None:
         dim = 1 << self.n_bits
-        indices = np.arange(dim, dtype=np.intp)
         masks = [t.masks() for t in self.terms]
         # one weight row per distinct flip mask, in order of first use
         row_of = {f: r for r, f in enumerate(dict.fromkeys(
             x | y for x, y, _ in masks if x | y))}
         diag = np.zeros(dim, dtype=float)
         weights = np.zeros((len(row_of), dim), dtype=complex)
+        signs = np.empty(dim)   # one term's signs at a time
         for t, (xmask, ymask, zmask) in zip(self.terms, masks):
-            signs = 1.0 - 2.0 * (np.bitwise_count(indices & (ymask | zmask)) & 1)
+            _fill_signs(signs, ymask | zmask)
             if xmask | ymask:
                 weights[row_of[xmask | ymask]] += \
                     t.coefficient * (-1j) ** ymask.bit_count() * signs
             else:
-                diag += t.coefficient * signs
-        self._perms = indices ^ np.array(list(row_of), dtype=np.intp)[:, None]
+                signs *= t.coefficient
+                diag += signs
+        del signs   # freed before the flip tables are built
+        self._perms = (np.arange(dim, dtype=np.intp)
+                       ^ np.array(list(row_of), dtype=np.intp)[:, None]
+                       if row_of else np.empty((0, dim), dtype=np.intp))
         # H' = s*(H - e0) in place; both tables summed from +0.0 hold no
         # -0.0, so e0 = 0, s = 1 keeps every bit
         diag -= self.shift

@@ -13,13 +13,20 @@ an angle stores pi/2.
 
 Gate application works on the last axis of an amplitude array shaped
 (..., 2^N), so a stack of states goes through a circuit in one run. A
-1-qubit gate on qubit q views the array as (high, 2, low) with low = 2^q,
-brings the qubit axis to the front and multiplies by the 2x2 matrix in
-one product; when at most 8 blocks sit above q (q >= 4) a batched
-product per block replaces the two transposes. Both are the same
-2x2 @ 2xM products as the original kernel, which moved the qubit's axis
-of the (2,)*n tensor to the front, so every amplitude comes out with the
-same bits. CNOT, the only two-qubit kind, only permutes basis indices,
+1-qubit gate on qubit q is one BLAS product, chosen by the dtypes (see
+``_apply_1q``). A real product (float64 state and matrix) at q <= 3
+multiplies the state, viewed as rows of 2^(q+1) amplitudes, by the
+matrix widened to kron(M, I_{2^q})^T, 4x4 to 16x16; above q = 3 it is
+one batched 2x2 @ (2, 2^q) product per block of the (high, 2, low) view,
+low = 2^q. Neither copies the state. A complex product takes the batched
+form from q = 4 on at most 8 blocks or at least 2^15 amplitudes, and
+otherwise brings the qubit axis of the (high, 2, low) view to the front
+for one 2x2 @ 2xM product and back. Each form is used only where it
+rounds as the original kernel did, which moved the qubit's axis of the
+(2,)*n tensor to the front for one 2x2 @ 2xM product, so every amplitude
+comes out with the same bits: a single row's widened product would be a
+vector-matrix one, which rounds otherwise, so one row takes the batched
+form. CNOT, the only two-qubit kind, only permutes basis indices,
 and so does every maximal run of consecutive CNOTs, a lone CNOT
 included: the run is applied as one gather, np.take(amps, table,
 axis=-1), through a read-only index table: intp up to 2^16 indices,
@@ -28,8 +35,9 @@ indices. A gather does no arithmetic, so it gives the values of the
 original 4x4 permutation products exactly (those products could only
 change the sign of an exact zero), and a run's gather equals its CNOTs
 gathered one at a time bit for bit.
-The kernels' matrices are read-only: the fixed kinds' are built once, and
-Ry and P matrices are cached by angle.
+The kernels' matrices are read-only: the fixed kinds' 2x2 and widened
+forms are built once for every qubit, and Ry and P forms are cached by
+angle and qubit.
 
 A state stays float64 for as long as every gate applied to it is real.
 The matrices of H, X, Z and Ry are float64 and those of Y and P complex,
@@ -176,6 +184,9 @@ class GateInstance:
                            bool(self.kind.n_slots) and self.angle is None)
 
 
+_Op = tuple[int, GateInstance | np.ndarray] | None     # see _compile_ops
+
+
 @dataclass(frozen=True)
 class QuantumCircuit:
     """Ordered gate list applied left-to-right to a state.
@@ -202,7 +213,7 @@ class QuantumCircuit:
         return len(self.gates)
 
     @functools.cached_property
-    def ops(self) -> tuple[GateInstance | np.ndarray | None, ...]:
+    def ops(self) -> tuple[_Op, ...]:
         """What ``apply_circuit_array`` runs at each gate, compiled on first
         use (see ``_compile_ops``)."""
         return _compile_ops(self)
@@ -287,12 +298,82 @@ def _kernel_matrix(name: str, angle: float | None,
                          complex_state)
 
 
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
+_WIDE_Q = 3     # float64 products at q <= _WIDE_Q use the widened matrix
+
+
+def _widen(mat: np.ndarray, q: int) -> np.ndarray:
+    """kron(mat, I_{2^q}) transposed, read-only: a row of 2^(q+1)
+    amplitudes times it is ``mat`` applied to each of the row's 2^q
+    (amps[k], amps[k + 2^q]) pairs. Written entry by entry, so ``mat``'s
+    entries keep their bits and every other entry is +0.0."""
     low = 1 << q
-    if q >= 4 and amps.size >> (q + 1) <= 8:
-        # at most 8 blocks above q, each >= 16 columns wide: one
-        # 2x2 @ 2xlow product per block beats the transposes and rounds
-        # the same (blocks 1-2 columns wide round differently)
+    wide = np.zeros((2, low, 2, low), mat.dtype)
+    k = np.arange(low)
+    wide[:, k, :, k] = mat.T    # wide[j, k, i, k] = mat[i, j]
+    return _frozen(wide.reshape(2 << q, 2 << q))
+
+
+def _forms(mat: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """``mat`` and, for a float64 matrix at q <= _WIDE_Q, its widened form
+    (see ``_apply_1q``)."""
+    wide = None
+    if q <= _WIDE_Q and mat.dtype == np.float64:
+        wide = _widen(mat, q)
+    return mat, wide
+
+
+# (name, complex_state, q) -> the fixed kinds' forms, built once
+_FIXED_FORMS = {
+    (name, complex_state, q): _forms(_kernel_matrix(name, None, complex_state),
+                                     q)
+    for name in _FIXED_MATRICES for complex_state in (False, True)
+    for q in range(MAX_QUBITS)
+}
+
+
+@functools.lru_cache(maxsize=1024)
+def _angle_forms(name: str, angle: float, sign: float, complex_state: bool,
+                 width: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ry's or P's forms at ``width`` = min(q, _WIDE_Q + 1): above
+    _WIDE_Q they do not depend on q."""
+    return _forms(_angle_matrix(name, angle, sign, complex_state), width)
+
+
+def _kernel_forms(name: str, angle: float | None, complex_state: bool,
+                  q: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The 2x2 matrix of ``_kernel_matrix`` and its widened form or None,
+    as ``_apply_1q`` takes them for qubit q; read-only and cached."""
+    if angle is None:
+        return _FIXED_FORMS[name, complex_state, q]
+    return _angle_forms(name, angle, math.copysign(1.0, angle),
+                        complex_state, q if q <= _WIDE_Q else _WIDE_Q + 1)
+
+
+def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int,
+              wide: np.ndarray | None = None) -> np.ndarray:
+    """``mat`` on qubit q of every state along the last axis of ``amps``.
+
+    ``wide`` is ``mat``'s widened form, passed for a float64 matrix at
+    q <= _WIDE_Q; a float64 matrix comes only with a float64 state. Each
+    form below is used only where it rounds as the 2x2 @ 2xM product of
+    the moveaxis kernel does (the kernel tests check them bit for bit):
+    - a float64 product at q <= _WIDE_Q: the state as rows of 2^(q+1)
+      amplitudes times ``wide``, one BLAS product with no copy. A single
+      row would be a vector-matrix product, which rounds otherwise, so
+      one row takes the batched product below;
+    - a float64 product above _WIDE_Q, and a complex one from q = 4 on
+      at most 8 blocks above q or on at least 2^15 amplitudes (512 KB),
+      where it is faster: one batched 2x2 @ (2, 2^q) product per block;
+    - other complex products: the (high, 2, low) blocks with their qubit
+      axis brought to the front, one 2x2 @ 2xM product, and back.
+    """
+    low = 1 << q
+    if wide is not None and amps.size > 2 * low:
+        return (amps.reshape(-1, 2 * low) @ wide).reshape(amps.shape)
+    # a matrix is float64 or complex128, so itemsize 8 marks a real one
+    if wide is not None or q >= 4 and (
+            mat.itemsize == 8 or amps.size >= 1 << 15
+            or amps.size >> (q + 1) <= 8):
         return np.matmul(mat, amps.reshape(-1, 2, low)).reshape(amps.shape)
     t = amps.reshape(-1, 2, low).transpose(1, 0, 2).reshape(2, -1)
     return (mat @ t).reshape(2, -1, low).transpose(1, 0, 2).reshape(amps.shape)
@@ -325,20 +406,19 @@ def _cnot_run_table(n_bits: int, run: Sequence[GateInstance]) -> np.ndarray:
     return _frozen(table.view() if size <= _GATHER_CHUNK else table)
 
 
-def _compile_ops(circuit: QuantumCircuit
-                 ) -> tuple[GateInstance | np.ndarray | None, ...]:
-    """One op per gate: the gate itself for a 1-qubit gate, and for each
-    maximal run of CNOTs, a lone CNOT included, its index table at the
-    run's first gate and None at the others."""
-    ops: list[GateInstance | np.ndarray | None] = []
+def _compile_ops(circuit: QuantumCircuit) -> tuple[_Op, ...]:
+    """One op per gate: (q, gate) for a 1-qubit gate on qubit q, and for
+    each maximal run of CNOTs, a lone CNOT included, (-1, its index table)
+    at the run's first gate and None at the others."""
+    ops: list[_Op] = []
     for is_cnot, group in itertools.groupby(
             circuit.gates, lambda gate: gate.kind.n_qubits == 2):
         run = tuple(group)
         if is_cnot:
-            ops.append(_cnot_run_table(circuit.n_bits, run))
+            ops.append((-1, _cnot_run_table(circuit.n_bits, run)))
             ops += [None] * (len(run) - 1)
         else:
-            ops += run
+            ops += [(gate.qubits[0], gate) for gate in run]
     return tuple(ops)
 
 
@@ -399,12 +479,16 @@ def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
         amps = amps.astype(complex, copy=False)
     free_angles = iter(params)
     for op in circuit.ops:
-        if isinstance(op, GateInstance):    # every gate op is 1-qubit
-            angle = float(next(free_angles)) if op.free else op.angle
-            amps = _apply_1q(amps, _kernel_matrix(
-                op.kind.name, angle, amps.dtype == _COMPLEX), op.qubits[0])
-        elif op is not None:    # a CNOT run's index table; None: in the run
-            amps = _gather(amps, op)
+        if op is None:      # inside a CNOT run, applied at its first gate
+            continue
+        q, gate = op
+        if q < 0:           # a CNOT run's index table
+            amps = _gather(amps, gate)
+            continue
+        angle = float(next(free_angles)) if gate.free else gate.angle
+        mat, wide = _kernel_forms(gate.kind.name, angle,
+                                  amps.dtype == _COMPLEX, q)
+        amps = _apply_1q(amps, mat, q, wide)
     return amps
 
 

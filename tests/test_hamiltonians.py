@@ -280,6 +280,57 @@ class TestGroupedExpectation:
         kept = h._diag.nbytes + h._perms.nbytes + h._weights.nbytes
         assert peak <= 1.10 * kept
 
+    def test_diagonal_build_holds_one_row_of_signs(self):
+        # two Z terms on 20 bits: the build peaks at the 8 MB diagonal
+        # plus one float64 row of signs, with no index array and no
+        # integer or float temporary of the register's size (five such
+        # arrays read 40 MB)
+        n = 20
+        h = PauliSumHamiltonian(n, [
+            PauliTerm.from_map(1.0, {0: "Z"}),
+            PauliTerm.from_map(-0.5, {1: "Z", n - 1: "Z"})])
+        tracemalloc.start()
+        try:
+            h._build_cache()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h._perms.shape == h._weights.shape == (0, 1 << n)
+        assert peak <= 2 * h._diag.nbytes + 65536, peak
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 13), seed=st.integers(0, 2**32 - 1),
+           shift=st.sampled_from([0.0, 0.75]),
+           scale=st.sampled_from([1.0, -2.5]))
+    def test_cache_bits_match_index_formula(self, n, seed, shift, scale):
+        """The cached tables, signs filled by doubling past 2^10 entries,
+        hold the bits of each term's signs computed from every basis
+        index, (-1)^popcount(c & (Y|Z)), summed in term order."""
+        rng = random.Random(seed)
+        h = rand_hamiltonian(n, rng, n_terms=rng.randint(1, 6))
+        h = h.rescaled(shift, scale)
+        h._build_cache()
+        indices = np.arange(1 << n)
+        masks = [t.masks() for t in h.terms]
+        flips = list(dict.fromkeys(x | y for x, y, _ in masks if x | y))
+        diag = np.zeros(1 << n)
+        weights = np.zeros((len(flips), 1 << n), dtype=complex)
+        for t, (xmask, ymask, zmask) in zip(h.terms, masks):
+            signs = 1.0 - 2.0 * (np.bitwise_count(indices & (ymask | zmask))
+                                 & 1)
+            if xmask | ymask:
+                weights[flips.index(xmask | ymask)] += \
+                    t.coefficient * (-1j) ** ymask.bit_count() * signs
+            else:
+                diag += t.coefficient * signs
+        diag -= shift
+        diag *= scale
+        weights *= scale
+        assert h._diag.tobytes() == diag.tobytes()
+        assert h._weights.tobytes() == weights.tobytes()
+        assert np.array_equal(h._perms,
+                              indices ^ np.array(flips, dtype=int)[:, None])
+
     def test_diagonal_hamiltonian_is_one_product(self):
         # an Ising Hamiltonian gathers nothing: exactly vdot(a, diag * a)
         rng = random.Random(31)

@@ -1,6 +1,7 @@
 """Simulator tests: gates, state evolution, gene bridge, canonical form,
 and the circuit string grammar."""
 
+import itertools
 import math
 import os
 import random
@@ -269,8 +270,8 @@ class TestApplyCircuit:
         assert part.n_params == direct.n_params
         assert len(part.ops) == len(direct.ops)
         for a, b in zip(part.ops, direct.ops):
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b)
+            if a is not None and a[0] < 0:      # a CNOT run's table
+                assert b[0] < 0 and np.array_equal(a[1], b[1])
             else:
                 assert a == b
 
@@ -302,6 +303,17 @@ def moveaxis_2q(amps, n_bits, mat, qa, qb):
     return np.moveaxis(t, (0, 1), axes).reshape(-1)
 
 
+def moveaxis_stack(amps, mat, q):
+    """moveaxis_1q on a whole (..., 2^n) stack at once: qubit q's axis of
+    the (..., 2, ..., 2) tensor to the front, one 2x2 @ 2xM product."""
+    n_bits = amps.shape[-1].bit_length() - 1
+    axis = amps.ndim - 1 + n_bits - 1 - q
+    t = np.moveaxis(amps.reshape(amps.shape[:-1] + (2,) * n_bits), axis, 0)
+    shape = t.shape
+    t = (mat @ t.reshape(2, -1)).reshape(shape)
+    return np.moveaxis(t, 0, axis).reshape(amps.shape)
+
+
 # CNOT on the (control, target) axes that moveaxis_2q brings to the front;
 # real, so a real state stays real and a complex one promotes it
 CNOT_4X4 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -323,13 +335,15 @@ def reference_instance(amps, gate, angle):
 
 
 @st.composite
-def kernel_states(draw, max_bits=10):
-    """(n, rows): three unnormalized complex states, the 2nd and 3rd with
-    about half and 95% of their real and imaginary parts set to +-0."""
-    n = draw(st.integers(1, max_bits))
+def kernel_states(draw, max_bits=10, min_bits=1, count=3):
+    """(n, rows): ``count`` unnormalized complex states, every 2nd and 3rd
+    of each three with about half and 95% of their real and imaginary
+    parts set to +-0."""
+    n = draw(st.integers(min_bits, max_bits))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
-    for amps, zero_frac in zip(rows, (0.0, 0.5, 0.95)):
+    rows = (rng.normal(size=(count, 1 << n))
+            + 1j * rng.normal(size=(count, 1 << n)))
+    for amps, zero_frac in zip(rows, itertools.cycle((0.0, 0.5, 0.95))):
         for part in (amps.real, amps.imag):
             mask = rng.random(1 << n) < zero_frac
             part[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
@@ -348,6 +362,11 @@ def cnot_runs(gates):
             runs.append(run)
         run = []
     return runs
+
+
+def run_tables(circuit):
+    """The index tables of a circuit's compiled CNOT runs, in order."""
+    return [op[1] for op in circuit.ops if op is not None and op[0] < 0]
 
 
 def gate_by_gate(amps, gates, params):
@@ -427,6 +446,59 @@ class TestKernels:
                 assert np.allclose(outs, (dense @ rows.T).T,
                                    rtol=0, atol=1e-12)
                 check_real_states(np.ascontiguousarray(rows.real), gate)
+
+    @settings(deadline=None, max_examples=20)
+    @given(states=kernel_states(max_bits=12, min_bits=2, count=8),
+           lead=st.sampled_from([(), (1,), (2,), (3,), (8,)]),
+           phase=st.floats(-10.0, 10.0, allow_nan=False),
+           theta=st.floats(-20.0, 20.0, allow_nan=False))
+    def test_kernel_rule_bits(self, states, lead, phase, theta):
+        """Every kind on every qubit of float64 and complex stacks of
+        states, of every shape the kernel tells apart (one row or more,
+        a few blocks above q or many): the raw bits of the moveaxis
+        reference run row by row, zero signs included, whichever product
+        the kernel picks; P and Y make a float64 state complex as a cast
+        would. A complex product below q = 4 is one product over the
+        whole stack, as it always was, and rounds as the moveaxis
+        reference run on the stack at once, not always as row by row."""
+        n, rows = states
+        stack = rows[:math.prod(lead)].reshape(lead + (1 << n,))
+        kinds = [("H", None), ("X", None), ("Y", None), ("Z", None),
+                 ("P", None), ("P", phase), ("Ry", theta)]
+        for amps in (stack, np.ascontiguousarray(stack.real)):
+            for name, angle in kinds:
+                for q in range(n):
+                    gate = GateInstance(GATE_KINDS[name], (q,), angle=angle)
+                    out = apply_circuit_array(
+                        amps, n, QuantumCircuit(n, (gate,)))
+                    real = (amps.dtype == np.float64
+                            and name not in ("P", "Y"))
+                    assert out.dtype == (np.float64 if real else complex)
+                    cast = amps.astype(out.dtype)
+                    if not real and q < 4 and stack.size > 1 << n:
+                        ref = moveaxis_stack(cast, sim._kernel_matrix(
+                            name, gate.angle), q)
+                    else:
+                        ref = reference_instance(cast, gate, gate.angle)
+                    assert same_bits(out, ref), (name, q)
+
+    def test_single_row_at_the_top_qubit(self):
+        """One float64 row with q = n - 1 <= 3 is one block of 2^n
+        amplitudes: as one widened row it would be a vector-matrix
+        product, which rounds otherwise, so it keeps the reference's
+        bits through the batched product, alone and as a (1, 2^n) stack."""
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 4):
+            gate = GateInstance(GATE_KINDS["Ry"], (n - 1,))
+            for _ in range(100):
+                theta = rng.uniform(-20.0, 20.0)
+                for shape in ((1 << n,), (1, 1 << n)):
+                    amps = rng.normal(size=shape)
+                    out = apply_circuit_array(
+                        amps, n, QuantumCircuit(n, (gate,)), (theta,))
+                    assert out.dtype == np.float64
+                    assert same_bits(out, reference_instance(amps, gate,
+                                                             theta)), n
 
     @settings(deadline=None, max_examples=10)
     @given(states=kernel_states())
@@ -527,7 +599,19 @@ class TestKernels:
             sim._angle_matrix(name, angle, math.copysign(1.0, angle), twin)
             for name in ("Ry", "P") for angle in (0.7, -0.0, sim.P_PHASE)
             for twin in (False, True)] + list(sim._COMPLEX_FIXED.values())
-        for mat in mats:
+        # the kernel's forms: each 2x2 matrix and the widened ones, of the
+        # fixed kinds, Ry and P, and the sweep's -iY, at every q
+        forms = (list(sim._FIXED_FORMS.values())
+                 + list(fitness_mod._MINUS_IY.values())
+                 + [sim._kernel_forms(name, angle, twin, q)
+                    for name in ("Ry", "P") for angle in (0.7, -0.0)
+                    for twin in (False, True) for q in range(6)])
+        wide = [w for _, w in forms if w is not None]
+        # H, X, Z on float64 states at q <= 3, -iY there, and Ry
+        assert len(wide) == 3 * 4 + 4 + 2 * 4
+        for (_, _, q), (_, w) in sim._FIXED_FORMS.items():
+            assert w is None or w.shape == (2 << q, 2 << q)
+        for mat in mats + [m for m, _ in forms] + wide:
             assert not mat.flags.writeable
             with pytest.raises(ValueError):
                 mat[0, 0] = 5.0
@@ -576,7 +660,7 @@ class TestKernels:
         assert same_bits(fused, gate_by_gate(amps, gates, params))
         assert same_bits(amps, before)
         runs = cnot_runs(gates)
-        tables = [op for op in circuit.ops if isinstance(op, np.ndarray)]
+        tables = run_tables(circuit)
         assert len(tables) == len(runs)
         assert sum(op is None for op in circuit.ops) \
             == sum(len(run) - 1 for run in runs)
@@ -618,7 +702,7 @@ class TestKernels:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        table = circuit.ops[0]
+        table, = run_tables(circuit)
         assert table.dtype == np.intp and len(table) == sim._GATHER_CHUNK
         bound = out.nbytes + table.nbytes
         assert peak <= bound + 16384, (peak, bound)
@@ -634,7 +718,7 @@ class TestKernels:
         rng = np.random.default_rng(17)
         amps = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
         fused = apply_circuit_array(amps, n, circuit)
-        assert sum(isinstance(op, np.ndarray) for op in circuit.ops) == 3
+        assert len(run_tables(circuit)) == 3
         assert same_bits(fused, gate_by_gate(amps, circuit.gates, ()))
 
     def test_chunked_gather_memory(self):

@@ -439,9 +439,10 @@ def test_every_cnot_run_tabled_once(monkeypatch):
     assert built == [1, 2]
     assert circuit.ops[4] is None
     for op in (circuit.ops[1], circuit.ops[3]):
-        assert isinstance(op, np.ndarray)
-        assert len(op) <= sim._GATHER_CHUNK
-        assert op.dtype == np.intp and not op.flags.writeable
+        q, table = op
+        assert q == -1 and isinstance(table, np.ndarray)
+        assert len(table) <= sim._GATHER_CHUNK
+        assert table.dtype == np.intp and not table.flags.writeable
 
 
 def test_flat_slot_moves_sideways_once(monkeypatch):
