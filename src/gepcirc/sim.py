@@ -350,7 +350,8 @@ def _kernel_forms(name: str, angle: float | None, complex_state: bool,
 
 
 def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int,
-              wide: np.ndarray | None = None) -> np.ndarray:
+              wide: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
     """``mat`` on qubit q of every state along the last axis of ``amps``.
 
     ``wide`` is ``mat``'s widened form, passed for a float64 matrix at
@@ -366,17 +367,33 @@ def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int,
       where it is faster: one batched 2x2 @ (2, 2^q) product per block;
     - other complex products: the (high, 2, low) blocks with their qubit
       axis brought to the front, one 2x2 @ 2xM product, and back.
+
+    ``out``, a C-contiguous array of ``amps``' shape and the product's
+    dtype, receives the result and is returned: the two batched forms
+    write into it, the same bits, and the transposed one is copied in.
     """
     low = 1 << q
     if wide is not None and amps.size > 2 * low:
-        return (amps.reshape(-1, 2 * low) @ wide).reshape(amps.shape)
+        rows = amps.reshape(-1, 2 * low)
+        if out is None:
+            return (rows @ wide).reshape(amps.shape)
+        np.matmul(rows, wide, out=out.reshape(rows.shape))
+        return out
     # a matrix is float64 or complex128, so itemsize 8 marks a real one
     if wide is not None or q >= 4 and (
             mat.itemsize == 8 or amps.size >= 1 << 15
             or amps.size >> (q + 1) <= 8):
-        return np.matmul(mat, amps.reshape(-1, 2, low)).reshape(amps.shape)
+        blocks = amps.reshape(-1, 2, low)
+        if out is None:
+            return np.matmul(mat, blocks).reshape(amps.shape)
+        np.matmul(mat, blocks, out=out.reshape(blocks.shape))
+        return out
     t = amps.reshape(-1, 2, low).transpose(1, 0, 2).reshape(2, -1)
-    return (mat @ t).reshape(2, -1, low).transpose(1, 0, 2).reshape(amps.shape)
+    result = (mat @ t).reshape(2, -1, low).transpose(1, 0, 2)
+    if out is None:
+        return result.reshape(amps.shape)
+    out.reshape(result.shape)[...] = result
+    return out
 
 
 def _cnot_run_table(n_bits: int, run: Sequence[GateInstance]) -> np.ndarray:

@@ -37,6 +37,7 @@ from gepcirc.oracle import dense_matrix, exact_ground_energy
 from gepcirc.sim import (
     GATE_KINDS,
     GateTable,
+    QuantumCircuit,
     apply_circuit_array,
     basis_state,
     bind_params,
@@ -506,6 +507,32 @@ def adjacent_same_qubit_ry(circuit):
                for a, b in zip(circuit.gates, circuit.gates[1:]))
 
 
+def core_key(circuit, problem):
+    """(entries, core gates, outputs) of a circuit, by simulation: the lead
+    is its leading CNOTs and, for FunctionFit, the tail its trailing ones;
+    an entry is the basis index where the lead takes an input's one-hot,
+    and a pulled-back output the basis index the tail takes to the
+    output."""
+    n, gates = circuit.n_bits, circuit.gates
+    lead = next((i for i, gate in enumerate(gates)
+                 if gate.kind.name != "CNOT"), len(gates))
+    end = len(gates)
+    while (problem.outputs and end > lead
+           and gates[end - 1].kind.name == "CNOT"):
+        end -= 1
+
+    def image(index, part):
+        amps = apply_circuit_array(basis_state(n, index).amplitudes, n,
+                                   QuantumCircuit(n, part))
+        return int(np.flatnonzero(amps)[0])
+
+    entries = tuple(image(index, gates[:lead]) for index in problem.inputs)
+    outputs = tuple(next(j for j in range(1 << n)
+                         if image(j, gates[end:]) == out)
+                    for out in problem.outputs)
+    return entries, gates[lead:end], outputs
+
+
 class TestCanonicalFitness:
     @settings(deadline=None, max_examples=150)
     @given(gene_problems())
@@ -517,27 +544,43 @@ class TestCanonicalFitness:
         assert cache(gene) == value
         assert cache.bound_circuit(gene) == bind_params(circuit, angles)
 
-    def test_one_canonical_circuit_one_optimum(self, monkeypatch):
-        table = GateTable(2, ["H", "Ry", "CNOT"])
-        problem = ground_state_problem(
-            table, random_pauli_sum(2, random.Random(5)), refine=True)
-        cache = CachingFitness(problem)
+    def test_one_core_key_one_sweep(self, monkeypatch):
+        # genomes whose canonical circuits share one core key, found here
+        # by simulation (``core_key``), share one sweep, one fitness and
+        # one angle vector; genomes of different keys are swept apart. On
+        # GroundState from a nonzero initial state the lead moves it, and
+        # on FunctionFit the tail pulls the outputs back too
+        table = GateTable(3, ["H", "Ry", "CNOT"])
         optimized = count_calls(monkeypatch, "optimize_params")
-        rng = random.Random(23)
-        groups = {}
-        for _ in range(400):
-            gene = random_gene(table.pset, 5, rng)
-            circuit = canonicalize(gene_to_circuit(gene, table))
-            groups.setdefault(circuit_to_string(circuit), []).append(gene)
-        for genes in groups.values():
-            values = {cache(gene) for gene in genes}
-            bound = {cache.bound_circuit(gene) for gene in genes}
-            assert len(values) == len(bound) == 1
-        assert len(optimized) == len(groups)
-        assert [circuit_to_string(c) for c in optimized] == list(groups)
-        # genomes of different coding regions do share a canonical circuit
-        assert any(len({g.symbols[:coding_length(g)] for g in genes}) > 1
-                   for genes in groups.values())
+        for problem in (
+                ground_state_problem(table, random_pauli_sum(
+                    3, random.Random(5)), 5, refine=True),
+                function_fit_problem(table, [(1, 6), (4, 4), (7, 2)])):
+            cache = CachingFitness(problem)
+            optimized.clear()
+            rng = random.Random(23)
+            groups = {}
+            for _ in range(600):
+                gene = random_gene(table.pset, 5, rng)
+                circuit = canonicalize(gene_to_circuit(gene, table))
+                groups.setdefault(core_key(circuit, problem), []).append(gene)
+            for genes in groups.values():
+                values = {cache(gene) for gene in genes}
+                angles = {tuple(gate.angle for gate in
+                                cache.bound_circuit(gene).gates
+                                if gate.kind.name == "Ry")
+                          for gene in genes}
+                assert len(values) == len(angles) == 1
+            assert [core_key(c, problem) for c in optimized] == list(groups)
+            assert all(canonicalize(c) == c for c in optimized)
+            # keys are shared by canonical circuits that differ in their
+            # ends, and by genomes of different coding regions
+            texts = [{circuit_to_string(canonicalize(gene_to_circuit(
+                          gene, table))) for gene in genes}
+                     for genes in groups.values()]
+            assert any(len(t) > 1 for t in texts)
+            assert any(len({g.symbols[:coding_length(g)] for g in genes}) > 1
+                       for genes in groups.values())
 
     def test_evolution_canonicalizes_each_coding_region_once(self,
                                                             monkeypatch):

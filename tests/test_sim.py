@@ -526,7 +526,13 @@ class TestKernels:
         """A (B, 2^n) array goes through a circuit as B separate runs.
         Within 1e-13 always; bit for bit from n = 2 on. At n = 1 a 1-qubit
         gate is a 2x2 @ 2x1 product alone but 2x2 @ 2xB batched, and the
-        two may differ in the last bit."""
+        two may differ in the last bit. Float64 stacks whose entries are
+        mostly +-0, as the sweep's pairs built from one-hots are, go
+        through real gates bit for bit too, zero signs included. A complex
+        product below q = 4, P or Y on such a stack among them, is one
+        product over the whole stack, which may give an exact zero the
+        other sign than row by row; ``test_kernel_rule_bits`` checks it
+        against the moveaxis reference run on the stack at once."""
         rng = random.Random(seed)
         circuit = rand_circuit(n, rng, kinds=("Ry", "P", "H", "X", "CNOT"),
                                head=rng.randint(1, 15))
@@ -538,6 +544,21 @@ class TestKernels:
         assert np.abs(batched - separate).max() <= 1e-13
         if n >= 2:
             assert same_bits(batched, separate)
+            real = np.random.default_rng(seed).normal(size=(batch, 1 << n))
+            for amps in real:
+                # all but one entry, or about 95% or half of them, +-0
+                zero_frac = rng.choice((1.0, 0.95, 0.5))
+                mask = np.array([rng.random() < zero_frac
+                                 for _ in range(1 << n)])
+                mask[rng.randrange(1 << n)] = False
+                amps[mask] = [rng.choice((0.0, -0.0))
+                              for _ in range(int(mask.sum()))]
+            gates = rand_circuit(n, rng, kinds=("Ry", "H", "X", "Z", "CNOT"),
+                                 head=rng.randint(1, 15))
+            out = apply_circuit_array(real, n, gates)
+            assert out.dtype == np.float64
+            assert same_bits(out, np.stack([apply_circuit_array(amps, n, gates)
+                                            for amps in real]))
 
     @settings(deadline=None, max_examples=60)
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),

@@ -34,7 +34,10 @@ from gepcirc.fitness import (
 )
 from gepcirc.hamiltonians import PauliSumHamiltonian, PauliTerm
 from gepcirc.sim import (
+    GATE_KINDS,
+    GateInstance,
     GateTable,
+    QuantumCircuit,
     apply_circuit_array,
     gene_to_circuit,
     parse_circuit,
@@ -443,6 +446,20 @@ def test_every_cnot_run_tabled_once(monkeypatch):
         assert q == -1 and isinstance(table, np.ndarray)
         assert len(table) <= sim._GATHER_CHUNK
         assert table.dtype == np.intp and not table.flags.writeable
+    # a leading run moves the inputs and is never tabled; so is a trailing
+    # run on FunctionFit, whose outputs it pulls back, while a GroundState
+    # tail is simulated: H does not commute with a permutation
+    ends = ("CNOT2,1 CNOT1,0 Ry0:phi0 CNOT0,1 Ry1:phi1 CNOT1,2 CNOT2,0 "
+            "Ry2:phi2 CNOT0,2 CNOT1,2 CNOT2,0")
+    h = PauliSumHamiltonian(3, [PauliTerm.from_map(1.0, {0: "X", 2: "Z"})])
+    for problem, tabled in (
+            (function_fit_problem(GateTable(3, ["Ry", "CNOT"]),
+                                  [(3, 5), (6, 6)]), [1, 2]),
+            (ground_state_problem(GateTable(3, ["Ry", "CNOT"]), h, 3),
+             [1, 2, 3])):
+        built.clear()
+        optimize_params(parse_circuit(ends, 3), problem)
+        assert built == tabled
 
 
 def test_flat_slot_moves_sideways_once(monkeypatch):
@@ -462,3 +479,72 @@ def test_flat_slot_moves_sideways_once(monkeypatch):
     ref_phi, _, history = reference_sweep(circuit, problem, sinusoids)
     assert ref_phi == phi
     assert [changed for _, changed in history] == [True, True, False]
+
+
+def with_cnot_ends(circuit, rng):
+    """``circuit`` between a leading and a trailing run of 0-3 random
+    CNOTs each."""
+    n = circuit.n_bits
+
+    def run():
+        return tuple(GateInstance(GATE_KINDS["CNOT"],
+                                  tuple(rng.sample(range(n), 2)))
+                     for _ in range(rng.randint(0, 3)))
+
+    return QuantumCircuit(n, run() + circuit.gates + run())
+
+
+@SLOW
+@given(n=st.integers(2, 5), head=st.integers(1, 8), seed=st.integers(0, 2**32),
+       kind=KINDS, refine=st.booleans())
+def test_cnot_ends_match_exhaustive_scan(monkeypatch, n, head, seed, kind,
+                                         refine):
+    # the lead moves the inputs, nonzero ones included, and a FunctionFit
+    # tail pulls the outputs back; the sweep matches the reference, whose
+    # value runs the whole circuit, and every sinusoid is the one of a
+    # sweep that simulates its ends, bit for bit
+    rng = random.Random(seed)
+    table = GateTable(n, ["Ry", "P", "CNOT"])
+    core = gene_to_circuit(random_gene(table.pset, head, rng), table)
+    circuit = with_cnot_ends(core, rng)
+    problem = make_problem(kind, circuit, table, seed, refine)
+    assert_matches_reference(circuit, problem, monkeypatch)
+    with monkeypatch.context() as m:
+        stripped = record_sinusoids(m)
+        result = optimize_params(circuit, problem)
+    with monkeypatch.context() as m:
+        m.setattr(fitness_mod, "_permutation_ends", lambda gates, problem: (
+            0, len(gates), problem.inputs, problem.outputs))
+        whole = record_sinusoids(m)
+        assert optimize_params(circuit, problem) == result
+    assert stripped == whole
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(2, 9), seed=st.integers(0, 2**32))
+def test_ends_move_basis_indices(n, seed):
+    # a moved input is where the lead's gather puts the one-hot's 1.0, and
+    # a pulled-back output is the tail's table entry at the output
+    rng = random.Random(seed)
+    run = tuple(GateInstance(GATE_KINDS["CNOT"],
+                             tuple(rng.sample(range(n), 2)))
+                for _ in range(rng.randint(1, 6)))
+    index = rng.randrange(1 << n)
+    amps = np.zeros(1 << n)
+    amps[index] = 1.0
+    moved = apply_circuit_array(amps, n, QuantumCircuit(n, run))
+    entry = fitness_mod._through(index, run)
+    assert np.flatnonzero(moved).tolist() == [entry] and moved[entry] == 1.0
+    table = sim._cnot_run_table(n, run)
+    assert fitness_mod._through(index, reversed(run)) == table[index]
+    # the ends of a whole circuit, the lead first to last and the tail
+    # last to first; GroundState keeps its tail in the core
+    gates = run + (GateInstance(GATE_KINDS["Ry"], (0,)),) + run
+    pairs = function_fit_problem(GateTable(n, ["Ry", "CNOT"]),
+                                 [(index, index)])
+    assert fitness_mod._permutation_ends(gates, pairs) == (
+        len(run), len(run) + 1, (entry,), (table[index],))
+    ground = ground_state_problem(GateTable(n, ["Ry", "CNOT"]),
+                                  PauliSumHamiltonian(n, []), index)
+    assert fitness_mod._permutation_ends(gates, ground) == (
+        len(run), len(gates), (entry,), ())
