@@ -22,6 +22,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from gepcirc import __version__, sim
 from gepcirc.engine import (
     ConfigError,
@@ -59,7 +61,6 @@ from gepcirc.sim import (
     GateInstance,
     GateTable,
     QuantumCircuit,
-    StateVector,
     _gate_token,
     # unused here, but perfbench/tracing.py wraps these two by name
     canonicalize,
@@ -393,14 +394,16 @@ def _write_best(path: Path, result: EvolutionResult,
 def _write_maxcut(path: Path, spec: RunSpec, result: EvolutionResult,
                   cache: CachingFitness, prep: _Prepared) -> None:
     """The best genome's bound canonical circuit's final state from the
-    problem's input, as maxcut.txt rows; StateVector checks that it kept
+    problem's input, as maxcut.txt rows, once it is checked to have kept
     unit norm. The kernel is looked up on `sim` at call time, so a patched
     `sim` reaches it."""
-    n_bits = prep.problem.n_bits
-    amps = sim.apply_circuit_array(prep.problem.one_hots[0], n_bits,
+    amps = sim.apply_circuit_array(prep.problem.one_hots[0],
+                                   prep.problem.n_bits,
                                    cache.bound_circuit(result.best_gene))
-    rows = maxcut_rows(StateVector(n_bits, amps).amplitudes, prep.graph,
-                       spec.epsilon)
+    norm = float(np.linalg.norm(amps))
+    if not abs(norm - 1.0) < 1e-10:
+        raise ConfigError(f"state norm {norm} drifted from 1")
+    rows = maxcut_rows(amps, prep.graph, spec.epsilon)
     with open(path, "w") as fh:
         fh.write("# bitstring weight cut side_a side_b\n")
         fh.writelines(f"{row}\n" for row in rows)

@@ -82,13 +82,12 @@ import numpy as np
 from gepcirc.engine import ConfigError, Gene, coding_length, make_gene
 from gepcirc.hamiltonians import PauliSumHamiltonian
 from gepcirc.sim import (
-    MAX_QUBITS,
     GateInstance,
     GateTable,
     QuantumCircuit,
     _apply_1q,
-    _forms,
     _frozen,
+    _kernel_forms,
     apply_circuit_array,
     bind_params,
     canonicalize,
@@ -232,13 +231,6 @@ def _permutation_ends(gates: Sequence[GateInstance], problem: Problem
     return lead, end, entries, outputs
 
 
-# -iY: Ry(t) = cos(t/2) * I + sin(t/2) * _MINUS_IY, by the state's dtype
-# (so a complex state's product does not cast the matrix) and qubit, as
-# the matrix and its widened form that sim's kernel takes
-_MINUS_IY = {
-    (dtype, q): _forms(_frozen(np.array([[0.0, -1.0], [1.0, 0.0]], dtype)), q)
-    for dtype in (np.dtype(float), np.dtype(complex))
-    for q in range(MAX_QUBITS)}
 # values within this times 1 + |a| + |b| + |c| of each other tie: well
 # above the ~1e-15 relative rounding of the sinusoid, so rounding noise
 # decides no move
@@ -343,7 +335,7 @@ def _stacked(amps: np.ndarray, q: int) -> np.ndarray:
     """psi = ``amps`` and -iY psi on qubit q as one (2, 2^N) pair: -iY psi
     is written straight into the pair's second row, so no copy of it is
     held beside the pair."""
-    mat, wide = _MINUS_IY[amps.dtype, q]
+    mat, wide = _kernel_forms("-iY", None, amps.dtype == complex, q)
     pair = np.empty((2,) + amps.shape, amps.dtype)
     pair[0] = amps
     _apply_1q(amps, mat, q, wide, out=pair[1])

@@ -35,16 +35,20 @@ indices. A gather does no arithmetic, so it gives the values of the
 original 4x4 permutation products exactly (those products could only
 change the sign of an exact zero), and a run's gather equals its CNOTs
 gathered one at a time bit for bit.
-The kernels' matrices are read-only: the fixed kinds' 2x2 and widened
-forms are built once for every qubit, and Ry and P forms are cached by
-angle and qubit.
+The kernels' matrices come from one cached builder (``_forms``, through
+``_kernel_forms``), keyed by kind, angle and the angle's sign, the
+state's dtype and the qubit, every q > 3 sharing one entry as the forms
+there do not depend on it: the read-only 2x2 matrix and, where a real
+product takes it, its widened form. Nothing is built at import. The
+sweep's -iY (see ``fitness``) is not a gate kind but comes from the same
+builder.
 
 A state stays float64 for as long as every gate applied to it is real.
 The matrices of H, X, Z and Ry are float64 and those of Y and P complex,
 and numpy's type promotion in the kernels' products picks the real or
 the complex BLAS product, so a real state becomes complex128 at the first
-P or Y that acts on it; a gather keeps the dtype. On a complex state, H,
-X, Z and Ry multiply by a complex128 twin of their matrix, the values
+P or Y that acts on it; a gather keeps the dtype. For a complex state
+the builder makes H, X, Z and Ry (and -iY) complex128 twins, the values
 the promotion would cast them to, so no product casts its matrix. On
 real amplitudes the real 2x2 @ 2xM products (M >= 2) give the values of
 the complex ones, so a real state costs 8 B per amplitude instead of 16
@@ -141,18 +145,15 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _COMPLEX = np.dtype(complex)
-# read-only: the kernels use them as they are; float64 but for Y
-_FIXED_MATRICES = {
-    name: _frozen(np.array(rows)) for name, rows in {
-        "H": [[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
-        "X": [[0.0, 1.0], [1.0, 0.0]],
-        "Y": [[0.0, -1j], [1j, 0.0]],
-        "Z": [[1.0, 0.0], [0.0, -1.0]],
-    }.items()
+# the rows of the angle-free matrices: the fixed kinds, and -iY, which is
+# not a gate kind: the sweep's Ry(t) = cos(t/2) I + sin(t/2) (-iY)
+_FIXED_ROWS = {
+    "H": [[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
+    "X": [[0.0, 1.0], [1.0, 0.0]],
+    "Y": [[0.0, -1j], [1j, 0.0]],
+    "Z": [[1.0, 0.0], [0.0, -1.0]],
+    "-iY": [[0.0, -1.0], [1.0, 0.0]],
 }
-# their complex128 twins, for complex states (see _kernel_matrix)
-_COMPLEX_FIXED = {name: _frozen(mat.astype(complex))
-                  for name, mat in _FIXED_MATRICES.items()}
 
 
 @dataclass(frozen=True)
@@ -272,32 +273,6 @@ def basis_state(n_bits: int, index: int) -> StateVector:
     return StateVector(n_bits, amps)
 
 
-@functools.lru_cache(maxsize=1024)
-def _angle_matrix(name: str, angle: float, sign: float,
-                  complex_state: bool) -> np.ndarray:
-    """Ry(angle), float64 (complex128 for a complex state), or P(angle),
-    complex; read-only."""
-    # `sign` is part of the key because 0.0 == -0.0 while their matrices
-    # differ in the sign of a zero entry
-    if name == "Ry":
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        return _frozen(np.array([[c, -s], [s, c]],
-                                complex if complex_state else float))
-    return _frozen(np.array(
-        [[1.0, 0.0], [0.0, complex(math.cos(angle), math.sin(angle))]]))
-
-
-def _kernel_matrix(name: str, angle: float | None,
-                   complex_state: bool = False) -> np.ndarray:
-    """The matrix a kernel multiplies a state by. On a complex state a real
-    kind's matrix is its complex128 twin, which holds the values numpy's
-    promotion would cast it to, so no product casts a matrix per call."""
-    if angle is None:
-        return (_COMPLEX_FIXED if complex_state else _FIXED_MATRICES)[name]
-    return _angle_matrix(name, angle, math.copysign(1.0, angle),
-                         complex_state)
-
-
 _WIDE_Q = 3     # float64 products at q <= _WIDE_Q use the widened matrix
 
 
@@ -313,40 +288,37 @@ def _widen(mat: np.ndarray, q: int) -> np.ndarray:
     return _frozen(wide.reshape(2 << q, 2 << q))
 
 
-def _forms(mat: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """``mat`` and, for a float64 matrix at q <= _WIDE_Q, its widened form
-    (see ``_apply_1q``)."""
-    wide = None
-    if q <= _WIDE_Q and mat.dtype == np.float64:
-        wide = _widen(mat, q)
-    return mat, wide
-
-
-# (name, complex_state, q) -> the fixed kinds' forms, built once
-_FIXED_FORMS = {
-    (name, complex_state, q): _forms(_kernel_matrix(name, None, complex_state),
-                                     q)
-    for name in _FIXED_MATRICES for complex_state in (False, True)
-    for q in range(MAX_QUBITS)
-}
-
-
 @functools.lru_cache(maxsize=1024)
-def _angle_forms(name: str, angle: float, sign: float, complex_state: bool,
-                 width: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ry's or P's forms at ``width`` = min(q, _WIDE_Q + 1): above
-    _WIDE_Q they do not depend on q."""
-    return _forms(_angle_matrix(name, angle, sign, complex_state), width)
+def _forms(name: str, angle: float | None, sign: float, complex_state: bool,
+           width: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The 2x2 matrix of kind ``name`` (or -iY) and, for a float64 matrix
+    at ``width`` <= _WIDE_Q, its widened form (see ``_apply_1q``), or None;
+    read-only. Ry, H, X, Z and -iY are float64, and complex128 twins for a
+    complex state: the values numpy's promotion would cast them to, so no
+    product casts a matrix per call. Y and P are complex."""
+    # `sign` is part of the key because 0.0 == -0.0 while their matrices
+    # differ in the sign of a zero entry
+    if name == "Ry":
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        rows = [[c, -s], [s, c]]
+    elif name == "P":
+        rows = [[1.0, 0.0], [0.0, complex(math.cos(angle), math.sin(angle))]]
+    else:
+        rows = _FIXED_ROWS[name]
+    mat = _frozen(np.array(rows, _COMPLEX if complex_state else None))
+    return mat, (_widen(mat, width)
+                 if width <= _WIDE_Q and mat.dtype == np.float64 else None)
 
 
 def _kernel_forms(name: str, angle: float | None, complex_state: bool,
                   q: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The 2x2 matrix of ``_kernel_matrix`` and its widened form or None,
-    as ``_apply_1q`` takes them for qubit q; read-only and cached."""
-    if angle is None:
-        return _FIXED_FORMS[name, complex_state, q]
-    return _angle_forms(name, angle, math.copysign(1.0, angle),
-                        complex_state, q if q <= _WIDE_Q else _WIDE_Q + 1)
+    """The forms ``_apply_1q`` takes for kind ``name`` (or -iY) at
+    ``angle`` (None for a fixed kind) on qubit q, from ``_forms``: keyed
+    by the angle's sign and by width = min(q, _WIDE_Q + 1), as above
+    _WIDE_Q the forms do not depend on q."""
+    return _forms(name, angle,
+                  1.0 if angle is None else math.copysign(1.0, angle),
+                  complex_state, q if q <= _WIDE_Q else _WIDE_Q + 1)
 
 
 def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int,

@@ -393,6 +393,24 @@ InitialState = 1000
         for weight, row in zip(weights, expected):
             assert abs(weight - float(row[1])) <= 1e-12
 
+    def test_maxcut_state_norm_drift(self, tmp_path, monkeypatch):
+        """A final state off unit norm ends the run in a ConfigError, and
+        no maxcut.txt is written: ``_write_maxcut`` looks the kernel up on
+        ``sim`` at call time, so a patched one that doubles the state
+        reaches it, while the sweep keeps its own."""
+        edge_graph(tmp_path)
+        spec = parse_input(write(tmp_path / "in.txt",
+                                 BASE + "Population = 4\nSeed = 1\n"))
+        apply = sim_mod.apply_circuit_array
+        monkeypatch.setattr(sim_mod, "apply_circuit_array",
+                            lambda *args: 2.0 * apply(*args))
+        with pytest.raises(ConfigError) as err:
+            run(spec)
+        norm = re.fullmatch(r"state norm (\S+) drifted from 1", str(err.value))
+        assert norm and abs(float(norm[1]) - 2.0) < 1e-12
+        assert (tmp_path / "best.circ").exists()
+        assert not (tmp_path / "maxcut.txt").exists()
+
     def test_non_default_p_phase(self, tmp_path):
         # every P gate of a table at PPhase = pi/4 prints its phase, and
         # every best circuit re-simulates to its printed fitness

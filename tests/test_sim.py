@@ -126,7 +126,7 @@ class TestGateMatrices:
     """The kernels' matrices and the dense reference's, side by side."""
 
     def matrices(self, name, angle=None):
-        return (sim._kernel_matrix(name, angle), one_qubit_matrix(name, angle))
+        return (kernel_matrix(name, angle), one_qubit_matrix(name, angle))
 
     def test_ry_zero_is_identity(self):
         for m in self.matrices("Ry", 0.0):
@@ -154,6 +154,32 @@ class TestGateMatrices:
             for m in mats:
                 assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]),
                                    atol=1e-12)
+
+    def test_matrices_match_definitions(self):
+        """Every 1-qubit kind's matrix, for float64 and complex states,
+        equals the reference's written from its definition, and the
+        sweep's -iY equals -1j times the reference's Y (in value: -1j * Y
+        holds -0.0 parts where -iY holds +0.0). Each matrix is float64 but
+        for Y, P and the complex twins, and each widened form is
+        kron(M, I_{2^q})^T (``check_widened``)."""
+        rng = random.Random(12)
+        cases = [("-iY", None, -1j * one_qubit_matrix("Y"))] + [
+            (name, angle, one_qubit_matrix(name, angle))
+            for name in ("H", "X", "Y", "Z", "P", "Ry")
+            for angle in ((None,) if name in ("H", "X", "Y", "Z")
+                          else (0.0, -0.0, sim.P_PHASE,
+                                rng.uniform(-20.0, 20.0)))]
+        for name, angle, ref in cases:
+            for twin in (False, True):
+                for q in range(5):
+                    mat, wide = sim._kernel_forms(name, angle, twin, q)
+                    assert np.array_equal(mat, ref), (name, angle, twin)
+                    assert mat.dtype == (complex if twin or name in ("Y", "P")
+                                         else np.float64), (name, twin)
+                    assert (wide is not None) == (
+                        q <= 3 and mat.dtype == np.float64)
+                    if wide is not None:
+                        check_widened(wide, mat, q)
 
     def test_angle_argument_policing(self):
         with pytest.raises(ConfigError) as err:
@@ -283,6 +309,25 @@ class TestApplyCircuit:
 
 
 # ---------------------------------------------------------------------------
+def check_widened(wide, mat, q):
+    """``wide`` equals kron(mat, I_{2^q})^T entry by entry, with ``mat``'s
+    entries in their bits and every other entry +0.0."""
+    low = 1 << q
+    assert np.array_equal(wide, np.kron(mat, np.eye(low)).T)
+    blocks = wide.reshape(2, low, 2, low)
+    k = np.arange(low)
+    assert same_bits(blocks[:, k, :, k], np.broadcast_to(mat.T, (low, 2, 2)))
+    rest = np.ones(blocks.shape, bool)
+    rest[:, k, :, k] = False
+    assert same_bits(blocks[rest], np.zeros(int(rest.sum())))
+
+
+def kernel_matrix(name, angle=None, complex_state=False):
+    """The 2x2 matrix the kernel multiplies by for kind ``name`` (or the
+    sweep's -iY), on any qubit: the first of its ``_kernel_forms``."""
+    return sim._kernel_forms(name, angle, complex_state, 0)[0]
+
+
 # Reference kernels: the simulator's gate application as first written.
 # Each gate is a 2x2 or 4x4 matrix product on the state tensor with the
 # gate's qubit axes moved to the front.
@@ -326,7 +371,7 @@ def reference_instance(amps, gate, angle):
     isolate the kernels' indexing; real amplitudes stay real through real
     gates, as in the simulator."""
     n_bits = amps.shape[-1].bit_length() - 1
-    outs = [moveaxis_1q(row, n_bits, sim._kernel_matrix(gate.kind.name, angle),
+    outs = [moveaxis_1q(row, n_bits, kernel_matrix(gate.kind.name, angle),
                         gate.qubits[0])
             if gate.kind.n_qubits == 1
             else moveaxis_2q(row, n_bits, CNOT_4X4, *gate.qubits)
@@ -476,7 +521,7 @@ class TestKernels:
                     assert out.dtype == (np.float64 if real else complex)
                     cast = amps.astype(out.dtype)
                     if not real and q < 4 and stack.size > 1 << n:
-                        ref = moveaxis_stack(cast, sim._kernel_matrix(
+                        ref = moveaxis_stack(cast, kernel_matrix(
                             name, gate.angle), q)
                     else:
                         ref = reference_instance(cast, gate, gate.angle)
@@ -593,8 +638,8 @@ class TestKernels:
         n, rows = case
         q = data.draw(st.integers(0, n - 1))
         angle = angle if name == "Ry" else None
-        twin = sim._kernel_matrix(name, angle, complex_state=True)
-        real = sim._kernel_matrix(name, angle)
+        twin = kernel_matrix(name, angle, complex_state=True)
+        real = kernel_matrix(name, angle)
         assert twin.dtype == complex and not twin.flags.writeable
         assert real.dtype == np.float64
         assert same_bits(twin, one_qubit_matrix(name, angle))
@@ -614,28 +659,29 @@ class TestKernels:
         for token in ("Ry2:0.7", "CNOT3,1", "H0", "P3"):
             gate_by_gate(amps, parse_circuit(token, 4).gates, ())
         assert same_bits(amps, before)
-        assert sorted(sim._FIXED_MATRICES) == ["H", "X", "Y", "Z"]
-        assert sorted(sim._COMPLEX_FIXED) == ["H", "X", "Y", "Z"]
-        mats = list(sim._FIXED_MATRICES.values()) + [
-            sim._angle_matrix(name, angle, math.copysign(1.0, angle), twin)
-            for name in ("Ry", "P") for angle in (0.7, -0.0, sim.P_PHASE)
-            for twin in (False, True)] + list(sim._COMPLEX_FIXED.values())
+        assert sorted(sim._FIXED_ROWS) == ["-iY", "H", "X", "Y", "Z"]
         # the kernel's forms: each 2x2 matrix and the widened ones, of the
-        # fixed kinds, Ry and P, and the sweep's -iY, at every q
-        forms = (list(sim._FIXED_FORMS.values())
-                 + list(fitness_mod._MINUS_IY.values())
-                 + [sim._kernel_forms(name, angle, twin, q)
-                    for name in ("Ry", "P") for angle in (0.7, -0.0)
-                    for twin in (False, True) for q in range(6)])
-        wide = [w for _, w in forms if w is not None]
+        # fixed kinds and the sweep's -iY at every q, and of Ry and P
+        keys = ([(name, None, twin, q) for name in sim._FIXED_ROWS
+                 for twin in (False, True) for q in range(sim.MAX_QUBITS)]
+                + [(name, angle, twin, q)
+                   for name in ("Ry", "P") for angle in (0.7, -0.0)
+                   for twin in (False, True) for q in range(6)])
+        forms = [(key[3], sim._kernel_forms(*key)) for key in keys]
+        mats = [kernel_matrix(name, sim.P_PHASE, twin)
+                for name in ("Ry", "P") for twin in (False, True)]
+        wide = [w for _, (_, w) in forms if w is not None]
         # H, X, Z on float64 states at q <= 3, -iY there, and Ry
         assert len(wide) == 3 * 4 + 4 + 2 * 4
-        for (_, _, q), (_, w) in sim._FIXED_FORMS.items():
+        for q, (_, w) in forms:
             assert w is None or w.shape == (2 << q, 2 << q)
-        for mat in mats + [m for m, _ in forms] + wide:
+        for mat in mats + [m for _, (m, _) in forms] + wide:
             assert not mat.flags.writeable
             with pytest.raises(ValueError):
                 mat[0, 0] = 5.0
+        # above q = 3 the forms do not depend on q: one cache entry
+        assert sim._kernel_forms("H", None, False, 4) \
+            is sim._kernel_forms("H", None, False, sim.MAX_QUBITS - 1)
         out = apply_circuit_array(basis_state(1, 0).amplitudes, 1,
                                   parse_circuit("H0", 1))
         assert abs(out[0] - 1 / math.sqrt(2)) < 1e-15
@@ -763,12 +809,47 @@ class TestKernels:
             per_chunk = (1 << 16) * np.dtype(np.intp).itemsize
             assert peak <= out.nbytes + per_chunk + 16384, (dtype, peak)
 
-    def test_negative_zero_angle_keeps_its_matrix(self):
+    def test_negative_zero_angle_keeps_its_matrix(self, monkeypatch):
+        """Ry at 0.0 and -0.0 in turn, whose matrices differ in the sign
+        of a zero entry, reaches the kernel with its own matrix. On a
+        complex state the outputs differ in a zero's sign, and each has
+        the bits of the moveaxis reference with Ry written from its
+        definition. On float64 states at q <= 3 (the widened form) and
+        q = 4 (the batched form) the products round both zeros alike, so
+        the forms the kernel takes are checked against that definition,
+        bit for bit, as well as the outputs."""
         gate = GateInstance(GATE_KINDS["Ry"], (0,))
         amps = np.array([-0.0, 1.0, 1.0, -0.0], dtype=complex)
+        outs = []
         for angle in (0.0, -0.0, 0.0):
-            assert same_bits(gate_by_gate(amps, [gate], (angle,)),
-                             reference_instance(amps, gate, angle))
+            outs.append(gate_by_gate(amps, [gate], (angle,)))
+            assert same_bits(outs[-1], moveaxis_1q(
+                amps, 2, one_qubit_matrix("Ry", angle), 0))
+        assert not same_bits(outs[0], outs[1])
+        kernel, taken = sim._apply_1q, []
+
+        def recording(amps, mat, q, wide=None, out=None):
+            taken.append((mat, wide))
+            return kernel(amps, mat, q, wide, out)
+
+        monkeypatch.setattr(sim, "_apply_1q", recording)
+        n = 6
+        rows = np.random.default_rng(6).choice([-0.0, 0.0, -1.0, 1.0],
+                                               size=(3, 1 << n))
+        for q in range(5):
+            gate = GateInstance(GATE_KINDS["Ry"], (q,))
+            for angle in (0.0, -0.0, 0.0):
+                taken.clear()
+                out = gate_by_gate(rows, [gate], (angle,))
+                ref = one_qubit_matrix("Ry", angle).real
+                (mat, wide), = taken
+                assert same_bits(mat, ref), (q, angle)
+                assert (wide is None) == (q == 4)
+                if wide is not None:
+                    check_widened(wide, ref, q)
+                assert out.dtype == np.float64
+                assert same_bits(out, np.stack([moveaxis_1q(row, n, ref, q)
+                                                for row in rows])), (q, angle)
 
 
 LOCK_INPUTS = {
