@@ -59,6 +59,30 @@ kept states too, moved on from the last visit past the core's last gate:
 the kernel calls a whole-core run makes, in the same order. A circuit
 without slots takes that one move from its entries.
 
+A core without CNOT is not simulated on whole registers at all
+(``_ProductStates``). Its gates act on one qubit each and its entries
+are basis states, so every state it reaches is a product of one 2-vector
+per qubit (Vidal, arXiv:quant-ph/0301063), and a visit forms A and B on
+the slot's qubit alone, from its 2-vector entering the slot's gate and
+that qubit's gates after it. The other qubits enter as cached factors,
+refreshed only when an angle on them changes: on GroundState each Pauli
+term's value, c times the product of <sigma> over its qubits, so H'
+seen from the slot's qubit is one 2x2 matrix; on FunctionFit each pair's
+amplitude factors at the pulled-back output's bits. A visit is thus
+scalar arithmetic on the slot qubit's terms or pairs, with no numpy call.
+Its (a, b, c) are summed in another order than the stacked pair's and
+agree with them to about 1e-15 relative. That moves no artifact: (a, b,
+c) only choose grid angles, and values within ``_TIE_MARGIN`` of each
+other tie, so a choice could change only where two values differ by the
+margin itself to within rounding, which no tested case nor benchmark
+instance met; and the value returned is the kernels': the whole core
+run once from the entry one-hots at the final angles, the kernel calls
+the whole-register path makes. Only the exact phase of ``refine``, which
+sets a slot to atan2(c, b), carries the rounding into its angles. Over
+the benchmark's instances 0-11 (seed 7), every core optimized on
+maxcut8 (``Gates = Ry``) took this path, 819 of 819; so did 509 of 567
+on funcfit12 and 222 of 1,914 on heisenberg3x3.
+
 The one-hot inputs are float64 and -iY is a real matrix, so every state
 the sweep holds, kept states and stacked pairs alike, stays float64 at
 8 B per amplitude through Ry, H, X, Z and CNOT gates and becomes complex
@@ -137,6 +161,21 @@ class Problem:
         input where it is, as it leaves |0...0>; it builds a one-hot of
         their dtype at an input the run moves."""
         return tuple(_one_hot(self.n_bits, index) for index in self.inputs)
+
+    @functools.cached_property
+    def terms_on(self) -> tuple[tuple[tuple[int, int, float, tuple], ...],
+                                ...]:
+        """GroundState's Pauli terms by qubit, built on first use for the
+        product-state visits (``_ProductStates``): for each qubit q, one
+        (term index, sigma_q, coefficient, the other factors (r, sigma_r))
+        per term on q, sigma 0, 1 and 2 for X, Y and Z."""
+        on = [[] for _ in range(self.n_bits)]
+        for i, term in enumerate(self.hamiltonian.terms):
+            factors = [(q, "XYZ".index(p)) for q, p in term.ops]
+            for q, p in factors:
+                on[q].append((i, p, term.coefficient, tuple(
+                    factor for factor in factors if factor[0] != q)))
+        return tuple(map(tuple, on))
 
 
 def _one_hot(n_bits: int, index: int, dtype=np.float64) -> np.ndarray:
@@ -237,16 +276,46 @@ def _permutation_ends(gates: Sequence[GateInstance], problem: Problem
 _TIE_MARGIN = 1e-12
 
 
+def _entry_states(problem: Problem, entries: tuple[int, ...]
+                  ) -> tuple[np.ndarray, ...]:
+    """One-hots at the ``entries``: the problem's shared ones where the lead
+    leaves an input where it is, and new ones of their dtype where it moves
+    it (``_permutation_ends`` hands the problem's own tuple back without a
+    lead)."""
+    if entries is problem.inputs:
+        return problem.one_hots
+    return tuple(hot if entry == index else _one_hot(problem.n_bits, entry,
+                                                     hot.dtype)
+                 for hot, index, entry in zip(problem.one_hots,
+                                              problem.inputs, entries))
+
+
+def _kept_states(circuit: QuantumCircuit, problem: Problem
+                 ) -> _KeptStates | _ProductStates:
+    """The kept states the sweep visits ``circuit``'s slots through. The
+    circuit is split once into its permutation ends and the core between
+    them (see ``_permutation_ends``); a core with a CNOT is simulated on
+    whole registers (``_KeptStates``), one without on one 2-vector per
+    qubit (``_ProductStates``)."""
+    gates = circuit.gates
+    lead, end, entries, outputs = _permutation_ends(gates, problem)
+    if end - lead < len(gates):
+        # cut without compiling the whole circuit, ends included
+        circuit = QuantumCircuit(circuit.n_bits, gates[lead:end])
+    kind = (_KeptStates if any(gate.kind.n_qubits == 2
+                               for gate in circuit.gates) else _ProductStates)
+    return kind(circuit, problem, entries, outputs)
+
+
 class _KeptStates:
     """The states entering slot ``k``'s gate, one per problem input; at
     k = K, past the last gate, the circuit's outputs.
 
     They are built with the angles passed to ``move_to``, and ``sinusoid``
-    is exact as long as slots 0..k-1 keep those angles. The circuit is
-    split once into its permutation ends and the core between them (see
-    ``_permutation_ends``): the states start as one-hots at the ``entries``
-    and go through the core alone, and its outputs are read at the pulled
-    back ``outputs``. Visits walk the slots in gate order, so the core is
+    is exact as long as slots 0..k-1 keep those angles. The states start
+    as one-hots at the ``entries`` and go through the ``core`` alone, and
+    its outputs are read at the pulled back ``outputs`` (see
+    ``_kept_states``). Visits walk the slots in gate order, so the core is
     cut once into K + 1 ``steps``, step k running from slot k-1's gate (or
     the start) up to slot k's gate (or the end), and ``suffixes``, suffix k
     being the gates after slot k's gate. Moving forward applies the steps
@@ -255,29 +324,18 @@ class _KeptStates:
     their CNOT runs.
     """
 
-    def __init__(self, circuit: QuantumCircuit, problem: Problem):
-        self.problem = problem
-        gates = circuit.gates
-        lead, end, entries, self.outputs = _permutation_ends(gates, problem)
-        if end - lead < len(gates):
-            # cut without compiling the whole circuit, ends included
-            circuit = QuantumCircuit(circuit.n_bits, gates[lead:end])
-            gates = circuit.gates
+    def __init__(self, core: QuantumCircuit, problem: Problem,
+                 entries: tuple[int, ...], outputs: tuple[int, ...]):
+        self.problem, self.outputs = problem, outputs
+        gates = core.gates
         # slot -> index of its gate
         gate_of = [i for i, gate in enumerate(gates) if gate.free]
         self.qubits = [gates[i].qubits[0] for i in gate_of]
         # parts of the core: a CNOT run is tabled once for all of them
-        self.steps = [circuit.part(start, stop) for start, stop
+        self.steps = [core.part(start, stop) for start, stop
                       in zip([0] + gate_of, gate_of + [None])]
-        self.suffixes = [circuit.part(i + 1) for i in gate_of]
-        # the problem's shared one-hots where the lead leaves the input
-        self.entries = problem.one_hots
-        if lead:
-            self.entries = tuple(
-                hot if entry == index else _one_hot(problem.n_bits, entry,
-                                                    hot.dtype)
-                for hot, index, entry in zip(self.entries, problem.inputs,
-                                             entries))
+        self.suffixes = [core.part(i + 1) for i in gate_of]
+        self.entries = _entry_states(problem, entries)
         self.k = -1
         self.states = list(self.entries)
 
@@ -307,13 +365,16 @@ class _KeptStates:
         """
         problem, k = self.problem, self.k
         q = self.qubits[k]
+        # the kept states share one dtype, so one lookup serves them all
+        forms = _kernel_forms("-iY", None, self.states[0].dtype == complex, q)
 
         def outputs(amps: np.ndarray) -> np.ndarray:
             """(A, B) for one kept state psi."""
             # unnamed, the pair is freed once its first gate has run: at
             # NumBits = 24 one state is 128 MB, or 256 MB once complex
-            return apply_circuit_array(_stacked(amps, q), problem.n_bits,
-                                       self.suffixes[k], phi[k + 1:])
+            return apply_circuit_array(_stacked(amps, q, forms),
+                                       problem.n_bits, self.suffixes[k],
+                                       phi[k + 1:])
 
         outs = map(outputs, self.states)
         if not problem.outputs:
@@ -331,15 +392,182 @@ class _KeptStates:
         return 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
 
 
-def _stacked(amps: np.ndarray, q: int) -> np.ndarray:
-    """psi = ``amps`` and -iY psi on qubit q as one (2, 2^N) pair: -iY psi
-    is written straight into the pair's second row, so no copy of it is
-    held beside the pair."""
-    mat, wide = _kernel_forms("-iY", None, amps.dtype == complex, q)
+def _stacked(amps: np.ndarray, q: int,
+             forms: tuple[np.ndarray, np.ndarray | None]) -> np.ndarray:
+    """psi = ``amps`` and -iY psi on qubit q as one (2, 2^N) pair, ``forms``
+    being -iY's kernel forms for q and the state's dtype: -iY psi is
+    written straight into the pair's second row, so no copy of it is held
+    beside the pair."""
     pair = np.empty((2,) + amps.shape, amps.dtype)
     pair[0] = amps
-    _apply_1q(amps, mat, q, wide, out=pair[1])
+    _apply_1q(amps, forms[0], q, forms[1], out=pair[1])
     return pair
+
+
+def _run(mats: Iterable[tuple], u: complex, v: complex
+         ) -> tuple[complex, complex]:
+    """The 2-vector (u, v) through one qubit's gates, each a 2x2 matrix's
+    entries (m00, m01, m10, m11), in order."""
+    for m00, m01, m10, m11 in mats:
+        u, v = m00 * u + m01 * v, m10 * u + m11 * v
+    return u, v
+
+
+def _elements(a0: complex, a1: complex, b0: complex, b1: complex
+              ) -> tuple[float, float, float]:
+    """Re <a|sigma|b> for sigma = X, Y, Z, on two 2-vectors a and b; at
+    b = a, the Bloch vector of a. Floats pass as their own real parts."""
+    a0, a1 = a0.conjugate(), a1.conjugate()
+    s01, s10 = a0 * b1, a1 * b0
+    return (s01 + s10).real, s01.imag - s10.imag, (a0 * b0 - a1 * b1).real
+
+
+class _ProductStates:
+    """The kept states of a core without CNOT: one 2-vector per qubit and
+    input, with the ``_KeptStates`` interface.
+
+    Every gate of such a core acts on one qubit and every entry is a basis
+    state, so each state is at every step the Kronecker product of its
+    qubits' 2-vectors, each moved by that qubit's gates alone (Vidal,
+    arXiv:quant-ph/0301063). A visit to slot k on qubit q forms
+    A = U psi and B = U (-iY psi) on q only, psi being q's 2-vector
+    entering the slot's gate and U q's gates after it. Every other qubit
+    enters through cached factors, refreshed when the angle of a slot on
+    it changes:
+    - GroundState: the value of each Pauli term, c times the product of
+      <sigma> over its qubits' 2-vectors, and their sum; the terms on q,
+      with the other factors, give <A|H'|A>, <B|H'|B> and Re <A|H'|B>
+      for H' = s*(H - e0), the rest add to the first two alike;
+    - FunctionFit: each pair's amplitude factors, the entries of its
+      qubits' 2-vectors at the pulled-back output's bits; A's and B's
+      entries times the product of the others are alpha and beta.
+    No numpy call is made per visit or term. (a, b, c) agree with the
+    stacked pair's to rounding, far below the sweep's tie margin, and the
+    value at the end is the kernels' own: ``move_to(K)`` runs the whole
+    core from the entry one-hots, the kernel calls ``_KeptStates`` makes.
+    """
+
+    def __init__(self, core: QuantumCircuit, problem: Problem,
+                 entries: tuple[int, ...], outputs: tuple[int, ...]):
+        self.problem, self.core, self.outputs = problem, core, outputs
+        self.entries = entries
+        n = core.n_bits
+        # each qubit's gates in order, as matrix entries; a slot's are set
+        # from its angle by move_to
+        self.gates_on: list[list[tuple]] = [[] for _ in range(n)]
+        self.slots: list[tuple[int, int]] = []    # slot -> (qubit, position)
+        for gate in core.gates:
+            q = gate.qubits[0]
+            if gate.free:
+                self.slots.append((q, len(self.gates_on[q])))
+                self.gates_on[q].append(())
+            else:
+                mat = _kernel_forms(gate.kind.name, gate.angle, False, q)[0]
+                self.gates_on[q].append(tuple(mat.ravel().tolist()))
+        self.starts = [[(0.0, 1.0) if entry >> q & 1 else (1.0, 0.0)
+                        for q in range(n)] for entry in entries]
+        self.angles: list[float] | None = None
+        h = problem.hamiltonian
+        if h is None:
+            self.factors = [[0.0] * n for _ in entries]
+            return
+        self.bloch: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * n
+        # the terms' values, a constant term's set here once, and their sum
+        self.values = [t.coefficient for t in h.terms]
+        self.total = 0.0
+
+    def move_to(self, k: int, phi: Sequence[float]) -> None:
+        """Refresh the factors of each qubit a slot of which has changed its
+        angle since the last move (every qubit on the first); at k = K, the
+        outputs: the whole core run from the entry one-hots."""
+        self.k = k
+        if k == len(self.slots):
+            problem = self.problem
+            self.states = [
+                apply_circuit_array(hot, problem.n_bits, self.core, phi)
+                for hot in _entry_states(problem, self.entries)]
+            return
+        first = self.angles is None
+        if self.angles == phi:
+            return
+        stale = set(range(self.problem.n_bits)) if first else set()
+        for j, t in enumerate(phi):
+            if first or self.angles[j] != t:
+                q, position = self.slots[j]
+                c, s = math.cos(t / 2.0), math.sin(t / 2.0)
+                self.gates_on[q][position] = (c, -s, s, c)
+                stale.add(q)
+        self.angles = list(phi)
+        self._refresh(stale)
+
+    def _refresh(self, qubits: Iterable[int]) -> None:
+        if self.problem.hamiltonian is None:
+            for q in qubits:
+                mats = self.gates_on[q]
+                for starts, factors, out in zip(self.starts, self.factors,
+                                                self.outputs):
+                    factors[q] = _run(mats, *starts[q])[out >> q & 1]
+            return
+        bloch, values = self.bloch, self.values
+        for q in qubits:
+            u, v = _run(self.gates_on[q], *self.starts[0][q])
+            bloch[q] = _elements(u, v, u, v)
+        # a term may sit on several refreshed qubits: all of them first
+        for q in qubits:
+            for i, p, value, others in self.problem.terms_on[q]:
+                value *= bloch[q][p]
+                for r, o in others:
+                    value *= bloch[r][o]
+                values[i] = value
+        self.total = sum(values)
+
+    def sinusoid(self, phi: Sequence[float]) -> tuple[float, float, float]:
+        """(a, b, c) with pre-fitness a + b*cos(t) + c*sin(t) when slot
+        ``k`` has angle t and every other slot its angle in ``phi``, read
+        off A and B on the slot's qubit and the other qubits' factors."""
+        q, position = self.slots[self.k]
+        mats = self.gates_on[q]
+        before, after = mats[:position], mats[position + 1:]
+        h = self.problem.hamiltonian
+        if h is None:
+            # |cos(t/2) alpha + sin(t/2) beta|^2 per pair
+            aa = bb = ab = 0.0
+            for starts, factors, out in zip(self.starts, self.factors,
+                                            self.outputs):
+                rest = math.prod(factors[:q]) * math.prod(factors[q + 1:])
+                if not rest:
+                    continue
+                u, v = _run(before, *starts[q])
+                bit = out >> q & 1
+                alpha = _run(after, u, v)[bit] * rest
+                beta = _run(after, -v, u)[bit] * rest
+                aa += abs(alpha) ** 2
+                bb += abs(beta) ** 2
+                ab += (alpha.conjugate() * beta).real
+            d = len(self.outputs)
+            return 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
+        # H' restricted to q: rest * I + w . (X, Y, Z), rest being the
+        # terms off q less the shift
+        bloch = self.bloch
+        w = [0.0, 0.0, 0.0]
+        for _, p, weight, others in self.problem.terms_on[q]:
+            for r, o in others:
+                weight *= bloch[r][o]
+            w[p] += weight
+        wx, wy, wz = w
+        x, y, z = bloch[q]
+        rest = self.total - (wx * x + wy * y + wz * z) - h.shift
+        u, v = _run(before, *self.starts[0][q])
+        a0, a1 = _run(after, u, v)
+        b0, b1 = _run(after, -v, u)
+        x, y, z = _elements(a0, a1, a0, a1)
+        aa = h.scale * (rest + wx * x + wy * y + wz * z)
+        x, y, z = _elements(b0, b1, b0, b1)
+        bb = h.scale * (rest + wx * x + wy * y + wz * z)
+        x, y, z = _elements(a0, a1, b0, b1)
+        ab = h.scale * (wx * x + wy * y + wz * z)
+        # -<x|H'|x> at x = cos(t/2) A + sin(t/2) B
+        return -0.5 * (aa + bb), -0.5 * (aa - bb), -ab
 
 
 def optimize_params(circuit: QuantumCircuit, problem: Problem
@@ -348,9 +576,12 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
 
     Coordinate-wise sweep over ``DEFAULT_GRID``, visiting slots 0..K-1,
     the free Ry gates in gate order, cyclically from all angles at pi/4.
-    A visit costs one simulation of the core's gates after the slot's
-    gate, on the stacked pair (see the module docstring), which gives (a, b, c)
-    and from them every grid angle's value. Values within ``_TIE_MARGIN`` times 1 + |a| + |b| + |c| tie.
+    A visit gives (a, b, c), and from them every grid angle's value: on a
+    core with a CNOT, from one simulation of the core's gates after the
+    slot's gate on the stacked pair; on a core without, from 2-vectors
+    on the slot's qubit and cached factors (see the module docstring).
+    Values within ``_TIE_MARGIN`` times 1 + |a| + |b| + |c| tie, so the
+    two kinds of visit, which round otherwise, choose the same angles.
     If the best grid value beats the current angle's by more than that,
     the slot moves to the first grid angle that ties with the best.
     Otherwise, on its first such visit, it moves sideways, to the next
@@ -364,16 +595,18 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
     With ``problem.refine`` the visits then go on, and each sets its slot
     to the exact maximum t = atan2(c, b) when a + hypot(b, c) beats the
     current angle's value by more than the margin; this phase too ends
-    K - 1 visits after its last change. Either way the sweep stops after
+    K - 1 visits after its last change. atan2 reads (b, c) to the last
+    bit, so here the two kinds of visit may set angles an ulp or so
+    apart. Either way the sweep stops after
     ``_MAX_SWEEP_CYCLES * K`` visits at the latest. The value returned is
     the pre-fitness at the final angles, read off the kept states moved
     from the last visit to the end of the core, at the pulled-back output
-    indices; with K = 0 there is no visit, and that one move runs the
-    whole core from the entries.
+    indices; on product states, and with K = 0, that move runs the whole
+    core from the entries, the same kernel calls.
     """
     k_slots = circuit.n_params
     trig = [(math.cos(t), math.sin(t)) for t in DEFAULT_GRID]
-    kept = _KeptStates(circuit, problem)
+    kept = _kept_states(circuit, problem)
     phi = [_START_ANGLE] * k_slots
     walked: set[int] = set()    # slots that have had their sideways move
     exact = False   # past the grid sweep, setting slots to atan2(c, b)

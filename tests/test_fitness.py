@@ -123,7 +123,7 @@ class TestPrefitness:
         circuit = parse_circuit(f"Ry{n - 1}:phi0 CNOT{n - 1},0 Ry0:phi1", n)
         phi, value = optimize_params(circuit, prob)
         hots = prob.one_hots
-        kept = fitness_mod._KeptStates(circuit, prob)
+        kept = fitness_mod._kept_states(circuit, prob)
         # the kept states start, and restart, as the one-hot arrays
         # themselves, in a list of their own that moves replace them in
         assert all(a is b for a, b in zip(kept.states, hots, strict=True))
@@ -180,7 +180,7 @@ class TestPrefitness:
                                     [(k, k ^ (k >> 1)) for k in range(d)])
         circuit = parse_circuit("CNOT0,1 Ry0:phi0 CNOT1,2 Ry1:phi1", n)
         hots = prob.one_hots
-        kept = fitness_mod._KeptStates(circuit, prob)
+        kept = fitness_mod._kept_states(circuit, prob)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -1,9 +1,10 @@
-"""The stacked-pair angle sweep against a reference sweep and direct values.
+"""The angle sweep against a reference sweep and direct values.
 
 In every slot, which one Ry gate uses, the optimizer reads every grid
 angle's value, and the exact maximum, off the sinusoid
 a + b*cos(t) + c*sin(t), with (a, b, c) from one simulation of the stacked
-pair. Three checks pin it down:
+pair, or, on a core without CNOT, from product states. Three checks pin it
+down, on both kinds of visit:
 
 * ``reference_sweep`` below is the plain coordinate sweep with the same
   rule: it scans every grid angle of the sinusoid built from the
@@ -14,6 +15,10 @@ pair. Three checks pin it down:
   angle and at random angles, within 1e-12 relative.
 * After the refinement, central differences of direct pre-fitness
   evaluations must vanish along every slot, whatever (a, b, c) said.
+
+Product visits round otherwise than stacked pairs, so on a core without
+CNOT the grid sweep must also return exactly what the whole-register
+sweep returns.
 """
 
 import math
@@ -45,16 +50,24 @@ from gepcirc.sim import (
 
 
 def record_sinusoids(monkeypatch):
-    """Log (phi, (a, b, c)) for every sinusoid the optimizer computes."""
+    """Log (phi, (a, b, c)) for every sinusoid the optimizer computes, on
+    whole registers and on product states alike."""
     log = []
-    sinusoid = fitness_mod._KeptStates.sinusoid
 
-    def recorded(self, phi):
-        abc = sinusoid(self, phi)
-        log.append((tuple(phi), abc))
-        return abc
+    def record(kind):
+        sinusoid = kind.sinusoid
 
-    monkeypatch.setattr(fitness_mod._KeptStates, "sinusoid", recorded)
+        def recorded(self, phi):
+            abc = sinusoid(self, phi)
+            log.append((tuple(phi), abc))
+            return abc
+
+        monkeypatch.setattr(kind, "sinusoid", recorded)
+
+    # one kind when whole_registers has made both names one class
+    for kind in dict.fromkeys((fitness_mod._KeptStates,
+                               fitness_mod._ProductStates)):
+        record(kind)
     return log
 
 
@@ -317,25 +330,97 @@ def test_sinusoid_reproduces_direct_prefitness(n, k_slots, n_pairs, seed,
     # H/P/CNOT frames, other slots held at random angles, several training
     # pairs, random non-diagonal Pauli sums with shift and scale, and
     # diagonal ones
-    check_sinusoids(n, k_slots, n_pairs, seed, kind)
-
-
-def check_sinusoids(n, k_slots, n_pairs, seed, kind):
     rng = random.Random(seed)
     circuit = framed_circuit(rng, n, k_slots)
     table = GateTable(n, ["Ry", "P", "CNOT", "H"])
     problem = make_problem(kind, circuit, table, seed, n_pairs=n_pairs)
+    check_sinusoids(circuit, problem, rng)
+
+
+def check_sinusoids(circuit, problem, rng):
+    """Every slot's (a, b, c) against direct pre-fitness evaluations at the
+    grid angles and at random ones, the other slots at random angles; then
+    again after some of those angles change, so the kept states move back
+    or refresh their factors."""
+    k_slots = circuit.n_params
     phi = [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(k_slots)]
-    kept = fitness_mod._KeptStates(circuit, problem)
-    for k in range(k_slots):
-        kept.move_to(k, phi)
-        a, b, c = kept.sinusoid(phi)
-        angles = list(DEFAULT_GRID) + [rng.uniform(-10.0, 10.0)
-                                       for _ in range(4)]
-        for t in angles:
-            direct = prefitness(circuit, phi[:k] + [t] + phi[k + 1:], problem)
-            algebra = a + b * math.cos(t) + c * math.sin(t)
-            assert abs(algebra - direct) <= 1e-12 * (1.0 + abs(direct))
+    kept = fitness_mod._kept_states(circuit, problem)
+    for _ in range(2):
+        for k in range(k_slots):
+            kept.move_to(k, phi)
+            a, b, c = kept.sinusoid(phi)
+            angles = list(DEFAULT_GRID) + [rng.uniform(-10.0, 10.0)
+                                           for _ in range(4)]
+            for t in angles:
+                direct = prefitness(circuit, phi[:k] + [t] + phi[k + 1:],
+                                    problem)
+                algebra = a + b * math.cos(t) + c * math.sin(t)
+                assert abs(algebra - direct) <= 1e-12 * (1.0 + abs(direct))
+        phi = [rng.uniform(-2 * math.pi, 2 * math.pi) if rng.random() < 0.5
+               else t for t in phi]
+
+
+def whole_registers(monkeypatch):
+    """Visit every core on whole registers through ``_KeptStates``, a core
+    without CNOT too."""
+    monkeypatch.setattr(fitness_mod, "_ProductStates", fitness_mod._KeptStates)
+
+
+def cnot_run(n, rng):
+    """0 to 3 CNOTs on random ordered qubit pairs."""
+    return tuple(GateInstance(GATE_KINDS["CNOT"],
+                              tuple(rng.sample(range(n), 2)))
+                 for _ in range(rng.randint(0, 3)))
+
+
+def product_core_case(n, head, seed, kind, n_pairs, ends):
+    """A random gene circuit over Ry, P, H, X, Y and Z, with ``ends`` a
+    leading CNOT run that moves the inputs and, for index pairs, a
+    trailing one that pulls the outputs back, and its problem: a core
+    without CNOT, which the sweep visits on product states."""
+    rng = random.Random(seed)
+    table = GateTable(n, ["Ry", "P", "H", "X", "Y", "Z"])
+    circuit = gene_to_circuit(random_gene(table.pset, head, rng), table)
+    if ends and n > 1:
+        tail = cnot_run(n, rng) if kind == "pairs" else ()
+        circuit = QuantumCircuit(n, cnot_run(n, rng) + circuit.gates + tail)
+    problem = make_problem(kind, circuit, table, seed, n_pairs=n_pairs)
+    assert isinstance(fitness_mod._kept_states(circuit, problem),
+                      fitness_mod._ProductStates)
+    return circuit, problem, rng
+
+
+PRODUCT_CASES = dict(n=st.integers(1, 6), head=st.integers(1, 10),
+                     seed=st.integers(0, 2**32), kind=KINDS,
+                     n_pairs=st.integers(1, 5), ends=st.booleans())
+
+
+@settings(SLOW, max_examples=300)
+@given(**PRODUCT_CASES)
+def test_product_visits_match_whole_registers(monkeypatch, n, head, seed,
+                                              kind, n_pairs, ends):
+    # product visits round otherwise than stacked pairs, but at
+    # GradientRefine = 0 their (a, b, c) feed only grid choices, which the
+    # tie margin guards, and the value is a whole-core run at the final
+    # angles: angles and value equal the whole-register sweep's, on Ising
+    # sums, Pauli sums with shift and scale, nonzero initial states,
+    # several index pairs, and inputs moved by a leading CNOT run
+    circuit, problem, _ = product_core_case(n, head, seed, kind, n_pairs,
+                                            ends)
+    assert_matches_reference(circuit, problem, monkeypatch)
+    result = optimize_params(circuit, problem)
+    with monkeypatch.context() as m:
+        whole_registers(m)
+        assert optimize_params(circuit, problem) == result
+
+
+@SLOW
+@given(**PRODUCT_CASES)
+def test_product_sinusoids_reproduce_direct_prefitness(n, head, seed, kind,
+                                                       n_pairs, ends):
+    circuit, problem, rng = product_core_case(n, head, seed, kind, n_pairs,
+                                              ends)
+    check_sinusoids(circuit, problem, rng)
 
 
 H4 = PauliSumHamiltonian(4, [
@@ -395,11 +480,14 @@ def test_one_stacked_run_per_visit_and_early_stop(monkeypatch):
 
 
 def test_gate_applications_counted_exactly(monkeypatch):
-    # eight slots, one Ry each: the visit to slot k runs the 7 - k gates
-    # after slot k's gate once, stacked; moving the kept state to the next
-    # slot applies one gate, and wrapping to slot 0 rebuilds it for free
-    circuit = parse_circuit(" ".join(f"Ry{k % 4}:phi{k}" for k in range(8)), 4)
-    problem = ground_state_problem(GateTable(4, ["Ry"]), H4)
+    # eight slots, one Ry each, and a closing CNOT, which a GroundState
+    # core keeps, so the sweep runs on whole registers: the visit to slot
+    # k runs the 7 - k Ry after slot k's gate and the CNOT once, stacked;
+    # moving the kept state to the next slot applies one gate, and
+    # wrapping to slot 0 rebuilds it for free
+    circuit = parse_circuit(
+        " ".join(f"Ry{k % 4}:phi{k}" for k in range(8)) + " CNOT2,3", 4)
+    problem = ground_state_problem(GateTable(4, ["Ry", "CNOT"]), H4)
     sinusoids = record_sinusoids(monkeypatch)
     applies = count_applies(monkeypatch)
     result = optimize_params(circuit, problem)
@@ -409,17 +497,40 @@ def test_gate_applications_counted_exactly(monkeypatch):
     assert result == (ref_phi, ref_best)
     stacked = [gates for pair, gates in applies if pair]
     moves = [gates for pair, gates in applies if not pair]
-    # the last change is at visit 12 (a sideways move), so the sweep stops
-    # after visit 19: stacked runs of 7, 6, ..., 0 gates in visits 0-7 and
-    # 8-15 and 7, 6, 5, 4 in visits 16-19; one-gate moves before visits
-    # 1-7, 9-15 and 17-19; then the state kept for visit 19 (slot 3) goes
-    # through the 5 gates from slot 3's gate on, as five one-gate steps
+    # the last change is at visit 12, so the sweep stops after visit 19:
+    # stacked runs of 8, 7, ..., 1 gates in visits 0-7 and 8-15 and 8, 7,
+    # 6, 5 in visits 16-19; one-gate moves before visits 1-7, 9-15 and
+    # 17-19; then the state kept for visit 19 (slot 3) goes through the 6
+    # gates from slot 3's gate on, as four one-gate steps and a last step
+    # of slot 7's gate and the CNOT
     assert max(v for v, (_, changed) in enumerate(history) if changed) == 12
     assert len(history) == 20
-    assert (len(stacked), sum(stacked)) == (20, 28 + 28 + 22)
-    assert (len(moves), sum(moves)) == (17 + 5, 17 + 5)
-    assert applies[-6:] == [(True, 4)] + [(False, 1)] * 5
-    assert sum(gates for _, gates in applies) == 100
+    assert (len(stacked), sum(stacked)) == (20, 36 + 36 + 26)
+    assert (len(moves), sum(moves)) == (17 + 5, 17 + 6)
+    assert applies[-6:] == [(True, 5)] + [(False, 1)] * 4 + [(False, 2)]
+    assert sum(gates for _, gates in applies) == 121
+
+
+def test_product_cores_run_each_input_once(monkeypatch):
+    # the same eight slots between CNOT ends that the sweep does not
+    # simulate: a lead that moves the inputs and, for index pairs, a tail
+    # that pulls the outputs back, so the cores hold no CNOT and are
+    # visited on product states. No stacked pair is run, and the value is
+    # one run of the whole core per input, from its entry
+    slots = " ".join(f"Ry{k % 4}:phi{k}" for k in range(8))
+    table = GateTable(4, ["Ry", "CNOT"])
+    for problem, text in (
+            (ground_state_problem(table, H4, 5), f"CNOT0,1 {slots}"),
+            (function_fit_problem(table, [(0, 3), (5, 12), (9, 9)]),
+             f"CNOT0,1 {slots} CNOT2,3")):
+        circuit = parse_circuit(text, 4)
+        with monkeypatch.context() as m:
+            sinusoids = record_sinusoids(m)
+            applies = count_applies(m)
+            result = optimize_params(circuit, problem)
+        assert result == reference_sweep(circuit, problem, sinusoids)[:2]
+        assert len(sinusoids) > circuit.n_params
+        assert applies == [(False, 8)] * len(problem.inputs)
 
 
 def test_every_cnot_run_tabled_once(monkeypatch):
@@ -464,8 +575,9 @@ def test_every_cnot_run_tabled_once(monkeypatch):
 
 def test_flat_slot_moves_sideways_once(monkeypatch):
     # -<Z1> = -cos(phi1) does not depend on phi0: slot 0 is flat, and slot
-    # 1 peaks at pi
-    circuit = parse_circuit("Ry0:phi0 Ry1:phi1", 2)
+    # 1 peaks at pi. CNOT1,0 leaves Z1 as it is, and puts the core on
+    # whole registers
+    circuit = parse_circuit("Ry0:phi0 Ry1:phi1 CNOT1,0", 2)
     h = PauliSumHamiltonian(2, [PauliTerm.from_map(1.0, {1: "Z"})])
     problem = ground_state_problem(GateTable(2, ["Ry"]), h)
     sinusoids = record_sinusoids(monkeypatch)
@@ -485,13 +597,8 @@ def with_cnot_ends(circuit, rng):
     """``circuit`` between a leading and a trailing run of 0-3 random
     CNOTs each."""
     n = circuit.n_bits
-
-    def run():
-        return tuple(GateInstance(GATE_KINDS["CNOT"],
-                                  tuple(rng.sample(range(n), 2)))
-                     for _ in range(rng.randint(0, 3)))
-
-    return QuantumCircuit(n, run() + circuit.gates + run())
+    return QuantumCircuit(n, cnot_run(n, rng) + circuit.gates
+                          + cnot_run(n, rng))
 
 
 @SLOW
@@ -501,8 +608,12 @@ def test_cnot_ends_match_exhaustive_scan(monkeypatch, n, head, seed, kind,
                                          refine):
     # the lead moves the inputs, nonzero ones included, and a FunctionFit
     # tail pulls the outputs back; the sweep matches the reference, whose
-    # value runs the whole circuit, and every sinusoid is the one of a
-    # sweep that simulates its ends, bit for bit
+    # value runs the whole circuit, and on whole registers every sinusoid
+    # is the one of a sweep that simulates its ends, bit for bit. A core
+    # without CNOT between ends would take product states, whose
+    # sinusoids round otherwise than a sweep through the ends (see
+    # test_product_visits_match_whole_registers), so both sweeps here are
+    # on whole registers
     rng = random.Random(seed)
     table = GateTable(n, ["Ry", "P", "CNOT"])
     core = gene_to_circuit(random_gene(table.pset, head, rng), table)
@@ -510,9 +621,11 @@ def test_cnot_ends_match_exhaustive_scan(monkeypatch, n, head, seed, kind,
     problem = make_problem(kind, circuit, table, seed, refine)
     assert_matches_reference(circuit, problem, monkeypatch)
     with monkeypatch.context() as m:
+        whole_registers(m)
         stripped = record_sinusoids(m)
         result = optimize_params(circuit, problem)
     with monkeypatch.context() as m:
+        whole_registers(m)
         m.setattr(fitness_mod, "_permutation_ends", lambda gates, problem: (
             0, len(gates), problem.inputs, problem.outputs))
         whole = record_sinusoids(m)
