@@ -21,12 +21,32 @@ Re <A|H|B> (GroundState) or from A's amplitude at the output index, and
 B's, for each training pair (FunctionFit); this is the Rotosolve/NFT
 observation (Ostaszewski et al., arXiv:1905.09692; Nakanishi et al.,
 arXiv:1903.12166) applied to the statevector. The gate kernels act on the
-last axis, so a slot visit pushes psi and -iY psi, stacked as one (2, 2^N)
-array, through U in one simulation of the gates after the slot and reads
-the whole grid off (a, b, c), and also the exact maximum over all angles,
-a + hypot(b, c) at t = atan2(c, b). A visit holds one stacked pair at a
-time, twice the per-state working set of evaluating one angle, at every N:
--iY psi is written straight into the pair's second row.
+last axis, so a core's first visit pushes psi and -iY psi, stacked as one
+(2, 2^N) array, through U in one simulation of the gates after the slot
+and reads the whole grid off (a, b, c), and also the exact maximum over
+all angles, a + hypot(b, c) at t = atan2(c, b).
+
+Later visits reuse the current value, as sequential minimal optimization
+does (Nakanishi et al.). With theta the slot's angle now, the output at
+theta + d is cos(d/2) X + sin(d/2) X', X the output at the current angles
+and X' = U Ry(theta + pi) psi the output with the slot turned by pi.
+X is known: each visit keeps the output along its own slot as such a pair
+(A and B, or X and X'), so once that slot has moved by d, X is their
+cos(d/2), sin(d/2) combination, and on GroundState <X|H'|X> follows by the
+same 2x2 algebra from the three numbers kept with them. Such a visit
+turns psi by its slot's Ry at theta + pi with one kernel call and runs
+that one state per input through U: on GroundState one H' product, for
+<X'|H'|X'> and Re <X|H'|X'>, and on FunctionFit one amplitude per pair,
+X's being kept. Its (a, b, c), found in the frame of d, are rotated into
+t's. A visit after an angle other than the last-visited slot's has changed
+finds no X and stacks again, as the first does; the sweep itself changes
+only the visited slot's angle between visits.
+Between visits the pair along the last-visited slot is kept: two states
+(GroundState) or two amplitudes per pair (FunctionFit). A visit holds at
+most one stacked pair, or X and one turned state, at a time, twice the
+per-state working set of evaluating one angle, at every N: -iY psi is
+written straight into the pair's second row, and forming X makes one
+new state and scales the kept X' in place.
 Simulating U costs one kernel per 1-qubit gate and one gather per run of
 CNOTs, a lone CNOT included (see ``sim``): slot gates are Ry, so no slot
 splits a run, and the kept states' steps and suffixes (below) are parts of
@@ -49,12 +69,12 @@ core.
 
 Nor does a visit simulate the gates before its slot. They do not change
 during the visit, so the sweep keeps the state(s) entering that gate,
-built once with the committed angles. Between visits the kept state moves
-forward to the next slot's gate, or restarts from the entries when the
-cycle wraps: read-only one-hot arrays, the problem's own
-(``Problem.one_hots``, built once per problem and held by it) wherever
-the lead leaves the input where it is, and built once per optimized
-circuit where it moves it. The value returned at the end is read off the
+built once with the committed angles: the psi above. Between visits
+the kept state moves forward to the next slot's gate, or restarts from
+the entries when the cycle wraps: read-only one-hot arrays, the
+problem's own (``Problem.one_hots``, built once per problem and held by
+it) wherever the lead leaves the input where it is, and built once per
+optimized circuit where it moves it. The value returned at the end is read off the
 kept states too, moved on from the last visit past the core's last gate:
 the kernel calls a whole-core run makes, in the same order. A circuit
 without slots takes that one move from its entries.
@@ -70,21 +90,24 @@ term's value, c times the product of <sigma> over its qubits, so H'
 seen from the slot's qubit is one 2x2 matrix; on FunctionFit each pair's
 amplitude factors at the pulled-back output's bits. A visit is thus
 scalar arithmetic on the slot qubit's terms or pairs, with no numpy call.
-Its (a, b, c) are summed in another order than the stacked pair's and
-agree with them to about 1e-15 relative. That moves no artifact: (a, b,
-c) only choose grid angles, and values within ``_TIE_MARGIN`` of each
-other tie, so a choice could change only where two values differ by the
-margin itself to within rounding, which no tested case nor benchmark
-instance met; and the value returned is the kernels': the whole core
-run once from the entry one-hots at the final angles, the kernel calls
-the whole-register path makes. Only the exact phase of ``refine``, which
-sets a slot to atan2(c, b), carries the rounding into its angles. Over
-the benchmark's instances 0-11 (seed 7), every core optimized on
+Over the benchmark's instances 0-11 (seed 7), every core optimized on
 maxcut8 (``Gates = Ry``) took this path, 819 of 819; so did 509 of 567
 on funcfit12 and 222 of 1,914 on heisenberg3x3.
 
-The one-hot inputs are float64 and -iY is a real matrix, so every state
-the sweep holds, kept states and stacked pairs alike, stays float64 at
+Product visits sum their (a, b, c) in another order than the stacked
+pair's, and turned visits read them off an X carried through many turns,
+so both agree with the stacked pair's to rounding, about 1e-15 relative
+per turn. That moves no artifact: (a, b, c) only choose grid angles, and
+values within ``_TIE_MARGIN`` of each other tie, so a choice could change
+only where two values differ by the margin itself to within rounding,
+which no tested case nor benchmark instance met; and the value returned
+is the kernels': the kept states' move past the core's last gate, or on
+product states the whole core run once from the entry one-hots at the
+final angles, the same kernel calls. Only the exact phase of ``refine``,
+which sets a slot to atan2(c, b), carries the rounding into its angles.
+
+The one-hot inputs are float64 and -iY and Ry are real matrices, so
+every state the sweep holds, kept, stacked or turned, stays float64 at
 8 B per amplitude through Ry, H, X, Z and CNOT gates and becomes complex
 at the first P or Y (see ``sim``); either way the values are those of
 complex states.
@@ -290,21 +313,25 @@ def _entry_states(problem: Problem, entries: tuple[int, ...]
                                               problem.inputs, entries))
 
 
-def _kept_states(circuit: QuantumCircuit, problem: Problem
-                 ) -> _KeptStates | _ProductStates:
+def _kept_states(circuit: QuantumCircuit, problem: Problem,
+                 cut: tuple | None = None) -> _KeptStates | _ProductStates:
     """The kept states the sweep visits ``circuit``'s slots through. The
     circuit is split once into its permutation ends and the core between
-    them (see ``_permutation_ends``); a core with a CNOT is simulated on
+    them (see ``_permutation_ends``), unless ``cut``, (entries, core,
+    outputs), hands that split in; a core with a CNOT is simulated on
     whole registers (``_KeptStates``), one without on one 2-vector per
     qubit (``_ProductStates``)."""
-    gates = circuit.gates
-    lead, end, entries, outputs = _permutation_ends(gates, problem)
-    if end - lead < len(gates):
+    if cut is None:
+        gates = circuit.gates
+        lead, end, entries, outputs = _permutation_ends(gates, problem)
         # cut without compiling the whole circuit, ends included
-        circuit = QuantumCircuit(circuit.n_bits, gates[lead:end])
+        core = (circuit if end - lead == len(gates)
+                else QuantumCircuit(circuit.n_bits, gates[lead:end]))
+    else:
+        entries, core, outputs = cut
     kind = (_KeptStates if any(gate.kind.n_qubits == 2
-                               for gate in circuit.gates) else _ProductStates)
-    return kind(circuit, problem, entries, outputs)
+                               for gate in core.gates) else _ProductStates)
+    return kind(core, problem, entries, outputs)
 
 
 class _KeptStates:
@@ -322,6 +349,19 @@ class _KeptStates:
     in between, one state at a time in place; moving back restarts from
     the one-hots. The ends are never simulated, so no table is built for
     their CNOT runs.
+
+    Between visits it also keeps the outputs along the last-visited slot
+    j, ``along``: two outputs p and q, and an angle theta, such that the
+    output with slot j at angle t and every other slot at the visit's
+    angles is cos((t - theta)/2) p + sin((t - theta)/2) q; on GroundState
+    p and q are whole states, with <p|H'|p>, <q|H'|q> and Re <p|H'|q>, on
+    FunctionFit their amplitudes at the outputs only. A visit that finds
+    only slot j's angle changed forms X, the output at the current
+    angles, from them, and runs one state per input through the suffix:
+    the kept state turned by its slot's Ry at its angle plus pi (see
+    ``sinusoid``). So beside the kept states it holds two states between
+    visits on GroundState, and during a visit at most one stacked pair, or
+    X and one turned state, with the temporaries of the kernels and H'.
     """
 
     def __init__(self, core: QuantumCircuit, problem: Problem,
@@ -338,6 +378,9 @@ class _KeptStates:
         self.entries = _entry_states(problem, entries)
         self.k = -1
         self.states = list(self.entries)
+        # (j, angles, theta, p, q, elements): see the class docstring;
+        # elements is None on FunctionFit
+        self.along: tuple | None = None
 
     def move_to(self, k: int, phi: Sequence[float]) -> None:
         """Keep the states entering slot ``k``'s gate (at k = K, the
@@ -346,6 +389,8 @@ class _KeptStates:
         one-hot entries are never copied."""
         if k < self.k:
             self.k, self.states = -1, list(self.entries)
+        if k == len(self.qubits):
+            self.along = None   # no visit follows
         n, states = self.problem.n_bits, self.states
         for j in range(self.k + 1, k + 1):
             step = self.steps[j]
@@ -356,40 +401,107 @@ class _KeptStates:
                     states[i] = apply_circuit_array(amps, n, step, params)
         self.k = k
 
+    def _current(self, phi: Sequence[float]) -> tuple | None:
+        """(X, <X|H'|X>), X the output at ``phi`` (on FunctionFit, its
+        amplitudes at the outputs, and None for the expectation), formed
+        from ``along``; None when no visit came before, or when an angle
+        other than the last-visited slot's has changed since. Either way
+        ``along`` is dropped, its arrays reused in place."""
+        if self.along is None:
+            return None
+        j, angles, theta, p, q, elements = self.along
+        self.along = None
+        if phi[:j] != angles[:j] or phi[j + 1:] != angles[j + 1:]:
+            return None
+        delta = phi[j] - theta
+        if not delta:
+            return p, None if elements is None else elements[0]
+        c, s = math.cos(delta / 2.0), math.sin(delta / 2.0)
+        if elements is None:
+            return [c * u + s * v for u, v in zip(p, q)], None
+        x = p * c
+        q *= s      # q is this object's own, and dropped here
+        x += q
+        pp, qq, pq = elements
+        return x, (0.5 * (pp + qq) + 0.5 * (pp - qq) * math.cos(delta)
+                   + pq * math.sin(delta))
+
     def sinusoid(self, phi: Sequence[float]) -> tuple[float, float, float]:
         """(a, b, c) with pre-fitness a + b*cos(t) + c*sin(t) when slot
         ``k`` has angle t and every other slot its angle in ``phi``.
 
-        Each kept state psi and -iY psi, stacked as one (2, 2^N) array,
-        go through the gates after slot ``k``'s gate in one simulation.
+        The first visit, and any visit after an angle other than the
+        last-visited slot's has changed, pushes each kept state psi and
+        -iY psi, stacked as one (2, 2^N) array, through the gates after
+        slot ``k``'s gate in one simulation: the outputs at t = 0 and pi.
+        Any other visit knows X, the output at the current angle theta
+        (see ``_current``), and simulates only psi turned by Ry(theta + pi)
+        through those gates, X', the output at theta + pi; on GroundState
+        that is one H' product, for <X'|H'|X'> and Re <X|H'|X'>. Either
+        way the pair found is kept as ``along``.
         """
         problem, k = self.problem, self.k
-        q = self.qubits[k]
+        qubit = self.qubits[k]
+        n, suffix, params = problem.n_bits, self.suffixes[k], phi[k + 1:]
         # the kept states share one dtype, so one lookup serves them all
-        forms = _kernel_forms("-iY", None, self.states[0].dtype == complex, q)
+        complex_state = self.states[0].dtype == complex
+        current = self._current(phi)
+        if current is None:
+            theta = 0.0
+            forms = _kernel_forms("-iY", None, complex_state, qubit)
 
-        def outputs(amps: np.ndarray) -> np.ndarray:
-            """(A, B) for one kept state psi."""
-            # unnamed, the pair is freed once its first gate has run: at
-            # NumBits = 24 one state is 128 MB, or 256 MB once complex
-            return apply_circuit_array(_stacked(amps, q, forms),
-                                       problem.n_bits, self.suffixes[k],
-                                       phi[k + 1:])
+            def outputs(amps: np.ndarray) -> np.ndarray:
+                """(A, B) for one kept state psi."""
+                # unnamed, the pair is freed once its first gate has run:
+                # at NumBits = 24 one state is 128 MB, or 256 MB once
+                # complex
+                return apply_circuit_array(_stacked(amps, qubit, forms), n,
+                                           suffix, params)
+        else:
+            x, xx = current
+            theta = phi[k]
+            forms = _kernel_forms("Ry", theta + math.pi, complex_state,
+                                  qubit)
+
+            def outputs(amps: np.ndarray) -> np.ndarray:
+                """X' for one kept state psi."""
+                return apply_circuit_array(
+                    _apply_1q(amps, forms[0], qubit, forms[1]), n, suffix,
+                    params)
 
         outs = map(outputs, self.states)
         if not problem.outputs:
-            # -<x|H'|x> at x = cos(t/2) A + sin(t/2) B
-            aa, bb, ab = problem.hamiltonian.pair_elements(*next(outs))
-            return -0.5 * (aa + bb), -0.5 * (aa - bb), -ab
-        # |cos(t/2) alpha + sin(t/2) beta|^2 per pair, alpha = A[out]
-        aa = bb = ab = 0.0
-        for pair, out in zip(outs, self.outputs):
-            alpha, beta = pair[0, out], pair[1, out]
-            aa += abs(alpha) ** 2
-            bb += abs(beta) ** 2
-            ab += (alpha.conjugate() * beta).real
-        d = len(self.outputs)
-        return 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
+            h = problem.hamiltonian
+            if current is None:
+                p, q = next(outs)
+                elements = h.pair_elements(p, q)
+            else:
+                p, q = x, next(outs)
+                elements = (xx, *h.cross_elements(p, q))
+            pp, qq, pq = elements
+            # -<y|H'|y> at y = cos(d/2) p + sin(d/2) q, d = t - theta
+            a, b, c = -0.5 * (pp + qq), -0.5 * (pp - qq), -pq
+        else:
+            if current is None:
+                p, q = zip(*((pair[0, out], pair[1, out])
+                             for pair, out in zip(outs, self.outputs)))
+            else:
+                p, q = x, [amps[out] for amps, out in zip(outs, self.outputs)]
+            elements = None
+            # |cos(d/2) alpha + sin(d/2) beta|^2 per pair, d = t - theta
+            aa = bb = ab = 0.0
+            for alpha, beta in zip(p, q):
+                aa += abs(alpha) ** 2
+                bb += abs(beta) ** 2
+                ab += (alpha.conjugate() * beta).real
+            d = len(self.outputs)
+            a, b, c = 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
+        self.along = k, list(phi), theta, p, q, elements
+        if theta:
+            # b*cos(t - theta) + c*sin(t - theta) in terms of t
+            cos_t, sin_t = math.cos(theta), math.sin(theta)
+            b, c = b * cos_t - c * sin_t, b * sin_t + c * cos_t
+        return a, b, c
 
 
 def _stacked(amps: np.ndarray, q: int,
@@ -570,7 +682,8 @@ class _ProductStates:
         return -0.5 * (aa + bb), -0.5 * (aa - bb), -ab
 
 
-def optimize_params(circuit: QuantumCircuit, problem: Problem
+def optimize_params(circuit: QuantumCircuit, problem: Problem,
+                    cut: tuple | None = None
                     ) -> tuple[tuple[float, ...], float]:
     """Best angle vector and its pre-fitness, deterministically.
 
@@ -578,10 +691,15 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
     the free Ry gates in gate order, cyclically from all angles at pi/4.
     A visit gives (a, b, c), and from them every grid angle's value: on a
     core with a CNOT, from one simulation of the core's gates after the
-    slot's gate on the stacked pair; on a core without, from 2-vectors
-    on the slot's qubit and cached factors (see the module docstring).
-    Values within ``_TIE_MARGIN`` times 1 + |a| + |b| + |c| tie, so the
-    two kinds of visit, which round otherwise, choose the same angles.
+    slot's gate, on the stacked pair at the first visit and on the kept
+    state turned by pi past the slot's angle at every later one, with
+    the output at the current angles carried over from the visit before
+    (one state on GroundState, kept between visits beside the turned one,
+    one amplitude per pair on FunctionFit); on a core without, from
+    2-vectors on the slot's qubit and cached factors (see the module
+    docstring). Values within ``_TIE_MARGIN`` times 1 + |a| + |b| + |c|
+    tie, so the kinds of visit, which round otherwise, choose the same
+    angles.
     If the best grid value beats the current angle's by more than that,
     the slot moves to the first grid angle that ties with the best.
     Otherwise, on its first such visit, it moves sideways, to the next
@@ -596,17 +714,22 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem
     to the exact maximum t = atan2(c, b) when a + hypot(b, c) beats the
     current angle's value by more than the margin; this phase too ends
     K - 1 visits after its last change. atan2 reads (b, c) to the last
-    bit, so here the two kinds of visit may set angles an ulp or so
-    apart. Either way the sweep stops after
-    ``_MAX_SWEEP_CYCLES * K`` visits at the latest. The value returned is
-    the pre-fitness at the final angles, read off the kept states moved
-    from the last visit to the end of the core, at the pulled-back output
-    indices; on product states, and with K = 0, that move runs the whole
-    core from the entries, the same kernel calls.
+    bit, so here the kinds of visit may set angles an ulp or so apart.
+    Either way the sweep stops after ``_MAX_SWEEP_CYCLES * K`` visits at
+    the latest. The value returned is the pre-fitness at the final
+    angles, read off the kept states moved from the last visit to the end
+    of the core, at the pulled-back output indices; on product states,
+    and with K = 0, that move runs the whole core from the entries, the
+    same kernel calls.
+
+    ``cut``, (entries, core, outputs), hands in the split of ``circuit``
+    at its permutation ends when the caller has made it, as
+    ``CachingFitness``'s core key holds it; the sweep then runs on that
+    core without splitting ``circuit`` again.
     """
     k_slots = circuit.n_params
     trig = [(math.cos(t), math.sin(t)) for t in DEFAULT_GRID]
-    kept = _kept_states(circuit, problem)
+    kept = _kept_states(circuit, problem, cut)
     phi = [_START_ANGLE] * k_slots
     walked: set[int] = set()    # slots that have had their sideways move
     exact = False   # past the grid sweep, setting slots to atan2(c, b)
@@ -655,7 +778,9 @@ class CachingFitness:
     simulates only its core, between its permutation ends (see
     ``_permutation_ends``), from one-hots at the entry indices, read at the
     pulled-back output indices; these three, the core key, decide the
-    angles and fitness bit for bit. Two plain dicts hold the work:
+    angles and fitness bit for bit, and the sweep takes them as they are
+    (``optimize_params``'s ``cut``), so a circuit's ends are found once.
+    Two plain dicts hold the work:
 
     * coding region -> (the canonical circuit's coding region, its core
       key), so each coding region is canonicalized once; the coding region
@@ -702,8 +827,16 @@ class CachingFitness:
         canon, key = record
         optimum = self._optimized.get(key)
         if optimum is None:
+            # the key holds the cut: the sweep need not find the ends again
+            entries, core, outputs = key
+            table = self.problem.table
+            circuit = coding_circuit(canon, table)
+            if len(core) < len(canon) - 1:
+                core = coding_circuit(core + (table.terminal,), table)
+            else:
+                core = circuit
             optimum = self._optimized[key] = optimize_params(
-                coding_circuit(canon, self.problem.table), self.problem)
+                circuit, self.problem, (entries, core, outputs))
         return optimum
 
     def __call__(self, gene: Gene) -> float:

@@ -24,7 +24,8 @@ States may come real (float64) or complex. A real state is made complex
 right before each inner product, because the real dot product sums in
 another order than the complex one: so a real state gives the bits of
 its complex cast. The cache is built before any such copy is made, and
-``pair_elements`` frees b's copy and H' b before it makes a's and H' a.
+``pair_elements`` and ``cross_elements`` free b's copy before they make
+a's, and H' b before H' a.
 """
 
 from __future__ import annotations
@@ -250,22 +251,33 @@ class PauliSumHamiltonian:
         <x|H'|x> at x = cos(t/2) a + sin(t/2) b follows from the three
         numbers; the fitness sweep takes a = U psi and b = U(-iY_q psi).
         """
+        bb, ab, a = self._cross(a, b)
+        return self._real(np.vdot(a, self._apply(a))), bb, ab
+
+    def cross_elements(self, a: np.ndarray,
+                       b: np.ndarray) -> tuple[float, float]:
+        """(<b|H'|b>, Re <a|H'|b>) for two flat amplitude arrays, with one
+        H' product: the fitness sweep keeps <a|H'|a> for its current
+        output a, and b is that output with one slot turned by pi (see
+        ``fitness._KeptStates``)."""
+        return self._cross(a, b)[:2]
+
+    def _cross(self, a: np.ndarray,
+               b: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """<b|H'|b>, Re <a|H'|b> and a's complex cast."""
         dim = 1 << self.n_bits
         if a.shape != (dim,) or b.shape != (dim,):
             raise ConfigError(
                 f"expected two arrays of {dim} amplitudes, "
                 f"got {a.shape} and {b.shape}"
             )
-        # two 2^n arrays live here at a time: b and H'b, a and H'b, then
-        # a and H'a
+        # two 2^n arrays live here at a time: b and H'b, then a and H'b
         b = self._complex(b)
         h_b = self._apply(b)
         bb = self._real(np.vdot(b, h_b))
         del b
         a = self._complex(a)
-        ab = float(np.vdot(a, h_b).real)
-        del h_b
-        return self._real(np.vdot(a, self._apply(a))), bb, ab
+        return bb, float(np.vdot(a, h_b).real), a
 
 
 # ---------------------------------------------------------------------------

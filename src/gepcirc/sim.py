@@ -2,8 +2,9 @@
 
 Basis convention: index b holds qubit i in state (b >> i) & 1, so qubit 0
 is the least significant bit and index 3 on 8 qubits is 00000011. Circuit
-strings follow operator-composition order: the first token is the outermost
-(last-applied) gate, matching how the gene coding region reads.
+strings list gates in application order, the first token applied first:
+the reverse of the gene coding region, which reads outermost
+(last-applied) gate first.
 
 A Ry gate carries a fixed angle in radians or none; a Ry without one is
 free, and the k-th free Ry in gate order takes entry k of the parameter

@@ -6,13 +6,17 @@ the full 2^n space with qubit n-1 as the leftmost factor; a circuit is the
 product of its gates' dense matrices, the first gate rightmost. And the
 canonical form as first written, rewrite by rewrite to a fixed point,
 which the simulator's faster ``canonicalize`` must match gate for gate.
+And the angle sweep's whole-register visit as first written, with every
+visit stacked, which the sweep's turned-state visits must match in
+angles and value.
 """
 
 import math
 
 import numpy as np
 
-from gepcirc.sim import GateInstance, QuantumCircuit
+import gepcirc.fitness as fitness
+from gepcirc.sim import GateInstance, QuantumCircuit, apply_circuit_array
 
 _P0 = np.diag([1.0, 0.0]).astype(complex)
 _P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -114,3 +118,32 @@ def _fuse_ry(a, b):
     if total == 0.0:
         return None
     return GateInstance(a.kind, a.qubits, angle=total)
+
+
+class StackedVisits(fitness._KeptStates):
+    """Whole-register kept states whose every visit pushes each kept state
+    psi and -iY psi, stacked as one (2, 2^N) array, through the gates after
+    the slot's gate, and reads (a, b, c) off the two outputs A and B: at
+    slot angle t the output is cos(t/2) A + sin(t/2) B. Moves and the value
+    at the end are the sweep's own."""
+
+    def sinusoid(self, phi):
+        problem, k = self.problem, self.k
+        q = self.qubits[k]
+        forms = fitness._kernel_forms("-iY", None,
+                                      self.states[0].dtype == complex, q)
+        pairs = (apply_circuit_array(fitness._stacked(amps, q, forms),
+                                     problem.n_bits, self.suffixes[k],
+                                     phi[k + 1:])
+                 for amps in self.states)
+        if not problem.outputs:
+            aa, bb, ab = problem.hamiltonian.pair_elements(*next(pairs))
+            return -0.5 * (aa + bb), -0.5 * (aa - bb), -ab
+        aa = bb = ab = 0.0
+        for pair, out in zip(pairs, self.outputs):
+            alpha, beta = pair[0, out], pair[1, out]
+            aa += abs(alpha) ** 2
+            bb += abs(beta) ** 2
+            ab += (alpha.conjugate() * beta).real
+        d = len(self.outputs)
+        return 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d

@@ -195,6 +195,46 @@ class TestPrefitness:
         assert all(np.array_equal(amps, basis_state(n, index).amplitudes)
                    for amps, index in zip(hots, prob.inputs))
 
+    def test_turned_visits_keep_the_peak(self, monkeypatch):
+        # a 14-qubit core with CNOTs, so the sweep runs on whole registers,
+        # and a Hamiltonian with a flip mask (X0 X1), so H' gathers; every
+        # visit after the first turns the kept state. The tracemalloc peak
+        # of optimize_params may exceed the one measured with every visit
+        # stacked by at most 1.1 states of 2^14 complex amplitudes, the X
+        # kept between visits. Measured with every visit stacked (Python
+        # 3.11, numpy 2.4.6): 1,845,463 B with float64 states and
+        # 2,760,879 B once P0 has made them complex. The one-hots and the
+        # Hamiltonian's cache are built before tracing
+        n = 14
+        table = GateTable(n, ["Ry", "P", "CNOT"])
+        h = PauliSumHamiltonian(n, [
+            PauliTerm.from_map(0.7, {0: "X", 1: "X"}),
+            PauliTerm.from_map(-1.3, {1: "Z", 2: "Z"}),
+            PauliTerm.from_map(0.4, {13: "Z"}),
+        ])
+        core = ("Ry0:phi0 CNOT0,1 Ry1:phi1 Ry2:phi2 CNOT1,2 Ry13:phi3 "
+                "CNOT2,13 Ry0:phi4")
+        state = 16 << n
+        for text, stacked_peak in ((core, 1_845_463),
+                                   (f"P0 {core}", 2_760_879)):
+            problem = ground_state_problem(table, h)
+            h.expectation_array(problem.one_hots[0])
+            circuit = parse_circuit(text, n)
+            with monkeypatch.context() as m:
+                visits = record_sinusoids(m)
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    optimize_params(circuit, problem)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+            assert len(visits) > circuit.n_params
+            assert type(fitness_mod._kept_states(circuit, problem)) \
+                is fitness_mod._KeptStates
+            assert peak <= stacked_peak + 1.1 * state, \
+                (peak - stacked_peak) / state
+
 
 def logged_inputs(monkeypatch):
     """Every read-only state the fitness module simulates from, kept alive
@@ -371,9 +411,9 @@ class TestFitness:
         cache = CachingFitness(ground_state_problem(table, z0))
         calls = []
 
-        def counted(circuit, problem):
+        def counted(circuit, *args):
             calls.append(circuit)
-            return optimize_params(circuit, problem)
+            return optimize_params(circuit, *args)
 
         monkeypatch.setattr(fitness_mod, "optimize_params", counted)
         a = make_gene((0, 2, 0, 1, 2), 4, table.pset)
@@ -581,6 +621,36 @@ class TestCanonicalFitness:
             assert any(len(t) > 1 for t in texts)
             assert any(len({g.symbols[:coding_length(g)] for g in genes}) > 1
                        for genes in groups.values())
+
+    def test_ends_found_once_per_canonical_circuit(self, monkeypatch):
+        # CachingFitness splits each circuit it canonicalizes at its
+        # permutation ends once, for its core key, and hands the split to
+        # the sweep, which it reaches through the module's optimize_params
+        # (the name the benchmark counts by) and which does not split the
+        # circuit again
+        table = GateTable(3, ["H", "Ry", "CNOT"])
+        for problem in (
+                ground_state_problem(table, random_pauli_sum(
+                    3, random.Random(5)), 5),
+                function_fit_problem(table, [(1, 6), (4, 4), (7, 2)])):
+            ends = count_calls(monkeypatch, "_permutation_ends")
+            canonicalized = count_calls(monkeypatch, "canonicalize")
+            optimized = []
+            sweep = fitness_mod.optimize_params
+
+            def counted(circuit, problem, cut):
+                optimized.append(len(ends))
+                result = sweep(circuit, problem, cut)
+                assert len(ends) == optimized[-1]
+                return result
+
+            monkeypatch.setattr(fitness_mod, "optimize_params", counted)
+            cache = CachingFitness(problem)
+            rng = random.Random(29)
+            for _ in range(300):
+                cache(random_gene(table.pset, 5, rng))
+            assert len(ends) == len(canonicalized) > len(optimized) > 50
+            monkeypatch.undo()
 
     def test_evolution_canonicalizes_each_coding_region_once(self,
                                                             monkeypatch):

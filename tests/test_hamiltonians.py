@@ -368,6 +368,8 @@ class TestPairElements:
             assert abs(bb - np.vdot(b, shifted @ b).real) < 1e-10
             assert abs(ab - np.vdot(a, shifted @ b).real) < 1e-10
             assert abs(aa - h.expectation_array(a)) < 1e-10
+            # the sweep's turned visits take the last two alone, bit for bit
+            assert h.cross_elements(a, b) == (bb, ab)
 
     @settings(deadline=None, max_examples=100)
     @given(case=pauli_sums(), seed=st.integers(0, 2**32 - 1))

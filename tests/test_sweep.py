@@ -3,8 +3,9 @@
 In every slot, which one Ry gate uses, the optimizer reads every grid
 angle's value, and the exact maximum, off the sinusoid
 a + b*cos(t) + c*sin(t), with (a, b, c) from one simulation of the stacked
-pair, or, on a core without CNOT, from product states. Three checks pin it
-down, on both kinds of visit:
+pair, or of the kept state turned by pi past the current angle, or, on a
+core without CNOT, from product states. Three checks pin it down, on
+every kind of visit:
 
 * ``reference_sweep`` below is the plain coordinate sweep with the same
   rule: it scans every grid angle of the sinusoid built from the
@@ -16,16 +17,17 @@ down, on both kinds of visit:
 * After the refinement, central differences of direct pre-fitness
   evaluations must vanish along every slot, whatever (a, b, c) said.
 
-Product visits round otherwise than stacked pairs, so on a core without
-CNOT the grid sweep must also return exactly what the whole-register
-sweep returns.
+Product visits and turned visits round otherwise than stacked pairs, so
+the grid sweep must also return exactly what the whole-register sweep
+with every visit stacked (``reference.StackedVisits``) returns.
 """
 
 import math
 import random
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 import gepcirc.fitness as fitness_mod
 import gepcirc.sim as sim
@@ -47,6 +49,7 @@ from gepcirc.sim import (
     gene_to_circuit,
     parse_circuit,
 )
+from reference import StackedVisits
 
 
 def record_sinusoids(monkeypatch):
@@ -360,6 +363,104 @@ def check_sinusoids(circuit, problem, rng):
                else t for t in phi]
 
 
+def cnot_core_circuit(rng, n, k_slots):
+    """``framed_circuit`` with H and a CNOT right before its last slot's
+    gate, so the CNOT is in the core whatever the ends, and the sweep runs
+    on whole registers."""
+    gates = framed_circuit(rng, n, k_slots).gates
+    last = max(i for i, gate in enumerate(gates) if gate.free)
+    a, b = rng.sample(range(n), 2)
+    inserted = parse_circuit(f"H{a} CNOT{a},{b}", n).gates
+    return QuantumCircuit(n, gates[:last] + inserted + gates[last:])
+
+
+def assert_reproduces_direct(circuit, problem, k, phi, abc, t):
+    """(a, b, c) of slot k's visit at ``phi`` give the direct pre-fitness
+    with slot k at angle t."""
+    a, b, c = abc
+    phi = list(phi)
+    direct = prefitness(circuit, phi[:k] + [t] + phi[k + 1:], problem)
+    algebra = a + b * math.cos(t) + c * math.sin(t)
+    assert abs(algebra - direct) <= 1e-12 * (1.0 + abs(direct))
+
+
+# (n, k_slots, seed, kind) at n_pairs = 1 whose refined sweep runs to the
+# cap of 100*K visits
+AT_THE_CAP = ((2, 3, 6, "pauli"), (3, 3, 0, "ising"), (2, 4, 263, "pairs"))
+
+
+@SLOW
+@example(n=2, k_slots=3, n_pairs=1, seed=6, kind="pauli")
+@example(n=3, k_slots=3, n_pairs=1, seed=0, kind="ising")
+@example(n=2, k_slots=4, n_pairs=1, seed=263, kind="pairs")
+@given(n=st.integers(2, 4), k_slots=st.integers(1, 4),
+       n_pairs=st.integers(1, 4), seed=st.integers(0, 2**32), kind=KINDS)
+def test_turned_visits_reproduce_direct_prefitness(monkeypatch, n, k_slots,
+                                                   n_pairs, seed, kind):
+    # whole-register visits, most of them on the kept outputs turned by
+    # pi. First a refined sweep, recorded; the examples above run to the
+    # cap of 100*K visits (``AT_THE_CAP``), so a late visit's X has been
+    # formed by hundreds of turns since the first. Then 100*K visits, between
+    # which the visited slot moves, nothing moves, or several slots move
+    # at once, so the next visit stacks again
+    rng = random.Random(seed)
+    circuit = cnot_core_circuit(rng, n, k_slots)
+    table = GateTable(n, ["Ry", "P", "CNOT", "H"])
+    problem = make_problem(kind, circuit, table, seed, refine=True,
+                           n_pairs=n_pairs)
+    assert type(fitness_mod._kept_states(circuit, problem)) \
+        is fitness_mod._KeptStates
+    with monkeypatch.context() as m:
+        visits = record_sinusoids(m)
+        optimize_params(circuit, problem)
+    if n_pairs == 1 and (n, k_slots, seed, kind) in AT_THE_CAP:
+        assert len(visits) == 100 * k_slots
+    for v, (phi, abc) in enumerate(visits):
+        k = v % k_slots
+        for t in (phi[k], rng.uniform(-10.0, 10.0)):
+            assert_reproduces_direct(circuit, problem, k, phi, abc, t)
+    kept = fitness_mod._kept_states(circuit, problem)
+    phi = [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(k_slots)]
+    for visit in range(100 * k_slots):
+        k = visit % k_slots
+        kept.move_to(k, phi)
+        a, b, c = kept.sinusoid(phi)
+        for t in (phi[k], rng.uniform(-10.0, 10.0)):
+            assert_reproduces_direct(circuit, problem, k, phi, (a, b, c), t)
+        draw = rng.random()
+        if draw < 0.35:
+            phi[k] = math.atan2(c, b)
+        elif draw < 0.7:
+            phi[k] = rng.choice(DEFAULT_GRID)
+        elif draw < 0.85:
+            # the kept states hold slots 0..k-1's angles until the cycle
+            # wraps (see check_sinusoids)
+            free = range(k + 1 if k + 1 < k_slots else 0, k_slots)
+            for j in rng.sample(free, rng.randint(1, len(free))):
+                phi[j] = rng.uniform(-2 * math.pi, 2 * math.pi)
+
+
+@SLOW
+@given(n=st.integers(2, 5), head=st.integers(2, 10),
+       seed=st.integers(0, 2**32), kind=KINDS)
+def test_turned_visits_match_stacked_visits(monkeypatch, n, head, seed, kind):
+    # at GradientRefine = 0 (a, b, c) only choose grid angles, which the
+    # tie margin guards, and the value is the kept states' move to the
+    # end: angles and value equal those of the sweep whose every
+    # whole-register visit is stacked, on random gene circuits whose
+    # cores hold a CNOT
+    circuit, table = gene_circuit(n, head, seed)
+    problem = make_problem(kind, circuit, table, seed)
+    assume(type(fitness_mod._kept_states(circuit, problem))
+           is fitness_mod._KeptStates)
+    result = optimize_params(circuit, problem)
+    with monkeypatch.context() as m:
+        m.setattr(fitness_mod, "_KeptStates", StackedVisits)
+        assert type(fitness_mod._kept_states(circuit, problem)) \
+            is StackedVisits
+        assert optimize_params(circuit, problem) == result
+
+
 def whole_registers(monkeypatch):
     """Visit every core on whole registers through ``_KeptStates``, a core
     without CNOT too."""
@@ -433,21 +534,32 @@ H4 = PauliSumHamiltonian(4, [
 
 
 def count_applies(monkeypatch):
-    """Log (pair, gates) for every apply_circuit_array call the sweep
-    makes; pair is true for a stacked (psi, -iY psi) run."""
+    """Log (kind, gates) for every apply_circuit_array call the sweep
+    makes: kind "pair" for a stacked (psi, -iY psi) run, "turned" for a
+    run of one state that the sweep's own 1-qubit kernel call turned
+    right before, and "move" for any other run."""
     log = []
-    apply = fitness_mod.apply_circuit_array
+    apply, apply_1q = fitness_mod.apply_circuit_array, fitness_mod._apply_1q
+    turned = []
+
+    def turn(*args, **kwargs):
+        turned.append(True)
+        return apply_1q(*args, **kwargs)
 
     def counted(amps, n_bits, circuit, params, /):
         # four positional arguments, as the benchmark's counter takes them
-        log.append((amps.ndim == 2, len(circuit.gates)))
+        kind = "pair" if amps.ndim == 2 else "turned" if turned else "move"
+        assert len(turned) == (kind != "move")
+        turned.clear()
+        log.append((kind, len(circuit.gates)))
         return apply(amps, n_bits, circuit, params)
 
+    monkeypatch.setattr(fitness_mod, "_apply_1q", turn)
     monkeypatch.setattr(fitness_mod, "apply_circuit_array", counted)
     return log
 
 
-def test_one_stacked_run_per_visit_and_early_stop(monkeypatch):
+def test_one_suffix_run_per_visit_and_early_stop(monkeypatch):
     circuit = parse_circuit(
         "Ry0:phi0 Ry1:phi1 CNOT0,1 Ry2:phi2 CNOT1,2 Ry3:phi3 CNOT2,3 Ry0:phi4", 4)
     problem = ground_state_problem(GateTable(4, ["Ry", "CNOT"]), H4)
@@ -463,17 +575,24 @@ def test_one_stacked_run_per_visit_and_early_stop(monkeypatch):
     last_change = max(v for v, (_, changed) in enumerate(history) if changed)
     assert len(history) == last_change + k_slots     # K - 1 visits after it
     assert len(history) > k_slots                    # something did change
-    # every visit: one stacked pair run; then the last visit's kept state
-    # moves step by step, slot gate to slot gate, to the end of the circuit:
-    # through the gates from its slot's gate on, once
-    stacked = [gates for pair, gates in applies if pair]
-    assert len(stacked) == len(sinusoids) == len(history)
-    last_slot = (len(history) - 1) % k_slots
+    # the first visit: one stacked pair run; every later visit, as only
+    # the last-visited slot's angle has changed since: one run of the
+    # kept state turned by pi; each through the gates after its slot's
+    # gate. Then the last visit's kept state moves step by step, slot
+    # gate to slot gate, to the end of the circuit: through the gates
+    # from its slot's gate on, once
     slot_gates = [i for i, gate in enumerate(circuit.gates) if gate.free]
+    runs = [(kind, gates) for kind, gates in applies if kind != "move"]
+    assert len(runs) == len(sinusoids) == len(history)
+    assert runs == [("turned" if v else "pair",
+                     len(circuit.gates) - 1 - slot_gates[v % k_slots])
+                    for v in range(len(history))]
+    last_slot = (len(history) - 1) % k_slots
     ends = slot_gates + [len(circuit.gates)]
-    last_run = max(i for i, (pair, _) in enumerate(applies) if pair)
+    last_run = max(i for i, (kind, _) in enumerate(applies)
+                   if kind != "move")
     trailing = applies[last_run + 1:]
-    assert trailing == [(False, ends[j] - ends[j - 1])
+    assert trailing == [("move", ends[j] - ends[j - 1])
                         for j in range(last_slot + 1, k_slots + 1)]
     assert sum(gates for _, gates in trailing) \
         == len(circuit.gates) - slot_gates[last_slot]
@@ -482,7 +601,8 @@ def test_one_stacked_run_per_visit_and_early_stop(monkeypatch):
 def test_gate_applications_counted_exactly(monkeypatch):
     # eight slots, one Ry each, and a closing CNOT, which a GroundState
     # core keeps, so the sweep runs on whole registers: the visit to slot
-    # k runs the 7 - k Ry after slot k's gate and the CNOT once, stacked;
+    # k runs the 7 - k Ry after slot k's gate and the CNOT once, stacked
+    # at the first visit and on the turned state at every later one;
     # moving the kept state to the next slot applies one gate, and
     # wrapping to slot 0 rebuilds it for free
     circuit = parse_circuit(
@@ -495,20 +615,38 @@ def test_gate_applications_counted_exactly(monkeypatch):
     ref_phi, ref_best, history = reference_sweep(circuit, problem,
                                                  sinusoids)
     assert result == (ref_phi, ref_best)
-    stacked = [gates for pair, gates in applies if pair]
-    moves = [gates for pair, gates in applies if not pair]
+    runs = {kind: [gates for k, gates in applies if k == kind]
+            for kind in ("pair", "turned", "move")}
     # the last change is at visit 12, so the sweep stops after visit 19:
-    # stacked runs of 8, 7, ..., 1 gates in visits 0-7 and 8-15 and 8, 7,
-    # 6, 5 in visits 16-19; one-gate moves before visits 1-7, 9-15 and
-    # 17-19; then the state kept for visit 19 (slot 3) goes through the 6
-    # gates from slot 3's gate on, as four one-gate steps and a last step
-    # of slot 7's gate and the CNOT
+    # a stacked run of 8 gates in visit 0, then turned runs of 7, ..., 1
+    # in visits 1-7, of 8, 7, ..., 1 in visits 8-15 and of 8, 7, 6, 5 in
+    # visits 16-19; one-gate moves before visits 1-7, 9-15 and 17-19;
+    # then the state kept for visit 19 (slot 3) goes through the 6 gates
+    # from slot 3's gate on, as four one-gate steps and a last step of
+    # slot 7's gate and the CNOT
     assert max(v for v, (_, changed) in enumerate(history) if changed) == 12
     assert len(history) == 20
-    assert (len(stacked), sum(stacked)) == (20, 36 + 36 + 26)
-    assert (len(moves), sum(moves)) == (17 + 5, 17 + 6)
-    assert applies[-6:] == [(True, 5)] + [(False, 1)] * 4 + [(False, 2)]
+    assert (len(runs["pair"]), sum(runs["pair"])) == (1, 8)
+    assert (len(runs["turned"]), sum(runs["turned"])) == (19, 28 + 36 + 26)
+    assert (len(runs["move"]), sum(runs["move"])) == (17 + 5, 17 + 6)
+    assert applies[-6:] == [("turned", 5)] + [("move", 1)] * 4 + [("move", 2)]
     assert sum(gates for _, gates in applies) == 121
+
+
+def test_one_slot_core_runs_one_stacked_pair(monkeypatch):
+    # a lone slot settles at its first visit: one stacked run through the
+    # CNOT after it, then the value's move through the slot's gate and
+    # the CNOT, and no other simulation
+    circuit = parse_circuit("CNOT0,1 Ry1:phi0 CNOT1,0", 2)
+    h = PauliSumHamiltonian(2, [PauliTerm.from_map(0.6, {0: "X"}),
+                                PauliTerm.from_map(-1.0, {1: "Z"})])
+    problem = ground_state_problem(GateTable(2, ["Ry", "CNOT"]), h, 1)
+    sinusoids = record_sinusoids(monkeypatch)
+    applies = count_applies(monkeypatch)
+    result = optimize_params(circuit, problem)
+    assert applies == [("pair", 1), ("move", 2)]
+    assert len(sinusoids) == 1
+    assert result == reference_sweep(circuit, problem, sinusoids)[:2]
 
 
 def test_product_cores_run_each_input_once(monkeypatch):
@@ -530,7 +668,7 @@ def test_product_cores_run_each_input_once(monkeypatch):
             result = optimize_params(circuit, problem)
         assert result == reference_sweep(circuit, problem, sinusoids)[:2]
         assert len(sinusoids) > circuit.n_params
-        assert applies == [(False, 8)] * len(problem.inputs)
+        assert applies == [("move", 8)] * len(problem.inputs)
 
 
 def test_every_cnot_run_tabled_once(monkeypatch):
