@@ -26,10 +26,11 @@ last axis, so a core's first visit pushes psi and -iY psi, stacked as one
 and reads the whole grid off (a, b, c), and also the exact maximum over
 all angles, a + hypot(b, c) at t = atan2(c, b).
 
-Later visits reuse the current value, as sequential minimal optimization
-does (Nakanishi et al.). With theta the slot's angle now, the output at
-theta + d is cos(d/2) X + sin(d/2) X', X the output at the current angles
-and X' = U Ry(theta + pi) psi the output with the slot turned by pi.
+Later grid visits reuse the current value, as sequential minimal
+optimization does (Nakanishi et al.). With theta the slot's angle now,
+the output at theta + d is cos(d/2) X + sin(d/2) X', X the output at the
+current angles and X' = U Ry(theta + pi) psi the output with the slot
+turned by pi.
 X is known: each visit keeps the output along its own slot as such a pair
 (A and B, or X and X'), so once that slot has moved by d, X is their
 cos(d/2), sin(d/2) combination, and on GroundState <X|H'|X> follows by the
@@ -39,8 +40,9 @@ that one state per input through U: on GroundState one H' product, for
 <X'|H'|X'> and Re <X|H'|X'>, and on FunctionFit one amplitude per pair,
 X's being kept. Its (a, b, c), found in the frame of d, are rotated into
 t's. A visit after an angle other than the last-visited slot's has changed
-finds no X and stacks again, as the first does; the sweep itself changes
-only the visited slot's angle between visits.
+finds no X and stacks again, as the first does; the grid sweep itself
+changes only the visited slot's angle between visits. So does the exact
+phase of ``refine``, but each of its visits stacks (see below).
 Between visits the pair along the last-visited slot is kept: two states
 (GroundState) or two amplitudes per pair (FunctionFit). A visit holds at
 most one stacked pair, or X and one turned state, at a time, twice the
@@ -97,14 +99,17 @@ on funcfit12 and 222 of 1,914 on heisenberg3x3.
 Product visits sum their (a, b, c) in another order than the stacked
 pair's, and turned visits read them off an X carried through many turns,
 so both agree with the stacked pair's to rounding, about 1e-15 relative
-per turn. That moves no artifact: (a, b, c) only choose grid angles, and
-values within ``_TIE_MARGIN`` of each other tie, so a choice could change
-only where two values differ by the margin itself to within rounding,
-which no tested case nor benchmark instance met; and the value returned
-is the kernels': the kept states' move past the core's last gate, or on
-product states the whole core run once from the entry one-hots at the
-final angles, the same kernel calls. Only the exact phase of ``refine``,
-which sets a slot to atan2(c, b), carries the rounding into its angles.
+per turn. On grid visits that moves no artifact: (a, b, c) only choose
+grid angles, and values within ``_TIE_MARGIN`` of each other tie, so a
+choice could change only where two values differ by the margin itself to
+within rounding, which no tested case nor benchmark instance met; and
+the value returned is the kernels': the kept states' move past the
+core's last gate, or on product states the whole core run once from the
+entry one-hots at the final angles, the same kernel calls. The exact
+phase of ``refine`` sets a slot to atan2(c, b), which carries any
+rounding of (b, c) into its angles, and from there into the sweep's
+path; so there every whole-register visit stacks, as the first does,
+and only product visits round otherwise.
 
 The one-hot inputs are float64 and -iY and Ry are real matrices, so
 every state the sweep holds, kept, stacked or turned, stays float64 at
@@ -313,22 +318,24 @@ def _entry_states(problem: Problem, entries: tuple[int, ...]
                                               problem.inputs, entries))
 
 
-def _kept_states(circuit: QuantumCircuit, problem: Problem,
-                 cut: tuple | None = None) -> _KeptStates | _ProductStates:
-    """The kept states the sweep visits ``circuit``'s slots through. The
-    circuit is split once into its permutation ends and the core between
-    them (see ``_permutation_ends``), unless ``cut``, (entries, core,
-    outputs), hands that split in; a core with a CNOT is simulated on
-    whole registers (``_KeptStates``), one without on one 2-vector per
-    qubit (``_ProductStates``)."""
-    if cut is None:
-        gates = circuit.gates
-        lead, end, entries, outputs = _permutation_ends(gates, problem)
-        # cut without compiling the whole circuit, ends included
-        core = (circuit if end - lead == len(gates)
-                else QuantumCircuit(circuit.n_bits, gates[lead:end]))
-    else:
-        entries, core, outputs = cut
+def _split(circuit: QuantumCircuit, problem: Problem
+           ) -> tuple[QuantumCircuit, tuple[int, ...], tuple[int, ...]]:
+    """(core, entries, outputs): ``circuit`` split at its permutation ends
+    (see ``_permutation_ends``), without compiling it anew where it has
+    none."""
+    gates = circuit.gates
+    lead, end, entries, outputs = _permutation_ends(gates, problem)
+    core = (circuit if end - lead == len(gates)
+            else QuantumCircuit(circuit.n_bits, gates[lead:end]))
+    return core, entries, outputs
+
+
+def _kept_states(problem: Problem, core: QuantumCircuit,
+                 entries: tuple[int, ...], outputs: tuple[int, ...]
+                 ) -> _KeptStates | _ProductStates:
+    """The kept states the sweep visits ``core``'s slots through, a core
+    with a CNOT on whole registers (``_KeptStates``), one without on one
+    2-vector per qubit (``_ProductStates``)."""
     kind = (_KeptStates if any(gate.kind.n_qubits == 2
                                for gate in core.gates) else _ProductStates)
     return kind(core, problem, entries, outputs)
@@ -342,7 +349,7 @@ class _KeptStates:
     is exact as long as slots 0..k-1 keep those angles. The states start
     as one-hots at the ``entries`` and go through the ``core`` alone, and
     its outputs are read at the pulled back ``outputs`` (see
-    ``_kept_states``). Visits walk the slots in gate order, so the core is
+    ``_split``). Visits walk the slots in gate order, so the core is
     cut once into K + 1 ``steps``, step k running from slot k-1's gate (or
     the start) up to slot k's gate (or the end), and ``suffixes``, suffix k
     being the gates after slot k's gate. Moving forward applies the steps
@@ -355,12 +362,13 @@ class _KeptStates:
     output with slot j at angle t and every other slot at the visit's
     angles is cos((t - theta)/2) p + sin((t - theta)/2) q; on GroundState
     p and q are whole states, with <p|H'|p>, <q|H'|q> and Re <p|H'|q>, on
-    FunctionFit their amplitudes at the outputs only. A visit that finds
-    only slot j's angle changed forms X, the output at the current
+    FunctionFit their amplitudes at the outputs only. A grid visit that
+    finds only slot j's angle changed forms X, the output at the current
     angles, from them, and runs one state per input through the suffix:
     the kept state turned by its slot's Ry at its angle plus pi (see
-    ``sinusoid``). So beside the kept states it holds two states between
-    visits on GroundState, and during a visit at most one stacked pair, or
+    ``sinusoid``); a visit of the exact phase stacks and keeps nothing.
+    So beside the kept states it holds two states between grid visits on
+    GroundState, and during a visit at most one stacked pair, or
     X and one turned state, with the temporaries of the kernels and H'.
     """
 
@@ -426,25 +434,34 @@ class _KeptStates:
         return x, (0.5 * (pp + qq) + 0.5 * (pp - qq) * math.cos(delta)
                    + pq * math.sin(delta))
 
-    def sinusoid(self, phi: Sequence[float]) -> tuple[float, float, float]:
+    def sinusoid(self, phi: Sequence[float], exact: bool = False
+                 ) -> tuple[float, float, float]:
         """(a, b, c) with pre-fitness a + b*cos(t) + c*sin(t) when slot
         ``k`` has angle t and every other slot its angle in ``phi``.
 
-        The first visit, and any visit after an angle other than the
-        last-visited slot's has changed, pushes each kept state psi and
-        -iY psi, stacked as one (2, 2^N) array, through the gates after
-        slot ``k``'s gate in one simulation: the outputs at t = 0 and pi.
-        Any other visit knows X, the output at the current angle theta
-        (see ``_current``), and simulates only psi turned by Ry(theta + pi)
-        through those gates, X', the output at theta + pi; on GroundState
-        that is one H' product, for <X'|H'|X'> and Re <X|H'|X'>. Either
-        way the pair found is kept as ``along``.
+        The first visit, any visit after an angle other than the
+        last-visited slot's has changed, and every ``exact`` one push each
+        kept state psi and -iY psi, stacked as one (2, 2^N) array, through
+        the gates after slot ``k``'s gate in one simulation: the outputs at
+        t = 0 and pi. Any other visit knows X, the output at the current
+        angle theta (see ``_current``), and simulates only psi turned by
+        Ry(theta + pi) through those gates, X', the output at theta + pi;
+        on GroundState that is one H' product, for <X'|H'|X'> and
+        Re <X|H'|X'>. Except on an ``exact`` visit, the pair found is kept
+        as ``along``.
+
+        ``exact`` is the sweep's exact phase, which sets the slot to
+        atan2(c, b) and so reads (b, c) to the last bit: there X, carried
+        through many turns, would add its rounding to the angles, and at
+        a new angle each turn would build a Ry matrix used once.
         """
         problem, k = self.problem, self.k
         qubit = self.qubits[k]
         n, suffix, params = problem.n_bits, self.suffixes[k], phi[k + 1:]
         # the kept states share one dtype, so one lookup serves them all
         complex_state = self.states[0].dtype == complex
+        if exact:
+            self.along = None
         current = self._current(phi)
         if current is None:
             theta = 0.0
@@ -496,7 +513,8 @@ class _KeptStates:
                 ab += (alpha.conjugate() * beta).real
             d = len(self.outputs)
             a, b, c = 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
-        self.along = k, list(phi), theta, p, q, elements
+        if not exact:
+            self.along = k, list(phi), theta, p, q, elements
         if theta:
             # b*cos(t - theta) + c*sin(t - theta) in terms of t
             cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -633,10 +651,12 @@ class _ProductStates:
                 values[i] = value
         self.total = sum(values)
 
-    def sinusoid(self, phi: Sequence[float]) -> tuple[float, float, float]:
+    def sinusoid(self, phi: Sequence[float], exact: bool = False
+                 ) -> tuple[float, float, float]:
         """(a, b, c) with pre-fitness a + b*cos(t) + c*sin(t) when slot
         ``k`` has angle t and every other slot its angle in ``phi``, read
-        off A and B on the slot's qubit and the other qubits' factors."""
+        off A and B on the slot's qubit and the other qubits' factors;
+        every visit is alike, ``exact`` or not."""
         q, position = self.slots[self.k]
         mats = self.gates_on[q]
         before, after = mats[:position], mats[position + 1:]
@@ -683,7 +703,7 @@ class _ProductStates:
 
 
 def optimize_params(circuit: QuantumCircuit, problem: Problem,
-                    cut: tuple | None = None
+                    ends: tuple | None = None
                     ) -> tuple[tuple[float, ...], float]:
     """Best angle vector and its pre-fitness, deterministically.
 
@@ -692,14 +712,14 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
     A visit gives (a, b, c), and from them every grid angle's value: on a
     core with a CNOT, from one simulation of the core's gates after the
     slot's gate, on the stacked pair at the first visit and on the kept
-    state turned by pi past the slot's angle at every later one, with
-    the output at the current angles carried over from the visit before
-    (one state on GroundState, kept between visits beside the turned one,
-    one amplitude per pair on FunctionFit); on a core without, from
-    2-vectors on the slot's qubit and cached factors (see the module
-    docstring). Values within ``_TIE_MARGIN`` times 1 + |a| + |b| + |c|
-    tie, so the kinds of visit, which round otherwise, choose the same
-    angles.
+    state turned by pi past the slot's angle at every later grid visit,
+    with the output at the current angles carried over from the visit
+    before (one state on GroundState, kept between visits beside the
+    turned one, one amplitude per pair on FunctionFit); on a core
+    without, from 2-vectors on the slot's qubit and cached factors (see
+    the module docstring). Values within ``_TIE_MARGIN`` times
+    1 + |a| + |b| + |c| tie, so the kinds of visit, which round
+    otherwise, choose the same angles.
     If the best grid value beats the current angle's by more than that,
     the slot moves to the first grid angle that ties with the best.
     Otherwise, on its first such visit, it moves sideways, to the next
@@ -714,7 +734,9 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
     to the exact maximum t = atan2(c, b) when a + hypot(b, c) beats the
     current angle's value by more than the margin; this phase too ends
     K - 1 visits after its last change. atan2 reads (b, c) to the last
-    bit, so here the kinds of visit may set angles an ulp or so apart.
+    bit, so every whole-register visit of this phase stacks, and reads
+    them as the first visit does; product visits, which round otherwise,
+    may set angles an ulp or so apart from those.
     Either way the sweep stops after ``_MAX_SWEEP_CYCLES * K`` visits at
     the latest. The value returned is the pre-fitness at the final
     angles, read off the kept states moved from the last visit to the end
@@ -722,14 +744,16 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
     and with K = 0, that move runs the whole core from the entries, the
     same kernel calls.
 
-    ``cut``, (entries, core, outputs), hands in the split of ``circuit``
-    at its permutation ends when the caller has made it, as
-    ``CachingFitness``'s core key holds it; the sweep then runs on that
-    core without splitting ``circuit`` again.
+    With ``ends``, (entries, outputs), ``circuit`` is a core already split
+    from its permutation ends (``_split``), the sweep's entry and
+    pulled-back output indices being those, as ``CachingFitness``'s core
+    key holds them; the ends hold no slot, so the angles are the whole
+    circuit's too.
     """
     k_slots = circuit.n_params
     trig = [(math.cos(t), math.sin(t)) for t in DEFAULT_GRID]
-    kept = _kept_states(circuit, problem, cut)
+    kept = _kept_states(problem, *(_split(circuit, problem) if ends is None
+                                   else (circuit, *ends)))
     phi = [_START_ANGLE] * k_slots
     walked: set[int] = set()    # slots that have had their sideways move
     exact = False   # past the grid sweep, setting slots to atan2(c, b)
@@ -739,7 +763,7 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
         k = visit % k_slots
         kept.move_to(k, phi)
         current = phi[k]
-        a, b, c = kept.sinusoid(phi)
+        a, b, c = kept.sinusoid(phi, exact)
         now = a + b * math.cos(current) + c * math.sin(current)
         margin = _TIE_MARGIN * (1.0 + abs(a) + abs(b) + abs(c))
         if exact:
@@ -778,8 +802,9 @@ class CachingFitness:
     simulates only its core, between its permutation ends (see
     ``_permutation_ends``), from one-hots at the entry indices, read at the
     pulled-back output indices; these three, the core key, decide the
-    angles and fitness bit for bit, and the sweep takes them as they are
-    (``optimize_params``'s ``cut``), so a circuit's ends are found once.
+    angles and fitness bit for bit, and the sweep runs on the core with
+    them (``optimize_params``'s ``ends``), so a circuit's ends are found
+    once.
     Two plain dicts hold the work:
 
     * coding region -> (the canonical circuit's coding region, its core
@@ -824,19 +849,15 @@ class CachingFitness:
 
     def _optimum(self, record: tuple[tuple[int, ...], tuple]
                  ) -> tuple[tuple[float, ...], float]:
-        canon, key = record
+        key = record[1]
         optimum = self._optimized.get(key)
         if optimum is None:
-            # the key holds the cut: the sweep need not find the ends again
+            # the key holds the split: the sweep need not find the ends
             entries, core, outputs = key
             table = self.problem.table
-            circuit = coding_circuit(canon, table)
-            if len(core) < len(canon) - 1:
-                core = coding_circuit(core + (table.terminal,), table)
-            else:
-                core = circuit
             optimum = self._optimized[key] = optimize_params(
-                circuit, self.problem, (entries, core, outputs))
+                coding_circuit(core + (table.terminal,), table),
+                self.problem, (entries, outputs))
         return optimum
 
     def __call__(self, gene: Gene) -> float:

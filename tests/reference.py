@@ -124,10 +124,10 @@ class StackedVisits(fitness._KeptStates):
     """Whole-register kept states whose every visit pushes each kept state
     psi and -iY psi, stacked as one (2, 2^N) array, through the gates after
     the slot's gate, and reads (a, b, c) off the two outputs A and B: at
-    slot angle t the output is cos(t/2) A + sin(t/2) B. Moves and the value
-    at the end are the sweep's own."""
+    slot angle t the output is cos(t/2) A + sin(t/2) B, in either phase
+    of the sweep. Moves and the value at the end are the sweep's own."""
 
-    def sinusoid(self, phi):
+    def sinusoid(self, phi, exact=False):
         problem, k = self.problem, self.k
         q = self.qubits[k]
         forms = fitness._kernel_forms("-iY", None,

@@ -60,8 +60,8 @@ def record_sinusoids(monkeypatch):
     def record(kind):
         sinusoid = kind.sinusoid
 
-        def recorded(self, phi):
-            abc = sinusoid(self, phi)
+        def recorded(self, phi, exact=False):
+            abc = sinusoid(self, phi, exact)
             log.append((tuple(phi), abc))
             return abc
 
@@ -72,6 +72,14 @@ def record_sinusoids(monkeypatch):
                                fitness_mod._ProductStates)):
         record(kind)
     return log
+
+
+def kept_states(circuit, problem):
+    """The kept states ``optimize_params`` visits ``circuit``'s slots
+    through, its core split from its permutation ends as the sweep splits
+    it."""
+    return fitness_mod._kept_states(problem,
+                                    *fitness_mod._split(circuit, problem))
 
 
 def reference_sweep(circuit, problem, sinusoids):
@@ -347,7 +355,7 @@ def check_sinusoids(circuit, problem, rng):
     or refresh their factors."""
     k_slots = circuit.n_params
     phi = [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(k_slots)]
-    kept = fitness_mod._kept_states(circuit, problem)
+    kept = kept_states(circuit, problem)
     for _ in range(2):
         for k in range(k_slots):
             kept.move_to(k, phi)
@@ -398,17 +406,20 @@ AT_THE_CAP = ((2, 3, 6, "pauli"), (3, 3, 0, "ising"), (2, 4, 263, "pairs"))
 def test_turned_visits_reproduce_direct_prefitness(monkeypatch, n, k_slots,
                                                    n_pairs, seed, kind):
     # whole-register visits, most of them on the kept outputs turned by
-    # pi. First a refined sweep, recorded; the examples above run to the
-    # cap of 100*K visits (``AT_THE_CAP``), so a late visit's X has been
-    # formed by hundreds of turns since the first. Then 100*K visits, between
-    # which the visited slot moves, nothing moves, or several slots move
-    # at once, so the next visit stacks again
+    # pi. First a refined sweep, recorded: its grid visits turn, its
+    # exact phase stacks; the examples above run to the cap of 100*K
+    # visits (``AT_THE_CAP``). Then 100*K visits driven at any angles,
+    # turned wherever only the last-visited slot has moved, so a late
+    # visit's X may have been formed by many turns since the last stacked
+    # visit: between visits the visited slot moves (to atan2(c, b) or a
+    # grid angle), nothing moves, or several slots move at once, so the
+    # next visit stacks again
     rng = random.Random(seed)
     circuit = cnot_core_circuit(rng, n, k_slots)
     table = GateTable(n, ["Ry", "P", "CNOT", "H"])
     problem = make_problem(kind, circuit, table, seed, refine=True,
                            n_pairs=n_pairs)
-    assert type(fitness_mod._kept_states(circuit, problem)) \
+    assert type(kept_states(circuit, problem)) \
         is fitness_mod._KeptStates
     with monkeypatch.context() as m:
         visits = record_sinusoids(m)
@@ -419,7 +430,7 @@ def test_turned_visits_reproduce_direct_prefitness(monkeypatch, n, k_slots,
         k = v % k_slots
         for t in (phi[k], rng.uniform(-10.0, 10.0)):
             assert_reproduces_direct(circuit, problem, k, phi, abc, t)
-    kept = fitness_mod._kept_states(circuit, problem)
+    kept = kept_states(circuit, problem)
     phi = [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(k_slots)]
     for visit in range(100 * k_slots):
         k = visit % k_slots
@@ -442,21 +453,22 @@ def test_turned_visits_reproduce_direct_prefitness(monkeypatch, n, k_slots,
 
 @SLOW
 @given(n=st.integers(2, 5), head=st.integers(2, 10),
-       seed=st.integers(0, 2**32), kind=KINDS)
-def test_turned_visits_match_stacked_visits(monkeypatch, n, head, seed, kind):
-    # at GradientRefine = 0 (a, b, c) only choose grid angles, which the
-    # tie margin guards, and the value is the kept states' move to the
-    # end: angles and value equal those of the sweep whose every
-    # whole-register visit is stacked, on random gene circuits whose
-    # cores hold a CNOT
+       seed=st.integers(0, 2**32), kind=KINDS, refine=st.booleans())
+def test_turned_visits_match_stacked_visits(monkeypatch, n, head, seed, kind,
+                                            refine):
+    # grid visits' (a, b, c) only choose grid angles, which the tie margin
+    # guards, every visit of the exact phase stacks, and the value is the
+    # kept states' move to the end: angles and value equal those of the
+    # sweep whose every whole-register visit is stacked, with and without
+    # GradientRefine, on random gene circuits whose cores hold a CNOT
     circuit, table = gene_circuit(n, head, seed)
-    problem = make_problem(kind, circuit, table, seed)
-    assume(type(fitness_mod._kept_states(circuit, problem))
+    problem = make_problem(kind, circuit, table, seed, refine=refine)
+    assume(type(kept_states(circuit, problem))
            is fitness_mod._KeptStates)
     result = optimize_params(circuit, problem)
     with monkeypatch.context() as m:
         m.setattr(fitness_mod, "_KeptStates", StackedVisits)
-        assert type(fitness_mod._kept_states(circuit, problem)) \
+        assert type(kept_states(circuit, problem)) \
             is StackedVisits
         assert optimize_params(circuit, problem) == result
 
@@ -486,7 +498,7 @@ def product_core_case(n, head, seed, kind, n_pairs, ends):
         tail = cnot_run(n, rng) if kind == "pairs" else ()
         circuit = QuantumCircuit(n, cnot_run(n, rng) + circuit.gates + tail)
     problem = make_problem(kind, circuit, table, seed, n_pairs=n_pairs)
-    assert isinstance(fitness_mod._kept_states(circuit, problem),
+    assert isinstance(kept_states(circuit, problem),
                       fitness_mod._ProductStates)
     return circuit, problem, rng
 
@@ -631,6 +643,37 @@ def test_gate_applications_counted_exactly(monkeypatch):
     assert (len(runs["move"]), sum(runs["move"])) == (17 + 5, 17 + 6)
     assert applies[-6:] == [("turned", 5)] + [("move", 1)] * 4 + [("move", 2)]
     assert sum(gates for _, gates in applies) == 121
+
+
+def test_exact_phase_stacks_every_visit(monkeypatch):
+    # GradientRefine: once the grid sweep settles, each visit may set its
+    # slot to atan2(c, b), which reads (b, c) to the last bit, so every
+    # visit of that phase runs a stacked pair, as the first visit does,
+    # and none reads them off an X carried through turns
+    circuit = parse_circuit("Ry0:phi0 Ry1:phi1 CNOT0,1 Ry2:phi2 CNOT1,2 "
+                            "Ry3:phi3 CNOT2,3 Ry0:phi4", 4)
+    problem = ground_state_problem(GateTable(4, ["Ry", "CNOT"]),
+                                   random_pauli_sum(4, random.Random(5)),
+                                   refine=True)
+    applies = count_applies(monkeypatch)
+    visits = []     # (exact, the kinds of run the visit made)
+    sinusoid = fitness_mod._KeptStates.sinusoid
+
+    def logged(self, phi, exact=False):
+        before = len(applies)
+        abc = sinusoid(self, phi, exact)
+        visits.append((exact, [kind for kind, _ in applies[before:]]))
+        return abc
+
+    monkeypatch.setattr(fitness_mod._KeptStates, "sinusoid", logged)
+    phi, _ = optimize_params(circuit, problem)
+    grid = [exact for exact, _ in visits].index(True)
+    assert visits[:grid] == [(False, ["turned" if v else "pair"])
+                             for v in range(grid)]
+    assert visits[grid:] == [(True, ["pair"])] * (len(visits) - grid)
+    assert len(visits) - grid >= circuit.n_params
+    # the exact phase moved some slot off the grid
+    assert any(t not in DEFAULT_GRID for t in phi)
 
 
 def test_one_slot_core_runs_one_stacked_pair(monkeypatch):
