@@ -96,7 +96,6 @@ class RunSpec:
     hamiltonian: str | None = None
     training_pairs: str | None = None
     canonicalize: bool = False
-    gradient_refine: bool = False
     energy_shift: float = 0.0
     energy_scale: float = 1.0
     epsilon: float = 1e-4
@@ -178,7 +177,6 @@ _KEYS = {
     "Hamiltonian": ("hamiltonian", _parse_hamiltonian),
     "TrainingPairs": ("training_pairs", str),
     "Canonicalize": ("canonicalize", _parse_bool),
-    "GradientRefine": ("gradient_refine", _parse_bool),
     "EnergyShift": ("energy_shift", _parse_float),
     "EnergyScale": ("energy_scale", _parse_float),
     "Epsilon": ("epsilon", _ranged(_parse_float, 0)),
@@ -319,7 +317,7 @@ def _prepare(spec: RunSpec) -> _Prepared:
     graph = reference = maxcut = None
     if spec.run_type == "FunctionFit":
         pairs = load_training_pairs(spec.resolve(spec.training_pairs), spec.n_bits)
-        problem = function_fit_problem(table, pairs, spec.gradient_refine)
+        problem = function_fit_problem(table, pairs)
     else:
         if spec.graph_file:
             graph = load_graph(str(spec.resolve(spec.graph_file)))
@@ -336,7 +334,7 @@ def _prepare(spec: RunSpec) -> _Prepared:
         with spec.at("InitialState"):
             initial = (0 if spec.initial_state is None else
                        parse_basis_label(spec.initial_state, spec.n_bits))
-        problem = ground_state_problem(table, h, initial, spec.gradient_refine)
+        problem = ground_state_problem(table, h, initial)
         # ExactEnergy is the ground energy of s*(H - e0), the Hamiltonian
         # the run optimizes, taken as given only where no oracle reaches
         if graph is not None:

@@ -5,8 +5,7 @@ gate angles: the squared amplitude at each training pair's output index,
 averaged over the pairs (FunctionFit), or minus the Hamiltonian
 expectation (GroundState).
 The optimizer is a deterministic coordinate sweep over a discrete angle
-grid, optionally continued with each slot set to its exact continuous
-maximum. A genome's fitness is that of its canonical circuit
+grid. A genome's fitness is that of its canonical circuit
 (``CachingFitness``), which reaches the same states with fewer slots.
 
 Slot k is the angle of the k-th free Ry gate in gate order (see ``sim``),
@@ -23,10 +22,9 @@ observation (Ostaszewski et al., arXiv:1905.09692; Nakanishi et al.,
 arXiv:1903.12166) applied to the statevector. The gate kernels act on the
 last axis, so a core's first visit pushes psi and -iY psi, stacked as one
 (2, 2^N) array, through U in one simulation of the gates after the slot
-and reads the whole grid off (a, b, c), and also the exact maximum over
-all angles, a + hypot(b, c) at t = atan2(c, b).
+and reads the whole grid off (a, b, c).
 
-Later grid visits reuse the current value, as sequential minimal
+Later visits reuse the current value, as sequential minimal
 optimization does (Nakanishi et al.). With theta the slot's angle now,
 the output at theta + d is cos(d/2) X + sin(d/2) X', X the output at the
 current angles and X' = U Ry(theta + pi) psi the output with the slot
@@ -40,9 +38,8 @@ that one state per input through U: on GroundState one H' product, for
 <X'|H'|X'> and Re <X|H'|X'>, and on FunctionFit one amplitude per pair,
 X's being kept. Its (a, b, c), found in the frame of d, are rotated into
 t's. A visit after an angle other than the last-visited slot's has changed
-finds no X and stacks again, as the first does; the grid sweep itself
-changes only the visited slot's angle between visits. So does the exact
-phase of ``refine``, but each of its visits stacks (see below).
+finds no X and stacks again, as the first does; the sweep itself changes
+only the visited slot's angle between visits.
 Between visits the pair along the last-visited slot is kept: two states
 (GroundState) or two amplitudes per pair (FunctionFit). A visit holds at
 most one stacked pair, or X and one turned state, at a time, twice the
@@ -99,17 +96,13 @@ on funcfit12 and 222 of 1,914 on heisenberg3x3.
 Product visits sum their (a, b, c) in another order than the stacked
 pair's, and turned visits read them off an X carried through many turns,
 so both agree with the stacked pair's to rounding, about 1e-15 relative
-per turn. On grid visits that moves no artifact: (a, b, c) only choose
-grid angles, and values within ``_TIE_MARGIN`` of each other tie, so a
-choice could change only where two values differ by the margin itself to
-within rounding, which no tested case nor benchmark instance met; and
-the value returned is the kernels': the kept states' move past the
-core's last gate, or on product states the whole core run once from the
-entry one-hots at the final angles, the same kernel calls. The exact
-phase of ``refine`` sets a slot to atan2(c, b), which carries any
-rounding of (b, c) into its angles, and from there into the sweep's
-path; so there every whole-register visit stacks, as the first does,
-and only product visits round otherwise.
+per turn. That moves no artifact: (a, b, c) only choose grid angles,
+and values within ``_TIE_MARGIN`` of each other tie, so a choice could
+change only where two values differ by the margin itself to within
+rounding, which no tested case nor benchmark instance met; and the value
+returned is the kernels': the kept states' move past the core's last
+gate, or on product states the whole core run once from the entry
+one-hots at the final angles, the same kernel calls.
 
 The one-hot inputs are float64 and -iY and Ry are real matrices, so
 every state the sweep holds, kept, stacked or turned, stays float64 at
@@ -165,16 +158,13 @@ __all__ = [
 class Problem:
     """A fitness target. Every input is a basis state, held as its index:
     with ``outputs``, one index per input, FunctionFit; with a Hamiltonian
-    and one input, the initial state, GroundState. ``refine`` continues
-    the angle sweep with exact per-slot maxima once the grid sweep settles
-    (see ``optimize_params``).
+    and one input, the initial state, GroundState.
     """
 
     table: GateTable
     inputs: tuple[int, ...]
     outputs: tuple[int, ...] = ()
     hamiltonian: PauliSumHamiltonian | None = None
-    refine: bool = False
 
     @property
     def n_bits(self) -> int:
@@ -213,19 +203,19 @@ def _one_hot(n_bits: int, index: int, dtype=np.float64) -> np.ndarray:
     return _frozen(amps)
 
 
-def function_fit_problem(table: GateTable, pairs: Sequence[tuple[int, int]],
-                         refine: bool = False) -> Problem:
+def function_fit_problem(table: GateTable, pairs: Sequence[tuple[int, int]]
+                         ) -> Problem:
     """Reproduce D >= 1 mappings of basis index ``input`` to ``output``."""
     if not pairs:
         raise ConfigError("FunctionFit needs at least one training pair")
     inputs, outputs = zip(*pairs)
     for index in inputs + outputs:
         check_basis_index(table.n_bits, index)
-    return Problem(table, inputs, outputs, refine=refine)
+    return Problem(table, inputs, outputs)
 
 
 def ground_state_problem(table: GateTable, hamiltonian: PauliSumHamiltonian,
-                         initial: int = 0, refine: bool = False) -> Problem:
+                         initial: int = 0) -> Problem:
     """Minimize <H> over circuit outputs from basis state ``initial``."""
     if hamiltonian.n_bits != table.n_bits:
         raise ConfigError(
@@ -233,7 +223,7 @@ def ground_state_problem(table: GateTable, hamiltonian: PauliSumHamiltonian,
             f"gate table on {table.n_bits}"
         )
     check_basis_index(table.n_bits, initial)
-    return Problem(table, (initial,), hamiltonian=hamiltonian, refine=refine)
+    return Problem(table, (initial,), hamiltonian=hamiltonian)
 
 
 def _score(problem: Problem, states: Iterable[np.ndarray],
@@ -362,13 +352,12 @@ class _KeptStates:
     output with slot j at angle t and every other slot at the visit's
     angles is cos((t - theta)/2) p + sin((t - theta)/2) q; on GroundState
     p and q are whole states, with <p|H'|p>, <q|H'|q> and Re <p|H'|q>, on
-    FunctionFit their amplitudes at the outputs only. A grid visit that
-    finds only slot j's angle changed forms X, the output at the current
-    angles, from them, and runs one state per input through the suffix:
-    the kept state turned by its slot's Ry at its angle plus pi (see
-    ``sinusoid``); a visit of the exact phase stacks and keeps nothing.
-    So beside the kept states it holds two states between grid visits on
-    GroundState, and during a visit at most one stacked pair, or
+    FunctionFit their amplitudes at the outputs only. A visit that finds
+    only slot j's angle changed forms X, the output at the current angles,
+    from them, and runs one state per input through the suffix: the kept
+    state turned by its slot's Ry at its angle plus pi (see
+    ``sinusoid``). So beside the kept states it holds two states between
+    visits on GroundState, and during a visit at most one stacked pair, or
     X and one turned state, with the temporaries of the kernels and H'.
     """
 
@@ -434,34 +423,25 @@ class _KeptStates:
         return x, (0.5 * (pp + qq) + 0.5 * (pp - qq) * math.cos(delta)
                    + pq * math.sin(delta))
 
-    def sinusoid(self, phi: Sequence[float], exact: bool = False
-                 ) -> tuple[float, float, float]:
+    def sinusoid(self, phi: Sequence[float]) -> tuple[float, float, float]:
         """(a, b, c) with pre-fitness a + b*cos(t) + c*sin(t) when slot
         ``k`` has angle t and every other slot its angle in ``phi``.
 
-        The first visit, any visit after an angle other than the
-        last-visited slot's has changed, and every ``exact`` one push each
-        kept state psi and -iY psi, stacked as one (2, 2^N) array, through
-        the gates after slot ``k``'s gate in one simulation: the outputs at
-        t = 0 and pi. Any other visit knows X, the output at the current
-        angle theta (see ``_current``), and simulates only psi turned by
+        The first visit, and any visit after an angle other than the
+        last-visited slot's has changed, push each kept state psi and
+        -iY psi, stacked as one (2, 2^N) array, through the gates after
+        slot ``k``'s gate in one simulation: the outputs at t = 0 and pi.
+        Any other visit knows X, the output at the current angle theta
+        (see ``_current``), and simulates only psi turned by
         Ry(theta + pi) through those gates, X', the output at theta + pi;
         on GroundState that is one H' product, for <X'|H'|X'> and
-        Re <X|H'|X'>. Except on an ``exact`` visit, the pair found is kept
-        as ``along``.
-
-        ``exact`` is the sweep's exact phase, which sets the slot to
-        atan2(c, b) and so reads (b, c) to the last bit: there X, carried
-        through many turns, would add its rounding to the angles, and at
-        a new angle each turn would build a Ry matrix used once.
+        Re <X|H'|X'>. The pair found is kept as ``along``.
         """
         problem, k = self.problem, self.k
         qubit = self.qubits[k]
         n, suffix, params = problem.n_bits, self.suffixes[k], phi[k + 1:]
         # the kept states share one dtype, so one lookup serves them all
         complex_state = self.states[0].dtype == complex
-        if exact:
-            self.along = None
         current = self._current(phi)
         if current is None:
             theta = 0.0
@@ -513,8 +493,7 @@ class _KeptStates:
                 ab += (alpha.conjugate() * beta).real
             d = len(self.outputs)
             a, b, c = 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
-        if not exact:
-            self.along = k, list(phi), theta, p, q, elements
+        self.along = k, list(phi), theta, p, q, elements
         if theta:
             # b*cos(t - theta) + c*sin(t - theta) in terms of t
             cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -651,12 +630,11 @@ class _ProductStates:
                 values[i] = value
         self.total = sum(values)
 
-    def sinusoid(self, phi: Sequence[float], exact: bool = False
-                 ) -> tuple[float, float, float]:
+    def sinusoid(self, phi: Sequence[float]) -> tuple[float, float, float]:
         """(a, b, c) with pre-fitness a + b*cos(t) + c*sin(t) when slot
         ``k`` has angle t and every other slot its angle in ``phi``, read
         off A and B on the slot's qubit and the other qubits' factors;
-        every visit is alike, ``exact`` or not."""
+        every visit is alike."""
         q, position = self.slots[self.k]
         mats = self.gates_on[q]
         before, after = mats[:position], mats[position + 1:]
@@ -712,7 +690,7 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
     A visit gives (a, b, c), and from them every grid angle's value: on a
     core with a CNOT, from one simulation of the core's gates after the
     slot's gate, on the stacked pair at the first visit and on the kept
-    state turned by pi past the slot's angle at every later grid visit,
+    state turned by pi past the slot's angle at every later visit,
     with the output at the current angles carried over from the visit
     before (one state on GroundState, kept between visits beside the
     turned one, one amplitude per pair on FunctionFit); on a core
@@ -728,21 +706,12 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
     a stationary angle such as 0 or pi, so the slots visited after it can
     find improvements, and as each slot moves sideways at most once, the
     sweep cannot cycle. Any move counts as a change; the sweep settles
-    K - 1 visits after the last change.
-
-    With ``problem.refine`` the visits then go on, and each sets its slot
-    to the exact maximum t = atan2(c, b) when a + hypot(b, c) beats the
-    current angle's value by more than the margin; this phase too ends
-    K - 1 visits after its last change. atan2 reads (b, c) to the last
-    bit, so every whole-register visit of this phase stacks, and reads
-    them as the first visit does; product visits, which round otherwise,
-    may set angles an ulp or so apart from those.
-    Either way the sweep stops after ``_MAX_SWEEP_CYCLES * K`` visits at
-    the latest. The value returned is the pre-fitness at the final
-    angles, read off the kept states moved from the last visit to the end
-    of the core, at the pulled-back output indices; on product states,
-    and with K = 0, that move runs the whole core from the entries, the
-    same kernel calls.
+    K - 1 visits after the last change, and stops after
+    ``_MAX_SWEEP_CYCLES * K`` visits at the latest. The value returned is
+    the pre-fitness at the final angles, read off the kept states moved
+    from the last visit to the end of the core, at the pulled-back output
+    indices; on product states, and with K = 0, that move runs the whole
+    core from the entries, the same kernel calls.
 
     With ``ends``, (entries, outputs), ``circuit`` is a core already split
     from its permutation ends (``_split``), the sweep's entry and
@@ -756,37 +725,29 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
                                    else (circuit, *ends)))
     phi = [_START_ANGLE] * k_slots
     walked: set[int] = set()    # slots that have had their sideways move
-    exact = False   # past the grid sweep, setting slots to atan2(c, b)
     settled = 0     # slots at their optimum: the last changed one and every
                     # slot visited since
     for visit in range(_MAX_SWEEP_CYCLES * k_slots):
         k = visit % k_slots
         kept.move_to(k, phi)
         current = phi[k]
-        a, b, c = kept.sinusoid(phi, exact)
+        a, b, c = kept.sinusoid(phi)
         now = a + b * math.cos(current) + c * math.sin(current)
         margin = _TIE_MARGIN * (1.0 + abs(a) + abs(b) + abs(c))
-        if exact:
-            if a + math.hypot(b, c) > now + margin:
-                phi[k] = math.atan2(c, b)
-        else:
-            values = [a + b * cos_t + c * sin_t for cos_t, sin_t in trig]
-            top = max(values)
-            tied = [j for j, value in enumerate(values)
-                    if value >= top - margin]
-            if top > now + margin:
-                phi[k] = DEFAULT_GRID[tied[0]]
-            elif k not in walked:
-                # grid moves only: the current angle is a grid angle
-                after = DEFAULT_GRID.index(current) + 1
-                phi[k] = DEFAULT_GRID[min(
-                    tied, key=lambda j: (j - after) % len(DEFAULT_GRID))]
-                walked.add(k)
+        values = [a + b * cos_t + c * sin_t for cos_t, sin_t in trig]
+        top = max(values)
+        tied = [j for j, value in enumerate(values) if value >= top - margin]
+        if top > now + margin:
+            phi[k] = DEFAULT_GRID[tied[0]]
+        elif k not in walked:
+            # every move is to a grid angle, so the current one is one
+            after = DEFAULT_GRID.index(current) + 1
+            phi[k] = DEFAULT_GRID[min(
+                tied, key=lambda j: (j - after) % len(DEFAULT_GRID))]
+            walked.add(k)
         settled = 1 if phi[k] != current else settled + 1
         if settled == k_slots:
-            if exact or not problem.refine:
-                break
-            exact, settled = True, 0
+            break
     kept.move_to(k_slots, phi)
     return tuple(phi), _score(problem, kept.states, kept.outputs)
 

@@ -153,7 +153,7 @@ class PauliSumHamiltonian:
     s, which the cache holds (see the module docstring). No energy is
     then larger than |s|*(sum |c_i| + |e0|) in size, and the constructor
     requires four times that to be finite, which leaves headroom for the
-    sweep's sums |a| + |b| + |c| and hypot(b, c).
+    sweep's sums |a| + |b| + |c|.
     """
 
     def __init__(self, n_bits: int, terms: Iterable[PauliTerm],

@@ -685,6 +685,7 @@ class TestMain:
         ("Epsilon = inf", "bad value for Epsilon"),
         ("EnergyScale = -inf", "bad value for EnergyScale"),
         ("Threads = 2", "unknown key 'Threads'"),
+        ("GradientRefine = 1", "unknown key 'GradientRefine'"),
         ("Population = 0", "bad value for Population: must be >= 2, got 0"),
         ("HeadSize = 0", "bad value for HeadSize: must be >= 1, got 0"),
         ("Generations = 0", "bad value for Generations: must be >= 1, got 0"),

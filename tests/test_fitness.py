@@ -199,7 +199,7 @@ class TestPrefitness:
     def test_turned_visits_keep_the_peak(self, monkeypatch):
         # a 14-qubit core with CNOTs, so the sweep runs on whole registers,
         # and a Hamiltonian with a flip mask (X0 X1), so H' gathers; every
-        # grid visit after the first turns the kept state. The tracemalloc
+        # visit after the first turns the kept state. The tracemalloc
         # peak of optimize_params may exceed that of the sweep whose every
         # visit is stacked (``reference.StackedVisits``) by at most 1.1
         # states of 2^14 complex amplitudes, the X kept between visits.
@@ -352,21 +352,6 @@ class TestOptimizeParams:
             start = [math.pi / 4] * circuit.n_params
             assert value >= prefitness(circuit, start, prob) - 1e-12
             assert abs(value - prefitness(circuit, phi, prob)) < 1e-12
-
-    def test_gradient_refine_leaves_grid(self):
-        # 0.6*Z + 0.8*X has ground energy exactly -1 at an off-grid angle
-        h = PauliSumHamiltonian(1, [PauliTerm.from_map(0.6, {0: "Z"}),
-                                    PauliTerm.from_map(0.8, {0: "X"})])
-        table = GateTable(1, ["Ry"])
-        coarse = ground_state_problem(table, h)
-        refined = ground_state_problem(table, h, refine=True)
-        circuit = parse_circuit("Ry0:phi0", 1)
-        _, v_coarse = optimize_params(circuit, coarse)
-        phi, v_fine = optimize_params(circuit, refined)
-        assert v_fine >= v_coarse
-        assert v_coarse < 1.0 - 1e-3        # grid alone cannot reach it
-        assert v_fine > 1.0 - 1e-5
-        assert abs(v_fine - exact_ground_energy(h) * -1.0) < 1e-5
 
 
 class TestFitness:
@@ -531,17 +516,16 @@ class TestCanonicalRecord:
 @st.composite
 def gene_problems(draw):
     """(table, gene, problem): a gene of ``gate_set_genes`` and a random
-    Pauli sum from a random basis state, or random index pairs, with or
-    without the exact refinement."""
+    Pauli sum from a random basis state, or random index pairs."""
     table, gene = draw(gate_set_genes())
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    n, refine = table.n_bits, draw(st.booleans())
+    n = table.n_bits
     if draw(st.booleans()):
         return table, gene, ground_state_problem(
-            table, random_pauli_sum(n, rng), rng.randrange(1 << n), refine)
+            table, random_pauli_sum(n, rng), rng.randrange(1 << n))
     pairs = [(rng.randrange(1 << n), rng.randrange(1 << n))
              for _ in range(rng.randint(1, 3))]
-    return table, gene, function_fit_problem(table, pairs, refine)
+    return table, gene, function_fit_problem(table, pairs)
 
 
 def count_calls(monkeypatch, name):
@@ -624,7 +608,7 @@ class TestCanonicalFitness:
         optimized = count_sweeps(monkeypatch)
         for problem in (
                 ground_state_problem(table, random_pauli_sum(
-                    3, random.Random(5)), 5, refine=True),
+                    3, random.Random(5)), 5),
                 function_fit_problem(table, [(1, 6), (4, 4), (7, 2)])):
             cache = CachingFitness(problem)
             optimized.clear()
@@ -711,11 +695,9 @@ class TestCanonicalFitness:
             for coding in hooked}
 
     def test_adjacent_ry_reach_the_sweep_fused(self, monkeypatch):
-        # with GradientRefine = 1, the one-slot update crawls along the
-        # ridge that the adjacent Ry1 Ry1 pair (and the Ry0/Ry1 pairs
-        # around the CNOTs) make in this decoded circuit, up to the cap of
-        # 100*K visits; the fitness optimizes its canonical circuit, where
-        # each pair is one slot, and settles
+        # the fitness optimizes the canonical circuit of this decoded
+        # circuit, where the adjacent Ry1 Ry1 pair (and the Ry0/Ry1 pairs
+        # around the CNOTs) are one slot each, and settles
         table = GateTable(2, ["Ry", "P", "CNOT"])
         h = PauliSumHamiltonian(2, [
             PauliTerm.from_map(1.126, {1: "X"}),
@@ -723,17 +705,13 @@ class TestCanonicalFitness:
             PauliTerm.from_map(-1.84, {0: "X", 1: "X"}),
             PauliTerm.from_map(1.363, {0: "X", 1: "Z"}),
         ])
-        problem = ground_state_problem(table, h, initial=3, refine=True)
+        problem = ground_state_problem(table, h, initial=3)
         circuit = parse_circuit(
             "P1 Ry1:phi0 Ry1:phi1 CNOT0,1 Ry1:phi2 Ry0:phi3 CNOT1,0 CNOT1,0 "
             "CNOT1,0 Ry1:phi4 Ry0:phi5 Ry1:phi6", 2)
         gene = circuit_to_gene(circuit, table, len(circuit.gates))
         assert gene_to_circuit(gene, table) == circuit
         assert adjacent_same_qubit_ry(circuit)
-        with monkeypatch.context() as m:
-            visits = record_sinusoids(m)
-            optimize_params(circuit, problem)
-        assert len(visits) == 100 * circuit.n_params
         optimized = count_calls(monkeypatch, "optimize_params")
         visits = record_sinusoids(monkeypatch)
         CachingFitness(problem)(gene)

@@ -1,24 +1,20 @@
 """The angle sweep against a reference sweep and direct values.
 
 In every slot, which one Ry gate uses, the optimizer reads every grid
-angle's value, and the exact maximum, off the sinusoid
-a + b*cos(t) + c*sin(t), with (a, b, c) from one simulation of the stacked
-pair, or of the kept state turned by pi past the current angle, or, on a
-core without CNOT, from product states. Three checks pin it down, on
-every kind of visit:
+angle's value off the sinusoid a + b*cos(t) + c*sin(t), with (a, b, c)
+from one simulation of the stacked pair, or of the kept state turned by pi
+past the current angle, or, on a core without CNOT, from product states.
+Two checks pin it down, on every kind of visit:
 
 * ``reference_sweep`` below is the plain coordinate sweep with the same
   rule: it scans every grid angle of the sinusoid built from the
-  optimizer's own (a, b, c), and with ``refine`` it then continues with the
-  sinusoid's maximum at atan2(c, b). The optimizer must return exactly its
-  angles and value (``==``, not approximately).
+  optimizer's own (a, b, c). The optimizer must return exactly its angles
+  and value (``==``, not approximately).
 * (a, b, c) must reproduce direct pre-fitness evaluations at every grid
   angle and at random angles, within 1e-12 relative.
-* After the refinement, central differences of direct pre-fitness
-  evaluations must vanish along every slot, whatever (a, b, c) said.
 
 Product visits and turned visits round otherwise than stacked pairs, so
-the grid sweep must also return exactly what the whole-register sweep
+the sweep must also return exactly what the whole-register sweep
 with every visit stacked (``reference.StackedVisits``) returns.
 """
 
@@ -26,7 +22,7 @@ import math
 import random
 
 import numpy as np
-from hypothesis import (HealthCheck, assume, example, given, settings,
+from hypothesis import (HealthCheck, assume, given, settings,
                         strategies as st)
 
 import gepcirc.fitness as fitness_mod
@@ -60,8 +56,8 @@ def record_sinusoids(monkeypatch):
     def record(kind):
         sinusoid = kind.sinusoid
 
-        def recorded(self, phi, exact=False):
-            abc = sinusoid(self, phi, exact)
+        def recorded(self, phi):
+            abc = sinusoid(self, phi)
             log.append((tuple(phi), abc))
             return abc
 
@@ -95,7 +91,6 @@ def reference_sweep(circuit, problem, sinusoids):
     phi = [math.pi / 4] * k_slots
     history = []
     walked = set()
-    exact = False
     settled = 0
     for visit in range(100 * k_slots):
         k = visit % k_slots
@@ -107,32 +102,25 @@ def reference_sweep(circuit, problem, sinusoids):
             return a + b * math.cos(t) + c * math.sin(t)
 
         margin = fitness_mod._TIE_MARGIN * (1 + abs(a) + abs(b) + abs(c))
-        if exact:
-            # the sinusoid's maximum, a + hypot(b, c), at atan2(c, b)
-            if a + math.hypot(b, c) > value_at(current) + margin:
-                phi[k] = math.atan2(c, b)
-        else:
-            values = [value_at(t) for t in grid]
-            top = max(values)
-            if top > value_at(current) + margin:
-                # the first grid angle within the margin of the best
-                phi[k] = next(t for t, v in zip(grid, values)
-                              if v >= top - margin)
-            elif k not in walked:
-                # the next tied angle after the current one, cyclically
-                start = grid.index(current) + 1
-                for j in range(start, start + len(grid)):
-                    if values[j % len(grid)] >= top - margin:
-                        phi[k] = grid[j % len(grid)]
-                        break
-                walked.add(k)
+        values = [value_at(t) for t in grid]
+        top = max(values)
+        if top > value_at(current) + margin:
+            # the first grid angle within the margin of the best
+            phi[k] = next(t for t, v in zip(grid, values)
+                          if v >= top - margin)
+        elif k not in walked:
+            # the next tied angle after the current one, cyclically
+            start = grid.index(current) + 1
+            for j in range(start, start + len(grid)):
+                if values[j % len(grid)] >= top - margin:
+                    phi[k] = grid[j % len(grid)]
+                    break
+            walked.add(k)
         changed = phi[k] != current
         history.append((before, changed))
         settled = 1 if changed else settled + 1
         if settled == k_slots:
-            if exact or not problem.refine:
-                break
-            exact, settled = True, 0
+            break
     assert next(feed, None) is None
     return tuple(phi), prefitness(circuit, phi, problem), history
 
@@ -176,7 +164,7 @@ def reachable_output(circuit, index, rng):
     return rng.choices(range(1 << n), weights=weights)[0]
 
 
-def make_problem(kind, circuit, table, seed, refine=False, n_pairs=None):
+def make_problem(kind, circuit, table, seed, n_pairs=None):
     """A random Hamiltonian from a random initial basis state, or random
     index pairs for ``circuit``: three in four pairs take an output it
     reaches (see ``reachable_output``), the rest any output."""
@@ -184,8 +172,7 @@ def make_problem(kind, circuit, table, seed, refine=False, n_pairs=None):
     n = table.n_bits
     if kind in ("pauli", "ising"):
         h = (random_pauli_sum if kind == "pauli" else random_ising)(n, rng)
-        return ground_state_problem(table, h, rng.randrange(1 << n),
-                                    refine=refine)
+        return ground_state_problem(table, h, rng.randrange(1 << n))
     if n_pairs is None:
         n_pairs = rng.randint(1, 3)
     pairs = []
@@ -194,7 +181,7 @@ def make_problem(kind, circuit, table, seed, refine=False, n_pairs=None):
         reached = rng.random() < 0.75
         pairs.append((index, reachable_output(circuit, index, rng) if reached
                       else rng.randrange(1 << n)))
-    return function_fit_problem(table, pairs, refine=refine)
+    return function_fit_problem(table, pairs)
 
 
 KINDS = st.sampled_from(["pauli", "ising", "pairs"])
@@ -220,45 +207,11 @@ def gene_circuit(n, head, seed):
 
 @SLOW
 @given(n=st.integers(2, 5), head=st.integers(1, 8), seed=st.integers(0, 2**32),
-       kind=KINDS, refine=st.booleans())
-def test_gene_circuits_match_exhaustive_scan(monkeypatch, n, head, seed, kind,
-                                             refine):
+       kind=KINDS)
+def test_gene_circuits_match_exhaustive_scan(monkeypatch, n, head, seed, kind):
     circuit, table = gene_circuit(n, head, seed)
     assert_matches_reference(
-        circuit, make_problem(kind, circuit, table, seed, refine), monkeypatch)
-
-
-@SLOW
-@given(n=st.integers(2, 5), head=st.integers(1, 8), seed=st.integers(0, 2**32),
-       kind=KINDS)
-def test_refined_angles_are_per_slot_maxima(monkeypatch, n, head, seed, kind):
-    # the refinement starts from the grid sweep's angles and only climbs.
-    # Where it settles, no slot can gain more than the tie margin m, so a
-    # slot whose value is a + R*cos(t - t0) sits within 1 - cos(d) <= m/R
-    # of its peak and has slope R*sin(d) <= sqrt(2*m*R); a, b, c and R
-    # come from direct evaluations at 0, pi/2 and pi, not from the sweep
-    circuit, table = gene_circuit(n, head, seed)
-    _, grid_value = optimize_params(
-        circuit, make_problem(kind, circuit, table, seed))
-    problem = make_problem(kind, circuit, table, seed, refine=True)
-    with monkeypatch.context() as m:
-        visits = record_sinusoids(m)
-        phi, value = optimize_params(circuit, problem)
-    assert value >= grid_value
-    if len(visits) == 100 * len(phi):
-        return      # stopped by the visit cap, not settled
-    h = 1e-5
-    for k in range(len(phi)):
-        def f(t, k=k):
-            return prefitness(circuit, phi[:k] + (t,) + phi[k + 1:], problem)
-
-        slope = (f(phi[k] + h) - f(phi[k] - h)) / (2 * h)
-        a, b = (f(0.0) + f(math.pi)) / 2, (f(0.0) - f(math.pi)) / 2
-        c = f(math.pi / 2) - a
-        scale = 1 + abs(a) + abs(b) + abs(c)
-        margin = fitness_mod._TIE_MARGIN * scale
-        assert abs(slope) <= math.sqrt(2 * margin * math.hypot(b, c)) \
-            + 1e-9 * scale
+        circuit, make_problem(kind, circuit, table, seed), monkeypatch)
 
 
 def complex_one_hots(problem):
@@ -273,22 +226,21 @@ def complex_one_hots(problem):
 
 @settings(SLOW, max_examples=400)
 @given(n=st.integers(1, 8), head=st.integers(1, 10), seed=st.integers(0, 2**32),
-       kind=KINDS, refine=st.booleans(),
+       kind=KINDS,
        kinds=st.sampled_from([("Ry",), ("Ry", "CNOT"), ("Ry", "H", "X", "Z"),
                               ("Ry", "P", "CNOT"), ("Ry", "Y", "CNOT")]))
 def test_real_inputs_give_the_complex_results(monkeypatch, n, head, seed,
-                                              kind, refine, kinds):
+                                              kind, kinds):
     # the sweep's states are float64 until a P or Y gate; with complex
     # one-hot inputs every state is complex from the start, and the
     # angles and value must come out the same
     table = GateTable(n, kinds)
     circuit = gene_to_circuit(
         random_gene(table.pset, head, random.Random(seed)), table)
-    real = optimize_params(circuit,
-                           make_problem(kind, circuit, table, seed, refine))
+    real = optimize_params(circuit, make_problem(kind, circuit, table, seed))
     with monkeypatch.context() as m:
         m.setattr(fitness_mod.Problem, "one_hots", property(complex_one_hots))
-        problem = make_problem(kind, circuit, table, seed, refine)
+        problem = make_problem(kind, circuit, table, seed)
         assert problem.one_hots[0].dtype == complex
         assert optimize_params(circuit, problem) == real
 
@@ -310,15 +262,15 @@ def framed_circuit(rng, n, k_slots):
 
 @SLOW
 @given(n=st.integers(2, 4), k_slots=st.integers(0, 4),
-       seed=st.integers(0, 2**32), kind=KINDS, refine=st.booleans())
+       seed=st.integers(0, 2**32), kind=KINDS)
 def test_framed_circuits_match_exhaustive_scan(monkeypatch, n, k_slots, seed,
-                                               kind, refine):
+                                               kind):
     # the kept prefix state is rebuilt, advanced past fixed gates, and
     # moved back when the cycle wraps
     circuit = framed_circuit(random.Random(seed), n, k_slots)
     table = GateTable(n, ["Ry", "P", "CNOT", "H"])
     assert_matches_reference(
-        circuit, make_problem(kind, circuit, table, seed, refine), monkeypatch)
+        circuit, make_problem(kind, circuit, table, seed), monkeypatch)
 
 
 @SLOW
@@ -392,40 +344,28 @@ def assert_reproduces_direct(circuit, problem, k, phi, abc, t):
     assert abs(algebra - direct) <= 1e-12 * (1.0 + abs(direct))
 
 
-# (n, k_slots, seed, kind) at n_pairs = 1 whose refined sweep runs to the
-# cap of 100*K visits
-AT_THE_CAP = ((2, 3, 6, "pauli"), (3, 3, 0, "ising"), (2, 4, 263, "pairs"))
-
-
 @SLOW
-@example(n=2, k_slots=3, n_pairs=1, seed=6, kind="pauli")
-@example(n=3, k_slots=3, n_pairs=1, seed=0, kind="ising")
-@example(n=2, k_slots=4, n_pairs=1, seed=263, kind="pairs")
 @given(n=st.integers(2, 4), k_slots=st.integers(1, 4),
        n_pairs=st.integers(1, 4), seed=st.integers(0, 2**32), kind=KINDS)
 def test_turned_visits_reproduce_direct_prefitness(monkeypatch, n, k_slots,
                                                    n_pairs, seed, kind):
     # whole-register visits, most of them on the kept outputs turned by
-    # pi. First a refined sweep, recorded: its grid visits turn, its
-    # exact phase stacks; the examples above run to the cap of 100*K
-    # visits (``AT_THE_CAP``). Then 100*K visits driven at any angles,
-    # turned wherever only the last-visited slot has moved, so a late
-    # visit's X may have been formed by many turns since the last stacked
-    # visit: between visits the visited slot moves (to atan2(c, b) or a
-    # grid angle), nothing moves, or several slots move at once, so the
-    # next visit stacks again
+    # pi. First a sweep, recorded: every visit after the first turns.
+    # Then 100*K visits driven at any angles, turned wherever only the
+    # last-visited slot has moved, so a late visit's X may have been
+    # formed by many turns since the last stacked visit: between visits
+    # the visited slot moves (to atan2(c, b), off the grid, or to a grid
+    # angle), nothing moves, or several slots move at once, so the next
+    # visit stacks again
     rng = random.Random(seed)
     circuit = cnot_core_circuit(rng, n, k_slots)
     table = GateTable(n, ["Ry", "P", "CNOT", "H"])
-    problem = make_problem(kind, circuit, table, seed, refine=True,
-                           n_pairs=n_pairs)
+    problem = make_problem(kind, circuit, table, seed, n_pairs=n_pairs)
     assert type(kept_states(circuit, problem)) \
         is fitness_mod._KeptStates
     with monkeypatch.context() as m:
         visits = record_sinusoids(m)
         optimize_params(circuit, problem)
-    if n_pairs == 1 and (n, k_slots, seed, kind) in AT_THE_CAP:
-        assert len(visits) == 100 * k_slots
     for v, (phi, abc) in enumerate(visits):
         k = v % k_slots
         for t in (phi[k], rng.uniform(-10.0, 10.0)):
@@ -453,16 +393,14 @@ def test_turned_visits_reproduce_direct_prefitness(monkeypatch, n, k_slots,
 
 @SLOW
 @given(n=st.integers(2, 5), head=st.integers(2, 10),
-       seed=st.integers(0, 2**32), kind=KINDS, refine=st.booleans())
-def test_turned_visits_match_stacked_visits(monkeypatch, n, head, seed, kind,
-                                            refine):
-    # grid visits' (a, b, c) only choose grid angles, which the tie margin
-    # guards, every visit of the exact phase stacks, and the value is the
-    # kept states' move to the end: angles and value equal those of the
-    # sweep whose every whole-register visit is stacked, with and without
-    # GradientRefine, on random gene circuits whose cores hold a CNOT
+       seed=st.integers(0, 2**32), kind=KINDS)
+def test_turned_visits_match_stacked_visits(monkeypatch, n, head, seed, kind):
+    # turned visits' (a, b, c) only choose grid angles, which the tie
+    # margin guards, and the value is the kept states' move to the end:
+    # angles and value equal those of the sweep whose every whole-register
+    # visit is stacked, on random gene circuits whose cores hold a CNOT
     circuit, table = gene_circuit(n, head, seed)
-    problem = make_problem(kind, circuit, table, seed, refine=refine)
+    problem = make_problem(kind, circuit, table, seed)
     assume(type(kept_states(circuit, problem))
            is fitness_mod._KeptStates)
     result = optimize_params(circuit, problem)
@@ -512,9 +450,8 @@ PRODUCT_CASES = dict(n=st.integers(1, 6), head=st.integers(1, 10),
 @given(**PRODUCT_CASES)
 def test_product_visits_match_whole_registers(monkeypatch, n, head, seed,
                                               kind, n_pairs, ends):
-    # product visits round otherwise than stacked pairs, but at
-    # GradientRefine = 0 their (a, b, c) feed only grid choices, which the
-    # tie margin guards, and the value is a whole-core run at the final
+    # product visits round otherwise than stacked pairs, but their
+    # (a, b, c) feed only grid choices, which the tie margin guards, and the value is a whole-core run at the final
     # angles: angles and value equal the whole-register sweep's, on Ising
     # sums, Pauli sums with shift and scale, nonzero initial states,
     # several index pairs, and inputs moved by a leading CNOT run
@@ -645,37 +582,6 @@ def test_gate_applications_counted_exactly(monkeypatch):
     assert sum(gates for _, gates in applies) == 121
 
 
-def test_exact_phase_stacks_every_visit(monkeypatch):
-    # GradientRefine: once the grid sweep settles, each visit may set its
-    # slot to atan2(c, b), which reads (b, c) to the last bit, so every
-    # visit of that phase runs a stacked pair, as the first visit does,
-    # and none reads them off an X carried through turns
-    circuit = parse_circuit("Ry0:phi0 Ry1:phi1 CNOT0,1 Ry2:phi2 CNOT1,2 "
-                            "Ry3:phi3 CNOT2,3 Ry0:phi4", 4)
-    problem = ground_state_problem(GateTable(4, ["Ry", "CNOT"]),
-                                   random_pauli_sum(4, random.Random(5)),
-                                   refine=True)
-    applies = count_applies(monkeypatch)
-    visits = []     # (exact, the kinds of run the visit made)
-    sinusoid = fitness_mod._KeptStates.sinusoid
-
-    def logged(self, phi, exact=False):
-        before = len(applies)
-        abc = sinusoid(self, phi, exact)
-        visits.append((exact, [kind for kind, _ in applies[before:]]))
-        return abc
-
-    monkeypatch.setattr(fitness_mod._KeptStates, "sinusoid", logged)
-    phi, _ = optimize_params(circuit, problem)
-    grid = [exact for exact, _ in visits].index(True)
-    assert visits[:grid] == [(False, ["turned" if v else "pair"])
-                             for v in range(grid)]
-    assert visits[grid:] == [(True, ["pair"])] * (len(visits) - grid)
-    assert len(visits) - grid >= circuit.n_params
-    # the exact phase moved some slot off the grid
-    assert any(t not in DEFAULT_GRID for t in phi)
-
-
 def test_one_slot_core_runs_one_stacked_pair(monkeypatch):
     # a lone slot settles at its first visit: one stacked run through the
     # CNOT after it, then the value's move through the slot's gate and
@@ -784,9 +690,8 @@ def with_cnot_ends(circuit, rng):
 
 @SLOW
 @given(n=st.integers(2, 5), head=st.integers(1, 8), seed=st.integers(0, 2**32),
-       kind=KINDS, refine=st.booleans())
-def test_cnot_ends_match_exhaustive_scan(monkeypatch, n, head, seed, kind,
-                                         refine):
+       kind=KINDS)
+def test_cnot_ends_match_exhaustive_scan(monkeypatch, n, head, seed, kind):
     # the lead moves the inputs, nonzero ones included, and a FunctionFit
     # tail pulls the outputs back; the sweep matches the reference, whose
     # value runs the whole circuit, and on whole registers every sinusoid
@@ -799,7 +704,7 @@ def test_cnot_ends_match_exhaustive_scan(monkeypatch, n, head, seed, kind,
     table = GateTable(n, ["Ry", "P", "CNOT"])
     core = gene_to_circuit(random_gene(table.pset, head, rng), table)
     circuit = with_cnot_ends(core, rng)
-    problem = make_problem(kind, circuit, table, seed, refine)
+    problem = make_problem(kind, circuit, table, seed)
     assert_matches_reference(circuit, problem, monkeypatch)
     with monkeypatch.context() as m:
         whole_registers(m)
