@@ -142,6 +142,7 @@ class PrimitiveSet:
         if overlap or len(set(self.terminals)) != len(self.terminals):
             raise ConfigError(f"symbol ids not unique (overlap: {sorted(overlap)})")
         self.all_symbols = tuple(s for s, _ in self.functions) + self.terminals
+        self.symbol_set = frozenset(self.all_symbols)
         self.max_arity = max(self._arity.values(), default=1)
         if names is None:
             names = {s: f"f{s}" for s, _ in self.functions}
@@ -190,7 +191,7 @@ def make_gene(symbols: Sequence[int], head_len: int, pset: PrimitiveSet) -> Gene
             f"gene length {len(symbols)} != head {head_len} + tail "
             f"{pset.tail_len(head_len)}"
         )
-    known = set(pset.all_symbols)
+    known = pset.symbol_set
     for pos, s in enumerate(symbols):
         if s not in known:
             raise ConfigError(f"unknown symbol id {s} at position {pos}")

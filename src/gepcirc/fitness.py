@@ -64,7 +64,9 @@ arithmetic, so the values are those of the whole circuit bit for bit. The
 core between the ends is what the sweep simulates, and no table is built
 for an end. A GroundState tail stays in the core, as the Hamiltonian does
 not commute with a permutation. A circuit without CNOT ends is its own
-core.
+core. A FunctionFit circuit of CNOTs alone has an empty core and is not
+simulated at all: a pair scores 1.0 where its entry is its pulled-back
+output and 0.0 elsewhere, the values its one-hot would give.
 
 Nor does a visit simulate the gates before its slot. They do not change
 during the visit, so the sweep keeps the state(s) entering that gate,
@@ -127,7 +129,6 @@ import numpy as np
 from gepcirc.engine import ConfigError, Gene, coding_length, make_gene
 from gepcirc.hamiltonians import PauliSumHamiltonian
 from gepcirc.sim import (
-    GateInstance,
     GateTable,
     QuantumCircuit,
     _apply_1q,
@@ -135,9 +136,8 @@ from gepcirc.sim import (
     _kernel_forms,
     apply_circuit_array,
     bind_params,
-    canonicalize,
+    canonical_coding,
     check_basis_index,
-    circuit_to_gene,
     coding_circuit,
 )
 
@@ -250,18 +250,19 @@ def prefitness(circuit: QuantumCircuit, params: Sequence[float],
                             for amps in problem.one_hots), problem.outputs)
 
 
-def _through(index: int, cnots: Iterable[GateInstance]) -> int:
-    """Basis index ``index`` moved by ``cnots``, applied in order: the rule
-    of ``sim._cnot_run_table``."""
-    for gate in cnots:
-        control, target = gate.qubits
+def _through(index: int, cnots: Iterable[tuple[int, int]]) -> int:
+    """Basis index ``index`` moved by CNOTs, given as (control, target)
+    and applied in order: the rule of ``sim._cnot_run_table``."""
+    for control, target in cnots:
         index ^= ((index >> control) & 1) << target
     return index
 
 
-def _permutation_ends(gates: Sequence[GateInstance], problem: Problem
+def _permutation_ends(cnots: Sequence[tuple[int, int] | None],
+                      problem: Problem
                       ) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """(lead, end, entries, outputs) for a circuit's ``gates``. Gates
+    """(lead, end, entries, outputs) for a circuit given as its gates'
+    ``cnots``: a CNOT's (control, target), None for a 1-qubit gate. Gates
     [0, lead) are its leading CNOT run and, for FunctionFit, gates
     [end, len) its trailing one; the core between them is what the sweep
     simulates. ``entries`` are the problem's inputs moved forward through
@@ -271,19 +272,21 @@ def _permutation_ends(gates: Sequence[GateInstance], problem: Problem
     output's after it. CNOT is the only two-qubit kind, and a gather does
     no arithmetic, so the values are those of the whole circuit bit for
     bit. A GroundState tail stays in the core: H does not commute with a
-    permutation. Without ends, the problem's own index tuples come back."""
+    permutation. Without ends, the problem's own index tuples come back.
+    ``_split`` passes a circuit's gates, ``CachingFitness`` a coding
+    region's symbols, through ``GateTable.record``."""
     lead = 0
-    while lead < len(gates) and gates[lead].kind.n_qubits == 2:
+    while lead < len(cnots) and cnots[lead] is not None:
         lead += 1
-    end = len(gates)
+    end = len(cnots)
     if problem.outputs:
-        while end > lead and gates[end - 1].kind.n_qubits == 2:
+        while end > lead and cnots[end - 1] is not None:
             end -= 1
     entries, outputs = problem.inputs, problem.outputs
     if lead:
-        entries = tuple(_through(index, gates[:lead]) for index in entries)
-    if end < len(gates):
-        outputs = tuple(_through(out, reversed(gates[end:]))
+        entries = tuple(_through(index, cnots[:lead]) for index in entries)
+    if end < len(cnots):
+        outputs = tuple(_through(out, reversed(cnots[end:]))
                         for out in outputs)
     return lead, end, entries, outputs
 
@@ -314,7 +317,9 @@ def _split(circuit: QuantumCircuit, problem: Problem
     (see ``_permutation_ends``), without compiling it anew where it has
     none."""
     gates = circuit.gates
-    lead, end, entries, outputs = _permutation_ends(gates, problem)
+    lead, end, entries, outputs = _permutation_ends(
+        [gate.qubits if gate.kind.n_qubits == 2 else None for gate in gates],
+        problem)
     core = (circuit if end - lead == len(gates)
             else QuantumCircuit(circuit.n_bits, gates[lead:end]))
     return core, entries, outputs
@@ -711,7 +716,10 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
     the pre-fitness at the final angles, read off the kept states moved
     from the last visit to the end of the core, at the pulled-back output
     indices; on product states, and with K = 0, that move runs the whole
-    core from the entries, the same kernel calls.
+    core from the entries, the same kernel calls. A FunctionFit core
+    without gates is scored from the indices alone, with no state built:
+    the mean over pairs of 1.0 where the entry is the pulled-back output
+    and 0.0 elsewhere, added in pair order as ``_score`` adds them.
 
     With ``ends``, (entries, outputs), ``circuit`` is a core already split
     from its permutation ends (``_split``), the sweep's entry and
@@ -719,10 +727,18 @@ def optimize_params(circuit: QuantumCircuit, problem: Problem,
     key holds them; the ends hold no slot, so the angles are the whole
     circuit's too.
     """
+    core, entries, outputs = (_split(circuit, problem) if ends is None
+                              else (circuit, *ends))
+    if problem.outputs and not core.gates:
+        # a permutation takes each input to one basis state: the one-hot
+        # at its entry is read at the pulled-back output, 1.0 or 0.0
+        total = 0.0
+        for entry, out in zip(entries, outputs):
+            total += 1.0 if entry == out else 0.0
+        return (), total / len(outputs)
     k_slots = circuit.n_params
     trig = [(math.cos(t), math.sin(t)) for t in DEFAULT_GRID]
-    kept = _kept_states(problem, *(_split(circuit, problem) if ends is None
-                                   else (circuit, *ends)))
+    kept = _kept_states(problem, core, entries, outputs)
     phi = [_START_ANGLE] * k_slots
     walked: set[int] = set()    # slots that have had their sideways move
     settled = 0     # slots at their optimum: the last changed one and every
@@ -772,7 +788,11 @@ class CachingFitness:
       key), so each coding region is canonicalized once; the coding region
       lists the symbols outermost first, then the terminal, and the key
       holds the core's symbols, ints that hash cheaply; ``canonical``
-      records the canonical gene's own coding region there too;
+      records the canonical gene's own coding region there too. A record
+      is found on the symbols alone: ``sim.canonical_coding`` rewrites
+      their ``GateTable.record`` entries, and the ends are read off the
+      records' CNOT qubits, so a first sighting builds no gate, circuit
+      or gene;
     * core key -> (angles, fitness), so each core is optimized once,
       however many genomes share it: genes that differ only in non-coding
       symbols, whose circuits differ only in what canonicalization
@@ -796,15 +816,14 @@ class CachingFitness:
         record = self._canonical.get(coding)
         if record is None:
             table = self.problem.table
-            circuit = canonicalize(coding_circuit(coding, table))
-            m = len(circuit.gates)
-            canon = circuit_to_gene(circuit, table, gene.head_len).symbols[
-                :m + 1]
-            lead, end, entries, outputs = _permutation_ends(circuit.gates,
-                                                            self.problem)
+            canon = canonical_coding(coding, table)
+            m = len(canon) - 1
             # gate i is symbol m - 1 - i
+            lead, end, entries, outputs = _permutation_ends(
+                [table.record(symbol)[4] for symbol in reversed(canon[:m])],
+                self.problem)
             record = canon, (entries, canon[m - end:m - lead], outputs)
-            # canonicalize is idempotent: its output is its own canonical form
+            # the rewrite is idempotent: its output is its own canonical form
             self._canonical[coding] = self._canonical[canon] = record
         return record
 

@@ -73,7 +73,7 @@ import functools
 import itertools
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,7 +94,7 @@ __all__ = [
     "StateVector", "check_basis_index", "basis_state",
     "apply_circuit_array",
     "GateTable", "gene_to_circuit", "coding_circuit", "circuit_to_gene",
-    "bind_params", "canonicalize",
+    "bind_params", "canonicalize", "canonical_coding",
     "format_angle", "parse_angle", "circuit_to_string", "parse_circuit",
     "parse_basis_label",
 ]
@@ -486,12 +486,18 @@ def apply_circuit_array(amps: np.ndarray, n_bits: int, circuit: QuantumCircuit,
 # Gene <-> circuit bridge
 # ---------------------------------------------------------------------------
 
+# a symbol's canonicalization record: see GateTable.record
+_Record = tuple[int, int, int, int, tuple[int, int] | None]
+
+
 class GateTable:
     """Concrete gate instances as GEP primitives.
 
     Every placement of every requested kind becomes one unary function
     symbol: N placements per single-qubit kind, N*(N-1) ordered pairs per
-    two-qubit kind. The single terminal is the input state psi0.
+    two-qubit kind. The single terminal is the input state psi0. A
+    symbol's gate (``instance``) and record (``record``) are built on its
+    first use, so construction builds neither.
     """
 
     def __init__(self, n_bits: int, kinds: Sequence[str],
@@ -518,6 +524,7 @@ class GateTable:
         )
         self._index = {pl: s for s, pl in enumerate(placements)}
         self._instances: dict[int, GateInstance] = {}
+        self._records: dict[int, _Record] = {}
 
     def instance(self, symbol: int) -> GateInstance:
         """The symbol's gate: Ry free, P at ``p_phase``; built on first use
@@ -528,6 +535,19 @@ class GateTable:
             angle = self.p_phase if kind.name == "P" else None
             gate = self._instances[symbol] = GateInstance(kind, qubits, angle)
         return gate
+
+    def record(self, symbol: int) -> _Record:
+        """The symbol's canonicalization record (sort key, qubit mask,
+        pairing rule, the symbol, and its CNOT's (control, target) or None
+        for a 1-qubit gate), built on first use and shared, as ``instance``
+        is: ``canonical_coding`` rewrites these, so a coding region is
+        canonicalized on integers, with no gate or circuit built."""
+        record = self._records.get(symbol)
+        if record is None:
+            kind, qubits = self.placements[symbol]
+            record = self._records[symbol] = _order(kind, qubits) + (
+                symbol, qubits if kind.n_qubits == 2 else None)
+        return record
 
 
 def gene_to_circuit(gene: Gene, table: GateTable) -> QuantumCircuit:
@@ -584,20 +604,22 @@ def bind_params(circuit: QuantumCircuit, params: Sequence[float]) -> QuantumCirc
 # Canonicalization
 # ---------------------------------------------------------------------------
 
-def _fuse_ry(a: GateInstance, b: GateInstance) -> GateInstance | None:
-    """Combine two adjacent Ry on one qubit; None when they cancel exactly.
+def _fuse_ry(a: tuple, b: tuple) -> tuple | None:
+    """Combine the entries of two adjacent Ry on one qubit; None when they
+    cancel exactly.
 
     A free gate anywhere in the pair absorbs the other angle: the sum of a
     free parameter with anything is still a single free parameter.
     """
-    if a.free or b.free:
-        return a if a.free else b
-    total = math.fmod(a.angle + b.angle, TWO_TURNS)
+    x, y = a[3], b[3]
+    if x.free or y.free:
+        return a if x.free else b
+    total = math.fmod(x.angle + y.angle, TWO_TURNS)
     if total < 0.0:
         total += TWO_TURNS
     if total == 0.0:
         return None
-    return GateInstance(a.kind, a.qubits, angle=total)
+    return a[:3] + (GateInstance(x.kind, x.qubits, angle=total),)
 
 
 # how a gate pairs with an identical neighbour: a self-inverse kind
@@ -605,30 +627,30 @@ def _fuse_ry(a: GateInstance, b: GateInstance) -> GateInstance | None:
 _STAYS, _CANCELS, _FUSES = range(3)
 
 
-def _canonical_entry(gate: GateInstance) -> tuple[int, int, int, GateInstance]:
-    """(sort key, qubit mask, pairing rule, gate): the key packs
+def _order(kind: GateKind, qubits: tuple[int, ...]) -> tuple[int, int, int]:
+    """(sort key, qubit mask, pairing rule) of a placement: the key packs
     (min qubit, max qubit) into one int, as qubits are below 32."""
-    qubits = gate.qubits
     mask = 0
     for q in qubits:
         mask |= 1 << q
-    name = gate.kind.name
+    name = kind.name
     rule = (_CANCELS if name in _SELF_INVERSE
             else _FUSES if name == "Ry" else _STAYS)
-    return min(qubits) << 5 | max(qubits), mask, rule, gate
+    return min(qubits) << 5 | max(qubits), mask, rule
 
 
-def canonicalize(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Normal form preserving the output state up to global phase.
+def _rewrite(entries: list[tuple], fuse: Callable[[tuple, tuple],
+                                                  tuple | None]) -> None:
+    """Rewrite ``entries``, one per gate in gate order, to the canonical
+    form in place. An entry starts with the gate's sort key, qubit mask
+    and pairing rule (``_order``), then an item, equal for identical gates
+    only: the gate, or its genome symbol. ``fuse(a, b)`` is the entry two
+    adjacent Ry on one qubit fuse to, or None where they cancel.
 
-    Three rewrites run to a fixed point: adjacent gates with disjoint qubit
-    support are bubble-sorted by (min qubit, max qubit); adjacent identical
-    self-inverse gates on identical qubits cancel; adjacent Ry on the same
-    qubit fuse by angle addition mod 4*pi. Each pass of the loop is one
-    bubble pass, then one cancelling and fusing pass. Each gate's sort key
-    and qubit mask are computed once per call, so a pass compares ints.
+    Each pass of the loop is one bubble pass, then one cancelling and
+    fusing pass, until neither changes anything. The key and mask are
+    computed before the loop, so a pass compares ints.
     """
-    entries = [_canonical_entry(gate) for gate in circuit.gates]
     changed = True
     while changed:
         changed = False
@@ -649,13 +671,38 @@ def canonicalize(circuit: QuantumCircuit) -> QuantumCircuit:
                 changed = True
                 i = max(i - 1, 0)
             elif a[2] == _FUSES and b[2] == _FUSES:
-                fused = _fuse_ry(a[3], b[3])
-                entries[i:i + 2] = [] if fused is None else [a[:3] + (fused,)]
+                fused = fuse(a, b)
+                entries[i:i + 2] = [] if fused is None else [fused]
                 changed = True
                 i = max(i - 1, 0)
             else:
                 i += 1
+
+
+def canonicalize(circuit: QuantumCircuit) -> QuantumCircuit:
+    """Normal form preserving the output state up to global phase.
+
+    Three rewrites run to a fixed point (``_rewrite``): adjacent gates
+    with disjoint qubit support are bubble-sorted by (min qubit, max
+    qubit); adjacent identical self-inverse gates on identical qubits
+    cancel; adjacent Ry on the same qubit fuse by angle addition mod 4*pi.
+    ``canonical_coding`` runs the same rewrite on a genome's symbols.
+    """
+    entries = [_order(gate.kind, gate.qubits) + (gate,)
+               for gate in circuit.gates]
+    _rewrite(entries, _fuse_ry)
     return QuantumCircuit(circuit.n_bits, tuple(e[3] for e in entries))
+
+
+def canonical_coding(coding: Sequence[int], table: GateTable
+                     ) -> tuple[int, ...]:
+    """The coding region of the canonical form of ``coding``'s circuit:
+    ``canonicalize`` on the table's symbol records (``GateTable.record``),
+    so no gate or circuit is built. A genome's Ry are free, so a fused
+    pair keeps the first, as ``_fuse_ry`` does."""
+    entries = [table.record(symbol) for symbol in reversed(coding[:-1])]
+    _rewrite(entries, lambda a, b: a)
+    return tuple(e[3] for e in reversed(entries)) + tuple(coding[-1:])
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from gepcirc.sim import (
     apply_circuit_array,
     basis_state,
     bind_params,
+    canonical_coding,
     canonicalize,
     circuit_to_gene,
     circuit_to_string,
@@ -440,6 +441,37 @@ def gate_set_genes(draw):
     return table, random_gene(table.pset, draw(st.integers(1, 14)), rng)
 
 
+@st.composite
+def repeating_genes(draw):
+    """(table, gene, problem): a gene on 1-9 qubits over any gate kinds
+    usable there, at head length 1-14, whose coding region is runs of a
+    few symbols, the first run at least two long where the head allows,
+    so adjacent gates cancel, fuse and commute; and a GroundState or
+    FunctionFit problem whose inputs are nonzero basis states."""
+    n = draw(st.integers(1, 9))
+    usable = [k for k, kind in GATE_KINDS.items() if n > 1 or kind.n_qubits == 1]
+    kinds = draw(st.lists(st.sampled_from(usable), min_size=1, unique=True))
+    table = GateTable(n, kinds, draw(st.sampled_from([math.pi / 2, 0.3])))
+    head, terminal = draw(st.integers(1, 14)), table.terminal
+    pool = draw(st.lists(st.integers(0, terminal - 1), min_size=1,
+                         max_size=4))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)),
+                         min_size=1, max_size=head))
+    runs[0] = runs[0][0], max(runs[0][1], 2)
+    coding = [symbol for symbol, times in runs for _ in range(times)][:head]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    filler = [rng.choice(table.pset.all_symbols)
+              for _ in range(head - len(coding) - 1)]
+    symbols = coding + [terminal] + filler + [terminal] * (len(coding) < head)
+    gene = make_gene(symbols, head, table.pset)
+    if draw(st.booleans()):
+        return table, gene, ground_state_problem(
+            table, PauliSumHamiltonian(n, []), rng.randrange(1, 1 << n))
+    pairs = [(rng.randrange(1, 1 << n), rng.randrange(1 << n))
+             for _ in range(rng.randint(1, 3))]
+    return table, gene, function_fit_problem(table, pairs)
+
+
 class TestCanonicalRecord:
     @settings(deadline=None, max_examples=300)
     @given(gate_set_genes())
@@ -457,11 +489,11 @@ class TestCanonicalRecord:
         cache = CachingFitness(function_fit_problem(table, [(0, 0)]))
         calls = []
 
-        def counted(circuit):
-            calls.append(circuit)
-            return canonicalize(circuit)
+        def counted(coding, table):
+            calls.append(coding)
+            return canonical_coding(coding, table)
 
-        monkeypatch.setattr(fitness_mod, "canonicalize", counted)
+        monkeypatch.setattr(fitness_mod, "canonical_coding", counted)
         rng = random.Random(19)
         genes = [random_gene(table.pset, 3, rng) for _ in range(200)]
         genes += genes[:50]
@@ -476,7 +508,7 @@ class TestCanonicalRecord:
         for gene, rewritten in zip(genes, canon):
             region = gene.symbols[:coding_length(gene)]
             if region not in known:
-                expected.append(gene_to_circuit(gene, table))
+                expected.append(region)
             known |= {region, rewritten.symbols[:coding_length(rewritten)]}
         assert calls == expected
         assert len(calls) < len(regions)    # some regions are canonical
@@ -511,6 +543,82 @@ class TestCanonicalRecord:
         assert ours.population == hook.population
         assert ours.fitnesses == hook.fitnesses
         assert ours.stats == hook.stats
+
+    @settings(deadline=None, max_examples=400)
+    @given(repeating_genes())
+    def test_symbol_records_match_the_circuit_path(self, case):
+        # the record CachingFitness builds from symbols equals the one
+        # built from the canonical circuit: canonicalize, re-encode, and
+        # find the ends on the circuit's gates
+        table, gene, problem = case
+        assert not table._records     # filled on first use only
+        coding = gene.symbols[:coding_length(gene)]
+        circuit = canonicalize(coding_circuit(coding, table))
+        m = len(circuit.gates)
+        canon = circuit_to_gene(circuit, table, gene.head_len).symbols[:m + 1]
+        lead, end, entries, outputs = fitness_mod._permutation_ends(
+            [g.qubits if g.kind.n_qubits == 2 else None
+             for g in circuit.gates], problem)
+        expected = canon, (entries, canon[m - end:m - lead], outputs)
+        cache = CachingFitness(problem)
+        assert cache._canonical_coding(gene) == expected
+        assert cache._canonical[canon] == expected
+
+
+def forbidden(*args):
+    raise AssertionError("called")
+
+
+class TestEmptyFunctionFitCores:
+    def cases(self):
+        """(circuit, pairs): CNOT-only circuits on 4 qubits, 0-6 gates, and
+        the empty circuit on 1 qubit, each with pairs its permutation
+        satisfies, input to its image, pairs mapping an input to itself,
+        and random pairs."""
+        rng = random.Random(31)
+        table = GateTable(4, ["Ry", "CNOT"])
+        cnots = [s for s, (kind, _) in enumerate(table.placements)
+                 if kind.name == "CNOT"]
+        circuits = [coding_circuit(tuple(rng.choice(cnots)
+                                         for _ in range(length))
+                                   + (table.terminal,), table)
+                    for length in range(7) for _ in range(4)]
+        circuits.append(QuantumCircuit(1, ()))
+        for circuit in circuits:
+            n = circuit.n_bits
+
+            def image(index):
+                amps = apply_circuit_array(basis_state(n, index).amplitudes,
+                                           n, circuit)
+                return int(np.flatnonzero(amps)[0])
+
+            inputs = [rng.randrange(1 << n) for _ in range(8)]
+            yield circuit, [(i, image(i)) for i in inputs]
+            yield circuit, [(i, i) for i in inputs]
+            yield circuit, [(i, rng.randrange(1 << n)) for i in inputs]
+            yield circuit, [(i, image(i) if k % 2 else i ^ 1)
+                            for k, i in enumerate(inputs)]
+
+    def test_scored_from_indices(self, monkeypatch):
+        # a FunctionFit circuit of CNOTs alone, or of no gate, has an
+        # empty core: its value is each pair's 1.0 or 0.0, read off its
+        # moved indices, with no one-hot built and no gate applied, equal
+        # to the whole circuit's prefitness, through optimize_params and
+        # through CachingFitness
+        values = set()
+        for circuit, pairs in self.cases():
+            table = GateTable(circuit.n_bits, ["Ry", "CNOT"][:circuit.n_bits])
+            expected = prefitness(circuit, (), function_fit_problem(table,
+                                                                    pairs))
+            values.add(expected)
+            gene = circuit_to_gene(circuit, table, max(len(circuit), 1))
+            with monkeypatch.context() as m:
+                m.setattr(fitness_mod, "_one_hot", forbidden)
+                m.setattr(fitness_mod, "apply_circuit_array", forbidden)
+                problem = function_fit_problem(table, pairs)
+                assert optimize_params(circuit, problem) == ((), expected)
+                assert CachingFitness(problem)(gene) == expected
+        assert {0.0, 1.0} < values
 
 
 @st.composite
@@ -638,7 +746,7 @@ class TestCanonicalFitness:
                        for genes in groups.values())
 
     def test_ends_found_once_per_canonical_circuit(self, monkeypatch):
-        # CachingFitness splits each circuit it canonicalizes at its
+        # CachingFitness splits each coding region it canonicalizes at its
         # permutation ends once, for its core key, and hands the split to
         # the sweep, which it reaches through the module's optimize_params
         # (the name the benchmark counts by) and which does not split the
@@ -649,7 +757,7 @@ class TestCanonicalFitness:
                     3, random.Random(5)), 5),
                 function_fit_problem(table, [(1, 6), (4, 4), (7, 2)])):
             ends = count_calls(monkeypatch, "_permutation_ends")
-            canonicalized = count_calls(monkeypatch, "canonicalize")
+            canonicalized = count_calls(monkeypatch, "canonical_coding")
             optimized = []
             sweep = fitness_mod.optimize_params
 
@@ -673,7 +781,7 @@ class TestCanonicalFitness:
         # the fitness of the canonical gene canonicalizes nothing again
         table = GateTable(4, ["Ry", "P", "CNOT"])
         problem = ground_state_problem(table, xx_chain(4, 1.0, "open"))
-        calls = count_calls(monkeypatch, "canonicalize")
+        calls = count_calls(monkeypatch, "canonical_coding")
         optimized = count_sweeps(monkeypatch)
         hooked = []
         cache = CachingFitness(problem)
@@ -685,8 +793,9 @@ class TestCanonicalFitness:
         cfg = EvolutionConfig(generations=4, head_len=6, population_size=10,
                               seed=5)
         run_evolution(cfg, table.pset, cache, canonicalize=hook)
-        texts = [circuit_to_string(c) for c in calls]
-        assert len(texts) == len(set(texts)) <= len(set(hooked))
+        # the coding regions canonicalized, each once
+        assert calls
+        assert len(calls) == len(set(calls)) <= len(set(hooked))
         # each sweep runs once, on the core of a hooked region's canonical
         # circuit
         assert len(optimized) == len(set(optimized))

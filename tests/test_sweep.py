@@ -732,13 +732,15 @@ def test_ends_move_basis_indices(n, seed):
     amps = np.zeros(1 << n)
     amps[index] = 1.0
     moved = apply_circuit_array(amps, n, QuantumCircuit(n, run))
-    entry = fitness_mod._through(index, run)
+    cnots = [gate.qubits for gate in run]
+    entry = fitness_mod._through(index, cnots)
     assert np.flatnonzero(moved).tolist() == [entry] and moved[entry] == 1.0
     table = sim._cnot_run_table(n, run)
-    assert fitness_mod._through(index, reversed(run)) == table[index]
-    # the ends of a whole circuit, the lead first to last and the tail
-    # last to first; GroundState keeps its tail in the core
-    gates = run + (GateInstance(GATE_KINDS["Ry"], (0,)),) + run
+    assert fitness_mod._through(index, reversed(cnots)) == table[index]
+    # the ends of a whole circuit, the run, a Ry and the run again, given
+    # as its gates' CNOT qubits (None for the Ry): the lead first to last
+    # and the tail last to first; GroundState keeps its tail in the core
+    gates = cnots + [None] + cnots
     pairs = function_fit_problem(GateTable(n, ["Ry", "CNOT"]),
                                  [(index, index)])
     assert fitness_mod._permutation_ends(gates, pairs) == (
