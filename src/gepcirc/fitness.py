@@ -11,41 +11,40 @@ grid. A genome's fitness is that of its canonical circuit
 Slot k is the angle of the k-th free Ry gate in gate order (see ``sim``),
 so every slot belongs to exactly one gate.
 
-The sweep does not evaluate grid angles one by one. Ry(t) = cos(t/2) I +
-sin(t/2) (-iY), so if psi is the state entering a slot's only gate and U
-the gates after it, the output at angle t is cos(t/2) A + sin(t/2) B with
-A = U psi and B = U (-iY psi). The pre-fitness is then exactly
-a + b*cos(t) + c*sin(t), with (a, b, c) from <A|H|A>, <B|H|B> and
-Re <A|H|B> (GroundState) or from A's amplitude at the output index, and
-B's, for each training pair (FunctionFit); this is the Rotosolve/NFT
-observation (Ostaszewski et al., arXiv:1905.09692; Nakanishi et al.,
-arXiv:1903.12166) applied to the statevector. The gate kernels act on the
-last axis, so a core's first visit pushes psi and -iY psi, stacked as one
-(2, 2^N) array, through U in one simulation of the gates after the slot
-and reads the whole grid off (a, b, c).
+The sweep does not evaluate grid angles one by one. If psi is the state
+entering a slot's only gate, U the gates after it and theta the slot's
+angle now, then Ry(theta + d) = cos(d/2) Ry(theta) + sin(d/2)
+Ry(theta + pi), so the output at theta + d is cos(d/2) X + sin(d/2) X',
+with X = U Ry(theta) psi the output at the current angles and
+X' = U Ry(theta + pi) psi the output with the slot turned by pi. The
+pre-fitness is then exactly a + b*cos(d) + c*sin(d), with (a, b, c) from
+<X|H|X>, <X'|H|X'> and Re <X|H|X'> (GroundState) or from X's amplitude
+at the output index, and X''s, for each training pair (FunctionFit),
+rotated into the frame of the slot's angle t = theta + d; this is the
+Rotosolve/NFT observation (Ostaszewski et al., arXiv:1905.09692;
+Nakanishi et al., arXiv:1903.12166) applied to the statevector. The gate
+kernels act on the last axis, so a core's first visit writes Ry(theta)
+psi and Ry(theta + pi) psi into the two rows of one (2, 2^N) array,
+pushes it through U in one simulation of the gates after the slot and
+reads the whole grid off (a, b, c).
 
-Later visits reuse the current value, as sequential minimal
-optimization does (Nakanishi et al.). With theta the slot's angle now,
-the output at theta + d is cos(d/2) X + sin(d/2) X', X the output at the
-current angles and X' = U Ry(theta + pi) psi the output with the slot
-turned by pi.
-X is known: each visit keeps the output along its own slot as such a pair
-(A and B, or X and X'), so once that slot has moved by d, X is their
-cos(d/2), sin(d/2) combination, and on GroundState <X|H'|X> follows by the
-same 2x2 algebra from the three numbers kept with them. Such a visit
-turns psi by its slot's Ry at theta + pi with one kernel call and runs
-that one state per input through U: on GroundState one H' product, for
-<X'|H'|X'> and Re <X|H'|X'>, and on FunctionFit one amplitude per pair,
-X's being kept. Its (a, b, c), found in the frame of d, are rotated into
-t's. A visit after an angle other than the last-visited slot's has changed
-finds no X and stacks again, as the first does; the sweep itself changes
-only the visited slot's angle between visits.
+Later visits reuse X, as sequential minimal optimization does (Nakanishi
+et al.). Each visit keeps the output along its own slot as the pair
+(X, X') it found, so once that slot has moved by d, the next visit's X
+is their cos(d/2), sin(d/2) combination, and on GroundState <X|H'|X>
+follows by the same 2x2 algebra from the three numbers kept with them.
+Such a visit turns psi by its slot's Ry at theta + pi with one kernel
+call and runs that one state per input through U: on GroundState one H'
+product, for <X'|H'|X'> and Re <X|H'|X'>, and on FunctionFit one
+amplitude per pair, X's being kept. The sweep changes only the visited
+slot's angle between visits, so only a core's first visit stacks; a
+visit that found another angle changed would find no X and stack too.
 Between visits the pair along the last-visited slot is kept: two states
 (GroundState) or two amplitudes per pair (FunctionFit). A visit holds at
 most one stacked pair, or X and one turned state, at a time, twice the
-per-state working set of evaluating one angle, at every N: -iY psi is
-written straight into the pair's second row, and forming X makes one
-new state and scales the kept X' in place.
+per-state working set of evaluating one angle, at every N: the turned
+states are written straight into the pair's rows, and forming X makes
+one new state and scales the kept X' in place.
 Simulating U costs one kernel per 1-qubit gate and one gather per run of
 CNOTs, a lone CNOT included (see ``sim``): slot gates are Ry, so no slot
 splits a run, and the kept states' steps and suffixes (below) are parts of
@@ -83,34 +82,35 @@ without slots takes that one move from its entries.
 A core without CNOT is not simulated on whole registers at all
 (``_ProductStates``). Its gates act on one qubit each and its entries
 are basis states, so every state it reaches is a product of one 2-vector
-per qubit (Vidal, arXiv:quant-ph/0301063), and a visit forms A and B on
-the slot's qubit alone, from its 2-vector entering the slot's gate and
-that qubit's gates after it. The other qubits enter as cached factors,
-refreshed only when an angle on them changes: on GroundState each Pauli
-term's value, c times the product of <sigma> over its qubits, so H'
-seen from the slot's qubit is one 2x2 matrix; on FunctionFit each pair's
-amplitude factors at the pulled-back output's bits. A visit is thus
-scalar arithmetic on the slot qubit's terms or pairs, with no numpy call.
+per qubit (Vidal, arXiv:quant-ph/0301063), and a visit forms X and X' at
+theta = 0 on the slot's qubit alone, from its 2-vector entering the
+slot's gate and that qubit's gates after it. The other qubits enter as
+cached factors, refreshed only when an angle on them changes: on
+GroundState each Pauli term's value, c times the product of <sigma> over
+its qubits, so H' seen from the slot's qubit is one 2x2 matrix; on
+FunctionFit each pair's amplitude factors at the pulled-back output's
+bits. A visit is thus scalar arithmetic on the slot qubit's terms or
+pairs, with no numpy call.
 Over the benchmark's instances 0-11 (seed 7), every core optimized on
 maxcut8 (``Gates = Ry``) took this path, 819 of 819; so did 509 of 567
 on funcfit12 and 222 of 1,914 on heisenberg3x3.
 
-Product visits sum their (a, b, c) in another order than the stacked
-pair's, and turned visits read them off an X carried through many turns,
-so both agree with the stacked pair's to rounding, about 1e-15 relative
-per turn. That moves no artifact: (a, b, c) only choose grid angles,
-and values within ``_TIE_MARGIN`` of each other tie, so a choice could
-change only where two values differ by the margin itself to within
-rounding, which no tested case nor benchmark instance met; and the value
-returned is the kernels': the kept states' move past the core's last
-gate, or on product states the whole core run once from the entry
-one-hots at the final angles, the same kernel calls.
+Product visits sum their (a, b, c) in another order than whole-register
+visits, and turned visits read them off an X carried through many turns,
+so the kinds of visit agree to rounding, about 1e-15 relative per turn.
+That moves no artifact: (a, b, c) only choose grid angles, and values
+within ``_TIE_MARGIN`` of each other tie, so a choice could change only
+where two values differ by the margin itself to within rounding, which
+no tested case nor benchmark instance met; and the value returned is the
+kernels': the kept states' move past the core's last gate, or on product
+states the whole core run once from the entry one-hots at the final
+angles, the same kernel calls.
 
-The one-hot inputs are float64 and -iY and Ry are real matrices, so
-every state the sweep holds, kept, stacked or turned, stays float64 at
-8 B per amplitude through Ry, H, X, Z and CNOT gates and becomes complex
-at the first P or Y (see ``sim``); either way the values are those of
-complex states.
+The one-hot inputs are float64 and Ry is a real matrix, so every state
+the sweep holds, kept, stacked or turned, stays float64 at 8 B per
+amplitude through Ry, H, X, Z and CNOT gates and becomes complex at the
+first P or Y (see ``sim``); either way the values are those of complex
+states.
 
 The sweep starts from all angles at pi/4 rather than 0: for product-state
 problems the all-zero point is a stationary saddle where no single-angle
@@ -432,43 +432,39 @@ class _KeptStates:
         """(a, b, c) with pre-fitness a + b*cos(t) + c*sin(t) when slot
         ``k`` has angle t and every other slot its angle in ``phi``.
 
-        The first visit, and any visit after an angle other than the
-        last-visited slot's has changed, push each kept state psi and
-        -iY psi, stacked as one (2, 2^N) array, through the gates after
-        slot ``k``'s gate in one simulation: the outputs at t = 0 and pi.
-        Any other visit knows X, the output at the current angle theta
-        (see ``_current``), and simulates only psi turned by
-        Ry(theta + pi) through those gates, X', the output at theta + pi;
-        on GroundState that is one H' product, for <X'|H'|X'> and
-        Re <X|H'|X'>. The pair found is kept as ``along``.
+        With theta the slot's angle in ``phi``, X and X' are the outputs
+        at theta and at theta + pi: each kept state psi turned by the
+        slot's Ry at that angle and run through the gates after slot
+        ``k``'s gate. The first visit, and any visit after an angle other
+        than the last-visited slot's has changed, write both turns of psi
+        into one stacked (2, 2^N) array and run it in one simulation. Any
+        other visit knows X, and on GroundState <X|H'|X> (see
+        ``_current``), and simulates X' alone. On GroundState one H'
+        product then gives <X'|H'|X'> and Re <X|H'|X'>. The pair found is
+        kept as ``along``.
         """
         problem, k = self.problem, self.k
-        qubit = self.qubits[k]
+        qubit, theta = self.qubits[k], phi[k]
         n, suffix, params = problem.n_bits, self.suffixes[k], phi[k + 1:]
         # the kept states share one dtype, so one lookup serves them all
         complex_state = self.states[0].dtype == complex
+        turned = _kernel_forms("Ry", theta + math.pi, complex_state, qubit)
         current = self._current(phi)
         if current is None:
-            theta = 0.0
-            forms = _kernel_forms("-iY", None, complex_state, qubit)
+            forms = _kernel_forms("Ry", theta, complex_state, qubit)
 
             def outputs(amps: np.ndarray) -> np.ndarray:
-                """(A, B) for one kept state psi."""
+                """(X, X') for one kept state psi."""
                 # unnamed, the pair is freed once its first gate has run:
                 # at NumBits = 24 one state is 128 MB, or 256 MB once
                 # complex
-                return apply_circuit_array(_stacked(amps, qubit, forms), n,
-                                           suffix, params)
+                return apply_circuit_array(
+                    _stacked(amps, qubit, forms, turned), n, suffix, params)
         else:
-            x, xx = current
-            theta = phi[k]
-            forms = _kernel_forms("Ry", theta + math.pi, complex_state,
-                                  qubit)
-
             def outputs(amps: np.ndarray) -> np.ndarray:
                 """X' for one kept state psi."""
                 return apply_circuit_array(
-                    _apply_1q(amps, forms[0], qubit, forms[1]), n, suffix,
+                    _apply_1q(amps, turned[0], qubit, turned[1]), n, suffix,
                     params)
 
         outs = map(outputs, self.states)
@@ -476,46 +472,66 @@ class _KeptStates:
             h = problem.hamiltonian
             if current is None:
                 p, q = next(outs)
-                elements = h.pair_elements(p, q)
+                pp = h.expectation_array(p)
             else:
-                p, q = x, next(outs)
-                elements = (xx, *h.cross_elements(p, q))
-            pp, qq, pq = elements
-            # -<y|H'|y> at y = cos(d/2) p + sin(d/2) q, d = t - theta
-            a, b, c = -0.5 * (pp + qq), -0.5 * (pp - qq), -pq
+                (p, pp), q = current, next(outs)
+            elements = (pp, *h.cross_elements(p, q))
         else:
             if current is None:
                 p, q = zip(*((pair[0, out], pair[1, out])
                              for pair, out in zip(outs, self.outputs)))
             else:
-                p, q = x, [amps[out] for amps, out in zip(outs, self.outputs)]
+                p, q = current[0], [amps[out] for amps, out
+                                    in zip(outs, self.outputs)]
             elements = None
-            # |cos(d/2) alpha + sin(d/2) beta|^2 per pair, d = t - theta
-            aa = bb = ab = 0.0
-            for alpha, beta in zip(p, q):
-                aa += abs(alpha) ** 2
-                bb += abs(beta) ** 2
-                ab += (alpha.conjugate() * beta).real
-            d = len(self.outputs)
-            a, b, c = 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
         self.along = k, list(phi), theta, p, q, elements
-        if theta:
-            # b*cos(t - theta) + c*sin(t - theta) in terms of t
-            cos_t, sin_t = math.cos(theta), math.sin(theta)
-            b, c = b * cos_t - c * sin_t, b * sin_t + c * cos_t
-        return a, b, c
+        return _sinusoid(problem, *(elements or _overlaps(zip(p, q))), theta)
 
 
 def _stacked(amps: np.ndarray, q: int,
-             forms: tuple[np.ndarray, np.ndarray | None]) -> np.ndarray:
-    """psi = ``amps`` and -iY psi on qubit q as one (2, 2^N) pair, ``forms``
-    being -iY's kernel forms for q and the state's dtype: -iY psi is
-    written straight into the pair's second row, so no copy of it is held
-    beside the pair."""
+             forms: tuple[np.ndarray, np.ndarray | None],
+             turned: tuple[np.ndarray, np.ndarray | None]) -> np.ndarray:
+    """``amps`` turned by two 1-qubit gates on qubit q as one (2, 2^N)
+    pair, ``forms`` and ``turned`` being their kernel forms for q and the
+    state's dtype: each turn is written straight into its row, so no copy
+    of it is held beside the pair."""
     pair = np.empty((2,) + amps.shape, amps.dtype)
-    pair[0] = amps
-    _apply_1q(amps, forms[0], q, forms[1], out=pair[1])
+    _apply_1q(amps, forms[0], q, forms[1], out=pair[0])
+    _apply_1q(amps, turned[0], q, turned[1], out=pair[1])
     return pair
+
+
+def _overlaps(pairs: Iterable[tuple[complex, complex]]
+              ) -> tuple[float, float, float]:
+    """(sum |alpha|^2, sum |beta|^2, sum Re conj(alpha) beta) over
+    FunctionFit's amplitude pairs (alpha, beta), one per training pair, in
+    order."""
+    aa = bb = ab = 0.0
+    for alpha, beta in pairs:
+        aa += abs(alpha) ** 2
+        bb += abs(beta) ** 2
+        ab += (alpha.conjugate() * beta).real
+    return aa, bb, ab
+
+
+def _sinusoid(problem: Problem, pp: float, qq: float, pq: float,
+              theta: float = 0.0) -> tuple[float, float, float]:
+    """(a, b, c) with pre-fitness a + b*cos(t) + c*sin(t) for outputs
+    y = cos(d/2) p + sin(d/2) q at d = t - theta: (pp, qq, pq) are
+    <p|H'|p>, <q|H'|q> and Re <p|H'|q> on GroundState, and on FunctionFit
+    ``_overlaps`` of p's and q's amplitudes at the outputs."""
+    if problem.outputs:
+        # mean |cos(d/2) alpha + sin(d/2) beta|^2 over the pairs
+        d = len(problem.outputs)
+        a, b, c = 0.5 * (pp + qq) / d, 0.5 * (pp - qq) / d, pq / d
+    else:
+        # -<y|H'|y>
+        a, b, c = -0.5 * (pp + qq), -0.5 * (pp - qq), -pq
+    if theta:
+        # b*cos(t - theta) + c*sin(t - theta) in terms of t
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        b, c = b * cos_t - c * sin_t, b * sin_t + c * cos_t
+    return a, b, c
 
 
 def _run(mats: Iterable[tuple], u: complex, v: complex
@@ -544,10 +560,11 @@ class _ProductStates:
     state, so each state is at every step the Kronecker product of its
     qubits' 2-vectors, each moved by that qubit's gates alone (Vidal,
     arXiv:quant-ph/0301063). A visit to slot k on qubit q forms
-    A = U psi and B = U (-iY psi) on q only, psi being q's 2-vector
-    entering the slot's gate and U q's gates after it. Every other qubit
-    enters through cached factors, refreshed when the angle of a slot on
-    it changes:
+    A = U psi and B = U Ry(pi) psi on q only, the outputs with the slot
+    at 0 and at pi, psi being q's 2-vector entering the slot's gate and U
+    q's gates after it: X and X' at theta = 0. Every other qubit enters
+    through cached factors, refreshed when the angle of a slot on it
+    changes:
     - GroundState: the value of each Pauli term, c times the product of
       <sigma> over its qubits' 2-vectors, and their sum; the terms on q,
       with the other factors, give <A|H'|A>, <B|H'|B> and Re <A|H'|B>
@@ -556,9 +573,10 @@ class _ProductStates:
       qubits' 2-vectors at the pulled-back output's bits; A's and B's
       entries times the product of the others are alpha and beta.
     No numpy call is made per visit or term. (a, b, c) agree with the
-    stacked pair's to rounding, far below the sweep's tie margin, and the
-    value at the end is the kernels' own: ``move_to(K)`` runs the whole
-    core from the entry one-hots, the kernel calls ``_KeptStates`` makes.
+    whole-register visits' to rounding, far below the sweep's tie margin,
+    and the value at the end is the kernels' own: ``move_to(K)`` runs the
+    whole core from the entry one-hots, the kernel calls ``_KeptStates``
+    makes.
     """
 
     def __init__(self, core: QuantumCircuit, problem: Problem,
@@ -645,22 +663,21 @@ class _ProductStates:
         before, after = mats[:position], mats[position + 1:]
         h = self.problem.hamiltonian
         if h is None:
-            # |cos(t/2) alpha + sin(t/2) beta|^2 per pair
-            aa = bb = ab = 0.0
-            for starts, factors, out in zip(self.starts, self.factors,
-                                            self.outputs):
-                rest = math.prod(factors[:q]) * math.prod(factors[q + 1:])
-                if not rest:
-                    continue
-                u, v = _run(before, *starts[q])
-                bit = out >> q & 1
-                alpha = _run(after, u, v)[bit] * rest
-                beta = _run(after, -v, u)[bit] * rest
-                aa += abs(alpha) ** 2
-                bb += abs(beta) ** 2
-                ab += (alpha.conjugate() * beta).real
-            d = len(self.outputs)
-            return 0.5 * (aa + bb) / d, 0.5 * (aa - bb) / d, ab / d
+            # (alpha, beta) at t = 0 and pi, for each pair whose other
+            # factors do not vanish
+            def pairs() -> Iterable[tuple[complex, complex]]:
+                for starts, factors, out in zip(self.starts, self.factors,
+                                                self.outputs):
+                    rest = (math.prod(factors[:q])
+                            * math.prod(factors[q + 1:]))
+                    if not rest:
+                        continue
+                    u, v = _run(before, *starts[q])
+                    bit = out >> q & 1
+                    yield (_run(after, u, v)[bit] * rest,
+                           _run(after, -v, u)[bit] * rest)
+
+            return _sinusoid(self.problem, *_overlaps(pairs()))
         # H' restricted to q: rest * I + w . (X, Y, Z), rest being the
         # terms off q less the shift
         bloch = self.bloch
@@ -681,8 +698,7 @@ class _ProductStates:
         bb = h.scale * (rest + wx * x + wy * y + wz * z)
         x, y, z = _elements(a0, a1, b0, b1)
         ab = h.scale * (wx * x + wy * y + wz * z)
-        # -<x|H'|x> at x = cos(t/2) A + sin(t/2) B
-        return -0.5 * (aa + bb), -0.5 * (aa - bb), -ab
+        return _sinusoid(self.problem, aa, bb, ab)
 
 
 def optimize_params(circuit: QuantumCircuit, problem: Problem,

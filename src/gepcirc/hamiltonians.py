@@ -18,14 +18,13 @@ stacked gather over the flip masks (12 rows for the 36-term 3x3
 Heisenberg lattice, none for an Ising Hamiltonian). A shift e0 and scale
 s are folded into the diagonal and the rows once, when the cache is
 built, so the cache holds H' = s*(H - e0) and the expectation and the
-sweep's pair elements are plain inner products with H' psi.
+sweep's cross elements are plain inner products with H' psi.
 
 States may come real (float64) or complex. A real state is made complex
 right before each inner product, because the real dot product sums in
 another order than the complex one: so a real state gives the bits of
 its complex cast. The cache is built before any such copy is made, and
-``pair_elements`` and ``cross_elements`` free b's copy before they make
-a's, and H' b before H' a.
+``cross_elements`` frees b's copy before it makes a's.
 """
 
 from __future__ import annotations
@@ -244,27 +243,12 @@ class PauliSumHamiltonian:
         amps = self._complex(amps)
         return self._real(np.vdot(amps, self._apply(amps)))
 
-    def pair_elements(self, a: np.ndarray,
-                      b: np.ndarray) -> tuple[float, float, float]:
-        """(<a|H'|a>, <b|H'|b>, Re <a|H'|b>) for two flat amplitude arrays.
-
-        <x|H'|x> at x = cos(t/2) a + sin(t/2) b follows from the three
-        numbers; the fitness sweep takes a = U psi and b = U(-iY_q psi).
-        """
-        bb, ab, a = self._cross(a, b)
-        return self._real(np.vdot(a, self._apply(a))), bb, ab
-
     def cross_elements(self, a: np.ndarray,
                        b: np.ndarray) -> tuple[float, float]:
         """(<b|H'|b>, Re <a|H'|b>) for two flat amplitude arrays, with one
-        H' product: the fitness sweep keeps <a|H'|a> for its current
-        output a, and b is that output with one slot turned by pi (see
-        ``fitness._KeptStates``)."""
-        return self._cross(a, b)[:2]
-
-    def _cross(self, a: np.ndarray,
-               b: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """<b|H'|b>, Re <a|H'|b> and a's complex cast."""
+        H' product: the fitness sweep has <a|H'|a> for its current output
+        a already, kept or from ``expectation_array``, and b is that
+        output with one slot turned by pi (see ``fitness._KeptStates``)."""
         dim = 1 << self.n_bits
         if a.shape != (dim,) or b.shape != (dim,):
             raise ConfigError(
@@ -277,7 +261,7 @@ class PauliSumHamiltonian:
         bb = self._real(np.vdot(b, h_b))
         del b
         a = self._complex(a)
-        return bb, float(np.vdot(a, h_b).real), a
+        return bb, float(np.vdot(a, h_b).real)
 
 
 # ---------------------------------------------------------------------------

@@ -40,16 +40,14 @@ The kernels' matrices come from one cached builder (``_forms``, through
 ``_kernel_forms``), keyed by kind, angle and the angle's sign, the
 state's dtype and the qubit, every q > 3 sharing one entry as the forms
 there do not depend on it: the read-only 2x2 matrix and, where a real
-product takes it, its widened form. Nothing is built at import. The
-sweep's -iY (see ``fitness``) is not a gate kind but comes from the same
-builder.
+product takes it, its widened form. Nothing is built at import.
 
 A state stays float64 for as long as every gate applied to it is real.
 The matrices of H, X, Z and Ry are float64 and those of Y and P complex,
 and numpy's type promotion in the kernels' products picks the real or
 the complex BLAS product, so a real state becomes complex128 at the first
 P or Y that acts on it; a gather keeps the dtype. For a complex state
-the builder makes H, X, Z and Ry (and -iY) complex128 twins, the values
+the builder makes H, X, Z and Ry complex128 twins, the values
 the promotion would cast them to, so no product casts its matrix. On
 real amplitudes the real 2x2 @ 2xM products (M >= 2) give the values of
 the complex ones, so a real state costs 8 B per amplitude instead of 16
@@ -146,14 +144,12 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _COMPLEX = np.dtype(complex)
-# the rows of the angle-free matrices: the fixed kinds, and -iY, which is
-# not a gate kind: the sweep's Ry(t) = cos(t/2) I + sin(t/2) (-iY)
+# the rows of the fixed kinds' matrices
 _FIXED_ROWS = {
     "H": [[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]],
     "X": [[0.0, 1.0], [1.0, 0.0]],
     "Y": [[0.0, -1j], [1j, 0.0]],
     "Z": [[1.0, 0.0], [0.0, -1.0]],
-    "-iY": [[0.0, -1.0], [1.0, 0.0]],
 }
 
 
@@ -292,9 +288,9 @@ def _widen(mat: np.ndarray, q: int) -> np.ndarray:
 @functools.lru_cache(maxsize=1024)
 def _forms(name: str, angle: float | None, sign: float, complex_state: bool,
            width: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The 2x2 matrix of kind ``name`` (or -iY) and, for a float64 matrix
-    at ``width`` <= _WIDE_Q, its widened form (see ``_apply_1q``), or None;
-    read-only. Ry, H, X, Z and -iY are float64, and complex128 twins for a
+    """The 2x2 matrix of kind ``name`` and, for a float64 matrix at
+    ``width`` <= _WIDE_Q, its widened form (see ``_apply_1q``), or None;
+    read-only. Ry, H, X and Z are float64, and complex128 twins for a
     complex state: the values numpy's promotion would cast them to, so no
     product casts a matrix per call. Y and P are complex."""
     # `sign` is part of the key because 0.0 == -0.0 while their matrices
@@ -313,7 +309,7 @@ def _forms(name: str, angle: float | None, sign: float, complex_state: bool,
 
 def _kernel_forms(name: str, angle: float | None, complex_state: bool,
                   q: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The forms ``_apply_1q`` takes for kind ``name`` (or -iY) at
+    """The forms ``_apply_1q`` takes for kind ``name`` at
     ``angle`` (None for a fixed kind) on qubit q, from ``_forms``: keyed
     by the angle's sign and by width = min(q, _WIDE_Q + 1), as above
     _WIDE_Q the forms do not depend on q."""

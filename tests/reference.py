@@ -120,6 +120,20 @@ def _fuse_ry(a, b):
     return GateInstance(a.kind, a.qubits, angle=total)
 
 
+# -iY from its definition: Ry(t) = cos(t/2) I + sin(t/2) (-iY), real
+_MINUS_IY = (-1j * one_qubit_matrix("Y")).real
+
+
+def _with_minus_iy(amps, q):
+    """psi = ``amps`` and -iY psi on qubit q as one (2, 2^N) pair, -iY
+    applied to each (amps[k], amps[k + 2^q]) pair of amplitudes."""
+    pair = np.empty((2,) + amps.shape, amps.dtype)
+    pair[0] = amps
+    blocks = (-1, 2, 1 << q)
+    np.matmul(_MINUS_IY, amps.reshape(blocks), out=pair[1].reshape(blocks))
+    return pair
+
+
 class StackedVisits(fitness._KeptStates):
     """Whole-register kept states whose every visit pushes each kept state
     psi and -iY psi, stacked as one (2, 2^N) array, through the gates after
@@ -129,15 +143,16 @@ class StackedVisits(fitness._KeptStates):
 
     def sinusoid(self, phi):
         problem, k = self.problem, self.k
-        q = self.qubits[k]
-        forms = fitness._kernel_forms("-iY", None,
-                                      self.states[0].dtype == complex, q)
-        pairs = (apply_circuit_array(fitness._stacked(amps, q, forms),
+        # unnamed, each pair is freed once its first gate has run
+        pairs = (apply_circuit_array(_with_minus_iy(amps, self.qubits[k]),
                                      problem.n_bits, self.suffixes[k],
                                      phi[k + 1:])
                  for amps in self.states)
         if not problem.outputs:
-            aa, bb, ab = problem.hamiltonian.pair_elements(*next(pairs))
+            h = problem.hamiltonian
+            a, b = next(pairs)
+            aa = h.expectation_array(a)
+            bb, ab = h.cross_elements(a, b)
             return -0.5 * (aa + bb), -0.5 * (aa - bb), -ab
         aa = bb = ab = 0.0
         for pair, out in zip(pairs, self.outputs):

@@ -205,8 +205,8 @@ class TestPrefitness:
         # visit is stacked (``reference.StackedVisits``) by at most 1.1
         # states of 2^14 complex amplitudes, the X kept between visits.
         # Measured (Python 3.11, numpy 2.4.6), stacked -> turned:
-        # 1,842,579 -> 1,844,323 B with float64 states and 2,759,531 ->
-        # 2,758,379 B once P0 has made them complex; the sweep before
+        # 1,842,362 -> 1,842,795 B with float64 states and 2,759,371 ->
+        # 2,758,419 B once P0 has made them complex; the sweep before
         # turned visits, every visit stacked, peaked at 1,845,463 and
         # 2,760,879 B on the same machine. Each kind runs once
         # untraced first, so the cached kernel matrices are built; the

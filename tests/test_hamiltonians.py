@@ -41,6 +41,12 @@ def rand_graph(n, rng, p=0.5):
     return Graph(n, tuple(edges))
 
 
+def pair_elements(h, a, b):
+    """(<a|H'|a>, <b|H'|b>, Re <a|H'|b>), as the angle sweep reads them
+    at a core's first visit: one expectation and the cross elements."""
+    return (h.expectation_array(a), *h.cross_elements(a, b))
+
+
 def rand_hamiltonian(n, rng, n_terms=5):
     terms = []
     for _ in range(n_terms):
@@ -203,7 +209,7 @@ class TestExpectation:
         with pytest.raises(ImaginaryResidueError):
             h.expectation_array(amps)
         with pytest.raises(ImaginaryResidueError):
-            h.pair_elements(amps, amps)
+            h.cross_elements(amps, amps)
 
     def test_residue_bound_scales_with_s(self):
         # the cache holds s*(H - e0), whose rounding s scales too: at
@@ -257,7 +263,7 @@ class TestGroupedExpectation:
         want = (np.vdot(a, shifted @ a).real, np.vdot(b, shifted @ b).real,
                 np.vdot(a, shifted @ b).real)
         assert abs(h.expectation_array(a) - want[0]) < tol
-        for got, ref in zip(h.pair_elements(a, b), want):
+        for got, ref in zip(pair_elements(h, a, b), want):
             assert abs(got - ref) < tol
 
     def test_heisenberg_3x3_gathers_one_row_per_flip_mask(self):
@@ -341,7 +347,7 @@ class TestGroupedExpectation:
             a, b = (rand_state(h.n_bits, rng).amplitudes for _ in range(2))
             diag = dense_matrix(h).diagonal().real
             assert h.expectation_array(a) == np.vdot(a, diag * a).real
-            assert h.pair_elements(a, b) == (
+            assert pair_elements(h, a, b) == (
                 np.vdot(a, diag * a).real, np.vdot(b, diag * b).real,
                 np.vdot(a, diag * b).real)
             assert h._perms.shape == (0, 1 << h.n_bits)
@@ -362,7 +368,7 @@ class TestPairElements:
             h = h.rescaled(shift, scale)
             a, b = (rand_state(n, rng).amplitudes for _ in range(2))
             m = dense_matrix(h)
-            aa, bb, ab = h.pair_elements(a, b)
+            aa, bb, ab = pair_elements(h, a, b)
             shifted = scale * (m - shift * np.eye(1 << n))
             assert abs(aa - np.vdot(a, shifted @ a).real) < 1e-10
             assert abs(bb - np.vdot(b, shifted @ b).real) < 1e-10
@@ -390,17 +396,18 @@ class TestPairElements:
         for hamiltonian in (h, diagonal):
             assert (hamiltonian.expectation_array(a).hex()
                     == hamiltonian.expectation_array(cast[0]).hex())
-            assert ([x.hex() for x in hamiltonian.pair_elements(a, b)]
-                    == [x.hex() for x in hamiltonian.pair_elements(*cast)])
+            assert ([x.hex() for x in pair_elements(hamiltonian, a, b)]
+                    == [x.hex() for x in pair_elements(hamiltonian, *cast)])
 
     def test_gives_the_rotated_expectation(self):
-        # b = -iY_q a: <x|H'|x> at x = cos(t/2) a + sin(t/2) b, shift and all
+        # b = Ry_q(pi) a: <x|H'|x> at x = cos(t/2) a + sin(t/2) b, shift
+        # and all
         rng = random.Random(25)
         h = rand_hamiltonian(3, rng).rescaled(1.5, -2.0)
         psi = rand_state(3, rng)
         rotated = apply_circuit_array(psi.amplitudes, 3,
                                       parse_circuit("Ry1:pi", 3))
-        aa, bb, ab = h.pair_elements(psi.amplitudes, rotated)
+        aa, bb, ab = pair_elements(h, psi.amplitudes, rotated)
         for t in (0.0, 0.3, 2.0, -4.0):
             x = math.cos(t / 2) * psi.amplitudes + math.sin(t / 2) * rotated
             direct = h.expectation_array(x)
@@ -411,10 +418,10 @@ class TestPairElements:
     def test_zero_terms_and_shape(self):
         h = PauliSumHamiltonian(2, [], shift=1.0, scale=3.0)
         zero, one = basis_state(2, 0).amplitudes, basis_state(2, 1).amplitudes
-        assert h.pair_elements(zero, zero) == (-3.0, -3.0, -3.0)
-        assert h.pair_elements(zero, one) == (-3.0, -3.0, 0.0)
+        assert pair_elements(h, zero, zero) == (-3.0, -3.0, -3.0)
+        assert pair_elements(h, zero, one) == (-3.0, -3.0, 0.0)
         with pytest.raises(ConfigError):
-            h.pair_elements(zero, np.stack([zero, zero]))
+            h.cross_elements(zero, np.stack([zero, zero]))
 
 
 class TestMaxCutReadout:

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gepcirc.engine import ConfigError
 from gepcirc.hamiltonians import (
@@ -255,8 +255,20 @@ class TestDenseDiagonalization:
 
     @settings(deadline=None, max_examples=200)
     @given(h=rescaled_sums())
+    @example(h=PauliSumHamiltonian(4, [
+        PauliTerm.from_map(c, {i: p, j: p})
+        for c, i, j, paulis in ((1e-160, 1, 3, "XYZ"), (-1.5, 1, 2, "XY"))
+        for p in paulis]))
     def test_blocks_match_whole_matrix(self, h):
-        whole = np.linalg.eigvalsh(dense_matrix(h))
+        # entries whose squares underflow throw the whole-matrix solve off
+        # (the example's whole matrix reads -3.0000926, its blocks and
+        # exact arithmetic -3): entries below 2^-400 max|H| are zeroed,
+        # which by Weyl's inequality moves each eigenvalue by at most
+        # 2^n 2^-400 max|H|
+        matrix = dense_matrix(h)
+        matrix[np.abs(matrix) < 2.0 ** -400 * np.abs(matrix).max(
+            initial=0.0)] = 0.0
+        whole = np.linalg.eigvalsh(matrix)
         expected = np.min(h.scale * (whole - h.shift))
         size = 1 + sum(abs(t.coefficient) for t in h.terms) + abs(h.shift)
         assert abs(exact_ground_energy(h) - expected) \

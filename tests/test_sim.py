@@ -157,13 +157,11 @@ class TestGateMatrices:
 
     def test_matrices_match_definitions(self):
         """Every 1-qubit kind's matrix, for float64 and complex states,
-        equals the reference's written from its definition, and the
-        sweep's -iY equals -1j times the reference's Y (in value: -1j * Y
-        holds -0.0 parts where -iY holds +0.0). Each matrix is float64 but
-        for Y, P and the complex twins, and each widened form is
-        kron(M, I_{2^q})^T (``check_widened``)."""
+        equals the reference's written from its definition. Each matrix
+        is float64 but for Y, P and the complex twins, and each widened
+        form is kron(M, I_{2^q})^T (``check_widened``)."""
         rng = random.Random(12)
-        cases = [("-iY", None, -1j * one_qubit_matrix("Y"))] + [
+        cases = [
             (name, angle, one_qubit_matrix(name, angle))
             for name in ("H", "X", "Y", "Z", "P", "Ry")
             for angle in ((None,) if name in ("H", "X", "Y", "Z")
@@ -323,8 +321,8 @@ def check_widened(wide, mat, q):
 
 
 def kernel_matrix(name, angle=None, complex_state=False):
-    """The 2x2 matrix the kernel multiplies by for kind ``name`` (or the
-    sweep's -iY), on any qubit: the first of its ``_kernel_forms``."""
+    """The 2x2 matrix the kernel multiplies by for kind ``name``, on any
+    qubit: the first of its ``_kernel_forms``."""
     return sim._kernel_forms(name, angle, complex_state, 0)[0]
 
 
@@ -659,9 +657,9 @@ class TestKernels:
         for token in ("Ry2:0.7", "CNOT3,1", "H0", "P3"):
             gate_by_gate(amps, parse_circuit(token, 4).gates, ())
         assert same_bits(amps, before)
-        assert sorted(sim._FIXED_ROWS) == ["-iY", "H", "X", "Y", "Z"]
+        assert sorted(sim._FIXED_ROWS) == ["H", "X", "Y", "Z"]
         # the kernel's forms: each 2x2 matrix and the widened ones, of the
-        # fixed kinds and the sweep's -iY at every q, and of Ry and P
+        # fixed kinds at every q, and of Ry and P
         keys = ([(name, None, twin, q) for name in sim._FIXED_ROWS
                  for twin in (False, True) for q in range(sim.MAX_QUBITS)]
                 + [(name, angle, twin, q)
@@ -671,8 +669,8 @@ class TestKernels:
         mats = [kernel_matrix(name, sim.P_PHASE, twin)
                 for name in ("Ry", "P") for twin in (False, True)]
         wide = [w for _, (_, w) in forms if w is not None]
-        # H, X, Z on float64 states at q <= 3, -iY there, and Ry
-        assert len(wide) == 3 * 4 + 4 + 2 * 4
+        # H, X, Z on float64 states at q <= 3, and Ry
+        assert len(wide) == 3 * 4 + 2 * 4
         for q, (_, w) in forms:
             assert w is None or w.shape == (2 << q, 2 << q)
         for mat in mats + [m for _, (m, _) in forms] + wide:

@@ -484,9 +484,10 @@ H4 = PauliSumHamiltonian(4, [
 
 def count_applies(monkeypatch):
     """Log (kind, gates) for every apply_circuit_array call the sweep
-    makes: kind "pair" for a stacked (psi, -iY psi) run, "turned" for a
-    run of one state that the sweep's own 1-qubit kernel call turned
-    right before, and "move" for any other run."""
+    makes: kind "pair" for a stacked (X, X') run, whose two rows the
+    sweep's own 1-qubit kernel calls wrote right before, "turned" for a
+    run of one state that one such call turned right before, and "move"
+    for any other run."""
     log = []
     apply, apply_1q = fitness_mod.apply_circuit_array, fitness_mod._apply_1q
     turned = []
@@ -498,7 +499,7 @@ def count_applies(monkeypatch):
     def counted(amps, n_bits, circuit, params, /):
         # four positional arguments, as the benchmark's counter takes them
         kind = "pair" if amps.ndim == 2 else "turned" if turned else "move"
-        assert len(turned) == (kind != "move")
+        assert len(turned) == {"pair": 2, "turned": 1, "move": 0}[kind]
         turned.clear()
         log.append((kind, len(circuit.gates)))
         return apply(amps, n_bits, circuit, params)
